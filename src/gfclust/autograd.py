@@ -150,7 +150,11 @@ class Tensor:
         out_data = self.data @ other.data
 
         def backward(grad):
-            return (grad @ other.data.T, self.data.T @ grad)
+            # a constant operand (raw adjacency, a detached kernel) gets no gradient
+            return (
+                grad @ other.data.T if self.requires_grad else None,
+                self.data.T @ grad if other.requires_grad else None,
+            )
 
         return Tensor._from_op(out_data, (self, other), backward)
 
@@ -230,7 +234,7 @@ class Tensor:
             g = grad
             if axis is not None and not keepdims:
                 g = np.expand_dims(g, axis)
-            return (np.broadcast_to(g, self.shape).copy(),)
+            return (np.broadcast_to(g, self.shape),)
 
         return Tensor._from_op(out_data, (self,), backward)
 
@@ -244,7 +248,12 @@ class Tensor:
     # -- backward pass --------------------------------------------------------------
 
     def backward(self, grad=None):
-        """Accumulate gradients of this (scalar) tensor w.r.t. all ancestors."""
+        """Accumulate gradients of this (scalar) tensor w.r.t. all ancestors.
+
+        Gradients are never written in place, so a node may share its ``grad``
+        array with another node. An intermediate node's ``grad`` is released
+        once its own backward has run; the root and the leaves keep theirs.
+        """
         if grad is None:
             if self.data.size != 1:
                 raise ValueError("backward() without a seed needs a scalar tensor")
@@ -274,9 +283,11 @@ class Tensor:
                 if not parent.requires_grad:
                     continue
                 if parent.grad is None:
-                    parent.grad = pgrad.copy() if isinstance(pgrad, np.ndarray) else np.asarray(pgrad)
+                    parent.grad = np.asarray(pgrad)
                 else:
                     parent.grad = parent.grad + pgrad
+            if node is not self:
+                node.grad = None
 
 
 def zero_grads(params) -> None:

@@ -2,9 +2,9 @@
 
 Configuration comes from a single JSON file (``--config``) whose keys mirror
 TrainConfig plus a data source (exactly one of ``manifest`` or ``synthetic``);
-command-line flags override file values. Relative manifest paths resolve
-against the config file's directory. Exit codes: 0 success, 1 configuration
-or data errors, 2 numeric divergence.
+any other top-level key is rejected, and command-line flags override file
+values. Relative manifest paths resolve against the config file's directory.
+Exit codes: 0 success, 1 configuration or data errors, 2 numeric divergence.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 from .datasets import (
@@ -29,6 +29,10 @@ from .filters import FilterConfig
 from .graphs import MultiViewGraph
 from .spectral import compare_spectra
 from .training import TrainConfig, TrainingPipeline, train
+
+# top-level config keys: the TrainConfig fields plus the data source and outputs
+_TRAIN_KEYS = frozenset(f.name for f in fields(TrainConfig))
+_DATA_KEYS = frozenset({"manifest", "synthetic", "out", "name", "variant"})
 
 VARIANTS = ("no_rec", "no_kl", "raw_adjacency", "low_pass_only", "raw_adjacency_low_pass")
 
@@ -79,21 +83,14 @@ def _load_config(args) -> dict:
 
 
 def _train_config(payload: dict, args) -> TrainConfig:
+    unknown = sorted(set(payload) - _TRAIN_KEYS - _DATA_KEYS)
+    if unknown:
+        raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
+    values = {key: payload[key] for key in _TRAIN_KEYS if key in payload}
     try:
-        filter_cfg = FilterConfig(**payload.get("filter", {}))
-        encoder_cfg = EncoderConfig(**payload.get("encoder", {}))
-        cfg = TrainConfig(
-            epochs=payload.get("epochs", 200),
-            hr_refresh_interval=payload.get("hr_refresh_interval", 5),
-            rho=payload.get("rho", 1.0),
-            gamma_rec=payload.get("gamma_rec", 1.0),
-            gamma_kl=payload.get("gamma_kl", 0.1),
-            filter=filter_cfg,
-            encoder=encoder_cfg,
-            seed=payload.get("seed", 0),
-            detach_s=payload.get("detach_s"),
-            learning_rate=payload.get("learning_rate"),
-        )
+        values["filter"] = FilterConfig(**payload.get("filter", {}))
+        values["encoder"] = EncoderConfig(**payload.get("encoder", {}))
+        cfg = TrainConfig(**values)
     except TypeError as exc:
         raise ConfigError(f"unknown config field: {exc}") from exc
     if args.epochs is not None:

@@ -4,6 +4,13 @@ The filter kernel is either the row-normalized joint aggregation matrix built
 from a view's embedding pair, or the view's own random-walk adjacency (the
 `raw_adjacency` ablation). Powers are applied as ``k`` successive products
 against the signal; the ``k``-th matrix power is never materialized.
+
+The joint aggregation kernel is one autograd op with a hand-written backward.
+Its Gram matrix ``s = z z^T`` of ``z = z_a z_x^T`` is computed as
+``z_a (z_x^T z_x) z_a^T``, so neither the n x n ``z`` nor an O(n^3) product is
+formed, and forward and backward walk row blocks of ``s``: O(n^2 l) work for
+latent width ``l`` and O(block * n) scratch. The backward recomputes each
+block's clamp mask rather than keeping ``s``.
 """
 
 from __future__ import annotations
@@ -31,6 +38,7 @@ FAMILIES = ("adaptive_hybrid", "low_pass", "high_pass", "fixed_mix")
 MATRIX_SOURCES = ("joint_aggregation", "raw_adjacency")
 
 _RIDGE = 1e-8
+_BLOCK_ROWS = 128  # rows of s per block in the kernel's forward and backward
 
 
 @dataclass
@@ -63,31 +71,85 @@ class JointAggregation:
     s_rw: np.ndarray
 
 
-def joint_aggregation_t(z_a: Tensor, z_x: Tensor):
-    """Tensor-level joint aggregation; returns ``(z, s, s_rw)``.
+def _gram_factor(z_a: np.ndarray, z_x: np.ndarray) -> np.ndarray:
+    """``zk = z_a (z_x^T z_x)``, the factor that gives ``s = z z^T = zk z_a^T``.
 
-    ``s`` is clamped at zero, ridged with ``1e-8 * I`` and row-normalized.
-    A row that is all-zero before the ridge triggers a NumericsWarning.
+    With ``z = z_a z_x^T`` the Gram matrix is ``z_a (z_x^T z_x) z_a^T``, so each
+    of its rows costs O(n l) instead of O(n^2) and ``z`` is never formed.
     """
-    z = z_a @ z_x.T
-    s = z @ z.T
-    clamped = s.relu()
-    row_mass = clamped.data.sum(axis=1)
-    if (row_mass == 0.0).any():
+    return z_a @ (z_x.T @ z_x)
+
+
+def _gram(z_a: np.ndarray, z_x: np.ndarray):
+    """Dense ``(z, s)`` for diagnostics; ``s`` is symmetrized to be exactly symmetric."""
+    s = _gram_factor(z_a, z_x) @ z_a.T
+    return z_a @ z_x.T, 0.5 * (s + s.T)
+
+
+def _row_blocks(n: int):
+    for start in range(0, n, _BLOCK_ROWS):
+        yield slice(start, min(start + _BLOCK_ROWS, n))
+
+
+def joint_aggregation_t(z_a: Tensor, z_x: Tensor) -> Tensor:
+    """Row-stochastic joint aggregation kernel ``s_rw`` as one autograd op.
+
+    ``s = (z_a z_x^T)(z_a z_x^T)^T`` is clamped at zero, ridged with
+    ``1e-8 * I`` and row-normalized. The op works from ``zk = z_a z_x^T z_x``
+    in blocks of rows: the forward writes each block of ``s_rw`` straight into
+    the output, and the backward recomputes each block's clamp mask instead of
+    keeping ``s``. Both are O(n^2 l) work with O(block * n) scratch beside the
+    n x n output and its gradient. A row that is all-zero before the ridge
+    triggers one NumericsWarning with the count of such rows.
+    """
+    a, x = z_a.data, z_x.data
+    n = a.shape[0]
+    zk = _gram_factor(a, x)
+    s_rw = np.empty((n, n))
+    r = np.empty(n)
+    zero_rows = 0
+    for rows in _row_blocks(n):
+        blk = s_rw[rows]
+        np.matmul(zk[rows], a.T, out=blk)
+        np.maximum(blk, 0.0, out=blk)
+        mass = blk.sum(axis=1)
+        zero_rows += int(np.count_nonzero(mass == 0.0))
+        i = np.arange(rows.stop - rows.start)
+        blk[i, rows.start + i] += _RIDGE
+        r[rows] = mass + _RIDGE
+        blk /= r[rows, None]
+    if zero_rows:
         warnings.warn(
-            f"{int((row_mass == 0.0).sum())} all-zero rows in the clamped Gram matrix; "
+            f"{zero_rows} all-zero rows in the clamped Gram matrix; "
             "the diagonal ridge keeps them row-stochastic",
             NumericsWarning,
             stacklevel=2,
         )
-    ridged = clamped + Tensor(_RIDGE * np.eye(s.shape[0]))
-    s_rw = ridged / ridged.sum(axis=1, keepdims=True)
-    return z, s, s_rw
+
+    def backward(grad):
+        # ds = mask * (G - rowsum(G * s_rw)) / r; with K = z_x^T z_x symmetric,
+        # dz_a = (ds + ds^T) zk, dK = z_a^T ds z_a and dz_x = z_x (dK + dK^T)
+        right = np.hstack([zk, a])
+        latent = a.shape[1]
+        g_a = np.zeros_like(a)
+        g_k = np.zeros((latent, latent))
+        for rows in _row_blocks(n):
+            ds = grad[rows] - np.einsum("ij,ij->i", grad[rows], s_rw[rows])[:, None]
+            ds /= r[rows, None]
+            ds[zk[rows] @ a.T <= 0.0] = 0.0
+            prod = ds @ right
+            g_a[rows] += prod[:, :latent]
+            g_a += ds.T @ zk[rows]
+            g_k += a[rows].T @ prod[:, latent:]
+        return g_a, x @ (g_k + g_k.T)
+
+    return Tensor._from_op(s_rw, (z_a, z_x), backward)
 
 
 def build_joint_aggregation(pair: EmbeddingPair) -> JointAggregation:
-    z, s, s_rw = joint_aggregation_t(Tensor(pair.z_a), Tensor(pair.z_x))
-    return JointAggregation(z=z.data, s=s.data, s_rw=s_rw.data)
+    z, s = _gram(pair.z_a, pair.z_x)
+    s_rw = joint_aggregation_t(Tensor(pair.z_a), Tensor(pair.z_x))
+    return JointAggregation(z=z, s=s, s_rw=s_rw.data)
 
 
 def _low_pass(s_rw, x, k: int):

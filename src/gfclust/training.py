@@ -2,9 +2,13 @@
 
 The per-epoch objective is assembled as one differentiable graph
 (reconstruction + KL alignment) whose gradients reach the encoder parameters
-through the joint aggregation kernel, the hybrid filter and the fusion weights
-unless ``detach_s`` cuts the kernel out of the tape. Pseudo-labels, homophily
-ratios and cluster centers are constants between refreshes.
+through the joint aggregation kernel, the hybrid filter and the fusion weights.
+The kernel is one autograd op that works from the factored Gram matrix
+``z_a (z_x^T z_x) z_a^T`` in row blocks, O(n^2 l) in time, so its gradients
+are kept at every size. ``detach_s`` is an explicit choice, off by default:
+set, it cuts the kernel out of the tape and the kernel runs forward only.
+Pseudo-labels, homophily ratios and cluster centers are constants between
+refreshes.
 """
 
 from __future__ import annotations
@@ -30,7 +34,6 @@ __all__ = [
     "train",
 ]
 
-_DETACH_S_NODE_LIMIT = 2000
 _BOOTSTRAP_HR = 0.5
 
 
@@ -44,7 +47,7 @@ class TrainConfig:
     filter: FilterConfig = field(default_factory=FilterConfig)
     encoder: EncoderConfig = field(default_factory=EncoderConfig)
     seed: int = 0
-    detach_s: bool | None = None  # None -> detach only above 2000 nodes
+    detach_s: bool = False
     learning_rate: float | None = None  # None -> encoder.learning_rate
     kmeans_restarts: int = 4
 
@@ -61,6 +64,8 @@ class TrainConfig:
                 raise ConfigError(f"{name} must be finite and nonnegative")
         if self.learning_rate is not None and self.learning_rate <= 0:
             raise ConfigError("learning_rate must be positive")
+        if not isinstance(self.detach_s, bool):
+            raise ConfigError("detach_s must be true or false")
 
 
 @dataclass
@@ -124,7 +129,7 @@ class TrainingPipeline:
     def __init__(self, g: MultiViewGraph, cfg: TrainConfig):
         self.g = g
         self.cfg = cfg
-        self.detach_s = cfg.detach_s if cfg.detach_s is not None else g.n_nodes > _DETACH_S_NODE_LIMIT
+        self.detach_s = cfg.detach_s
         self._ss = np.random.SeedSequence(cfg.seed)
         enc_seq, self._kmeans_seq = self._ss.spawn(2)
 
@@ -228,7 +233,7 @@ class TrainingPipeline:
             if self.a_rw_const is not None:
                 kernel = self.a_rw_const[view]
             else:
-                _, _, s_rw = joint_aggregation_t(z_a, z_x)
+                s_rw = joint_aggregation_t(z_a, z_x)
                 kernel = s_rw.detach() if self.detach_s else s_rw
             h_views.append(
                 apply_filter_t(kernel, self.x_const, replace(cfg.filter, hr=self.hr[view]))

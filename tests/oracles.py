@@ -1,8 +1,10 @@
-"""Brute-force metric oracles, deliberately written as plain loops."""
+"""Brute-force oracles: metrics as plain loops, the kernel as plain taped ops."""
 
 from itertools import permutations
 
 import numpy as np
+
+from gfclust.autograd import Tensor
 
 
 def pairs(n):
@@ -93,3 +95,16 @@ def oracle_f1_candidates(pred, truth):
             scores.append(2 * tp / denom if denom > 0 else 0.0)
         out.add(sum(scores) / len(scores))
     return out
+
+
+def oracle_joint_aggregation_t(z_a, z_x):
+    """Joint aggregation kernel ``s_rw`` composed from plain taped ops.
+
+    The dense ``z = z_a z_x^T``, the O(n^3) Gram ``z z^T``, the clamp, a dense
+    ridge and the row normalization: the reference for the factored,
+    row-blocked op in ``gfclust.filters``.
+    """
+    z = z_a @ z_x.T
+    s = z @ z.T
+    ridged = s.relu() + Tensor(1e-8 * np.eye(s.shape[0]))
+    return ridged / ridged.sum(axis=1, keepdims=True)

@@ -117,6 +117,34 @@ def test_grad_accumulates_over_reused_nodes():
     assert np.allclose(t.grad, [2 * 2.0 + 3.0])
 
 
+def test_backward_frees_intermediate_grads_and_keeps_leaf_grads():
+    a0 = RNG.normal(size=(4, 3))
+    b0 = RNG.normal(size=(3, 2))
+
+    def f(a, b):
+        hidden = (a @ b).tanh()
+        return hidden, (hidden * hidden).sum()
+
+    a, b = Tensor(a0, requires_grad=True), Tensor(b0, requires_grad=True)
+    hidden, loss = f(a, b)
+    loss.backward()
+    assert hidden.grad is None
+    assert loss.grad is not None
+    fd_a = fd_gradient(lambda x: float(f(Tensor(x), Tensor(b0))[1].data), a0)
+    fd_b = fd_gradient(lambda x: float(f(Tensor(a0), Tensor(x))[1].data), b0)
+    assert np.allclose(a.grad, fd_a, rtol=1e-5, atol=1e-7)
+    assert np.allclose(b.grad, fd_b, rtol=1e-5, atol=1e-7)
+
+
+def test_matmul_skips_the_gradient_of_a_constant_operand():
+    a = Tensor(RNG.normal(size=(3, 4)), requires_grad=True)
+    const = Tensor(RNG.normal(size=(4, 2)))
+    out = a @ const
+    grads = out._backward(np.ones(out.shape))
+    assert grads[1] is None
+    assert np.allclose(grads[0], np.ones((3, 2)) @ const.data.T)
+
+
 def test_backward_requires_scalar():
     t = Tensor(RNG.normal(size=(2, 2)), requires_grad=True)
     with pytest.raises(ValueError):

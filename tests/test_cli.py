@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from gfclust import load_dataset
-from gfclust.cli import main
+from gfclust.cli import _build_parser, _train_config, main
 
 from test_datasets import write_tiny3
 
@@ -76,6 +76,19 @@ class TestRun:
         assert main(["run", "--config", str(config), "--epochs", "1", "--out", str(out)]) == 0
         report = json.loads((out / "report.json").read_text())
         assert len(report["epochs"]) == 1
+
+    def test_unknown_top_level_key_exits_one(self, tmp_path, capsys):
+        config = base_config(tmp_path, epoch=5)
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(config), "--out", str(out)]) == 1
+        assert not out.exists()
+        assert "unknown config keys: epoch" in capsys.readouterr().err
+
+    def test_config_keys_reach_train_config(self):
+        args = _build_parser().parse_args(["run"])
+        cfg = _train_config({"kmeans_restarts": 2, "synthetic": {}}, args)
+        assert cfg.kmeans_restarts == 2
+        assert cfg.detach_s is False
 
     def test_missing_data_source_exits_one(self, tmp_path, capsys):
         config = tmp_path / "cfg.json"

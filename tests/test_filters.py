@@ -1,5 +1,9 @@
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gfclust import (
     EmbeddingPair,
@@ -10,9 +14,12 @@ from gfclust import (
     per_view_embedding,
     random_walk_normalize,
 )
+from gfclust.autograd import Tensor
 from gfclust.errors import ConfigError, NumericsWarning
+from gfclust.filters import _BLOCK_ROWS, joint_aggregation_t
 
 from helpers import tiny_two_view
+from oracles import oracle_joint_aggregation_t
 
 RNG = np.random.default_rng(21)
 
@@ -66,6 +73,74 @@ class TestJointAggregation:
         with pytest.warns(NumericsWarning, match="all-zero rows"):
             agg = build_joint_aggregation(EmbeddingPair(z_x=z_x, z_a=z_a))
         assert np.abs(agg.s_rw.sum(axis=1) - 1.0).max() < 1e-9
+
+
+def kernel_and_grads(kernel, z_a, z_x, upstream):
+    """``s_rw`` and the gradients of ``<upstream, s_rw>`` w.r.t. ``z_a`` and ``z_x``."""
+    a, x = Tensor(z_a, requires_grad=True), Tensor(z_x, requires_grad=True)
+    s_rw = kernel(a, x)
+    (s_rw * Tensor(upstream)).sum().backward()
+    return s_rw.data, a.grad, x.grad
+
+
+def assert_op_matches_oracle(n, latent, seed, zero_rows=()):
+    """Forward and gradients agree to 1e-10 relative.
+
+    A gradient is measured against its own largest entry, or against the scale
+    ``max|upstream| / max|input|`` the upstream gradient gives it when that is
+    larger: where row normalization cancels the gradient exactly (a row whose
+    only positive entry is its diagonal), the taped oracle leaves rounding
+    noise of that scale times the machine epsilon.
+    """
+    rng = np.random.default_rng(seed)
+    z_a = rng.normal(size=(n, latent))
+    z_a[list(zero_rows)] = 0.0
+    z_x = rng.normal(size=(n, latent))
+    upstream = rng.normal(size=(n, n))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", NumericsWarning)
+        got = kernel_and_grads(joint_aggregation_t, z_a, z_x, upstream)
+    want = kernel_and_grads(oracle_joint_aggregation_t, z_a, z_x, upstream)
+    induced = (1.0, np.abs(upstream).max() / np.abs(z_a).max(),
+               np.abs(upstream).max() / np.abs(z_x).max())
+    for name, g, w, floor in zip(("s_rw", "d z_a", "d z_x"), got, want, induced):
+        assert g.shape == w.shape
+        assert np.abs(g - w).max() <= 1e-10 * max(np.abs(w).max(), floor), name
+
+
+class TestJointAggregationOp:
+    """The factored, row-blocked op against the taped composition it replaces."""
+
+    @pytest.mark.parametrize(
+        "n",
+        [_BLOCK_ROWS // 2, _BLOCK_ROWS + 37, 2 * _BLOCK_ROWS],
+        ids=["below-block", "ragged-last-block", "whole-blocks"],
+    )
+    def test_matches_taped_oracle(self, n):
+        assert_op_matches_oracle(n, 5, seed=n)
+
+    def test_zero_rows_warn_once_with_their_count(self):
+        zero_rows = (0, 3, _BLOCK_ROWS + 1)
+        rng = np.random.default_rng(4)
+        z_a = rng.normal(size=(_BLOCK_ROWS + 9, 4))
+        z_a[list(zero_rows)] = 0.0
+        z_x = rng.normal(size=z_a.shape)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            joint_aggregation_t(Tensor(z_a), Tensor(z_x))
+        numerics = [w for w in caught if issubclass(w.category, NumericsWarning)]
+        assert len(numerics) == 1
+        assert str(numerics[0].message).startswith("3 all-zero rows")
+        assert_op_matches_oracle(_BLOCK_ROWS + 9, 4, seed=4, zero_rows=zero_rows)
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        st.integers(min_value=1, max_value=3 * _BLOCK_ROWS),
+        st.integers(min_value=1, max_value=6),
+        st.integers(min_value=0, max_value=2**31),
+    )
+    def test_matches_taped_oracle_on_random_shapes(self, n, latent, seed):
+        assert_op_matches_oracle(n, latent, seed)
 
 
 class TestApplyFilter:

@@ -40,6 +40,11 @@ class TestTrainConfig:
         with pytest.raises(ConfigError):
             TrainConfig(hr_refresh_interval=0)
 
+    def test_detach_s_is_an_explicit_bool(self):
+        assert TrainConfig().detach_s is False
+        with pytest.raises(ConfigError):
+            TrainConfig(detach_s=None)
+
 
 class TestTrainReportShape:
     def test_epoch_records_and_final(self):
@@ -167,6 +172,24 @@ class TestGradientsEndToEnd:
         # with the kernel detached and no reconstruction term, nothing upstream
         # of the filter output carries gradient
         assert all(p.grad is None or np.allclose(p.grad, 0.0) for p in params)
+
+
+    def test_default_keeps_kernel_gradients(self):
+        g = tiny_two_view(seed=8, n=18, c=2, d=4)
+        cfg = TrainConfig(
+            epochs=1,
+            encoder=EncoderConfig(latent_dim=3, hidden_dim=5, epochs=3, seed=0),
+            gamma_rec=0.0,
+            gamma_kl=1.0,
+            seed=5,
+        )
+        pipeline = TrainingPipeline(g, cfg)
+        assert pipeline.detach_s is False
+        params = pipeline.parameters()
+        zero_grads(params)
+        pipeline.epoch_forward().loss.backward()
+        # the KL term reaches the encoders only through the kernel
+        assert any(p.grad is not None and not np.allclose(p.grad, 0.0) for p in params)
 
 
 class TestDivergence:
