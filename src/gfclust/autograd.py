@@ -5,14 +5,15 @@ A ``Tensor`` wraps a float64 ndarray and records the operations applied to it;
 accumulates gradients into every node that (transitively) requires them.
 Only the ops needed by this package are implemented: elementwise arithmetic
 with broadcasting, matmul, tanh/exp/log/sqrt, powers, maxima, reductions and
-transpose. Everything is float64 and 0-d/1-d/2-d shaped.
+transpose, plus ``sparse_matmul`` for a constant scipy sparse left operand.
+Everything is float64 and 0-d/1-d/2-d shaped.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["Tensor", "Adam", "as_tensor", "zero_grads"]
+__all__ = ["Tensor", "Adam", "as_tensor", "sparse_matmul", "zero_grads"]
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
@@ -288,6 +289,19 @@ class Tensor:
                     parent.grad = parent.grad + pgrad
             if node is not self:
                 node.grad = None
+
+
+def sparse_matmul(a, w: Tensor) -> Tensor:
+    """``a @ w`` for a constant scipy sparse matrix ``a`` and a dense ``w``.
+
+    ``a`` gets no gradient; ``w`` gets ``a.T @ grad``, so neither pass forms
+    ``a`` densely.
+    """
+
+    def backward(grad):
+        return (np.asarray(a.T @ grad),)
+
+    return Tensor._from_op(np.asarray(a @ w.data), (w,), backward)
 
 
 def zero_grads(params) -> None:

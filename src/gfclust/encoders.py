@@ -1,12 +1,24 @@
-"""Per-view feature/adjacency autoencoders with full-batch Adam training."""
+"""Per-view feature/adjacency autoencoders with full-batch Adam training.
+
+An autoencoder's input is a dense array or a scipy sparse matrix; a sparse
+input enters the first layer through ``sparse_matmul``. The adjacency
+autoencoder takes its graph as CSR (``adjacency_input``) and, under the
+default MSE loss, is scored by ``adjacency_mse_t``: an exact expansion of
+``mean((H W + 1 b^T - A)^2)`` over the decoder's last hidden layer ``H`` that
+costs O(n h^2 + |E| h) and never forms the n x n decode. Binary
+cross-entropy (``adjacency_loss="bce"``) is the dense path: a dense input, a
+dense decode and a dense target. The feature autoencoder stays dense, since
+its d columns make the decode the cheaper form.
+"""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy import sparse
 
-from .autograd import Adam, Tensor, zero_grads
+from .autograd import Adam, Tensor, as_tensor, sparse_matmul, zero_grads
 from .errors import ConfigError, DivergenceError
 
 __all__ = [
@@ -16,6 +28,8 @@ __all__ = [
     "init_autoencoder",
     "encode",
     "decode",
+    "adjacency_input",
+    "adjacency_mse_t",
     "reconstruction_loss",
     "gradient",
     "train_autoencoder",
@@ -137,17 +151,25 @@ def _activate(h: Tensor, activation: str) -> Tensor:
     return h
 
 
-def _stack_forward(layers, activation: str, x: Tensor) -> Tensor:
+def _linear(h, w: Tensor, b: Tensor) -> Tensor:
+    return (sparse_matmul(h, w) if sparse.issparse(h) else as_tensor(h) @ w) + b
+
+
+def _hidden_forward(layers, activation: str, x) -> Tensor:
+    """Every layer of ``layers`` with its activation; ``x`` may be sparse."""
     h = x
-    last = len(layers) - 1
-    for i, (w, b) in enumerate(layers):
-        h = h @ w + b
-        if i < last:
-            h = _activate(h, activation)
+    for w, b in layers:
+        h = _activate(_linear(h, w, b), activation)
     return h
 
 
-def encode_t(params: AutoEncoderParams, x: Tensor) -> Tensor:
+def _stack_forward(layers, activation: str, x) -> Tensor:
+    *hidden, (w, b) = layers
+    return _linear(_hidden_forward(hidden, activation, x), w, b)
+
+
+def encode_t(params: AutoEncoderParams, x) -> Tensor:
+    """Encoder forward of a ``Tensor``, an array or a scipy sparse matrix."""
     if x.shape[1] != params.input_dim:
         raise ValueError(f"input has {x.shape[1]} columns, encoder expects {params.input_dim}")
     return _stack_forward(params.encoder_layers, params.activation, x)
@@ -157,9 +179,9 @@ def decode_t(params: AutoEncoderParams, z: Tensor) -> Tensor:
     return _stack_forward(params.decoder_layers, params.activation, z)
 
 
-def encode(params: AutoEncoderParams, x: np.ndarray) -> np.ndarray:
-    """Deterministic forward pass through the encoder stack."""
-    return encode_t(params, Tensor(x)).data
+def encode(params: AutoEncoderParams, x) -> np.ndarray:
+    """Deterministic forward pass through the encoder stack (``x`` dense or sparse)."""
+    return encode_t(params, x if sparse.issparse(x) else Tensor(x)).data
 
 
 def decode(params: AutoEncoderParams, z: np.ndarray) -> np.ndarray:
@@ -177,8 +199,48 @@ def bce_t(logits: Tensor, target: np.ndarray) -> Tensor:
     return -(t * q.maximum(1e-12).log() + (1.0 - t) * (1.0 - q).maximum(1e-12).log()).mean()
 
 
-def reconstruction_loss_t(params: AutoEncoderParams, data: np.ndarray, loss: str = "mse") -> Tensor:
-    out = decode_t(params, encode_t(params, Tensor(data)))
+def adjacency_input(a, loss: str = "mse"):
+    """The adjacency in the form its autoencoder takes.
+
+    CSR for the factored MSE (no copy when ``a`` is CSR already); a dense
+    float64 array for BCE, the dense path.
+    """
+    if loss == "bce":
+        return a.toarray() if sparse.issparse(a) else np.asarray(a, dtype=np.float64)
+    return sparse.csr_array(a, dtype=np.float64)
+
+
+def adjacency_mse_t(params: AutoEncoderParams, z: Tensor, a) -> Tensor:
+    """``mse_t(decode_t(params, z), a)`` for a sparse ``a``, without the dense decode.
+
+    With ``H`` the decoder's last hidden layer and ``(W, b)`` its output
+    layer, the decode is ``H W + 1 b^T`` and, for ``a`` of shape ``(n, m)``,
+
+        n m * mse = sum((H^T H) * (W W^T)) + 2 (1^T H) W b + n |b|^2
+                    - 2 sum(H * (A W^T)) - 2 b^T (A^T 1) + |A|^2,
+
+    composed from taped ops: O(n h^2 + |E| h) time, O(n h) memory.
+    """
+    *hidden, (w, b) = params.decoder_layers
+    h = _hidden_forward(hidden, params.activation, z)
+    n, m = a.shape
+    quadratic = ((h.T @ h) * (w @ w.T)).sum()
+    cross = ((h.sum(axis=0, keepdims=True) @ w) * b).sum()
+    edges = (h * sparse_matmul(a, w.T)).sum()
+    col_sums = np.asarray(a.sum(axis=0)).ravel()
+    a_sq = float(a.multiply(a).sum())
+    total = quadratic + 2.0 * cross + float(n) * (b * b).sum() - 2.0 * edges
+    total = total - 2.0 * (b * col_sums).sum() + a_sq
+    return total * (1.0 / (n * m))
+
+
+def reconstruction_loss_t(params: AutoEncoderParams, data, loss: str = "mse") -> Tensor:
+    """Reconstruction loss of ``data``: factored when ``data`` is sparse (MSE
+    only); BCE takes a dense ``data``."""
+    z = encode_t(params, data)
+    if sparse.issparse(data) and loss == "mse":
+        return adjacency_mse_t(params, z, data)
+    out = decode_t(params, z)
     if loss == "bce":
         return bce_t(out, data)
     return mse_t(out, data)
@@ -193,12 +255,13 @@ def reconstruction_loss(
 ) -> float:
     """Mean-entry reconstruction error of both autoencoders, summed.
 
-    The feature term is always MSE; the adjacency term is MSE by default or
-    binary cross-entropy when ``adjacency_loss="bce"``.
+    The feature term is always MSE; the adjacency term is MSE by default
+    (factored, on CSR) or binary cross-entropy when ``adjacency_loss="bce"``.
     """
     value = (
         reconstruction_loss_t(params_x, x).data
-        + reconstruction_loss_t(params_a, a, loss=adjacency_loss).data
+        + reconstruction_loss_t(params_a, adjacency_input(a, adjacency_loss),
+                                loss=adjacency_loss).data
     )
     value = float(value)
     if not np.isfinite(value):
@@ -252,11 +315,13 @@ def train_autoencoder(
 def pretrain_view(x: np.ndarray, a: np.ndarray, config: EncoderConfig):
     """Init and train one view's two autoencoders; returns the combined history.
 
-    The two stacks are independent, so the returned per-epoch history is the
-    elementwise sum of their reconstruction losses.
+    ``a`` is dense or sparse; it is trained on as ``adjacency_input`` gives
+    it, so under MSE no n x n array is formed. The two stacks are
+    independent, so the returned per-epoch history is the elementwise sum of
+    their reconstruction losses.
     """
     x = np.asarray(x, dtype=np.float64)
-    a = np.asarray(a, dtype=np.float64)
+    a = adjacency_input(a, config.adjacency_loss)
     hidden = config.resolved_hidden_dim()
     seed_x, seed_a = np.random.SeedSequence(config.seed).spawn(2)
     params_x = init_autoencoder(
@@ -278,7 +343,8 @@ def train_autoencoders(x: np.ndarray, a: np.ndarray, config: EncoderConfig):
     Returns ``(params_x, params_a, EmbeddingPair)``; with ``config.epochs == 0``
     the freshly initialized parameters and their embeddings come back as-is.
     """
+    a = adjacency_input(a, config.adjacency_loss)
     params_x, params_a, _ = pretrain_view(x, a, config)
     pair = EmbeddingPair(z_x=encode(params_x, np.asarray(x, dtype=np.float64)),
-                         z_a=encode(params_a, np.asarray(a, dtype=np.float64)))
+                         z_a=encode(params_a, a))
     return params_x, params_a, pair

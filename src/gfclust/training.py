@@ -3,6 +3,10 @@
 The per-epoch objective is assembled as one differentiable graph
 (reconstruction + KL alignment) whose gradients reach the encoder parameters
 through the joint aggregation kernel, the hybrid filter and the fusion weights.
+Each view's adjacency is converted once to the form its autoencoder takes
+(``adjacency_input``): CSR under the default MSE, whose reconstruction term is
+the factored ``adjacency_mse_t`` on the ``z_a`` the epoch already encoded, so
+no n x n decode is formed; a dense array under BCE, which decodes densely.
 The kernel is one autograd op that works from the factored Gram matrix
 ``z_a (z_x^T z_x) z_a^T`` in row blocks, O(n^2 l) in time, so its gradients
 are kept at every size. ``detach_s`` is an explicit choice, off by default:
@@ -19,7 +23,16 @@ import numpy as np
 
 from .autograd import Adam, Tensor
 from .clustering import class_means, kmeans
-from .encoders import EncoderConfig, bce_t, decode_t, encode_t, mse_t, pretrain_view
+from .encoders import (
+    EncoderConfig,
+    adjacency_input,
+    adjacency_mse_t,
+    bce_t,
+    decode_t,
+    encode_t,
+    mse_t,
+    pretrain_view,
+)
 from .errors import ConfigError, DivergenceError
 from .filters import FilterConfig, apply_filter_t, joint_aggregation_t
 from .fusion import fuse_views_t, kl_terms_t, soft_assignment_t, target_distribution, update_hr
@@ -134,7 +147,7 @@ class TrainingPipeline:
         enc_seq, self._kmeans_seq = self._ss.spawn(2)
 
         self.x_const = Tensor(g.features)
-        self.adj_const = [Tensor(a) for a in g.adjacencies]
+        self.adj_input = [adjacency_input(a, cfg.encoder.adjacency_loss) for a in g.adjacencies]
         self.a_rw_const = None
         if cfg.filter.matrix_source == "raw_adjacency":
             self.a_rw_const = [Tensor(random_walk_normalize(a).a_rw) for a in g.adjacencies]
@@ -143,7 +156,7 @@ class TrainingPipeline:
         self.pretrain_history = []
         for view, child in enumerate(enc_seq.spawn(g.n_views)):
             enc_cfg = replace(cfg.encoder, seed=int(child.generate_state(1)[0]))
-            params_x, params_a, history = pretrain_view(g.features, g.adjacencies[view], enc_cfg)
+            params_x, params_a, history = pretrain_view(g.features, self.adj_input[view], enc_cfg)
             self.models.append((params_x, params_a))
             self.pretrain_history.append({"view": view, "l_rec": history})
 
@@ -222,14 +235,13 @@ class TrainingPipeline:
         h_views = []
         for view, (params_x, params_a) in enumerate(self.models):
             z_x = encode_t(params_x, self.x_const)
-            z_a = encode_t(params_a, self.adj_const[view])
+            z_a = encode_t(params_a, self.adj_input[view])
             if with_losses:
                 rec_terms.append(mse_t(decode_t(params_x, z_x), self.g.features))
-                a_hat = decode_t(params_a, z_a)
                 if cfg.encoder.adjacency_loss == "bce":
-                    rec_terms.append(bce_t(a_hat, self.g.adjacencies[view]))
+                    rec_terms.append(bce_t(decode_t(params_a, z_a), self.adj_input[view]))
                 else:
-                    rec_terms.append(mse_t(a_hat, self.g.adjacencies[view]))
+                    rec_terms.append(adjacency_mse_t(params_a, z_a, self.adj_input[view]))
             if self.a_rw_const is not None:
                 kernel = self.a_rw_const[view]
             else:
@@ -266,22 +278,6 @@ class TrainingPipeline:
             loss = loss + cfg.gamma_kl * l_kl
 
         return _Forward(loss, float(l_rec.data), l_kl_value, h_views, h_bar, weights, targets)
-
-    def distributions(self, fwd: _Forward) -> Distributions:
-        """Detached soft assignments/targets of a forward pass."""
-        q_views = [
-            soft_assignment_t(h.detach(), centers).data
-            for h, centers in zip(fwd.h_views, self.centers_per_view)
-        ]
-        q_bar = soft_assignment_t(fwd.h_bar.detach(), self.centers_bar).data
-        return Distributions(
-            q_per_view=q_views,
-            p_per_view=[target_distribution(q) for q in q_views],
-            q_bar=q_bar,
-            p_bar=target_distribution(q_bar),
-            centers_per_view=list(self.centers_per_view),
-            centers_bar=self.centers_bar,
-        )
 
 
 def train(g: MultiViewGraph, cfg: TrainConfig) -> TrainReport:

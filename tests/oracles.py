@@ -1,10 +1,11 @@
-"""Brute-force oracles: metrics as plain loops, the kernel as plain taped ops."""
+"""Brute-force oracles: metrics as plain loops, kernels and losses as plain taped ops."""
 
 from itertools import permutations
 
 import numpy as np
 
 from gfclust.autograd import Tensor
+from gfclust.encoders import decode_t, mse_t
 
 
 def pairs(n):
@@ -108,3 +109,18 @@ def oracle_joint_aggregation_t(z_a, z_x):
     s = z @ z.T
     ridged = s.relu() + Tensor(1e-8 * np.eye(s.shape[0]))
     return ridged / ridged.sum(axis=1, keepdims=True)
+
+
+def oracle_adjacency_mse_t(params, z, a):
+    """Adjacency reconstruction MSE by the dense decode: the n x n ``decode_t``
+    output scored by ``mse_t`` against dense ``a``, the reference for the
+    factored ``gfclust.encoders.adjacency_mse_t``."""
+    return mse_t(decode_t(params, z), a)
+
+
+def oracle_homophily_ratio(a, labels_one_hot):
+    """Homophily ratio from the dense same-label matrix ``p p^T`` and an
+    off-diagonal mask, the reference for the edge-list form."""
+    p = np.asarray(labels_one_hot, dtype=np.float64)
+    off = ~np.eye(a.shape[0], dtype=bool)
+    return float((a * (p @ p.T) * off).sum() / (a * off).sum())

@@ -2,8 +2,9 @@
 
 import numpy as np
 import pytest
+from scipy import sparse
 
-from gfclust.autograd import Adam, Tensor
+from gfclust.autograd import Adam, Tensor, sparse_matmul
 
 RNG = np.random.default_rng(42)
 
@@ -143,6 +144,15 @@ def test_matmul_skips_the_gradient_of_a_constant_operand():
     grads = out._backward(np.ones(out.shape))
     assert grads[1] is None
     assert np.allclose(grads[0], np.ones((3, 2)) @ const.data.T)
+
+
+def test_sparse_matmul_matches_dense_product_and_central_differences():
+    # a non-square constant operand, so a transpose mix-up cannot pass
+    a0 = RNG.normal(size=(5, 4)) * (RNG.random((5, 4)) < 0.5)
+    a = sparse.csr_array(a0)
+    x0 = RNG.normal(size=(4, 3))
+    assert np.allclose(sparse_matmul(a, Tensor(x0)).data, a0 @ x0, rtol=0, atol=1e-15)
+    check(lambda t: (sparse_matmul(a, t).tanh() * sparse_matmul(a, t)).sum(), (4, 3))
 
 
 def test_backward_requires_scalar():

@@ -1,15 +1,34 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy import sparse
 
-from gfclust import EncoderConfig, encode, gradient, reconstruction_loss, train_autoencoders
-from gfclust.autograd import Tensor
+from gfclust import (
+    EncoderConfig,
+    SyntheticSpec,
+    encode,
+    generate_synthetic,
+    gradient,
+    reconstruction_loss,
+    train_autoencoders,
+)
+from gfclust.autograd import Tensor, zero_grads
 from gfclust.encoders import (
     AutoEncoderParams,
+    adjacency_mse_t,
     decode,
+    encode_t,
     init_autoencoder,
+    pretrain_view,
+    reconstruction_loss_t,
     train_autoencoder,
 )
 from gfclust.errors import ConfigError, DivergenceError
+
+from oracles import oracle_adjacency_mse_t
 
 RNG = np.random.default_rng(7)
 
@@ -226,3 +245,105 @@ class TestTrainAutoencoders:
     def test_latent_larger_than_input_rejected(self):
         with pytest.raises(ConfigError):
             init_autoencoder(3, 5, 4, RNG)
+
+
+def random_graph(rng, n_linked, n_isolated, p):
+    """Symmetric 0/1 adjacency without self-loops; the last ``n_isolated`` nodes
+    have no edges."""
+    n = n_linked + n_isolated
+    upper = np.triu(rng.random((n, n)) < p, k=1)
+    upper[n_linked:] = False
+    upper[:, n_linked:] = False
+    return (upper | upper.T).astype(float)
+
+
+def with_random_biases(params, rng):
+    # Glorot init leaves the biases at 0, which would hide the bias terms
+    for _, b in params.encoder_layers + params.decoder_layers:
+        b.data[:] = rng.normal(size=b.data.shape)
+    return params
+
+
+def loss_and_grads(params, loss_fn):
+    zero_grads(params.parameters())
+    value = loss_fn()
+    value.backward()
+    return float(value.data), [
+        np.zeros_like(p.data) if p.grad is None else np.array(p.grad) for p in params.parameters()
+    ]
+
+
+def assert_matches_dense_oracle(params, a, tol=1e-10):
+    """Factored loss on CSR vs the dense decode, and the gradients of every
+    encoder and decoder parameter, each to ``tol`` relative."""
+    csr = sparse.csr_array(a)
+    factored, f_grads = loss_and_grads(
+        params, lambda: adjacency_mse_t(params, encode_t(params, csr), csr)
+    )
+    dense, d_grads = loss_and_grads(
+        params, lambda: oracle_adjacency_mse_t(params, encode_t(params, Tensor(a)), a)
+    )
+    assert abs(factored - dense) <= tol * abs(dense)
+    for f, d in zip(f_grads, d_grads):
+        # relative to the array's own scale; an identically zero oracle gradient
+        # (a dead relu layer) is measured against the loss instead
+        scale = np.abs(d).max() if np.abs(d).max() > 0 else abs(dense)
+        assert np.abs(f - d).max() <= tol * scale
+
+
+class TestFactoredAdjacencyMse:
+    @pytest.mark.parametrize("activation", ["tanh", "relu", "linear"])
+    def test_loss_and_gradients_match_dense_oracle(self, activation):
+        rng = np.random.default_rng(21)
+        a = random_graph(rng, 27, 3, 0.2)
+        params = with_random_biases(init_autoencoder(30, 4, 9, rng, activation), rng)
+        assert_matches_dense_oracle(params, a)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.integers(min_value=0, max_value=12),
+        st.integers(min_value=0, max_value=3),
+        st.sampled_from([0.0, 0.15, 0.5, 1.0]),
+        st.sampled_from(["tanh", "relu", "linear"]),
+        st.integers(min_value=0, max_value=2**31),
+    )
+    def test_property_random_symmetric_graphs(self, n_linked, n_isolated, p, activation, seed):
+        # p = 0 and n_linked <= 1 give the edgeless graph
+        if n_linked + n_isolated == 0:
+            n_isolated = 1
+        rng = np.random.default_rng(seed)
+        a = random_graph(rng, n_linked, n_isolated, p)
+        n = a.shape[0]
+        params = with_random_biases(init_autoencoder(n, 1, 3, rng, activation), rng)
+        assert_matches_dense_oracle(params, a)
+
+    def test_reconstruction_loss_takes_the_factored_path_on_csr(self):
+        rng = np.random.default_rng(4)
+        a = random_graph(rng, 12, 2, 0.3)
+        params = with_random_biases(init_autoencoder(14, 2, 5, rng), rng)
+        dense = float(reconstruction_loss_t(params, a).data)
+        factored = float(reconstruction_loss_t(params, sparse.csr_array(a)).data)
+        assert factored == pytest.approx(dense, rel=1e-12)
+        for g_csr, g_dense in zip(gradient(params, sparse.csr_array(a)), gradient(params, a)):
+            assert np.allclose(g_csr, g_dense, rtol=1e-10, atol=1e-14)
+
+    def test_pretraining_forms_no_dense_decode(self):
+        # an AC2 graph as in the benchmark's heterophilous workload; the dense
+        # decode peaked at 9 n x n arrays here, the factored loss at about 1.6
+        spec = SyntheticSpec(
+            n_nodes=1200, n_clusters=4, n_views=1, n_features=32, mean_separation=6.0,
+            p_in=0.005, p_out=0.1, noise_scale=0.5, mean_layout="paired",
+            pair_separation=0.15, seed=0,
+        )
+        g = generate_synthetic(spec)
+        cfg = EncoderConfig(latent_dim=16, hidden_dim=64, epochs=3, seed=0)
+        n = g.n_nodes
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            pretrain_view(g.features, g.adjacencies[0], cfg)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * 8 * n * n

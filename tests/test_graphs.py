@@ -12,6 +12,7 @@ from gfclust import (
 )
 
 from helpers import ratio_graph, two_ratio_fixture
+from oracles import oracle_homophily_ratio
 
 
 def path3():
@@ -128,6 +129,18 @@ class TestHomophilyRatio:
                         total += 1
                         agree += labels[i] == labels[j]
             assert homophily_ratio(a, one_hot(labels, 3)) == pytest.approx(agree / total)
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(min_value=2, max_value=30), st.integers(min_value=0, max_value=2**31))
+    def test_matches_dense_formula_with_weights_and_self_loops(self, n, seed):
+        rng = np.random.default_rng(seed)
+        a = rng.random((n, n)) * (rng.random((n, n)) < 0.4)
+        a[np.diag_indices(n)] = rng.random(n)  # self-loops are ignored by both
+        labels = rng.integers(0, 3, size=n)
+        if (a * ~np.eye(n, dtype=bool)).sum() == 0:
+            return
+        p = one_hot(labels, 3)
+        assert homophily_ratio(a, p) == pytest.approx(oracle_homophily_ratio(a, p), abs=1e-12)
 
 
 class TestTrueHomophilyReport:

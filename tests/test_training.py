@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -86,6 +88,14 @@ class TestTrainReportShape:
         first = train(g, fast_config()).to_dict()
         second = train(g, fast_config()).to_dict()
         assert first == second
+
+    def test_bce_dense_path_same_seed_identical(self):
+        g = tiny_two_view()
+        cfg = fast_config(encoder=replace(FAST_ENCODER, adjacency_loss="bce"))
+        first = train(g, cfg).to_dict()
+        assert first == train(g, cfg).to_dict()
+        assert first != train(g, fast_config()).to_dict()
+        assert all(np.isfinite(rec["l_total"]) for rec in first["epochs"])
 
     def test_different_seeds_differ(self):
         g = tiny_two_view()
