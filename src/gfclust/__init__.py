@@ -16,7 +16,6 @@ from .clustering import (
     kmeans,
     macro_f1,
     nmi,
-    pseudo_labels,
 )
 from .datasets import (
     DatasetManifest,
@@ -41,7 +40,6 @@ from .encoders import (
 from .errors import ConfigError, DataRepairWarning, DivergenceError, NumericsWarning
 from .filters import (
     FilterConfig,
-    JointAggregation,
     apply_filter,
     build_joint_aggregation,
     filter_frequency_response,
@@ -51,15 +49,12 @@ from .fusion import (
     evaluate_view,
     fuse_views,
     kl_divergence,
-    kl_loss,
     soft_assignment,
     target_distribution,
-    total_loss,
     update_hr,
 )
 from .graphs import (
     MultiViewGraph,
-    NormalizedGraph,
     homophily_ratio,
     one_hot,
     random_walk_normalize,
@@ -67,7 +62,6 @@ from .graphs import (
 )
 from .spectral import SpectrumReport, compare_spectra, largest_gap, spectrum
 from .training import (
-    Distributions,
     FusionState,
     TrainConfig,
     TrainingPipeline,

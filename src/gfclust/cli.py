@@ -4,7 +4,8 @@ Configuration comes from a single JSON file (``--config``) whose keys mirror
 TrainConfig plus a data source (exactly one of ``manifest`` or ``synthetic``);
 any other top-level key is rejected, and command-line flags override file
 values. Relative manifest paths resolve against the config file's directory.
-Exit codes: 0 success, 1 configuration or data errors, 2 numeric divergence.
+Exit codes: 0 success, 1 configuration or data errors, 2 numeric divergence
+(``run`` and ``ablate`` still write the partial report, with ``"final": null``).
 """
 
 from __future__ import annotations
@@ -143,16 +144,28 @@ def _metrics_line(final: dict) -> str:
     return f"NMI={fmt('nmi')} ARI={fmt('ari')} ACC={fmt('acc')} F1={fmt('f1')}"
 
 
-def cmd_run(payload: dict, args) -> int:
-    cfg = _train_config(payload, args)
+def _train_and_save(payload: dict, args, cfg: TrainConfig, suffix: str = "") -> int:
+    """Train, then write ``report<suffix>.json`` and ``embedding<suffix>.csv``.
+
+    On divergence the partial report is written before the error propagates.
+    """
     g = _load_graph(payload, args)
-    report = train(g, cfg)
     out = _out_dir(payload, args)
+    try:
+        report = train(g, cfg)
+    except DivergenceError as exc:
+        out.mkdir(parents=True, exist_ok=True)
+        save_report(exc.report, out / f"report{suffix}.json")
+        raise
     out.mkdir(parents=True, exist_ok=True)
-    save_report(report, out / "report.json")
-    save_embedding(report.state.consensus, out / "embedding.csv")
+    save_report(report, out / f"report{suffix}.json")
+    save_embedding(report.state.consensus, out / f"embedding{suffix}.csv")
     print(_metrics_line(report.final))
     return 0
+
+
+def cmd_run(payload: dict, args) -> int:
+    return _train_and_save(payload, args, _train_config(payload, args))
 
 
 def apply_variant(cfg: TrainConfig, variant: str) -> TrainConfig:
@@ -178,14 +191,7 @@ def cmd_ablate(payload: dict, args) -> int:
     if variant is None:
         raise ConfigError("ablate needs --variant")
     cfg = apply_variant(_train_config(payload, args), variant)
-    g = _load_graph(payload, args)
-    report = train(g, cfg)
-    out = _out_dir(payload, args)
-    out.mkdir(parents=True, exist_ok=True)
-    save_report(report, out / f"report_{variant}.json")
-    save_embedding(report.state.consensus, out / f"embedding_{variant}.csv")
-    print(_metrics_line(report.final))
-    return 0
+    return _train_and_save(payload, args, cfg, suffix=f"_{variant}")
 
 
 def cmd_spectrum(payload: dict, args) -> int:

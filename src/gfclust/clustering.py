@@ -14,12 +14,9 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from .graphs import one_hot
-
 __all__ = [
     "ClusterAssignment",
     "kmeans",
-    "pseudo_labels",
     "class_means",
     "accuracy",
     "match_clusters",
@@ -124,13 +121,6 @@ def kmeans(
     return ClusterAssignment(
         labels=labels, centers=centers, inertia=inertia, inertia_history=tuple(history)
     )
-
-
-def pseudo_labels(
-    h_bar: np.ndarray, c: int, seed=0, warm_centers: np.ndarray | None = None
-) -> np.ndarray:
-    """One-hot k-means assignment of the consensus embedding."""
-    return one_hot(kmeans(h_bar, c, seed=seed, warm_centers=warm_centers).labels, c)
 
 
 def class_means(points: np.ndarray, labels: np.ndarray, c: int) -> np.ndarray:

@@ -10,7 +10,8 @@ Its Gram matrix ``s = z z^T`` of ``z = z_a z_x^T`` is computed as
 ``z_a (z_x^T z_x) z_a^T``, so neither the n x n ``z`` nor an O(n^3) product is
 formed, and forward and backward walk row blocks of ``s``: O(n^2 l) work for
 latent width ``l`` and O(block * n) scratch. The backward recomputes each
-block's clamp mask rather than keeping ``s``.
+block's clamp mask rather than keeping ``s``. ``build_joint_aggregation`` and
+``apply_filter`` are the numpy entry points to the same ops.
 """
 
 from __future__ import annotations
@@ -27,7 +28,6 @@ from .graphs import MultiViewGraph, random_walk_normalize
 
 __all__ = [
     "FilterConfig",
-    "JointAggregation",
     "build_joint_aggregation",
     "apply_filter",
     "per_view_embedding",
@@ -62,30 +62,6 @@ class FilterConfig:
             raise ConfigError(f"matrix_source must be one of {MATRIX_SOURCES}")
 
 
-@dataclass(frozen=True)
-class JointAggregation:
-    """``z = z_a z_x^T``, its Gram matrix ``s`` and the row-stochastic ``s_rw``."""
-
-    z: np.ndarray
-    s: np.ndarray
-    s_rw: np.ndarray
-
-
-def _gram_factor(z_a: np.ndarray, z_x: np.ndarray) -> np.ndarray:
-    """``zk = z_a (z_x^T z_x)``, the factor that gives ``s = z z^T = zk z_a^T``.
-
-    With ``z = z_a z_x^T`` the Gram matrix is ``z_a (z_x^T z_x) z_a^T``, so each
-    of its rows costs O(n l) instead of O(n^2) and ``z`` is never formed.
-    """
-    return z_a @ (z_x.T @ z_x)
-
-
-def _gram(z_a: np.ndarray, z_x: np.ndarray):
-    """Dense ``(z, s)`` for diagnostics; ``s`` is symmetrized to be exactly symmetric."""
-    s = _gram_factor(z_a, z_x) @ z_a.T
-    return z_a @ z_x.T, 0.5 * (s + s.T)
-
-
 def _row_blocks(n: int):
     for start in range(0, n, _BLOCK_ROWS):
         yield slice(start, min(start + _BLOCK_ROWS, n))
@@ -104,7 +80,7 @@ def joint_aggregation_t(z_a: Tensor, z_x: Tensor) -> Tensor:
     """
     a, x = z_a.data, z_x.data
     n = a.shape[0]
-    zk = _gram_factor(a, x)
+    zk = a @ (x.T @ x)  # s = zk a^T: each row of s costs O(n l)
     s_rw = np.empty((n, n))
     r = np.empty(n)
     zero_rows = 0
@@ -146,10 +122,9 @@ def joint_aggregation_t(z_a: Tensor, z_x: Tensor) -> Tensor:
     return Tensor._from_op(s_rw, (z_a, z_x), backward)
 
 
-def build_joint_aggregation(pair: EmbeddingPair) -> JointAggregation:
-    z, s = _gram(pair.z_a, pair.z_x)
-    s_rw = joint_aggregation_t(Tensor(pair.z_a), Tensor(pair.z_x))
-    return JointAggregation(z=z, s=s, s_rw=s_rw.data)
+def build_joint_aggregation(pair: EmbeddingPair) -> np.ndarray:
+    """Row-stochastic joint aggregation kernel ``s_rw`` of one view's embedding pair."""
+    return joint_aggregation_t(Tensor(pair.z_a), Tensor(pair.z_x)).data
 
 
 def _low_pass(s_rw, x, k: int):
@@ -198,9 +173,9 @@ def per_view_embedding(
     if not 0.0 <= hr_v <= 1.0:
         raise ConfigError("hr_v must lie in [0, 1]")
     if cfg.matrix_source == "raw_adjacency":
-        kernel = random_walk_normalize(g.adjacencies[view]).a_rw
+        kernel = random_walk_normalize(g.adjacencies[view])
     else:
-        kernel = build_joint_aggregation(pair).s_rw
+        kernel = build_joint_aggregation(pair)
     return apply_filter(kernel, g.features, replace(cfg, hr=hr_v))
 
 

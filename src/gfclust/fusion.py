@@ -1,4 +1,9 @@
-"""View weighting, consensus fusion and the clustering-alignment losses."""
+"""View weighting, consensus fusion and the clustering-alignment losses.
+
+Training runs the Tensor functions (``*_t``); the numpy entry points
+``evaluate_view``, ``fuse_views``, ``soft_assignment`` and ``kl_divergence``
+are thin wrappers over them, so each quantity has one implementation.
+"""
 
 from __future__ import annotations
 
@@ -17,8 +22,6 @@ __all__ = [
     "soft_assignment",
     "target_distribution",
     "kl_divergence",
-    "kl_loss",
-    "total_loss",
 ]
 
 _FUSE_TOL = 1e-6
@@ -43,10 +46,7 @@ def evaluate_view(h_v: np.ndarray, h_bar: np.ndarray) -> float:
     h_bar = np.asarray(h_bar, dtype=np.float64)
     if h_v.shape != h_bar.shape:
         raise ValueError(f"shape mismatch: {h_v.shape} vs {h_bar.shape}")
-    dots = (h_v * h_bar).sum(axis=1)
-    norms = np.linalg.norm(h_v, axis=1) * np.linalg.norm(h_bar, axis=1)
-    cos = np.divide(dots, norms, out=np.zeros_like(dots), where=norms > 0)
-    return float(cos.mean())
+    return float(evaluate_view_t(Tensor(h_v), Tensor(h_bar)).data)
 
 
 def fuse_views_t(embeddings: list, rho: float, tol: float = _FUSE_TOL, max_rounds: int = _FUSE_MAX_ROUNDS):
@@ -171,16 +171,3 @@ def kl_terms_t(p_per_view: list, q_per_view: list, p_bar: np.ndarray, q_bar: Ten
     for p_v, q_v in zip(p_per_view, q_per_view):
         total = total + kl_divergence_t(p_bar, q_v) + kl_divergence_t(p_v, q_v)
     return total
-
-
-def kl_loss(distributions) -> float:
-    """Total KL alignment loss of a ``Distributions`` bundle."""
-    q_bar = Tensor(np.asarray(distributions.q_bar, dtype=np.float64))
-    q_views = [Tensor(np.asarray(q, dtype=np.float64)) for q in distributions.q_per_view]
-    value = kl_terms_t(distributions.p_per_view, q_views, distributions.p_bar, q_bar)
-    return float(value.data)
-
-
-def total_loss(rec, kl, cfg):
-    """Trade-off-weighted total loss; works on floats and tensors alike."""
-    return cfg.gamma_rec * rec + cfg.gamma_kl * kl

@@ -1,5 +1,8 @@
 """Multi-view graph containers, random-walk normalization and homophily.
 
+``random_walk_normalize`` returns the row-stochastic walk matrix ``D^-1 A``
+alone; no Laplacian is formed.
+
 Label one-hots are plain ``(n, c)`` float arrays with exactly one 1 per row;
 ``one_hot`` / ``check_one_hot`` build and validate them.
 """
@@ -13,7 +16,6 @@ import numpy as np
 
 __all__ = [
     "MultiViewGraph",
-    "NormalizedGraph",
     "one_hot",
     "check_one_hot",
     "random_walk_normalize",
@@ -83,14 +85,6 @@ class MultiViewGraph:
         return len(self.adjacencies)
 
 
-@dataclass(frozen=True)
-class NormalizedGraph:
-    """Row-stochastic affinity ``a_rw = D^-1 A`` and its Laplacian ``l_rw = I - a_rw``."""
-
-    a_rw: np.ndarray
-    l_rw: np.ndarray
-
-
 def one_hot(labels, n_classes: int) -> np.ndarray:
     """Encode integer labels as an ``(n, n_classes)`` 0/1 matrix."""
     labels = np.asarray(labels, dtype=np.int64)
@@ -110,8 +104,8 @@ def check_one_hot(p: np.ndarray) -> np.ndarray:
     return p
 
 
-def random_walk_normalize(a: np.ndarray, add_self_loops: bool = False) -> NormalizedGraph:
-    """Degree-normalize an affinity matrix into a row-stochastic walk matrix.
+def random_walk_normalize(a: np.ndarray) -> np.ndarray:
+    """Degree-normalize an affinity matrix into the row-stochastic ``a_rw = D^-1 A``.
 
     Rows of isolated nodes become one-hot self rows (a forced self-loop), which
     keeps every row summing to 1.
@@ -124,16 +118,14 @@ def random_walk_normalize(a: np.ndarray, add_self_loops: bool = False) -> Normal
         raise ValueError(f"adjacency must be square, got shape {a.shape}")
     if (a < 0).any():
         raise ValueError("adjacency entries must be nonnegative")
-    n = a.shape[0]
-    work = a + np.eye(n) if add_self_loops else a.copy()
-    degrees = work.sum(axis=1)
+    degrees = a.sum(axis=1)
     isolated = degrees == 0
-    if isolated.any():
-        work[isolated] = 0.0
-        work[isolated, np.flatnonzero(isolated)] = 1.0
-        degrees = work.sum(axis=1)
-    a_rw = work / degrees[:, None]
-    return NormalizedGraph(a_rw=a_rw, l_rw=np.eye(n) - a_rw)
+    # an isolated row is all zeros, so dividing it by 1 and setting its diagonal
+    # gives the forced self-loop
+    a_rw = a / np.where(isolated, 1.0, degrees)[:, None]
+    isolated = np.flatnonzero(isolated)
+    a_rw[isolated, isolated] = 1.0
+    return a_rw
 
 
 def homophily_ratio(a: np.ndarray, labels_one_hot: np.ndarray) -> float:

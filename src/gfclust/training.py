@@ -12,11 +12,16 @@ The kernel is one autograd op that works from the factored Gram matrix
 are kept at every size. ``detach_s`` is an explicit choice, off by default:
 set, it cuts the kernel out of the tape and the kernel runs forward only.
 Pseudo-labels, homophily ratios and cluster centers are constants between
-refreshes.
+refreshes. ``TrainingPipeline`` owns the whole run: pretraining and the
+bootstrap clustering on construction, then ``fit`` runs the joint epochs with
+its own Adam optimizer, the refresh cadence, the divergence check and the
+epoch records, and ends with the final clustering. A ``DivergenceError`` from
+either stage carries the partial report so far (``"final": null``).
 """
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -41,7 +46,6 @@ from .graphs import MultiViewGraph, one_hot, random_walk_normalize
 __all__ = [
     "TrainConfig",
     "FusionState",
-    "Distributions",
     "TrainReport",
     "TrainingPipeline",
     "train",
@@ -88,20 +92,8 @@ class FusionState:
     per_view_embeddings: list
     weights: np.ndarray
     consensus: np.ndarray
-    pseudo_labels: np.ndarray  # one-hot (n, c)
+    labels_one_hot: np.ndarray  # final k-means labels, (n, c)
     hr_per_view: list
-
-
-@dataclass
-class Distributions:
-    """Soft assignments and sharpened targets, per view and for the consensus."""
-
-    q_per_view: list
-    p_per_view: list
-    q_bar: np.ndarray
-    p_bar: np.ndarray
-    centers_per_view: list
-    centers_bar: np.ndarray
 
 
 @dataclass
@@ -109,11 +101,12 @@ class TrainReport:
     """Per-epoch losses and trajectories plus final metrics.
 
     ``state`` carries the final FusionState for downstream use; it is not part
-    of the serialized report.
+    of the serialized report. ``final`` is None in the partial report a
+    ``DivergenceError`` carries.
     """
 
     epochs: list
-    final: dict
+    final: dict | None
     pretrain: list
     state: FusionState | None = None
 
@@ -133,10 +126,11 @@ class _Forward:
 
 
 class TrainingPipeline:
-    """Owns the per-view autoencoders and the refresh/epoch mechanics.
+    """Owns the per-view autoencoders, the optimizer and the epoch loop.
 
-    Splitting this out of ``train`` keeps the one-epoch objective reusable:
-    the gradient checks drive ``epoch_forward`` directly with frozen targets.
+    Construction pretrains every view and bootstraps the first pseudo-labels;
+    ``fit`` runs the joint epochs. The gradient checks drive ``epoch_forward``
+    directly with frozen targets.
     """
 
     def __init__(self, g: MultiViewGraph, cfg: TrainConfig):
@@ -150,20 +144,36 @@ class TrainingPipeline:
         self.adj_input = [adjacency_input(a, cfg.encoder.adjacency_loss) for a in g.adjacencies]
         self.a_rw_const = None
         if cfg.filter.matrix_source == "raw_adjacency":
-            self.a_rw_const = [Tensor(random_walk_normalize(a).a_rw) for a in g.adjacencies]
+            self.a_rw_const = [Tensor(random_walk_normalize(a)) for a in g.adjacencies]
 
         self.models = []
         self.pretrain_history = []
-        for view, child in enumerate(enc_seq.spawn(g.n_views)):
-            enc_cfg = replace(cfg.encoder, seed=int(child.generate_state(1)[0]))
-            params_x, params_a, history = pretrain_view(g.features, self.adj_input[view], enc_cfg)
-            self.models.append((params_x, params_a))
-            self.pretrain_history.append({"view": view, "l_rec": history})
+        self.epoch_records = []
+        with self._report_on_divergence():
+            for view, child in enumerate(enc_seq.spawn(g.n_views)):
+                enc_cfg = replace(cfg.encoder, seed=int(child.generate_state(1)[0]))
+                params_x, params_a, history = pretrain_view(
+                    g.features, self.adj_input[view], enc_cfg
+                )
+                self.models.append((params_x, params_a))
+                self.pretrain_history.append({"view": view, "l_rec": history})
 
-        # bootstrap: equal-weight hybrid, then first pseudo-labels from k-means
-        self.hr = [_BOOTSTRAP_HR] * g.n_views
-        boot = self.epoch_forward(with_losses=False)
-        self._adopt_clustering(self._cluster(boot.h_bar.data, warm=None), boot)
+            # bootstrap: equal-weight hybrid, then first pseudo-labels from k-means
+            self.hr = [_BOOTSTRAP_HR] * g.n_views
+            boot = self.epoch_forward(with_losses=False)
+            self._adopt_clustering(self._cluster(boot.h_bar.data, warm=None), boot)
+
+        lr = cfg.learning_rate if cfg.learning_rate is not None else cfg.encoder.learning_rate
+        self.optimizer = Adam(self.parameters(), lr=lr)
+
+    @contextmanager
+    def _report_on_divergence(self):
+        """Attach the partial report so far to a DivergenceError on its way out."""
+        try:
+            yield
+        except DivergenceError as exc:
+            exc.report = TrainReport(self.epoch_records, final=None, pretrain=self.pretrain_history)
+            raise
 
     # -- clustering state -------------------------------------------------
 
@@ -279,6 +289,47 @@ class TrainingPipeline:
 
         return _Forward(loss, float(l_rec.data), l_kl_value, h_views, h_bar, weights, targets)
 
+    # -- training loop -----------------------------------------------------
+
+    def fit(self) -> tuple:
+        """Run ``cfg.epochs`` joint epochs, then cluster the final consensus.
+
+        Pseudo-labels, hr and centers are refreshed every
+        ``cfg.hr_refresh_interval`` epochs from the previous epoch's forward
+        pass; each epoch appends its record to ``self.epoch_records``.
+        Returns the final forward pass, its k-means labels and the hr those
+        labels give.
+        """
+        cfg = self.cfg
+        with self._report_on_divergence():
+            for epoch in range(cfg.epochs):
+                if epoch > 0 and epoch % cfg.hr_refresh_interval == 0:
+                    self.refresh()
+                fwd = self.epoch_forward()
+                total = float(fwd.loss.data)
+                if not np.isfinite(total):
+                    raise DivergenceError(
+                        f"loss became non-finite at epoch {epoch}", last_epoch=epoch - 1
+                    )
+                self.optimizer.zero_grad()
+                fwd.loss.backward()
+                self.optimizer.step()
+                self.epoch_records.append(
+                    {
+                        "epoch": epoch,
+                        "l_rec": fwd.l_rec,
+                        "l_kl": fwd.l_kl,
+                        "l_total": total,
+                        "hr": [float(h) for h in self.hr],
+                        "weights": [float(w.data) for w in fwd.weights],
+                    }
+                )
+                self._last = fwd
+
+            final = self.epoch_forward(with_losses=False)
+            labels = self._cluster(final.h_bar.data, warm=self.centers_bar).labels
+        return final, labels, update_hr(self.g, one_hot(labels, self.g.n_clusters))
+
 
 def train(g: MultiViewGraph, cfg: TrainConfig) -> TrainReport:
     """Run the full pipeline and return the report (with the final state attached).
@@ -290,48 +341,17 @@ def train(g: MultiViewGraph, cfg: TrainConfig) -> TrainReport:
     Deterministic under ``cfg.seed``.
     """
     pipeline = TrainingPipeline(g, cfg)
-    lr = cfg.learning_rate if cfg.learning_rate is not None else cfg.encoder.learning_rate
-    opt = Adam(pipeline.parameters(), lr=lr)
-
-    epoch_records = []
-    for epoch in range(cfg.epochs):
-        if epoch > 0 and epoch % cfg.hr_refresh_interval == 0:
-            pipeline.refresh()
-        fwd = pipeline.epoch_forward()
-        total = float(fwd.loss.data)
-        if not np.isfinite(total):
-            raise DivergenceError(
-                f"loss became non-finite at epoch {epoch}", last_epoch=epoch - 1
-            )
-        opt.zero_grad()
-        fwd.loss.backward()
-        opt.step()
-        epoch_records.append(
-            {
-                "epoch": epoch,
-                "l_rec": fwd.l_rec,
-                "l_kl": fwd.l_kl,
-                "l_total": total,
-                "hr": [float(h) for h in pipeline.hr],
-                "weights": [float(w.data) for w in fwd.weights],
-            }
-        )
-        pipeline._last = fwd
-
-    final_fwd = pipeline.epoch_forward(with_losses=False)
-    result = pipeline._cluster(final_fwd.h_bar.data, warm=pipeline.centers_bar)
-    final_one_hot = one_hot(result.labels, g.n_clusters)
-    final_hr = update_hr(g, final_one_hot)
+    final_fwd, labels, final_hr = pipeline.fit()
 
     metrics = {"nmi": None, "ari": None, "acc": None, "f1": None}
     if g.labels is not None:
         from .clustering import accuracy, ari, macro_f1, nmi
 
         metrics = {
-            "nmi": nmi(result.labels, g.labels),
-            "ari": ari(result.labels, g.labels),
-            "acc": accuracy(result.labels, g.labels),
-            "f1": macro_f1(result.labels, g.labels),
+            "nmi": nmi(labels, g.labels),
+            "ari": ari(labels, g.labels),
+            "acc": accuracy(labels, g.labels),
+            "f1": macro_f1(labels, g.labels),
         }
     final = dict(metrics)
     final["hr"] = [float(h) for h in final_hr]
@@ -340,11 +360,11 @@ def train(g: MultiViewGraph, cfg: TrainConfig) -> TrainReport:
         per_view_embeddings=[h.data for h in final_fwd.h_views],
         weights=np.array([float(w.data) for w in final_fwd.weights]),
         consensus=final_fwd.h_bar.data,
-        pseudo_labels=final_one_hot,
+        labels_one_hot=one_hot(labels, g.n_clusters),
         hr_per_view=[float(h) for h in final_hr],
     )
     return TrainReport(
-        epochs=epoch_records,
+        epochs=pipeline.epoch_records,
         final=final,
         pretrain=pipeline.pretrain_history,
         state=state,

@@ -3,9 +3,10 @@ import json
 import numpy as np
 import pytest
 
-from gfclust import load_dataset
+from gfclust import MultiViewGraph, load_dataset, save_dataset
 from gfclust.cli import _build_parser, _train_config, main
 
+from helpers import tiny_two_view
 from test_datasets import write_tiny3
 
 
@@ -61,6 +62,29 @@ class TestRun:
         assert code == 1
         assert not out.exists()  # no partial outputs
         assert "error" in capsys.readouterr().err
+
+    def test_divergence_exits_two_and_writes_partial_report(self, tmp_path, capsys):
+        g = tiny_two_view(n=15, c=3)
+        huge = MultiViewGraph(
+            np.full_like(g.features, 1e200), g.adjacencies, g.n_clusters, g.labels
+        )
+        save_dataset(huge, tmp_path / "data")
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({
+            "manifest": "data/manifest.json",
+            "epochs": 2,
+            "encoder": {"latent_dim": 2, "hidden_dim": 3, "epochs": 0, "activation": "linear"},
+        }))
+        for argv, name in ((["run"], "report.json"),
+                           (["ablate", "--variant", "no_kl"], "report_no_kl.json")):
+            out = tmp_path / argv[0]
+            assert main(argv + ["--config", str(config), "--out", str(out)]) == 2
+            assert "non-finite" in capsys.readouterr().err
+            report = json.loads((out / name).read_text())
+            assert report["final"] is None
+            assert report["epochs"] == []
+            assert [view["view"] for view in report["pretrain"]] == [0, 1]
+            assert not list(out.glob("embedding*.csv"))
 
     def test_same_seed_byte_identical_reports(self, tmp_path, capsys):
         config = base_config(tmp_path)

@@ -4,7 +4,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from gfclust import accuracy, ari, kmeans, macro_f1, nmi, pseudo_labels
+from gfclust import accuracy, ari, kmeans, macro_f1, nmi, one_hot
 from gfclust.clustering import class_means
 
 from oracles import oracle_accuracy, oracle_ari, oracle_f1_candidates, oracle_nmi
@@ -92,20 +92,20 @@ class TestKmeans:
 class TestPseudoLabels:
     def test_orthogonal_blocks(self):
         h = np.kron(np.eye(3), np.ones((4, 1)))  # 12 x 3, three exact blocks
-        labels = pseudo_labels(h, 3, seed=0)
+        labels = one_hot(kmeans(h, 3, seed=0).labels, 3)
         assert labels.shape == (12, 3)
         blocks = labels.argmax(axis=1).reshape(3, 4)
         assert all(np.unique(row).size == 1 for row in blocks)
 
     def test_n_equals_c_distinct(self):
         h = np.diag([1.0, 2.0, 3.0])
-        labels = pseudo_labels(h, 3, seed=0)
+        labels = one_hot(kmeans(h, 3, seed=0).labels, 3)
         assert np.unique(labels.argmax(axis=1)).size == 3
 
     def test_warm_started_call_is_stable(self):
         h = RNG.normal(size=(15, 2))
         first = kmeans(h, 3, seed=4)
-        again = pseudo_labels(h, 3, seed=1234, warm_centers=first.centers)
+        again = one_hot(kmeans(h, 3, seed=1234, warm_centers=first.centers).labels, 3)
         assert np.array_equal(again.argmax(axis=1), first.labels)
 
 

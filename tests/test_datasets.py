@@ -1,9 +1,14 @@
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gfclust import (
+    MultiViewGraph,
     SyntheticSpec,
     generate_synthetic,
     homophily_ratio,
@@ -107,6 +112,42 @@ class TestSaveLoadRoundTrip:
         assert np.abs(g.features - reloaded.features).max() < 1e-12
         assert np.array_equal(g.labels, reloaded.labels)
         assert reloaded.n_clusters == 3
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        n=st.integers(min_value=1, max_value=12),
+        n_views=st.integers(min_value=1, max_value=3),
+        n_clusters=st.integers(min_value=1, max_value=4),
+        labelled=st.booleans(),
+        seed=st.integers(min_value=0, max_value=2**31),
+    )
+    def test_random_graphs_round_trip(self, n, n_views, n_clusters, labelled, seed):
+        rng = np.random.default_rng(seed)
+        isolated = rng.random(n) < 0.3
+        adjacencies = []
+        for _ in range(n_views):
+            upper = np.triu(rng.random((n, n)) < rng.random(), k=1)
+            a = (upper | upper.T).astype(float)
+            a[isolated] = 0.0
+            a[:, isolated] = 0.0
+            adjacencies.append(a)
+        g = MultiViewGraph(
+            features=rng.normal(size=(n, int(rng.integers(1, 4)))) * 10.0 ** rng.integers(-5, 6),
+            adjacencies=adjacencies,
+            n_clusters=n_clusters,
+            labels=rng.integers(n_clusters, size=n) if labelled else None,
+        )
+        with tempfile.TemporaryDirectory() as tmp:
+            reloaded = load_dataset(save_dataset(g, Path(tmp)))
+        assert np.array_equal(reloaded.features, g.features)
+        assert len(reloaded.adjacencies) == n_views
+        for a, b in zip(g.adjacencies, reloaded.adjacencies):
+            assert np.array_equal(a, b)
+        if labelled:
+            assert np.array_equal(reloaded.labels, g.labels)
+        else:
+            assert reloaded.labels is None
+        assert reloaded.n_clusters == n_clusters
 
 
 class TestGenerateSynthetic:

@@ -31,48 +31,44 @@ def random_stochastic(n, rng):
 
 class TestJointAggregation:
     def test_identity_pair(self):
-        agg = build_joint_aggregation(EmbeddingPair(z_x=np.eye(2), z_a=np.eye(2)))
-        assert np.array_equal(agg.z, np.eye(2))
-        assert np.array_equal(agg.s, np.eye(2))
-        assert np.allclose(agg.s_rw, np.eye(2))
+        s_rw = build_joint_aggregation(EmbeddingPair(z_x=np.eye(2), z_a=np.eye(2)))
+        assert np.allclose(s_rw, np.eye(2))
 
     def test_all_ones_pair(self):
         pair = EmbeddingPair(z_x=[[1.0], [1.0]], z_a=[[1.0], [1.0]])
-        agg = build_joint_aggregation(pair)
-        assert np.array_equal(agg.z, np.ones((2, 2)))
-        assert np.array_equal(agg.s, np.full((2, 2), 2.0))
-        assert np.allclose(agg.s_rw, np.full((2, 2), 0.5), atol=1e-7)
+        s_rw = build_joint_aggregation(pair)
+        assert np.allclose(s_rw, np.full((2, 2), 0.5), atol=1e-7)
 
     def test_gram_matches_triple_loop_oracle(self):
         z_a = RNG.normal(size=(5, 3))
         z_x = RNG.normal(size=(5, 3))
-        agg = build_joint_aggregation(EmbeddingPair(z_x=z_x, z_a=z_a))
+        s_rw = build_joint_aggregation(EmbeddingPair(z_x=z_x, z_a=z_a))
         z = z_a @ z_x.T
         oracle = np.zeros((5, 5))
         for i in range(5):
             for j in range(5):
                 for k in range(5):
                     oracle[i, j] += z[i, k] * z[j, k]
-        assert np.abs(agg.s - oracle).max() < 1e-10
-        assert np.array_equal(agg.s, agg.s.T)
-        assert np.linalg.eigvalsh(agg.s).min() >= -1e-9
+        # clamp at zero, ridge the diagonal, normalize the rows
+        oracle = np.maximum(oracle, 0.0) + 1e-8 * np.eye(5)
+        oracle /= oracle.sum(axis=1, keepdims=True)
+        assert np.abs(s_rw - oracle).max() < 1e-10
 
-    def test_s_is_psd_on_many_pairs(self):
+    def test_s_rw_is_stochastic_on_many_pairs(self):
         for seed in range(8):
             rng = np.random.default_rng(seed)
             n = int(rng.integers(3, 40))
             pair = EmbeddingPair(z_x=rng.normal(size=(n, 4)), z_a=rng.normal(size=(n, 4)))
-            agg = build_joint_aggregation(pair)
-            assert np.linalg.eigvalsh(agg.s).min() >= -1e-9
-            assert np.abs(agg.s_rw.sum(axis=1) - 1.0).max() < 1e-9
-            assert agg.s_rw.min() >= 0.0
+            s_rw = build_joint_aggregation(pair)
+            assert np.abs(s_rw.sum(axis=1) - 1.0).max() < 1e-9
+            assert s_rw.min() >= 0.0
 
     def test_zero_row_warns_but_stays_stochastic(self):
         z_a = np.array([[0.0, 0.0], [1.0, 0.5]])
         z_x = RNG.normal(size=(2, 2))
         with pytest.warns(NumericsWarning, match="all-zero rows"):
-            agg = build_joint_aggregation(EmbeddingPair(z_x=z_x, z_a=z_a))
-        assert np.abs(agg.s_rw.sum(axis=1) - 1.0).max() < 1e-9
+            s_rw = build_joint_aggregation(EmbeddingPair(z_x=z_x, z_a=z_a))
+        assert np.abs(s_rw.sum(axis=1) - 1.0).max() < 1e-9
 
 
 def kernel_and_grads(kernel, z_a, z_x, upstream):
@@ -231,7 +227,7 @@ class TestPerViewEmbedding:
         pair = EmbeddingPair(z_x=RNG.normal(size=(24, 4)), z_a=RNG.normal(size=(24, 4)))
         cfg = FilterConfig(order=2)
         out = per_view_embedding(g, 0, pair, 0.0, cfg)
-        s_rw = build_joint_aggregation(pair).s_rw
+        s_rw = build_joint_aggregation(pair)
         hp = apply_filter(s_rw, g.features, FilterConfig(order=2, family="high_pass"))
         assert np.allclose(out, hp)
 
@@ -240,13 +236,13 @@ class TestPerViewEmbedding:
         pair = EmbeddingPair(z_x=np.zeros((24, 2)), z_a=np.zeros((24, 2)))
         cfg = FilterConfig(order=1, matrix_source="raw_adjacency")
         out = per_view_embedding(g, 1, pair, 1.0, cfg)
-        a_rw = random_walk_normalize(g.adjacencies[1]).a_rw
+        a_rw = random_walk_normalize(g.adjacencies[1])
         assert np.allclose(out, a_rw @ g.features)
 
     def test_low_pass_smooths_within_classes(self):
         g = tiny_two_view(seed=5)
-        ng = random_walk_normalize(g.adjacencies[0])
-        smoothed = apply_filter(ng.a_rw, g.features, FilterConfig(order=2, family="low_pass"))
+        a_rw = random_walk_normalize(g.adjacencies[0])
+        smoothed = apply_filter(a_rw, g.features, FilterConfig(order=2, family="low_pass"))
 
         def within_class_scatter(x):
             total = 0.0

@@ -4,18 +4,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gfclust import (
+    EncoderConfig,
     evaluate_view,
     fuse_views,
     kl_divergence,
-    kl_loss,
     one_hot,
     soft_assignment,
     target_distribution,
-    total_loss,
     update_hr,
 )
+from gfclust.autograd import Tensor
 from gfclust.errors import NumericsWarning
-from gfclust.training import Distributions, TrainConfig
+from gfclust.fusion import kl_terms_t
+from gfclust.training import TrainConfig, TrainingPipeline
 
 from helpers import two_ratio_fixture, tiny_two_view
 
@@ -171,35 +172,25 @@ class TestTargetDistribution:
         assert np.array_equal(p, q)
 
 
-class TestKlLoss:
-    def _dists(self, q_views, q_bar):
-        return Distributions(
-            q_per_view=q_views,
-            p_per_view=[q.copy() for q in q_views],
-            q_bar=q_bar,
-            p_bar=q_bar.copy(),
-            centers_per_view=[np.zeros((q.shape[1], 2)) for q in q_views],
-            centers_bar=np.zeros((q_bar.shape[1], 2)),
-        )
+def kl_terms(p_views, q_views, p_bar, q_bar) -> float:
+    """The alignment loss training uses, on constant soft assignments."""
+    return float(kl_terms_t(p_views, [Tensor(q) for q in q_views], p_bar, Tensor(q_bar)).data)
 
+
+class TestKlLoss:
     def test_identical_distributions_zero(self):
         q = random_stochastic_rows(5, 3, RNG)
-        assert kl_loss(self._dists([q, q.copy()], q.copy())) == pytest.approx(0.0, abs=1e-12)
+        value = kl_terms([q.copy(), q.copy()], [q, q.copy()], q.copy(), q.copy())
+        assert value == pytest.approx(0.0, abs=1e-12)
 
     def test_single_view_term_counting(self):
         q1 = random_stochastic_rows(4, 2, RNG)
         q_bar = random_stochastic_rows(4, 2, RNG)
         p_bar = target_distribution(q_bar)
-        d = Distributions(
-            q_per_view=[q1],
-            p_per_view=[p_bar.copy()],  # P^1 = consensus target
-            q_bar=q_bar,
-            p_bar=p_bar,
-            centers_per_view=[np.zeros((2, 2))],
-            centers_bar=np.zeros((2, 2)),
-        )
+        # P^1 = consensus target
+        value = kl_terms([p_bar.copy()], [q1], p_bar, q_bar)
         expected = 2.0 * kl_divergence(p_bar, q1) + kl_divergence(p_bar, q_bar)
-        assert kl_loss(d) == pytest.approx(expected, rel=1e-12)
+        assert value == pytest.approx(expected, rel=1e-12)
 
     def test_hand_computed_log_two(self):
         p = np.array([[1.0, 0.0]])
@@ -225,15 +216,31 @@ class TestKlLoss:
             assert kl_divergence(q, bump) > 0.0
 
 
+def epoch_loss(gamma_rec, gamma_kl):
+    """One training epoch's forward pass under the given trade-off weights."""
+    cfg = TrainConfig(
+        epochs=1,
+        gamma_rec=gamma_rec,
+        gamma_kl=gamma_kl,
+        encoder=EncoderConfig(latent_dim=3, hidden_dim=6, epochs=3, seed=0),
+        seed=2,
+    )
+    return TrainingPipeline(tiny_two_view(), cfg).epoch_forward()
+
+
 class TestTotalLoss:
     def test_kl_weight_zero(self):
-        cfg = TrainConfig(gamma_rec=1.0, gamma_kl=0.0)
-        assert total_loss(3.5, 100.0, cfg) == 3.5
+        fwd = epoch_loss(gamma_rec=1.0, gamma_kl=0.0)
+        assert fwd.l_kl == 0.0
+        assert fwd.l_rec > 0.0
+        assert fwd.loss.data == fwd.l_rec
 
     def test_both_zero(self):
-        cfg = TrainConfig(gamma_rec=0.0, gamma_kl=0.0)
-        assert total_loss(2.0, 3.0, cfg) == 0.0
+        fwd = epoch_loss(gamma_rec=0.0, gamma_kl=0.0)
+        assert fwd.l_rec > 0.0
+        assert fwd.loss.data == 0.0
 
     def test_weighted_sum(self):
-        cfg = TrainConfig(gamma_rec=1.0, gamma_kl=0.1)
-        assert total_loss(2.0, 3.0, cfg) == pytest.approx(2.3)
+        fwd = epoch_loss(gamma_rec=0.7, gamma_kl=0.1)
+        assert fwd.l_rec > 0.0 and fwd.l_kl > 0.0
+        assert fwd.loss.data == 0.7 * fwd.l_rec + 0.1 * fwd.l_kl

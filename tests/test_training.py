@@ -124,7 +124,7 @@ class TestHrDynamics:
         g = tiny_two_view()
         pipeline = TrainingPipeline(g, fast_config(epochs=0))
         # after bootstrap the stored hr comes from the first pseudo-labels
-        assert pipeline.hr != [0.5, 0.5] or True
+        assert pipeline.hr == update_hr(g, one_hot(pipeline.pseudo, g.n_clusters))
         assert all(0.0 <= h <= 1.0 for h in pipeline.hr)
 
 
@@ -210,5 +210,24 @@ class TestDivergence:
         cfg = fast_config(epochs=2, encoder=EncoderConfig(
             latent_dim=2, hidden_dim=3, epochs=0, activation="linear", seed=0
         ))
-        with pytest.raises(DivergenceError):
+        with pytest.raises(DivergenceError) as err:
             train(bad, cfg)
+        # the bootstrap clustering fails; the partial report keeps pretraining
+        assert err.value.report.to_dict() == {
+            "epochs": [],
+            "final": None,
+            "pretrain": [{"view": 0, "l_rec": []}, {"view": 1, "l_rec": []}],
+        }
+
+    def test_partial_report_keeps_the_epochs_so_far(self):
+        g = tiny_two_view()
+        # one Adam step of this size sends the parameters past the float range
+        cfg = fast_config(learning_rate=1e100)
+        with pytest.raises(DivergenceError, match="epoch 1") as err:
+            train(g, cfg)
+        assert err.value.last_epoch == 0
+        partial = err.value.report.to_dict()
+        assert partial["final"] is None
+        assert [rec["epoch"] for rec in partial["epochs"]] == [0]
+        assert np.isfinite(partial["epochs"][0]["l_total"])
+        assert partial["pretrain"] == train(g, fast_config(epochs=0)).pretrain
