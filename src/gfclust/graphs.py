@@ -1,7 +1,9 @@
 """Multi-view graph containers, random-walk normalization and homophily.
 
 ``random_walk_normalize`` returns the row-stochastic walk matrix ``D^-1 A``
-alone; no Laplacian is formed.
+alone, CSR for CSR input; no Laplacian is formed. A graph keeps its views
+dense and builds CSR copies (``MultiViewGraph.csr_adjacencies``) on first use,
+so ``homophily_ratio`` and the training passes read the O(|E|) edge lists.
 
 Label one-hots are plain ``(n, c)`` float arrays with exactly one 1 per row;
 ``one_hot`` / ``check_one_hot`` build and validate them.
@@ -9,10 +11,11 @@ Label one-hots are plain ``(n, c)`` float arrays with exactly one 1 per row;
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
+from scipy import sparse
 
 __all__ = [
     "MultiViewGraph",
@@ -84,6 +87,11 @@ class MultiViewGraph:
     def n_views(self) -> int:
         return len(self.adjacencies)
 
+    @cached_property
+    def csr_adjacencies(self) -> list:
+        """The views as CSR arrays, built on first use and kept with the graph."""
+        return [sparse.csr_array(a) for a in self.adjacencies]
+
 
 def one_hot(labels, n_classes: int) -> np.ndarray:
     """Encode integer labels as an ``(n, n_classes)`` 0/1 matrix."""
@@ -104,48 +112,59 @@ def check_one_hot(p: np.ndarray) -> np.ndarray:
     return p
 
 
-def random_walk_normalize(a: np.ndarray) -> np.ndarray:
+def random_walk_normalize(a):
     """Degree-normalize an affinity matrix into the row-stochastic ``a_rw = D^-1 A``.
 
     Rows of isolated nodes become one-hot self rows (a forced self-loop), which
-    keeps every row summing to 1.
+    keeps every row summing to 1. A scipy sparse input gives a CSR result with
+    the same entries as the dense form; a dense input gives a dense array.
 
     Raises:
         ValueError: non-square input or negative entries.
     """
-    a = np.asarray(a, dtype=np.float64)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"adjacency must be square, got shape {a.shape}")
-    if (a < 0).any():
+    if sparse.issparse(a):
+        a_rw = sparse.csr_array(a, dtype=np.float64, copy=True)
+        values = a_rw.data
+    else:
+        a_rw = np.asarray(a, dtype=np.float64)
+        values = a_rw
+    if a_rw.ndim != 2 or a_rw.shape[0] != a_rw.shape[1]:
+        raise ValueError(f"adjacency must be square, got shape {a_rw.shape}")
+    if (values < 0).any():
         raise ValueError("adjacency entries must be nonnegative")
-    degrees = a.sum(axis=1)
+    degrees = np.asarray(a_rw.sum(axis=1)).ravel()
     isolated = degrees == 0
+    scale = np.where(isolated, 1.0, degrees)
+    if sparse.issparse(a_rw):
+        # an isolated row stores no nonzero, so its self-loop is added as a diagonal
+        a_rw.data /= np.repeat(scale, np.diff(a_rw.indptr))
+        return (a_rw + sparse.diags_array(isolated.astype(np.float64))).tocsr()
     # an isolated row is all zeros, so dividing it by 1 and setting its diagonal
     # gives the forced self-loop
-    a_rw = a / np.where(isolated, 1.0, degrees)[:, None]
+    a_rw = a_rw / scale[:, None]
     isolated = np.flatnonzero(isolated)
     a_rw[isolated, isolated] = 1.0
     return a_rw
 
 
-def homophily_ratio(a: np.ndarray, labels_one_hot: np.ndarray) -> float:
+def homophily_ratio(a, labels_one_hot: np.ndarray) -> float:
     """Fraction of edges whose endpoints share a label.
 
     Computed over the nonzero off-diagonal entries only, so a stored without
     self-loops gives the same value as the self-loop-carrying formulation
-    minus identity. Costs O(|E|) beyond locating the nonzeros.
+    minus identity. A scipy sparse ``a`` is read through its stored entries,
+    O(|E|); a dense one is scanned for its nonzeros first.
 
     Raises:
         ValueError: the graph has no edges (the ratio is undefined).
     """
-    a = np.asarray(a, dtype=np.float64)
     p = check_one_hot(labels_one_hot)
-    if a.shape[0] != a.shape[1] or a.shape[0] != p.shape[0]:
+    edges = sparse.coo_array(a if sparse.issparse(a) else np.asarray(a, dtype=np.float64))
+    if edges.shape[0] != edges.shape[1] or edges.shape[0] != p.shape[0]:
         raise ValueError("adjacency and labels disagree on the node count")
-    rows, cols = np.nonzero(a)
-    off = rows != cols
-    rows, cols = rows[off], cols[off]
-    weights = a[rows, cols]
+    off = edges.row != edges.col
+    rows, cols = edges.row[off], edges.col[off]
+    weights = edges.data[off]
     total = weights.sum()
     if total == 0:
         raise ValueError("homophily ratio is undefined on an edgeless graph")
@@ -158,4 +177,4 @@ def true_homophily_report(g: MultiViewGraph) -> list:
     if g.labels is None:
         raise ValueError("graph has no ground-truth labels")
     encoded = one_hot(g.labels, g.n_clusters)
-    return [homophily_ratio(a, encoded) for a in g.adjacencies]
+    return [homophily_ratio(a, encoded) for a in g.csr_adjacencies]

@@ -7,16 +7,23 @@ Each view's adjacency is converted once to the form its autoencoder takes
 (``adjacency_input``): CSR under the default MSE, whose reconstruction term is
 the factored ``adjacency_mse_t`` on the ``z_a`` the epoch already encoded, so
 no n x n decode is formed; a dense array under BCE, which decodes densely.
-The kernel is one autograd op that works from the factored Gram matrix
-``z_a (z_x^T z_x) z_a^T`` in row blocks, O(n^2 l) in time, so its gradients
-are kept at every size. ``detach_s`` is an explicit choice, off by default:
-set, it cuts the kernel out of the tape and the kernel runs forward only.
+Each view's kernel and hybrid filter are one autograd op: ``joint_aggregation_t``
+returns the factored kernel and ``apply_filter_t`` evaluates the filter
+polynomial on it in row blocks of the Gram matrix ``z_a (z_x^T z_x) z_a^T``,
+O(n^2 (l + d)) per product, so no n x n array is formed in the joint epochs
+and the kernel's gradients are kept at every size. ``detach_s`` is an
+explicit choice, off by default: set, it cuts the kernel out of the tape and
+the op runs forward only. The ``raw_adjacency`` ablation filters with the
+CSR walk matrix of each view, a constant. The graph's CSR views are built on
+first use here, never at load time, and serve ``update_hr`` too.
 Pseudo-labels, homophily ratios and cluster centers are constants between
 refreshes. ``TrainingPipeline`` owns the whole run: pretraining and the
 bootstrap clustering on construction, then ``fit`` runs the joint epochs with
 its own Adam optimizer, the refresh cadence, the divergence check and the
 epoch records, and ends with the final clustering. A ``DivergenceError`` from
-either stage carries the partial report so far (``"final": null``).
+either stage carries the partial report so far (``"final": null``); one from
+the joint stage names its epoch and sets ``last_epoch`` to the last epoch
+recorded. The kernel raises it itself when the Gram matrix overflows.
 """
 
 from __future__ import annotations
@@ -141,10 +148,12 @@ class TrainingPipeline:
         enc_seq, self._kmeans_seq = self._ss.spawn(2)
 
         self.x_const = Tensor(g.features)
-        self.adj_input = [adjacency_input(a, cfg.encoder.adjacency_loss) for a in g.adjacencies]
-        self.a_rw_const = None
+        loss = cfg.encoder.adjacency_loss
+        views = g.adjacencies if loss == "bce" else g.csr_adjacencies
+        self.adj_input = [adjacency_input(a, loss) for a in views]
+        self.a_rw = None
         if cfg.filter.matrix_source == "raw_adjacency":
-            self.a_rw_const = [Tensor(random_walk_normalize(a)) for a in g.adjacencies]
+            self.a_rw = [random_walk_normalize(a) for a in g.csr_adjacencies]
 
         self.models = []
         self.pretrain_history = []
@@ -174,6 +183,20 @@ class TrainingPipeline:
         except DivergenceError as exc:
             exc.report = TrainReport(self.epoch_records, final=None, pretrain=self.pretrain_history)
             raise
+
+    @contextmanager
+    def _name_the_epoch(self):
+        """Re-raise a joint-stage DivergenceError naming the epoch it stopped in,
+        with ``last_epoch`` the last epoch recorded."""
+        try:
+            yield
+        except DivergenceError as exc:
+            done = len(self.epoch_records)
+            if done < self.cfg.epochs:
+                where = f"epoch {done}"
+            else:
+                where = "the final clustering" + (f" after epoch {done - 1}" if done else "")
+            raise DivergenceError(f"{exc} at {where}", last_epoch=done - 1) from exc
 
     # -- clustering state -------------------------------------------------
 
@@ -252,11 +275,12 @@ class TrainingPipeline:
                     rec_terms.append(bce_t(decode_t(params_a, z_a), self.adj_input[view]))
                 else:
                     rec_terms.append(adjacency_mse_t(params_a, z_a, self.adj_input[view]))
-            if self.a_rw_const is not None:
-                kernel = self.a_rw_const[view]
+            if self.a_rw is not None:
+                kernel = self.a_rw[view]
             else:
-                s_rw = joint_aggregation_t(z_a, z_x)
-                kernel = s_rw.detach() if self.detach_s else s_rw
+                kernel = joint_aggregation_t(z_a, z_x)
+                if self.detach_s:
+                    kernel = kernel.detach()
             h_views.append(
                 apply_filter_t(kernel, self.x_const, replace(cfg.filter, hr=self.hr[view]))
             )
@@ -298,19 +322,19 @@ class TrainingPipeline:
         ``cfg.hr_refresh_interval`` epochs from the previous epoch's forward
         pass; each epoch appends its record to ``self.epoch_records``.
         Returns the final forward pass, its k-means labels and the hr those
-        labels give.
+        labels give. A DivergenceError raised on the way (refresh, kernel,
+        loss, final clustering) names the epoch it stopped in and carries
+        ``last_epoch``, the last epoch recorded.
         """
         cfg = self.cfg
-        with self._report_on_divergence():
+        with self._report_on_divergence(), self._name_the_epoch():
             for epoch in range(cfg.epochs):
                 if epoch > 0 and epoch % cfg.hr_refresh_interval == 0:
                     self.refresh()
                 fwd = self.epoch_forward()
                 total = float(fwd.loss.data)
                 if not np.isfinite(total):
-                    raise DivergenceError(
-                        f"loss became non-finite at epoch {epoch}", last_epoch=epoch - 1
-                    )
+                    raise DivergenceError("loss became non-finite")
                 self.optimizer.zero_grad()
                 fwd.loss.backward()
                 self.optimizer.step()

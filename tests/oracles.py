@@ -111,6 +111,33 @@ def oracle_joint_aggregation_t(z_a, z_x):
     return ridged / ridged.sum(axis=1, keepdims=True)
 
 
+def _taped_low_pass(s_rw, x, k):
+    y = x
+    for _ in range(k):
+        y = s_rw @ y
+    return y
+
+
+def _taped_high_pass(s_rw, x, k):
+    y = x
+    for _ in range(k):
+        y = y - s_rw @ y
+    return y
+
+
+def oracle_apply_filter_t(s_rw, x, cfg):
+    """The hybrid filter as separate taped low- and high-pass chains on a
+    materialized kernel Tensor: ``hr S^k x + (1 - hr)(I - S)^k x`` with ``2k``
+    products, the reference for the fused op in ``gfclust.filters``."""
+    k = cfg.order
+    if cfg.family == "low_pass":
+        return _taped_low_pass(s_rw, x, k)
+    if cfg.family == "high_pass":
+        return _taped_high_pass(s_rw, x, k)
+    mix = cfg.hr if cfg.family == "adaptive_hybrid" else cfg.alpha
+    return mix * _taped_low_pass(s_rw, x, k) + (1.0 - mix) * _taped_high_pass(s_rw, x, k)
+
+
 def oracle_adjacency_mse_t(params, z, a):
     """Adjacency reconstruction MSE by the dense decode: the n x n ``decode_t``
     output scored by ``mse_t`` against dense ``a``, the reference for the

@@ -1,4 +1,6 @@
+import tracemalloc
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -15,11 +17,11 @@ from gfclust import (
     random_walk_normalize,
 )
 from gfclust.autograd import Tensor
-from gfclust.errors import ConfigError, NumericsWarning
-from gfclust.filters import _BLOCK_ROWS, joint_aggregation_t
+from gfclust.errors import ConfigError, DivergenceError, NumericsWarning
+from gfclust.filters import _BLOCK_ROWS, apply_filter_t, filter_coefficients, joint_aggregation_t
 
 from helpers import tiny_two_view
-from oracles import oracle_joint_aggregation_t
+from oracles import oracle_apply_filter_t, oracle_joint_aggregation_t
 
 RNG = np.random.default_rng(21)
 
@@ -71,41 +73,63 @@ class TestJointAggregation:
         assert np.abs(s_rw.sum(axis=1) - 1.0).max() < 1e-9
 
 
-def kernel_and_grads(kernel, z_a, z_x, upstream):
-    """``s_rw`` and the gradients of ``<upstream, s_rw>`` w.r.t. ``z_a`` and ``z_x``."""
+FAMILY_CONFIGS = [
+    FilterConfig(order=k, family=family, hr=0.3, alpha=0.8)
+    for family in ("adaptive_hybrid", "low_pass", "high_pass", "fixed_mix")
+    for k in (1, 2, 3)
+]
+
+
+def fused_filter(cfg, x):
+    return lambda z_a, z_x: apply_filter_t(joint_aggregation_t(z_a, z_x), Tensor(x), cfg)
+
+
+def taped_filter(cfg, x):
+    return lambda z_a, z_x: oracle_apply_filter_t(
+        oracle_joint_aggregation_t(z_a, z_x), Tensor(x), cfg
+    )
+
+
+def filter_and_grads(filter_fn, z_a, z_x, upstream):
+    """The filtered signal and the gradients of ``<upstream, h>`` w.r.t. ``z_a`` and ``z_x``."""
     a, x = Tensor(z_a, requires_grad=True), Tensor(z_x, requires_grad=True)
-    s_rw = kernel(a, x)
-    (s_rw * Tensor(upstream)).sum().backward()
-    return s_rw.data, a.grad, x.grad
+    h = filter_fn(a, x)
+    (h * Tensor(upstream)).sum().backward()
+    return h.data, a.grad, x.grad
 
 
-def assert_op_matches_oracle(n, latent, seed, zero_rows=()):
-    """Forward and gradients agree to 1e-10 relative.
+def assert_op_matches_oracle(n, latent, seed, cfgs=FAMILY_CONFIGS, width=3, zero_rows=()):
+    """Forward and gradients of the fused op agree with the taped kernel and
+    filter to 1e-10 relative, for every config in ``cfgs``.
 
-    A gradient is measured against its own largest entry, or against the scale
-    ``max|upstream| / max|input|`` the upstream gradient gives it when that is
-    larger: where row normalization cancels the gradient exactly (a row whose
-    only positive entry is its diagonal), the taped oracle leaves rounding
-    noise of that scale times the machine epsilon.
+    Each output is measured against its own largest entry, or against the
+    scale the inputs give it when that is larger: ``max|x|`` for the filtered
+    signal and ``max|upstream| max|x| / max|input|`` for a gradient. Where
+    the filter or the row normalization cancels a result exactly (a high-pass
+    of a near-constant signal, a row whose only positive entry is its
+    diagonal), the taped oracle leaves rounding noise of that scale times the
+    machine epsilon.
     """
     rng = np.random.default_rng(seed)
     z_a = rng.normal(size=(n, latent))
     z_a[list(zero_rows)] = 0.0
     z_x = rng.normal(size=(n, latent))
-    upstream = rng.normal(size=(n, n))
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", NumericsWarning)
-        got = kernel_and_grads(joint_aggregation_t, z_a, z_x, upstream)
-    want = kernel_and_grads(oracle_joint_aggregation_t, z_a, z_x, upstream)
-    induced = (1.0, np.abs(upstream).max() / np.abs(z_a).max(),
-               np.abs(upstream).max() / np.abs(z_x).max())
-    for name, g, w, floor in zip(("s_rw", "d z_a", "d z_x"), got, want, induced):
-        assert g.shape == w.shape
-        assert np.abs(g - w).max() <= 1e-10 * max(np.abs(w).max(), floor), name
+    x = rng.normal(size=(n, width))
+    upstream = rng.normal(size=(n, width))
+    scale = np.abs(upstream).max() * np.abs(x).max()
+    floors = (np.abs(x).max(), scale / np.abs(z_a).max(), scale / np.abs(z_x).max())
+    for cfg in cfgs:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", NumericsWarning)
+            got = filter_and_grads(fused_filter(cfg, x), z_a, z_x, upstream)
+        want = filter_and_grads(taped_filter(cfg, x), z_a, z_x, upstream)
+        for name, g, w, floor in zip(("h", "d z_a", "d z_x"), got, want, floors):
+            assert g.shape == w.shape
+            assert np.abs(g - w).max() <= 1e-10 * max(np.abs(w).max(), floor), (name, cfg)
 
 
 class TestJointAggregationOp:
-    """The factored, row-blocked op against the taped composition it replaces."""
+    """The fused kernel-and-filter op against the taped composition it replaces."""
 
     @pytest.mark.parametrize(
         "n",
@@ -121,9 +145,11 @@ class TestJointAggregationOp:
         z_a = rng.normal(size=(_BLOCK_ROWS + 9, 4))
         z_a[list(zero_rows)] = 0.0
         z_x = rng.normal(size=z_a.shape)
+        a, zx = Tensor(z_a, requires_grad=True), Tensor(z_x, requires_grad=True)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            joint_aggregation_t(Tensor(z_a), Tensor(z_x))
+            h = apply_filter_t(joint_aggregation_t(a, zx), Tensor(z_x), FilterConfig(order=3))
+            h.sum().backward()
         numerics = [w for w in caught if issubclass(w.category, NumericsWarning)]
         assert len(numerics) == 1
         assert str(numerics[0].message).startswith("3 all-zero rows")
@@ -133,10 +159,65 @@ class TestJointAggregationOp:
     @given(
         st.integers(min_value=1, max_value=3 * _BLOCK_ROWS),
         st.integers(min_value=1, max_value=6),
+        st.integers(min_value=1, max_value=4),
+        st.sampled_from(FAMILY_CONFIGS),
+        st.floats(min_value=0.0, max_value=1.0),
         st.integers(min_value=0, max_value=2**31),
     )
-    def test_matches_taped_oracle_on_random_shapes(self, n, latent, seed):
-        assert_op_matches_oracle(n, latent, seed)
+    def test_matches_taped_oracle_on_random_shapes(self, n, latent, width, cfg, hr, seed):
+        assert_op_matches_oracle(n, latent, seed, cfgs=[replace(cfg, hr=hr)], width=width)
+
+    def test_detached_kernel_gives_the_same_signal_and_no_gradient(self):
+        rng = np.random.default_rng(8)
+        a = Tensor(rng.normal(size=(40, 3)), requires_grad=True)
+        zx = Tensor(rng.normal(size=(40, 3)), requires_grad=True)
+        x = Tensor(rng.normal(size=(40, 2)))
+        kernel = joint_aggregation_t(a, zx)
+        cfg = FilterConfig(order=2, hr=0.7)
+        detached = apply_filter_t(kernel.detach(), x, cfg)
+        assert not detached.requires_grad
+        assert np.array_equal(detached.data, apply_filter_t(kernel, x, cfg).data)
+
+    def test_kernel_keeps_the_shape_of_s(self):
+        kernel = joint_aggregation_t(Tensor(np.ones((7, 2))), Tensor(np.ones((5, 2))))
+        assert kernel.shape == (7, 7)
+        assert kernel.detach().shape == (7, 7)
+
+    def test_signal_that_requires_grad_is_rejected(self):
+        rng = np.random.default_rng(2)
+        kernel = joint_aggregation_t(Tensor(rng.normal(size=(6, 2))), Tensor(rng.normal(size=(6, 2))))
+        x = Tensor(rng.normal(size=(6, 2)), requires_grad=True)
+        for k in (kernel, random_stochastic(6, rng)):
+            with pytest.raises(ValueError, match="constant"):
+                apply_filter_t(k, x, FilterConfig())
+
+    def test_overflowing_gram_raises_divergence(self):
+        z = Tensor(np.full((5, 2), 1e120))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no numpy overflow warning escapes
+            with pytest.raises(DivergenceError, match="non-finite"):
+                apply_filter_t(joint_aggregation_t(z, z), Tensor(np.ones((5, 1))), FilterConfig())
+            with pytest.raises(DivergenceError, match="non-finite"):
+                build_joint_aggregation(EmbeddingPair(z_x=z.data, z_a=z.data))
+
+    def test_forward_and_backward_form_no_n_by_n_array(self):
+        # l=16, d=32, order 2 at n=1200: the taped kernel and filter peak at
+        # about 4.4 n x n arrays (s_rw, its gradient and the filter's outer products)
+        n = 1200
+        rng = np.random.default_rng(0)
+        a = Tensor(rng.normal(size=(n, 16)), requires_grad=True)
+        zx = Tensor(rng.normal(size=(n, 16)), requires_grad=True)
+        x = Tensor(rng.normal(size=(n, 32)))
+        upstream = Tensor(rng.normal(size=(n, 32)))
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            h = apply_filter_t(joint_aggregation_t(a, zx), x, FilterConfig(order=2))
+            (h * upstream).sum().backward()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (peak - base) / (8.0 * n * n) < 1.0
 
 
 class TestApplyFilter:
@@ -207,6 +288,14 @@ class TestApplyFilter:
             s, x, FilterConfig(order=2, family="high_pass")
         )
         assert np.allclose(apply_filter(s, x, cfg), manual)
+
+    def test_coefficients_are_the_expanded_polynomial(self):
+        assert filter_coefficients(FilterConfig(order=3, family="low_pass")).tolist() == [0, 0, 0, 1]
+        assert filter_coefficients(FilterConfig(order=3, family="high_pass")).tolist() == [1, -3, 3, -1]
+        # 0.3 S^2 + 0.7 (I - S)^2 and 0.8 S + 0.2 (I - S)
+        assert np.allclose(filter_coefficients(FilterConfig(order=2, hr=0.3)), [0.7, -1.4, 1.0])
+        fixed = FilterConfig(order=1, family="fixed_mix", hr=0.1, alpha=0.8)
+        assert np.allclose(filter_coefficients(fixed), [0.2, 0.6])
 
     def test_invalid_configs_rejected(self):
         with pytest.raises(ConfigError):

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy import sparse
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -57,6 +58,29 @@ class TestRandomWalkNormalize:
         a_rw = random_walk_normalize(a)
         assert np.abs(a_rw.sum(axis=1) - 1.0).max() < 1e-9
         assert np.abs(a_rw @ np.ones(n) - 1.0).max() < 1e-9
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        st.integers(min_value=0, max_value=12),
+        st.integers(min_value=0, max_value=3),
+        st.integers(min_value=0, max_value=2**31),
+    )
+    def test_csr_input_gives_the_dense_entries(self, n_linked, n_isolated, seed):
+        rng = np.random.default_rng(seed)
+        upper = np.triu(rng.random((n_linked, n_linked)) < 0.4, k=1)
+        a = np.zeros((n_linked + n_isolated,) * 2)
+        a[:n_linked, :n_linked] = upper | upper.T
+        if a.size == 0:
+            return
+        a_rw = random_walk_normalize(sparse.csr_array(a))
+        assert a_rw.format == "csr"
+        assert np.array_equal(a_rw.toarray(), random_walk_normalize(a))
+
+    def test_csr_input_rejects_what_dense_rejects(self):
+        with pytest.raises(ValueError):
+            random_walk_normalize(sparse.csr_array(np.zeros((2, 3))))
+        with pytest.raises(ValueError):
+            random_walk_normalize(sparse.csr_array(np.array([[0.0, -1.0], [-1.0, 0.0]])))
 
 
 class TestHomophilyRatio:
@@ -135,6 +159,8 @@ class TestHomophilyRatio:
             return
         p = one_hot(labels, 3)
         assert homophily_ratio(a, p) == pytest.approx(oracle_homophily_ratio(a, p), abs=1e-12)
+        # the stored entries of a CSR view come in the same row-major order
+        assert homophily_ratio(sparse.csr_array(a), p) == homophily_ratio(a, p)
 
 
 class TestTrueHomophilyReport:
@@ -185,3 +211,20 @@ class TestMultiViewGraphValidation:
             MultiViewGraph(
                 features=np.zeros((3, 2)), adjacencies=[np.zeros((2, 2))], n_clusters=1
             )
+
+
+class TestCsrViews:
+    def test_built_on_first_use_and_kept(self):
+        g = two_ratio_fixture()
+        assert "csr_adjacencies" not in vars(g)  # construction converts nothing
+        views = g.csr_adjacencies
+        assert views is g.csr_adjacencies
+        for a, csr in zip(g.adjacencies, views):
+            assert csr.format == "csr"
+            assert np.array_equal(csr.toarray(), a)
+
+    def test_homophily_ratio_reads_the_stored_entries(self):
+        g = two_ratio_fixture()
+        p = one_hot(g.labels, 3)
+        for a, csr in zip(g.adjacencies, g.csr_adjacencies):
+            assert homophily_ratio(csr, p) == homophily_ratio(a, p)

@@ -125,6 +125,9 @@ class TestHrDynamics:
         pipeline = TrainingPipeline(g, fast_config(epochs=0))
         # after bootstrap the stored hr comes from the first pseudo-labels
         assert pipeline.hr == update_hr(g, one_hot(pipeline.pseudo, g.n_clusters))
+        # the adjacency autoencoders and update_hr share the graph's CSR views
+        for adj, view in zip(pipeline.adj_input, g.csr_adjacencies):
+            assert np.shares_memory(adj.data, view.data)
         assert all(0.0 <= h <= 1.0 for h in pipeline.hr)
 
 
@@ -231,3 +234,12 @@ class TestDivergence:
         assert [rec["epoch"] for rec in partial["epochs"]] == [0]
         assert np.isfinite(partial["epochs"][0]["l_total"])
         assert partial["pretrain"] == train(g, fast_config(epochs=0)).pretrain
+
+    def test_divergence_in_the_final_clustering_names_the_last_epoch(self):
+        # epoch 0 stays finite; the final forward pass meets the overflowing
+        # kernel, after the one recorded epoch
+        g = tiny_two_view()
+        with pytest.raises(DivergenceError, match="after epoch 0") as err:
+            train(g, fast_config(epochs=1, learning_rate=1e100))
+        assert err.value.last_epoch == 0
+        assert [rec["epoch"] for rec in err.value.report.to_dict()["epochs"]] == [0]
