@@ -40,10 +40,8 @@ from .encoders import (
 from .errors import ConfigError, DataRepairWarning, DivergenceError, NumericsWarning
 from .filters import (
     FilterConfig,
-    apply_filter,
     build_joint_aggregation,
     filter_frequency_response,
-    per_view_embedding,
 )
 from .fusion import (
     evaluate_view,

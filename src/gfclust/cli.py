@@ -202,7 +202,7 @@ def cmd_spectrum(payload: dict, args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     for view, (params_x, params_a) in enumerate(pipeline.models):
         pair = EmbeddingPair(
-            z_x=encode(params_x, g.features), z_a=encode(params_a, g.adjacencies[view])
+            z_x=encode(params_x, g.features), z_a=encode(params_a, pipeline.adj_input[view])
         )
         rep_a, rep_s = compare_spectra(g, view, pair, out_dir=out)
         print(

@@ -1,9 +1,12 @@
-"""On-disk dataset format, ingestion with repair, and the synthetic generator.
+"""On-disk dataset format, ingestion, and the synthetic generator.
 
 Format: a JSON manifest pointing at a headerless comma-separated feature CSV,
 an optional one-label-per-line file, and one whitespace-separated 0-indexed
 undirected edge list per view ("i j" lines). Paths are relative to the
-manifest's directory.
+manifest's directory. Loading builds each view's sparse adjacency straight
+from its edge list, so no n x n array is formed; the one repair it makes is
+dropping self-loop lines, with a DataRepairWarning. A repeated or reversed
+line is the same undirected edge.
 """
 
 from __future__ import annotations
@@ -14,6 +17,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
+from scipy import sparse
 
 from .errors import ConfigError, DataRepairWarning
 from .graphs import MultiViewGraph
@@ -95,9 +99,13 @@ def _load_matrix(path: Path, what: str) -> np.ndarray:
     return np.asarray(rows, dtype=np.float64)
 
 
-def _load_edges(path: Path, n_nodes: int, view: int) -> np.ndarray:
-    """Dense symmetric 0/1 adjacency from an edge list, with repairs recorded."""
-    a = np.zeros((n_nodes, n_nodes))
+def _load_edges(path: Path, n_nodes: int, view: int) -> sparse.coo_array:
+    """Symmetric sparse adjacency from an edge list, with repairs recorded.
+
+    Each line stores both (i, j) and (j, i); a repeated line stores them
+    again, and ``MultiViewGraph`` collapses the repeats to one edge.
+    """
+    rows, cols = [], []
     repairs = []
     self_loops = 0
     try:
@@ -119,22 +127,22 @@ def _load_edges(path: Path, n_nodes: int, view: int) -> np.ndarray:
         if i == j:
             self_loops += 1
             continue
-        a[i, j] = 1.0
-        a[j, i] = 1.0
+        rows += (i, j)
+        cols += (j, i)
     if self_loops:
         repairs.append(f"dropped {self_loops} self-loop lines")
     if repairs:
         warnings.warn(
             f"view {view} ({path.name}): " + "; ".join(repairs), DataRepairWarning, stacklevel=3
         )
-    return a
+    return sparse.coo_array((np.ones(len(rows)), (rows, cols)), shape=(n_nodes, n_nodes))
 
 
 def load_dataset(manifest_path) -> MultiViewGraph:
-    """Load and validate a dataset; asymmetries and diagonals are repaired.
+    """Load and validate a dataset.
 
-    Adjacencies are symmetrized as max(A, A^T) with the diagonal zeroed; any
-    repair emits a DataRepairWarning rather than an error.
+    Each edge line adds one undirected edge; self-loop lines are dropped with a
+    DataRepairWarning rather than an error, and the views are stored as CSR.
     """
     manifest_path = Path(manifest_path)
     try:
@@ -168,18 +176,7 @@ def load_dataset(manifest_path) -> MultiViewGraph:
 
     adjacencies = []
     for view, graph_file in enumerate(manifest.graph_files):
-        a = _load_edges(base / graph_file, manifest.n_nodes, view)
-        if not np.isin(a, (0.0, 1.0)).all():
-            raise ValueError(f"view {view}: adjacency has non-binary entries")
-        sym = np.maximum(a, a.T)
-        np.fill_diagonal(sym, 0.0)
-        if not np.array_equal(sym, a):
-            warnings.warn(
-                f"view {view}: adjacency symmetrized / diagonal zeroed",
-                DataRepairWarning,
-                stacklevel=2,
-            )
-        adjacencies.append(sym)
+        adjacencies.append(_load_edges(base / graph_file, manifest.n_nodes, view))
 
     return MultiViewGraph(
         features=features,
@@ -202,10 +199,10 @@ def save_dataset(g: MultiViewGraph, out_dir, name: str | None = None) -> Path:
         _write_text(out_dir / label_file, "\n".join(str(int(v)) for v in g.labels))
     graph_files = []
     for view, a in enumerate(g.adjacencies):
-        rows, cols = np.nonzero(np.triu(a, k=1))
+        upper = sparse.triu(a, k=1)  # row-major, as the views are canonical CSR
         graph_files.append(f"graph_{view}.txt")
         _write_text(
-            out_dir / graph_files[-1], "\n".join(f"{i} {j}" for i, j in zip(rows, cols))
+            out_dir / graph_files[-1], "\n".join(f"{i} {j}" for i, j in zip(upper.row, upper.col))
         )
     manifest = DatasetManifest(
         name=name,
@@ -332,6 +329,7 @@ def _class_mean_matrix(spec: SyntheticSpec, rng: np.random.Generator) -> np.ndar
 def generate_synthetic(spec: SyntheticSpec) -> MultiViewGraph:
     """Draw a multi-view SBM with class-dependent Gaussian features.
 
+    Each view is drawn as a dense n x n uniform sample and kept as CSR.
     Deterministic under ``spec.seed``; raises if a view's expected edge count
     is zero.
     """
@@ -351,7 +349,7 @@ def generate_synthetic(spec: SyntheticSpec) -> MultiViewGraph:
         probs = np.where(same, p_in, p_out)
         draw = rng.random((spec.n_nodes, spec.n_nodes)) < probs
         upper = np.triu(draw, k=1)
-        adjacencies.append((upper | upper.T).astype(np.float64))
+        adjacencies.append(sparse.csr_array(upper | upper.T, dtype=np.float64))
     return MultiViewGraph(
         features=features,
         adjacencies=adjacencies,

@@ -296,12 +296,17 @@ def train_autoencoder(
     learning_rate: float,
     loss: str = "mse",
 ) -> list:
-    """Full-batch Adam on one autoencoder, in place. Returns the loss history."""
+    """Full-batch Adam on one autoencoder, in place. Returns the loss history.
+
+    The forward pass runs with numpy's overflow warnings off: an overflow
+    shows as a non-finite loss, which raises DivergenceError.
+    """
     opt = Adam(params.parameters(), lr=learning_rate)
     history = []
     for epoch in range(epochs):
         opt.zero_grad()
-        value = reconstruction_loss_t(params, data, loss=loss)
+        with np.errstate(over="ignore", invalid="ignore"):
+            value = reconstruction_loss_t(params, data, loss=loss)
         if not np.isfinite(value.data):
             raise DivergenceError(
                 f"autoencoder loss diverged at epoch {epoch}", last_epoch=epoch - 1

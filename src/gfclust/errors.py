@@ -21,7 +21,7 @@ class DivergenceError(RuntimeError):
 
 
 class DataRepairWarning(UserWarning):
-    """Raised when ingestion silently repairs a graph (symmetrization, diagonal)."""
+    """Raised when ingestion repairs a graph (dropped self-loop lines)."""
 
 
 class NumericsWarning(UserWarning):

@@ -17,27 +17,24 @@ never formed, nor is its gradient: the forward makes ``k`` block passes, the
 backward ``k - 1`` (at least one), each O(n^2 (l + d)) work with O(block * n)
 scratch for latent width ``l`` and signal width ``d``.
 ``build_joint_aggregation`` is the one place ``S`` is materialized, for the
-spectral diagnostics and tests; ``apply_filter`` is the numpy entry point.
+spectral diagnostics and tests.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .autograd import Tensor
 from .encoders import EmbeddingPair
 from .errors import ConfigError, DivergenceError, NumericsWarning
-from .graphs import MultiViewGraph, random_walk_normalize
 
 __all__ = [
     "FilterConfig",
     "build_joint_aggregation",
-    "apply_filter",
-    "per_view_embedding",
     "filter_coefficients",
     "filter_frequency_response",
 ]
@@ -276,34 +273,6 @@ def apply_filter_t(kernel, x: Tensor, cfg: FilterConfig) -> Tensor:
         y = kernel @ y
         h = h + c_p * y
     return Tensor(h)
-
-
-def apply_filter(s_rw: np.ndarray, x: np.ndarray, cfg: FilterConfig) -> np.ndarray:
-    """Filter a node signal with the configured family and order."""
-    s_rw = np.asarray(s_rw, dtype=np.float64)
-    x = np.asarray(x, dtype=np.float64)
-    if s_rw.ndim != 2 or s_rw.shape[0] != s_rw.shape[1]:
-        raise ValueError(f"kernel must be square, got {s_rw.shape}")
-    if x.shape[0] != s_rw.shape[0]:
-        raise ValueError(f"signal rows {x.shape[0]} do not match kernel size {s_rw.shape[0]}")
-    return apply_filter_t(s_rw, Tensor(x), cfg).data
-
-
-def per_view_embedding(
-    g: MultiViewGraph,
-    view: int,
-    pair: EmbeddingPair,
-    hr_v: float,
-    cfg: FilterConfig,
-) -> np.ndarray:
-    """One view's filtered node embedding on the shared feature matrix."""
-    if not 0.0 <= hr_v <= 1.0:
-        raise ConfigError("hr_v must lie in [0, 1]")
-    if cfg.matrix_source == "raw_adjacency":
-        kernel = random_walk_normalize(g.csr_adjacencies[view])
-    else:
-        kernel = joint_aggregation_t(Tensor(pair.z_a), Tensor(pair.z_x))
-    return apply_filter_t(kernel, Tensor(g.features), replace(cfg, hr=hr_v)).data
 
 
 def filter_frequency_response(cfg: FilterConfig, lambdas: np.ndarray | None = None):

@@ -110,7 +110,7 @@ def fuse_views(embeddings: list, rho: float):
 def update_hr(g: MultiViewGraph, pseudo_one_hot: np.ndarray) -> list:
     """Per-view homophily ratio under the current pseudo-labels, from the CSR views."""
     pseudo = check_one_hot(pseudo_one_hot)
-    return [homophily_ratio(a, pseudo) for a in g.csr_adjacencies]
+    return [homophily_ratio(a, pseudo) for a in g.adjacencies]
 
 
 def soft_assignment_t(h: Tensor, centers: np.ndarray) -> Tensor:

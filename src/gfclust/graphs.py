@@ -1,9 +1,11 @@
 """Multi-view graph containers, random-walk normalization and homophily.
 
-``random_walk_normalize`` returns the row-stochastic walk matrix ``D^-1 A``
-alone, CSR for CSR input; no Laplacian is formed. A graph keeps its views
-dense and builds CSR copies (``MultiViewGraph.csr_adjacencies``) on first use,
-so ``homophily_ratio`` and the training passes read the O(|E|) edge lists.
+A graph stores each view once, as a canonical float64 CSR array (sorted
+indices, no duplicates, no stored zeros, every stored entry 1), whatever form
+it was built from, so ``homophily_ratio``, ``random_walk_normalize`` and the
+training passes read the O(|E|) edge lists. Both take a dense matrix too and
+convert it on entry. ``random_walk_normalize`` returns the row-stochastic
+walk matrix ``D^-1 A`` alone, as CSR; no Laplacian is formed.
 
 Label one-hots are plain ``(n, c)`` float arrays with exactly one 1 per row;
 ``one_hot`` / ``check_one_hot`` build and validate them.
@@ -12,7 +14,6 @@ Label one-hots are plain ``(n, c)`` float arrays with exactly one 1 per row;
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 from scipy import sparse
@@ -31,9 +32,11 @@ __all__ = [
 class MultiViewGraph:
     """Shared node features plus one binary adjacency per view.
 
-    Invariants (checked on construction): every adjacency is square, symmetric,
-    binary with a zero diagonal and matches the feature row count; labels, when
-    present, are integers in ``[0, n_clusters)``.
+    Each view may be given dense or as any scipy sparse array and is stored as
+    canonical CSR (``_canonical_view``). Invariants (checked on construction):
+    every adjacency is square, symmetric, binary with a zero diagonal and
+    matches the feature row count; labels, when present, are integers in
+    ``[0, n_clusters)``.
     """
 
     features: np.ndarray
@@ -50,20 +53,7 @@ class MultiViewGraph:
         n = features.shape[0]
         if not self.adjacencies:
             raise ValueError("at least one view adjacency is required")
-        adjacencies = []
-        for v, a in enumerate(self.adjacencies):
-            a = np.asarray(a, dtype=np.float64)
-            if a.shape != (n, n):
-                raise ValueError(
-                    f"view {v}: adjacency shape {a.shape} does not match {n} nodes"
-                )
-            if not np.array_equal(a, a.T):
-                raise ValueError(f"view {v}: adjacency is not symmetric")
-            if np.trace(np.abs(a)) != 0:
-                raise ValueError(f"view {v}: adjacency has self-loops")
-            if not np.isin(a, (0.0, 1.0)).all():
-                raise ValueError(f"view {v}: adjacency entries must be 0 or 1")
-            adjacencies.append(a)
+        adjacencies = [_canonical_view(a, n, v) for v, a in enumerate(self.adjacencies)]
         object.__setattr__(self, "adjacencies", adjacencies)
         if self.n_clusters < 1:
             raise ValueError("n_clusters must be >= 1")
@@ -87,10 +77,31 @@ class MultiViewGraph:
     def n_views(self) -> int:
         return len(self.adjacencies)
 
-    @cached_property
-    def csr_adjacencies(self) -> list:
-        """The views as CSR arrays, built on first use and kept with the graph."""
-        return [sparse.csr_array(a) for a in self.adjacencies]
+
+def _canonical_view(a, n: int, v: int) -> sparse.csr_array:
+    """View ``v`` as canonical float64 CSR over ``n`` nodes.
+
+    Explicit zeros are dropped and repeated entries of a sparse input collapse
+    to one edge; the index dtype is the one ``sparse.csr_array`` gives a dense
+    input, so the stored arrays do not depend on the form the view came in.
+    """
+    coo = sparse.coo_array(a, dtype=np.float64)
+    if coo.shape != (n, n):
+        raise ValueError(f"view {v}: adjacency shape {coo.shape} does not match {n} nodes")
+    coo.eliminate_zeros()
+    binary = not (coo.data != 1).any()
+    csr = coo.tocsr()  # sorts the indices and sums repeated entries
+    index = np.int32 if max(n, csr.nnz) <= np.iinfo(np.int32).max else np.int64
+    a = sparse.csr_array(
+        (np.ones(csr.nnz), csr.indices.astype(index), csr.indptr.astype(index)), shape=(n, n)
+    )
+    if (a != a.T).nnz:
+        raise ValueError(f"view {v}: adjacency is not symmetric")
+    if a.diagonal().any():
+        raise ValueError(f"view {v}: adjacency has self-loops")
+    if not binary:
+        raise ValueError(f"view {v}: adjacency entries must be 0 or 1")
+    return a
 
 
 def one_hot(labels, n_classes: int) -> np.ndarray:
@@ -116,35 +127,22 @@ def random_walk_normalize(a):
     """Degree-normalize an affinity matrix into the row-stochastic ``a_rw = D^-1 A``.
 
     Rows of isolated nodes become one-hot self rows (a forced self-loop), which
-    keeps every row summing to 1. A scipy sparse input gives a CSR result with
-    the same entries as the dense form; a dense input gives a dense array.
+    keeps every row summing to 1. The result is CSR; a dense input is
+    converted first.
 
     Raises:
         ValueError: non-square input or negative entries.
     """
-    if sparse.issparse(a):
-        a_rw = sparse.csr_array(a, dtype=np.float64, copy=True)
-        values = a_rw.data
-    else:
-        a_rw = np.asarray(a, dtype=np.float64)
-        values = a_rw
+    a_rw = sparse.csr_array(a, dtype=np.float64, copy=True)
     if a_rw.ndim != 2 or a_rw.shape[0] != a_rw.shape[1]:
         raise ValueError(f"adjacency must be square, got shape {a_rw.shape}")
-    if (values < 0).any():
+    if (a_rw.data < 0).any():
         raise ValueError("adjacency entries must be nonnegative")
-    degrees = np.asarray(a_rw.sum(axis=1)).ravel()
+    degrees = a_rw.sum(axis=1)
     isolated = degrees == 0
-    scale = np.where(isolated, 1.0, degrees)
-    if sparse.issparse(a_rw):
-        # an isolated row stores no nonzero, so its self-loop is added as a diagonal
-        a_rw.data /= np.repeat(scale, np.diff(a_rw.indptr))
-        return (a_rw + sparse.diags_array(isolated.astype(np.float64))).tocsr()
-    # an isolated row is all zeros, so dividing it by 1 and setting its diagonal
-    # gives the forced self-loop
-    a_rw = a_rw / scale[:, None]
-    isolated = np.flatnonzero(isolated)
-    a_rw[isolated, isolated] = 1.0
-    return a_rw
+    # an isolated row stores no nonzero, so its self-loop is added as a diagonal
+    a_rw.data /= np.repeat(np.where(isolated, 1.0, degrees), np.diff(a_rw.indptr))
+    return (a_rw + sparse.diags_array(isolated.astype(np.float64))).tocsr()
 
 
 def homophily_ratio(a, labels_one_hot: np.ndarray) -> float:
@@ -152,14 +150,14 @@ def homophily_ratio(a, labels_one_hot: np.ndarray) -> float:
 
     Computed over the nonzero off-diagonal entries only, so a stored without
     self-loops gives the same value as the self-loop-carrying formulation
-    minus identity. A scipy sparse ``a`` is read through its stored entries,
-    O(|E|); a dense one is scanned for its nonzeros first.
+    minus identity. ``a`` is read through its stored entries, O(|E|), in
+    row-major order; a dense one is converted to them first.
 
     Raises:
         ValueError: the graph has no edges (the ratio is undefined).
     """
     p = check_one_hot(labels_one_hot)
-    edges = sparse.coo_array(a if sparse.issparse(a) else np.asarray(a, dtype=np.float64))
+    edges = sparse.coo_array(a, dtype=np.float64)
     if edges.shape[0] != edges.shape[1] or edges.shape[0] != p.shape[0]:
         raise ValueError("adjacency and labels disagree on the node count")
     off = edges.row != edges.col
@@ -177,4 +175,4 @@ def true_homophily_report(g: MultiViewGraph) -> list:
     if g.labels is None:
         raise ValueError("graph has no ground-truth labels")
     encoded = one_hot(g.labels, g.n_clusters)
-    return [homophily_ratio(a, encoded) for a in g.csr_adjacencies]
+    return [homophily_ratio(a, encoded) for a in g.adjacencies]

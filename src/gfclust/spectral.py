@@ -79,7 +79,7 @@ def compare_spectra(
     Returns ``(adjacency_report, joint_report)``; when ``out_dir`` is given,
     each report is also written as an eigenvalue CSV plus summary JSON.
     """
-    a_rw = random_walk_normalize(g.adjacencies[view])
+    a_rw = random_walk_normalize(g.adjacencies[view]).toarray()
     s_rw = build_joint_aggregation(pair)
     rep_a = spectrum(a_rw, symmetrize=True, tag="adjacency_rw")
     rep_s = spectrum(s_rw, symmetrize=True, tag="joint_aggregation_rw")

@@ -3,10 +3,11 @@
 The per-epoch objective is assembled as one differentiable graph
 (reconstruction + KL alignment) whose gradients reach the encoder parameters
 through the joint aggregation kernel, the hybrid filter and the fusion weights.
-Each view's adjacency is converted once to the form its autoencoder takes
-(``adjacency_input``): CSR under the default MSE, whose reconstruction term is
-the factored ``adjacency_mse_t`` on the ``z_a`` the epoch already encoded, so
-no n x n decode is formed; a dense array under BCE, which decodes densely.
+Each view's adjacency is handed once to its autoencoder in the form it takes
+(``adjacency_input``): the graph's own CSR view under the default MSE, whose
+reconstruction term is the factored ``adjacency_mse_t`` on the ``z_a`` the
+epoch already encoded, so no n x n decode is formed; a dense copy under BCE,
+which decodes densely.
 Each view's kernel and hybrid filter are one autograd op: ``joint_aggregation_t``
 returns the factored kernel and ``apply_filter_t`` evaluates the filter
 polynomial on it in row blocks of the Gram matrix ``z_a (z_x^T z_x) z_a^T``,
@@ -14,8 +15,8 @@ O(n^2 (l + d)) per product, so no n x n array is formed in the joint epochs
 and the kernel's gradients are kept at every size. ``detach_s`` is an
 explicit choice, off by default: set, it cuts the kernel out of the tape and
 the op runs forward only. The ``raw_adjacency`` ablation filters with the
-CSR walk matrix of each view, a constant. The graph's CSR views are built on
-first use here, never at load time, and serve ``update_hr`` too.
+CSR walk matrix of each view, a constant. ``update_hr`` reads the same CSR
+views.
 Pseudo-labels, homophily ratios and cluster centers are constants between
 refreshes. ``TrainingPipeline`` owns the whole run: pretraining and the
 bootstrap clustering on construction, then ``fit`` runs the joint epochs with
@@ -148,12 +149,10 @@ class TrainingPipeline:
         enc_seq, self._kmeans_seq = self._ss.spawn(2)
 
         self.x_const = Tensor(g.features)
-        loss = cfg.encoder.adjacency_loss
-        views = g.adjacencies if loss == "bce" else g.csr_adjacencies
-        self.adj_input = [adjacency_input(a, loss) for a in views]
+        self.adj_input = [adjacency_input(a, cfg.encoder.adjacency_loss) for a in g.adjacencies]
         self.a_rw = None
         if cfg.filter.matrix_source == "raw_adjacency":
-            self.a_rw = [random_walk_normalize(a) for a in g.csr_adjacencies]
+            self.a_rw = [random_walk_normalize(a) for a in g.adjacencies]
 
         self.models = []
         self.pretrain_history = []

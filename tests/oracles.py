@@ -151,3 +151,17 @@ def oracle_homophily_ratio(a, labels_one_hot):
     p = np.asarray(labels_one_hot, dtype=np.float64)
     off = ~np.eye(a.shape[0], dtype=bool)
     return float((a * (p @ p.T) * off).sum() / (a * off).sum())
+
+
+def oracle_random_walk_normalize(a):
+    """Dense ``D^-1 A`` with one-hot self rows for isolated nodes, the reference
+    for the CSR ``gfclust.graphs.random_walk_normalize``."""
+    a = np.asarray(a, dtype=np.float64)
+    degrees = a.sum(axis=1)
+    isolated = degrees == 0
+    # an isolated row is all zeros, so dividing it by 1 and setting its diagonal
+    # gives the forced self-loop
+    a_rw = a / np.where(isolated, 1.0, degrees)[:, None]
+    isolated = np.flatnonzero(isolated)
+    a_rw[isolated, isolated] = 1.0
+    return a_rw

@@ -13,7 +13,7 @@ from gfclust import (
 )
 
 from helpers import ratio_graph, two_ratio_fixture
-from oracles import oracle_homophily_ratio
+from oracles import oracle_homophily_ratio, oracle_random_walk_normalize
 
 
 def path3():
@@ -22,23 +22,23 @@ def path3():
 
 class TestRandomWalkNormalize:
     def test_path_graph_rows(self):
-        a_rw = random_walk_normalize(path3())
+        a_rw = random_walk_normalize(path3()).toarray()
         # D = diag(1, 2, 1)
         assert np.allclose(a_rw[1], [0.5, 0.0, 0.5])
         assert np.allclose(a_rw[0], [0.0, 1.0, 0.0])
         assert np.allclose(a_rw[2], [0.0, 1.0, 0.0])
 
     def test_identity_only_graph_with_self_loops(self):
-        assert np.array_equal(random_walk_normalize(np.eye(4)), np.eye(4))
+        assert np.array_equal(random_walk_normalize(np.eye(4)).toarray(), np.eye(4))
 
     def test_two_node_single_edge(self):
         a_rw = random_walk_normalize(np.array([[0.0, 1.0], [1.0, 0.0]]))
-        assert np.array_equal(a_rw, [[0.0, 1.0], [1.0, 0.0]])
+        assert np.array_equal(a_rw.toarray(), [[0.0, 1.0], [1.0, 0.0]])
 
     def test_isolated_node_gets_self_row(self):
         a = np.zeros((3, 3))
         a[0, 1] = a[1, 0] = 1.0
-        a_rw = random_walk_normalize(a)
+        a_rw = random_walk_normalize(a).toarray()
         assert np.allclose(a_rw[2], [0.0, 0.0, 1.0])
 
     def test_non_square_rejected(self):
@@ -74,7 +74,8 @@ class TestRandomWalkNormalize:
             return
         a_rw = random_walk_normalize(sparse.csr_array(a))
         assert a_rw.format == "csr"
-        assert np.array_equal(a_rw.toarray(), random_walk_normalize(a))
+        assert np.array_equal(a_rw.toarray(), oracle_random_walk_normalize(a))
+        assert (random_walk_normalize(a) != a_rw).nnz == 0
 
     def test_csr_input_rejects_what_dense_rejects(self):
         with pytest.raises(ValueError):
@@ -183,21 +184,32 @@ class TestTrueHomophilyReport:
             true_homophily_report(unlabeled)
 
 
+def build_graph(features, view, **kwargs):
+    return MultiViewGraph(features=features, adjacencies=[view], **kwargs)
+
+
+def both_forms(a):
+    """A dense view and the same view as CSR."""
+    return [a, sparse.csr_array(a)]
+
+
 class TestMultiViewGraphValidation:
     def test_rejects_asymmetric(self):
         a = np.zeros((3, 3))
         a[0, 1] = 1.0
-        with pytest.raises(ValueError, match="symmetric"):
-            MultiViewGraph(features=np.zeros((3, 2)), adjacencies=[a], n_clusters=2)
+        for view in both_forms(a):
+            with pytest.raises(ValueError, match="symmetric"):
+                build_graph(np.zeros((3, 2)), view, n_clusters=2)
 
     def test_rejects_self_loops(self):
-        with pytest.raises(ValueError, match="self-loops"):
-            MultiViewGraph(features=np.zeros((2, 2)), adjacencies=[np.eye(2)], n_clusters=2)
+        for view in both_forms(np.eye(2)):
+            with pytest.raises(ValueError, match="self-loops"):
+                build_graph(np.zeros((2, 2)), view, n_clusters=2)
 
     def test_rejects_nonbinary(self):
-        a = np.array([[0.0, 0.5], [0.5, 0.0]])
-        with pytest.raises(ValueError, match="0 or 1"):
-            MultiViewGraph(features=np.zeros((2, 2)), adjacencies=[a], n_clusters=2)
+        for view in both_forms(np.array([[0.0, 0.5], [0.5, 0.0]])):
+            with pytest.raises(ValueError, match="0 or 1"):
+                build_graph(np.zeros((2, 2)), view, n_clusters=2)
 
     def test_rejects_label_out_of_range(self):
         a = np.array([[0.0, 1.0], [1.0, 0.0]])
@@ -207,24 +219,53 @@ class TestMultiViewGraphValidation:
             )
 
     def test_rejects_view_size_mismatch(self):
-        with pytest.raises(ValueError, match="does not match"):
-            MultiViewGraph(
-                features=np.zeros((3, 2)), adjacencies=[np.zeros((2, 2))], n_clusters=1
-            )
+        for view in both_forms(np.zeros((2, 2))):
+            with pytest.raises(ValueError, match="does not match"):
+                build_graph(np.zeros((3, 2)), view, n_clusters=1)
 
 
-class TestCsrViews:
-    def test_built_on_first_use_and_kept(self):
-        g = two_ratio_fixture()
-        assert "csr_adjacencies" not in vars(g)  # construction converts nothing
-        views = g.csr_adjacencies
-        assert views is g.csr_adjacencies
-        for a, csr in zip(g.adjacencies, views):
-            assert csr.format == "csr"
-            assert np.array_equal(csr.toarray(), a)
+def assert_same_storage(a, b):
+    assert a.format == b.format == "csr"
+    for name in ("indptr", "indices", "data"):
+        x, y = getattr(a, name), getattr(b, name)
+        assert x.dtype == y.dtype and np.array_equal(x, y), name
 
-    def test_homophily_ratio_reads_the_stored_entries(self):
-        g = two_ratio_fixture()
-        p = one_hot(g.labels, 3)
-        for a, csr in zip(g.adjacencies, g.csr_adjacencies):
-            assert homophily_ratio(csr, p) == homophily_ratio(a, p)
+
+def stored_view(view):
+    n = view.shape[0]
+    return build_graph(np.zeros((n, 1)), view, n_clusters=1).adjacencies[0]
+
+
+class TestCanonicalViews:
+    def test_repeated_entries_collapse_to_one_edge(self):
+        rows, cols = [0, 1, 0, 1, 1, 2], [1, 0, 1, 0, 2, 1]
+        repeated = sparse.coo_array((np.ones(6), (rows, cols)), shape=(3, 3))
+        assert_same_storage(stored_view(repeated), stored_view(path3()))
+
+    def test_stored_zeros_are_dropped(self):
+        rows, cols = [0, 1, 1, 2, 0, 2], [1, 0, 2, 1, 2, 0]
+        padded = sparse.csr_array(([1.0, 1.0, 1.0, 1.0, 0.0, 0.0], (rows, cols)), shape=(3, 3))
+        assert padded.nnz == 6
+        assert_same_storage(stored_view(padded), stored_view(path3()))
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        st.integers(min_value=1, max_value=15),
+        st.sampled_from([np.int32, np.int64]),
+        st.integers(min_value=0, max_value=2**31),
+    )
+    def test_dense_and_sparse_input_store_the_same_arrays(self, n, index, seed):
+        rng = np.random.default_rng(seed)
+        upper = np.triu(rng.random((n, n)) < rng.random(), k=1)
+        a = (upper | upper.T).astype(float)
+        rows, cols = np.nonzero(a)
+        order = rng.permutation(rows.size)  # unsorted entries
+        coo = sparse.coo_array(
+            (np.ones(rows.size), (rows[order].astype(index), cols[order].astype(index))),
+            shape=(n, n),
+        )
+        dense = stored_view(a)
+        assert dense.has_sorted_indices
+        assert dense.indices.dtype == sparse.csr_array(a).indices.dtype
+        for view in (sparse.csr_array(a), coo, coo.tocsc()):
+            assert_same_storage(stored_view(view), dense)

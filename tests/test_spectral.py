@@ -12,7 +12,7 @@ def symmetric_stochastic(n, rng):
     upper = np.triu(rng.random((n, n)) < 0.5, k=1)
     a = (upper | upper.T).astype(float)
     # regularize so every node has the same degree-ish structure via self loops
-    return random_walk_normalize(a + np.eye(n))
+    return random_walk_normalize(a + np.eye(n)).toarray()
 
 
 class TestSpectrum:
