@@ -7,6 +7,15 @@ Only the ops needed by this package are implemented: elementwise arithmetic
 with broadcasting, matmul, tanh/exp/log/sqrt, powers, maxima, reductions and
 transpose, plus ``sparse_matmul`` for a constant scipy sparse left operand.
 Everything is float64 and 0-d/1-d/2-d shaped.
+
+The tape lives as long as its root: a node holds its parents and its
+backward closure, nothing holds a node's consumers, so dropping the last
+reference to a loss frees its whole graph. Composite steps that would keep
+many large intermediates are single ops built on ``Tensor._from_op`` with a
+hand-written backward that keeps or recomputes only what it needs: the
+encoder layer (``encoders._layer``), the kernel and filter
+(``filters._joint_filter_t``) and the view fusion (``fusion.fuse_views_t``).
+``Adam.step`` updates its moments and the parameters in place.
 """
 
 from __future__ import annotations
@@ -310,7 +319,13 @@ def zero_grads(params) -> None:
 
 
 class Adam:
-    """Adam with bias-corrected first/second moment estimates (full batch)."""
+    """Adam with bias-corrected first/second moment estimates (full batch).
+
+    ``step`` updates the moments in place and stages its temporaries in one
+    scratch buffer, two views the size of the largest parameter, so a step
+    allocates nothing; each value is rounded as in the textbook expression
+    ``p -= lr * (m / c1) / (sqrt(v / c2) + eps)``.
+    """
 
     def __init__(self, params, lr: float = 1e-3, betas=(0.9, 0.999), eps: float = 1e-8):
         self.params = list(params)
@@ -320,6 +335,7 @@ class Adam:
         self.t = 0
         self._m = [np.zeros_like(p.data) for p in self.params]
         self._v = [np.zeros_like(p.data) for p in self.params]
+        self._scratch = np.empty(2 * max((p.data.size for p in self.params), default=0))
 
     def zero_grad(self):
         zero_grads(self.params)
@@ -327,12 +343,24 @@ class Adam:
     def step(self):
         self.t += 1
         b1, b2 = self.beta1, self.beta2
-        for i, p in enumerate(self.params):
+        c1, c2 = 1.0 - b1 ** self.t, 1.0 - b2 ** self.t
+        for p, m, v in zip(self.params, self._m, self._v):
             if p.grad is None:
                 continue
             g = p.grad
-            self._m[i] = b1 * self._m[i] + (1.0 - b1) * g
-            self._v[i] = b2 * self._v[i] + (1.0 - b2) * (g * g)
-            m_hat = self._m[i] / (1.0 - b1 ** self.t)
-            v_hat = self._v[i] / (1.0 - b2 ** self.t)
-            p.data -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+            size = p.data.size
+            num = self._scratch[:size].reshape(p.data.shape)
+            den = self._scratch[size:2 * size].reshape(p.data.shape)
+            m *= b1
+            m += np.multiply(g, 1.0 - b1, out=num)
+            v *= b2
+            np.multiply(g, g, out=den)
+            den *= 1.0 - b2
+            v += den
+            np.divide(v, c2, out=den)
+            np.sqrt(den, out=den)
+            den += self.eps
+            np.divide(m, c1, out=num)
+            num *= self.lr
+            num /= den
+            p.data -= num

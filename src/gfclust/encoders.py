@@ -1,11 +1,14 @@
 """Per-view feature/adjacency autoencoders with full-batch Adam training.
 
-An autoencoder's input is a dense array or a scipy sparse matrix; a sparse
-input enters the first layer through ``sparse_matmul``. The adjacency
-autoencoder takes its graph as CSR (``adjacency_input``) and, under the
-default MSE loss, is scored by ``adjacency_mse_t``: an exact expansion of
-``mean((H W + 1 b^T - A)^2)`` over the decoder's last hidden layer ``H`` that
-costs O(n h^2 + |E| h) and never forms the n x n decode. Binary
+Each layer ``act(x @ W + b)`` is one autograd op that keeps only its output:
+the bias and the activation are applied in place, and the backward takes the
+activation's slope from that output. An autoencoder's input is a dense array
+or a scipy sparse matrix, which the first layer multiplies directly. A
+training epoch's tape is freed before the next epoch builds its own. The
+adjacency autoencoder takes its graph as CSR (``adjacency_input``) and,
+under the default MSE loss, is scored by ``adjacency_mse_t``: an exact
+expansion of ``mean((H W + 1 b^T - A)^2)`` over the decoder's last hidden
+layer ``H`` that costs O(n h^2 + |E| h) and never forms the n x n decode. Binary
 cross-entropy (``adjacency_loss="bce"``) is the dense path: a dense input, a
 dense decode and a dense target. The feature autoencoder stays dense, since
 its d columns make the decode the cheaper form.
@@ -143,29 +146,50 @@ def init_autoencoder(
     return AutoEncoderParams(encoder_layers=encoder, decoder_layers=decoder, activation=activation)
 
 
-def _activate(h: Tensor, activation: str) -> Tensor:
+def _layer(x, w: Tensor, b: Tensor, activation: str) -> Tensor:
+    """``act(x @ w + b)`` as one op that keeps only its output; ``x`` may be sparse.
+
+    The bias and the activation are applied in place on the product, and the
+    backward takes the activation's slope from the output: ``1 - out^2`` for
+    tanh, ``out > 0`` for relu. The values and gradients are those of the
+    taped ``act((x @ w) + b)``.
+    """
+    if sparse.issparse(x):
+        x_data, parents = x, (w, b)
+    else:
+        x = as_tensor(x)
+        x_data, parents = x.data, (x, w, b)
+    out = np.asarray(x_data @ w.data)
+    out += b.data
     if activation == "tanh":
-        return h.tanh()
-    if activation == "relu":
-        return h.relu()
-    return h
+        np.tanh(out, out=out)
+    elif activation == "relu":
+        np.multiply(out, out > 0.0, out=out)
 
+    def backward(grad):
+        if activation == "tanh":
+            grad = grad * (1.0 - out * out)
+        elif activation == "relu":
+            grad = grad * (out > 0.0)
+        grads = (np.asarray(x_data.T @ grad), grad.sum(axis=0))
+        if len(parents) == 2:
+            return grads
+        return (grad @ w.data.T if x.requires_grad else None, *grads)
 
-def _linear(h, w: Tensor, b: Tensor) -> Tensor:
-    return (sparse_matmul(h, w) if sparse.issparse(h) else as_tensor(h) @ w) + b
+    return Tensor._from_op(out, parents, backward)
 
 
 def _hidden_forward(layers, activation: str, x) -> Tensor:
     """Every layer of ``layers`` with its activation; ``x`` may be sparse."""
     h = x
     for w, b in layers:
-        h = _activate(_linear(h, w, b), activation)
+        h = _layer(h, w, b, activation)
     return h
 
 
 def _stack_forward(layers, activation: str, x) -> Tensor:
     *hidden, (w, b) = layers
-    return _linear(_hidden_forward(hidden, activation, x), w, b)
+    return _layer(_hidden_forward(hidden, activation, x), w, b, "linear")
 
 
 def encode_t(params: AutoEncoderParams, x) -> Tensor:
@@ -302,19 +326,19 @@ def train_autoencoder(
     shows as a non-finite loss, which raises DivergenceError.
     """
     opt = Adam(params.parameters(), lr=learning_rate)
-    history = []
-    for epoch in range(epochs):
-        opt.zero_grad()
-        with np.errstate(over="ignore", invalid="ignore"):
-            value = reconstruction_loss_t(params, data, loss=loss)
-        if not np.isfinite(value.data):
-            raise DivergenceError(
-                f"autoencoder loss diverged at epoch {epoch}", last_epoch=epoch - 1
-            )
-        value.backward()
-        opt.step()
-        history.append(float(value.data))
-    return history
+    return [_train_step(params, opt, data, loss, epoch) for epoch in range(epochs)]
+
+
+def _train_step(params: AutoEncoderParams, opt: Adam, data, loss: str, epoch: int) -> float:
+    """One Adam step on the reconstruction loss; the epoch's tape is freed on return."""
+    opt.zero_grad()
+    with np.errstate(over="ignore", invalid="ignore"):
+        value = reconstruction_loss_t(params, data, loss=loss)
+    if not np.isfinite(value.data):
+        raise DivergenceError(f"autoencoder loss diverged at epoch {epoch}", last_epoch=epoch - 1)
+    value.backward()
+    opt.step()
+    return float(value.data)
 
 
 def pretrain_view(x: np.ndarray, a: np.ndarray, config: EncoderConfig):

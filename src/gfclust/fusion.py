@@ -3,11 +3,19 @@
 Training runs the Tensor functions (``*_t``); the numpy entry points
 ``evaluate_view``, ``fuse_views``, ``soft_assignment`` and ``kl_divergence``
 are thin wrappers over them, so each quantity has one implementation.
+
+``fuse_views_t`` is one autograd op with a replaying backward (checkpointed
+reverse mode): the forward runs the fixed-point rounds in numpy and keeps
+only each round's scalars, and the backward recomputes each round's
+consensus from its weights while it walks the rounds in reverse. No round
+leaves an n x d array on the tape, and the gradient is that of the unrolled
+iteration.
 """
 
 from __future__ import annotations
 
 import warnings
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -49,6 +57,79 @@ def evaluate_view(h_v: np.ndarray, h_bar: np.ndarray) -> float:
     return float(evaluate_view_t(Tensor(h_v), Tensor(h_bar)).data)
 
 
+@dataclass(frozen=True)
+class _Round:
+    """The scalars one fixed-point round leaves for the backward replay."""
+
+    before: list  # weights the round's consensus was combined with
+    evas: list  # view similarities to that consensus
+    choice: int  # view whose similarity the max chain returned
+    raw: list  # (relu(eva) / top) ** rho per view
+    total: float  # sum of raw
+
+
+def _combine(weights, hs: list) -> np.ndarray:
+    """``sum_v w_v h_v``, added in view order."""
+    out = weights[0] * hs[0]
+    for w, h in zip(weights[1:], hs[1:]):
+        out += w * h
+    return out
+
+
+def _max_chain(evas: list) -> int:
+    """The view ``max(max(e_0, e_1), e_2)...`` returns; a tie keeps the left operand."""
+    choice = 0
+    for v in range(1, len(evas)):
+        if not evas[choice] >= evas[v]:
+            choice = v
+    return choice
+
+
+def _pow_slope(base, p: float):
+    """d base**p / d base, with the subgradient 0 at base 0 when p < 1."""
+    if p < 1.0 and not base > 0.0:
+        return 0.0
+    return p * np.asarray(base) ** (p - 1.0)
+
+
+def _similarity_grads(rd: _Round, gw: list, rho: float) -> list:
+    """Gradients of the round's similarities from those of its new weights.
+
+    Backward through ``w_v = raw_v / total``, ``raw_v = (relu(e_v) / top) **
+    rho`` and ``top = max chain of e``.
+    """
+    top = rd.evas[rd.choice]
+    g_total = 0.0
+    for g, raw in zip(gw, rd.raw):
+        g_total -= g * raw / (rd.total * rd.total)
+    g_evas, g_top = [], 0.0
+    for g, raw, e in zip(gw, rd.raw, rd.evas):
+        relu = e * (e > 0.0)
+        g_q = (g / rd.total + g_total) * _pow_slope(relu / top, rho)
+        g_top -= g_q * relu / (top * top)
+        g_evas.append(g_q / top * (e > 0.0))
+    # top cancels from the normalized weights, so g_top is rounding noise; it
+    # is kept so the replay rounds as the taped max does
+    g_evas[rd.choice] += g_top
+    return g_evas
+
+
+def _similarity_backward(g_e, h: np.ndarray, h_bar: np.ndarray, norm_bar: np.ndarray):
+    """Gradients of ``g_e * evaluate_view_t(h, h_bar)`` w.r.t. ``h`` and ``h_bar``.
+
+    Row i of the mean contributes ``cos_i = <h_i, b_i> / (|h_i| |b_i|)``, whose
+    gradient is ``b_i / (|h_i| |b_i|) - cos_i h_i / |h_i|^2`` for ``h_i`` and
+    the mirror image for ``b_i``; the norms carry the same 1e-30 guard.
+    """
+    norm = np.sqrt((h * h).sum(axis=1) + 1e-30)
+    c = g_e / h.shape[0]
+    inv = 1.0 / (norm * norm_bar)
+    c_cos = c * (h * h_bar).sum(axis=1) * inv
+    g_h = (c * inv)[:, None] * h_bar - (c_cos / (norm * norm))[:, None] * h
+    g_bar = (c * inv)[:, None] * h - (c_cos / (norm_bar * norm_bar))[:, None] * h_bar
+    return g_h, g_bar
+
+
 def fuse_views_t(embeddings: list, rho: float, tol: float = _FUSE_TOL, max_rounds: int = _FUSE_MAX_ROUNDS):
     """Fixed-point view weighting; returns (scalar weight tensors, consensus tensor).
 
@@ -56,45 +137,70 @@ def fuse_views_t(embeddings: list, rho: float, tol: float = _FUSE_TOL, max_round
     w_v = (eva_v / max eva)^rho renormalized to sum 1 until the largest weight
     change drops below ``tol``. Negative similarities are clamped to zero; if
     no view has positive similarity the weights fall back to uniform.
+
+    The consensus is one op: the forward runs the rounds in numpy and keeps
+    only their scalars (``_Round``), and the backward replays them in reverse,
+    recomputing each round's consensus from the weights it was combined with.
+    That is the gradient of the unrolled iteration, with the subgradients the
+    taped ops take: the relu mask ``e > 0``, a tie in the max going to the left
+    operand, and 0 for ``x ** p`` at ``x = 0`` when ``p < 1``. The weights come
+    back as constants; the uniform fallback's consensus depends on the views
+    only through its plain mean.
     """
     n_views = len(embeddings)
     if n_views < 1:
         raise ValueError("fuse_views needs at least one view")
-    uniform = [Tensor(1.0 / n_views) for _ in range(n_views)]
-
-    def combine(ws):
-        out = ws[0] * embeddings[0]
-        for w, h in zip(ws[1:], embeddings[1:]):
-            out = out + w * h
-        return out
-
-    weights = uniform
-    h_bar = combine(weights)
+    hs = [h.data for h in embeddings]
+    uniform = [np.asarray(1.0 / n_views)] * n_views
+    weights, rounds = uniform, []
+    h_bar = _combine(weights, hs)
     for _ in range(max_rounds):
-        evas = [evaluate_view_t(h, h_bar) for h in embeddings]
-        top = evas[0]
-        for e in evas[1:]:
-            top = top.maximum(e)
-        if top.data <= 0.0:
+        evas = [evaluate_view_t(Tensor(h), Tensor(h_bar)).data for h in hs]
+        choice = _max_chain(evas)
+        top = evas[choice]
+        if top <= 0.0:
             warnings.warn(
                 "all view similarities are <= 0; falling back to uniform weights",
                 NumericsWarning,
                 stacklevel=2,
             )
-            weights = uniform
-            h_bar = combine(weights)
+            weights, rounds = uniform, []
+            h_bar = _combine(weights, hs)
             break
-        raw = [(e.relu() / top) ** rho for e in evas]
+        raw = [np.asarray(e * (e > 0.0) / top) ** float(rho) for e in evas]
         total = raw[0]
         for w in raw[1:]:
             total = total + w
         new_weights = [w / total for w in raw]
-        delta = max(abs(float(nw.data) - float(w.data)) for nw, w in zip(new_weights, weights))
+        delta = max(abs(float(nw) - float(w)) for nw, w in zip(new_weights, weights))
+        rounds.append(_Round(weights, evas, choice, raw, total))
         weights = new_weights
-        h_bar = combine(weights)
+        h_bar = _combine(weights, hs)
         if delta < tol:
             break
-    return weights, h_bar
+
+    def backward(grad):
+        grads = [w * grad for w in weights]
+        g_bar = grad
+        for rd in reversed(rounds):
+            gw = [float(np.sum(g_bar * h)) for h in hs]
+            g_evas = _similarity_grads(rd, gw, rho)
+            h_prev = _combine(rd.before, hs)
+            norm_bar = np.sqrt((h_prev * h_prev).sum(axis=1) + 1e-30)
+            g_bar = None
+            for v, g_e in enumerate(g_evas):
+                if g_e == 0.0:
+                    continue
+                g_h, g_b = _similarity_backward(g_e, hs[v], h_prev, norm_bar)
+                grads[v] += g_h
+                g_bar = g_b if g_bar is None else g_bar + g_b
+            if g_bar is None:
+                break
+            for v, w in enumerate(rd.before):
+                grads[v] += w * g_bar
+        return tuple(grads)
+
+    return [Tensor(w) for w in weights], Tensor._from_op(h_bar, tuple(embeddings), backward)
 
 
 def fuse_views(embeddings: list, rho: float):

@@ -25,6 +25,11 @@ epoch records, and ends with the final clustering. A ``DivergenceError`` from
 either stage carries the partial report so far (``"final": null``); one from
 the joint stage names its epoch and sets ``last_epoch`` to the last epoch
 recorded. The kernel raises it itself when the Gram matrix overflows.
+One tape is alive at a time: each joint epoch runs in ``_step``, whose
+forward pass dies when it returns, and the bootstrap and the refreshes keep
+plain arrays (the consensus and the per-view embeddings), never a forward
+pass, so an epoch's forward and backward never share memory with an
+earlier epoch's graph.
 """
 
 from __future__ import annotations
@@ -168,8 +173,7 @@ class TrainingPipeline:
 
             # bootstrap: equal-weight hybrid, then first pseudo-labels from k-means
             self.hr = [_BOOTSTRAP_HR] * g.n_views
-            boot = self.epoch_forward(with_losses=False)
-            self._adopt_clustering(self._cluster(boot.h_bar.data, warm=None), boot)
+            self._bootstrap()
 
         lr = cfg.learning_rate if cfg.learning_rate is not None else cfg.encoder.learning_rate
         self.optimizer = Adam(self.parameters(), lr=lr)
@@ -231,20 +235,28 @@ class TrainingPipeline:
                 return best
         raise DivergenceError(f"clustering kept an empty cluster in all {attempts} runs")
 
-    def _adopt_clustering(self, result, fwd: _Forward) -> None:
+    def _bootstrap(self) -> None:
+        """First pseudo-labels from the equal-weight hybrid; its tape dies on return."""
+        self._keep(self.epoch_forward(with_losses=False))
+        self._adopt_clustering(self._cluster(self._consensus, warm=None))
+
+    def _keep(self, fwd: _Forward) -> None:
+        """Keep the plain arrays a refresh re-clusters, never the forward pass
+        and its tape."""
+        self._consensus = fwd.h_bar.data
+        self._embeddings = [h.data for h in fwd.h_views]
+
+    def _adopt_clustering(self, result) -> None:
         self.pseudo = result.labels
         self.centers_bar = result.centers
         self.hr = update_hr(self.g, one_hot(result.labels, self.g.n_clusters))
         self.centers_per_view = [
-            class_means(h.data, result.labels, self.g.n_clusters) for h in fwd.h_views
+            class_means(h, result.labels, self.g.n_clusters) for h in self._embeddings
         ]
-        self._last = fwd
 
     def refresh(self) -> None:
         """Re-cluster the last consensus embedding and recompute hr per view."""
-        self._adopt_clustering(
-            self._cluster(self._last.h_bar.data, warm=self.centers_bar), self._last
-        )
+        self._adopt_clustering(self._cluster(self._consensus, warm=self.centers_bar))
 
     def parameters(self) -> list:
         out = []
@@ -330,28 +342,36 @@ class TrainingPipeline:
             for epoch in range(cfg.epochs):
                 if epoch > 0 and epoch % cfg.hr_refresh_interval == 0:
                     self.refresh()
-                fwd = self.epoch_forward()
-                total = float(fwd.loss.data)
-                if not np.isfinite(total):
-                    raise DivergenceError("loss became non-finite")
-                self.optimizer.zero_grad()
-                fwd.loss.backward()
-                self.optimizer.step()
-                self.epoch_records.append(
-                    {
-                        "epoch": epoch,
-                        "l_rec": fwd.l_rec,
-                        "l_kl": fwd.l_kl,
-                        "l_total": total,
-                        "hr": [float(h) for h in self.hr],
-                        "weights": [float(w.data) for w in fwd.weights],
-                    }
-                )
-                self._last = fwd
+                self._step(epoch)
 
             final = self.epoch_forward(with_losses=False)
             labels = self._cluster(final.h_bar.data, warm=self.centers_bar).labels
         return final, labels, update_hr(self.g, one_hot(labels, self.g.n_clusters))
+
+    def _step(self, epoch: int) -> None:
+        """One joint epoch: forward, backward, Adam step and its record.
+
+        The epoch's tape is a local here, so it is freed on return, before the
+        next forward builds its own; only the arrays a refresh needs are kept.
+        """
+        fwd = self.epoch_forward()
+        total = float(fwd.loss.data)
+        if not np.isfinite(total):
+            raise DivergenceError("loss became non-finite")
+        self.optimizer.zero_grad()
+        fwd.loss.backward()
+        self.optimizer.step()
+        self.epoch_records.append(
+            {
+                "epoch": epoch,
+                "l_rec": fwd.l_rec,
+                "l_kl": fwd.l_kl,
+                "l_total": total,
+                "hr": [float(h) for h in self.hr],
+                "weights": [float(w.data) for w in fwd.weights],
+            }
+        )
+        self._keep(fwd)
 
 
 def train(g: MultiViewGraph, cfg: TrainConfig) -> TrainReport:

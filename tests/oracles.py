@@ -1,11 +1,15 @@
 """Brute-force oracles: metrics as plain loops, kernels and losses as plain taped ops."""
 
+import warnings
 from itertools import permutations
 
 import numpy as np
+from scipy import sparse
 
-from gfclust.autograd import Tensor
+from gfclust.autograd import Tensor, as_tensor, sparse_matmul
 from gfclust.encoders import decode_t, mse_t
+from gfclust.errors import NumericsWarning
+from gfclust.fusion import _FUSE_MAX_ROUNDS, _FUSE_TOL, evaluate_view_t
 
 
 def pairs(n):
@@ -165,3 +169,79 @@ def oracle_random_walk_normalize(a):
     isolated = np.flatnonzero(isolated)
     a_rw[isolated, isolated] = 1.0
     return a_rw
+
+
+def oracle_layer(x, w, b, activation):
+    """A dense layer as three taped ops, ``act((x @ w) + b)``, the reference
+    for the one-op ``gfclust.encoders._layer``; a sparse ``x`` enters through
+    ``sparse_matmul``."""
+    h = (sparse_matmul(x, w) if sparse.issparse(x) else as_tensor(x) @ w) + b
+    if activation == "tanh":
+        return h.tanh()
+    if activation == "relu":
+        return h.relu()
+    return h
+
+
+def oracle_fuse_views_t(embeddings, rho, tol=_FUSE_TOL, max_rounds=_FUSE_MAX_ROUNDS):
+    """Fixed-point view fusion with every round on the tape, the reference for
+    the replaying op ``gfclust.fusion.fuse_views_t``: the same rounds, with
+    weights that stay differentiable Tensors."""
+    n_views = len(embeddings)
+    uniform = [Tensor(1.0 / n_views) for _ in range(n_views)]
+
+    def combine(ws):
+        out = ws[0] * embeddings[0]
+        for w, h in zip(ws[1:], embeddings[1:]):
+            out = out + w * h
+        return out
+
+    weights = uniform
+    h_bar = combine(weights)
+    for _ in range(max_rounds):
+        evas = [evaluate_view_t(h, h_bar) for h in embeddings]
+        top = evas[0]
+        for e in evas[1:]:
+            top = top.maximum(e)
+        if top.data <= 0.0:
+            warnings.warn("all view similarities are <= 0; falling back to uniform weights",
+                          NumericsWarning, stacklevel=2)
+            weights = uniform
+            h_bar = combine(weights)
+            break
+        raw = [(e.relu() / top) ** rho for e in evas]
+        total = raw[0]
+        for w in raw[1:]:
+            total = total + w
+        new_weights = [w / total for w in raw]
+        delta = max(abs(float(nw.data) - float(w.data)) for nw, w in zip(new_weights, weights))
+        weights = new_weights
+        h_bar = combine(weights)
+        if delta < tol:
+            break
+    return weights, h_bar
+
+
+class OracleAdam:
+    """Adam written out of place as the textbook update, the reference for the
+    in-place ``gfclust.autograd.Adam.step``."""
+
+    def __init__(self, params, lr=1e-3, betas=(0.9, 0.999), eps=1e-8):
+        self.params = list(params)
+        self.lr, (self.beta1, self.beta2), self.eps = lr, betas, eps
+        self.t = 0
+        self.m = [np.zeros_like(p.data) for p in self.params]
+        self.v = [np.zeros_like(p.data) for p in self.params]
+
+    def step(self):
+        self.t += 1
+        b1, b2 = self.beta1, self.beta2
+        for i, p in enumerate(self.params):
+            if p.grad is None:
+                continue
+            g = p.grad
+            self.m[i] = b1 * self.m[i] + (1.0 - b1) * g
+            self.v[i] = b2 * self.v[i] + (1.0 - b2) * (g * g)
+            m_hat = self.m[i] / (1.0 - b1 ** self.t)
+            v_hat = self.v[i] / (1.0 - b2 ** self.t)
+            p.data -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)

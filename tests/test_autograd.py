@@ -6,6 +6,8 @@ from scipy import sparse
 
 from gfclust.autograd import Adam, Tensor, sparse_matmul
 
+from oracles import OracleAdam
+
 RNG = np.random.default_rng(42)
 
 
@@ -183,3 +185,26 @@ def test_adam_is_deterministic():
         return t.data.copy()
 
     assert np.array_equal(run(), run())
+
+
+def test_adam_step_in_place_equals_the_textbook_update_exactly():
+    rng = np.random.default_rng(3)
+    inits = [rng.normal(size=shape) for shape in ((30, 8), (8,), (8, 30), (1,))]
+    ours = [Tensor(x.copy(), requires_grad=True) for x in inits]
+    ref = [Tensor(x.copy(), requires_grad=True) for x in inits]
+    opt, oracle = Adam(ours, lr=0.01), OracleAdam(ref, lr=0.01)
+    for step in range(40):
+        grads = []
+        for i, (a, b) in enumerate(zip(ours, ref)):
+            # a parameter without a gradient is skipped on some steps
+            g = None if (step + i) % 7 == 0 else np.sin((step + 1) * a.data) + 0.1
+            a.grad, b.grad = g, None if g is None else g.copy()
+            grads.append(b.grad)
+        opt.step()
+        oracle.step()
+        for a, g in zip(ours, grads):  # a gradient is read, never written
+            assert a.grad is None if g is None else np.array_equal(a.grad, g)
+    for a, b, m, v, m_ref, v_ref in zip(ours, ref, opt._m, opt._v, oracle.m, oracle.v):
+        assert np.array_equal(a.data, b.data)
+        assert np.array_equal(m, m_ref)
+        assert np.array_equal(v, v_ref)

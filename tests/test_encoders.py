@@ -18,6 +18,7 @@ from gfclust import (
 from gfclust.autograd import Tensor, zero_grads
 from gfclust.encoders import (
     AutoEncoderParams,
+    _layer,
     adjacency_mse_t,
     decode,
     encode_t,
@@ -28,7 +29,7 @@ from gfclust.encoders import (
 )
 from gfclust.errors import ConfigError, DivergenceError
 
-from oracles import oracle_adjacency_mse_t
+from oracles import oracle_adjacency_mse_t, oracle_layer
 
 RNG = np.random.default_rng(7)
 
@@ -347,3 +348,46 @@ class TestFactoredAdjacencyMse:
         finally:
             tracemalloc.stop()
         assert peak < 3 * 8 * n * n
+
+
+class TestLayerOp:
+    """The one-op dense layer against the taped ``act((x @ w) + b)`` it replaces."""
+
+    @pytest.mark.parametrize("activation", ["tanh", "relu", "linear"])
+    @pytest.mark.parametrize("form", ["dense-constant", "dense-taped", "csr"])
+    def test_output_and_every_gradient_equal_the_taped_composition(self, activation, form):
+        rng = np.random.default_rng(11)
+        x = rng.normal(size=(13, 6))
+        x[x < 0.4] = 0.0
+        x[2] = 0.0  # with b[0] = 0 this row's first pre-activation is exactly 0
+        w0, b0 = rng.normal(size=(6, 4)), rng.normal(size=4)
+        b0[0] = 0.0
+        upstream = Tensor(rng.normal(size=(13, 4)))
+        results = []
+        for fn in (_layer, oracle_layer):
+            w, b = Tensor(w0.copy(), requires_grad=True), Tensor(b0.copy(), requires_grad=True)
+            if form == "csr":
+                x_in = sparse.csr_array(x)
+            else:
+                x_in = Tensor(x.copy(), requires_grad=form == "dense-taped")
+            out = fn(x_in, w, b, activation)
+            (out * upstream).sum().backward()
+            x_grad = x_in.grad if form == "dense-taped" else None
+            results.append((out.data, w.grad, b.grad, x_grad))
+        for ours, ref in zip(*results):
+            assert (ours is None and ref is None) or np.array_equal(ours, ref)
+
+    def test_a_layer_keeps_only_its_output(self):
+        rng = np.random.default_rng(1)
+        x = Tensor(rng.normal(size=(500, 8)))
+        w = Tensor(rng.normal(size=(8, 64)), requires_grad=True)
+        b = Tensor(np.zeros(64), requires_grad=True)
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            out = _layer(x, w, b, "relu")
+            kept = tracemalloc.get_traced_memory()[0] - start
+        finally:
+            tracemalloc.stop()
+        # the taped composition keeps the product, the pre-activation and a mask as well
+        assert kept < 1.5 * out.data.nbytes

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -15,10 +17,11 @@ from gfclust import (
 )
 from gfclust.autograd import Tensor
 from gfclust.errors import NumericsWarning
-from gfclust.fusion import kl_terms_t
+from gfclust.fusion import fuse_views_t, kl_terms_t
 from gfclust.training import TrainConfig, TrainingPipeline
 
 from helpers import two_ratio_fixture, tiny_two_view
+from oracles import oracle_fuse_views_t
 
 RNG = np.random.default_rng(13)
 
@@ -101,6 +104,80 @@ class TestFuseViews:
         hs = [RNG.normal(size=(4, 3)) for _ in range(3)]
         weights, _ = fuse_views(hs, rho=0.0)
         assert np.allclose(weights, 1.0 / 3.0)
+
+
+def fused(fuse, hs, rho, upstream, **kwargs):
+    """Weights, consensus and the gradient of ``sum(upstream * consensus)``
+    w.r.t. each view, from ``fuse`` (the op or its taped oracle)."""
+    ts = [Tensor(h.copy(), requires_grad=True) for h in hs]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", NumericsWarning)
+        weights, h_bar = fuse(ts, rho, **kwargs)
+    (h_bar * Tensor(upstream)).sum().backward()
+    return [float(w.data) for w in weights], h_bar.data, [t.grad for t in ts]
+
+
+class TestFuseViewsOp:
+    """The replaying fusion op against the taped rounds it replaces."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(min_value=1, max_value=3),
+        st.integers(min_value=1, max_value=8),
+        st.integers(min_value=1, max_value=4),
+        st.sampled_from([0.0, 0.5, 1.0, 1.5, 2.0]),
+        st.sampled_from(["plain", "zero-row", "antipodal"]),
+        st.integers(min_value=0, max_value=2**31),
+    )
+    def test_matches_taped_oracle(self, n_views, n, d, rho, case, seed):
+        rng = np.random.default_rng(seed)
+        hs = [rng.normal(size=(n, d)) for _ in range(n_views)]
+        if case == "zero-row":
+            hs[0][rng.integers(n)] = 0.0
+        elif case == "antipodal":
+            hs[-1] = -hs[0]
+        upstream = rng.normal(size=(n, d))
+        w, h_bar, grads = fused(fuse_views_t, hs, rho, upstream)
+        w_ref, h_bar_ref, grads_ref = fused(oracle_fuse_views_t, hs, rho, upstream)
+        assert w == w_ref
+        assert np.array_equal(h_bar, h_bar_ref)
+        # measured against the largest gradient entry of any view: where a
+        # gradient is exactly 0 (every cosine is +-1 when d = 1), the tape and
+        # the replay leave different rounding noise of order 1e-30
+        scale = max(np.abs(g).max() for g in grads_ref)
+        for g, g_ref in zip(grads, grads_ref):
+            assert np.abs(g - g_ref).max() <= 1e-10 * scale
+
+    def test_gradient_matches_central_differences(self):
+        rng = np.random.default_rng(21)
+        hs = [rng.normal(size=(6, 3)) + 0.5 for _ in range(3)]
+        upstream = rng.normal(size=(6, 3))
+        # a fixed round count keeps the function smooth under the perturbation
+        fixed = dict(tol=0.0, max_rounds=4)
+        for rho in (0.5, 1.5):
+            _, _, grads = fused(fuse_views_t, hs, rho, upstream, **fixed)
+            for v in range(3):
+                fd = np.zeros_like(hs[v])
+                for idx in np.ndindex(hs[v].shape):
+                    values = []
+                    for step in (1e-6, -1e-6):
+                        moved = [h.copy() for h in hs]
+                        moved[v][idx] += step
+                        _, h_bar, _ = fused(fuse_views_t, moved, rho, upstream, **fixed)
+                        values.append(float((h_bar * upstream).sum()))
+                    fd[idx] = (values[0] - values[1]) / 2e-6
+                assert np.abs(grads[v] - fd).max() < 1e-6 * max(np.abs(fd).max(), 1.0)
+
+    def test_weights_are_constants_and_the_fallback_is_the_plain_mean(self):
+        h = RNG.normal(size=(4, 3))
+        upstream = RNG.normal(size=(4, 3))
+        ts = [Tensor(h, requires_grad=True), Tensor(-h, requires_grad=True)]
+        with pytest.warns(NumericsWarning, match="uniform"):
+            weights, h_bar = fuse_views_t(ts, 1.0)
+        assert not any(w.requires_grad for w in weights)
+        (h_bar * Tensor(upstream)).sum().backward()
+        for t in ts:
+            assert np.array_equal(t.grad, 0.5 * upstream)
 
 
 class TestUpdateHr:

@@ -1,3 +1,6 @@
+import gc
+import tracemalloc
+import types
 from dataclasses import replace
 
 import numpy as np
@@ -6,13 +9,15 @@ import pytest
 from gfclust import (
     EncoderConfig,
     FilterConfig,
+    SyntheticSpec,
     TrainConfig,
+    generate_synthetic,
     one_hot,
     train,
     true_homophily_report,
     update_hr,
 )
-from gfclust.autograd import zero_grads
+from gfclust.autograd import Tensor, zero_grads
 from gfclust.errors import ConfigError, DivergenceError
 from gfclust.training import TrainingPipeline
 
@@ -243,3 +248,72 @@ class TestDivergence:
             train(g, fast_config(epochs=1, learning_rate=1e100))
         assert err.value.last_epoch == 0
         assert [rec["epoch"] for rec in err.value.report.to_dict()["epochs"]] == [0]
+
+
+def traced(fn):
+    """``fn()`` under tracemalloc: its result, the memory it leaves allocated
+    and its peak, both above the memory in use when it started, in bytes."""
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        result = fn()
+        current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, current - start, peak - start
+
+
+def taped_tensors(root):
+    """Every Tensor reachable from ``root`` that still has a tape behind it."""
+    skip = (type, types.ModuleType, types.FunctionType, types.BuiltinFunctionType, np.ndarray)
+    seen, stack, found = set(), [root], []
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen or isinstance(obj, skip):
+            continue
+        seen.add(id(obj))
+        if isinstance(obj, Tensor) and obj._parents:
+            found.append(obj)
+        stack.extend(gc.get_referents(obj))
+    return found
+
+
+class TestOneTapeAlive:
+    """The joint epochs keep one lean tape: none from an earlier epoch, the
+    bootstrap or a refresh outlives its step (AC1, n=1200, two views)."""
+
+    N = 1200
+
+    @pytest.fixture(scope="class")
+    def graph(self):
+        spec = SyntheticSpec(n_nodes=self.N, n_clusters=4, n_views=2, n_features=32,
+                             mean_separation=6.0, p_in=0.1, p_out=0.005, noise_scale=1.0, seed=0)
+        return generate_synthetic(spec)
+
+    def pipeline(self, graph, epochs=3):
+        cfg = TrainConfig(
+            epochs=epochs,
+            encoder=EncoderConfig(latent_dim=16, hidden_dim=64, epochs=1, seed=0),
+            filter=FilterConfig(order=2),
+            seed=0,
+        )
+        return TrainingPipeline(graph, cfg)
+
+    def test_fit_peak_stays_under_three_and_a_half_nn(self, graph):
+        pipeline = self.pipeline(graph)
+        _, _, peak = traced(pipeline.fit)
+        assert peak / (8.0 * self.N**2) < 3.5
+
+    def test_one_forward_leaves_a_tape_under_two_nn(self, graph):
+        pipeline = self.pipeline(graph)
+        fwd, left, _ = traced(pipeline.epoch_forward)
+        assert fwd.loss._parents
+        assert left / (8.0 * self.N**2) < 2.0
+
+    def test_no_tape_survives_the_bootstrap_a_refresh_or_fit(self, graph):
+        pipeline = self.pipeline(graph, epochs=1)
+        assert taped_tensors(pipeline) == []
+        pipeline.refresh()
+        assert taped_tensors(pipeline) == []
+        pipeline.fit()
+        assert taped_tensors(pipeline) == []
