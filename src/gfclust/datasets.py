@@ -6,7 +6,11 @@ undirected edge list per view ("i j" lines). Paths are relative to the
 manifest's directory. Loading builds each view's sparse adjacency straight
 from its edge list, so no n x n array is formed; the one repair it makes is
 dropping self-loop lines, with a DataRepairWarning. A repeated or reversed
-line is the same undirected edge.
+line is the same undirected edge. Saving writes each view's edge lines a
+bounded chunk at a time.
+
+The synthetic generator draws each SBM view in row blocks and keeps only the
+upper-triangle hits, so it needs O(block n + |E|) memory, not O(n^2).
 """
 
 from __future__ import annotations
@@ -20,7 +24,7 @@ import numpy as np
 from scipy import sparse
 
 from .errors import ConfigError, DataRepairWarning
-from .graphs import MultiViewGraph
+from .graphs import MultiViewGraph, _index_dtype, entry_chunks
 
 __all__ = [
     "DatasetManifest",
@@ -34,6 +38,10 @@ __all__ = [
 ]
 
 MEAN_LAYOUTS = ("spread", "paired")
+# rows of the n x n uniform draw that generate_synthetic holds at once
+_BLOCK_ROWS = 128
+# stored entries of a view that save_dataset turns into edge lines at once
+_EDGE_CHUNK = 1 << 14
 
 
 @dataclass
@@ -199,11 +207,8 @@ def save_dataset(g: MultiViewGraph, out_dir, name: str | None = None) -> Path:
         _write_text(out_dir / label_file, "\n".join(str(int(v)) for v in g.labels))
     graph_files = []
     for view, a in enumerate(g.adjacencies):
-        upper = sparse.triu(a, k=1)  # row-major, as the views are canonical CSR
         graph_files.append(f"graph_{view}.txt")
-        _write_text(
-            out_dir / graph_files[-1], "\n".join(f"{i} {j}" for i, j in zip(upper.row, upper.col))
-        )
+        _write_edges(out_dir / graph_files[-1], a)
     manifest = DatasetManifest(
         name=name,
         n_nodes=g.n_nodes,
@@ -329,9 +334,11 @@ def _class_mean_matrix(spec: SyntheticSpec, rng: np.random.Generator) -> np.ndar
 def generate_synthetic(spec: SyntheticSpec) -> MultiViewGraph:
     """Draw a multi-view SBM with class-dependent Gaussian features.
 
-    Each view is drawn as a dense n x n uniform sample and kept as CSR.
-    Deterministic under ``spec.seed``; raises if a view's expected edge count
-    is zero.
+    Each view's n x n uniform sample is drawn in row blocks from the view's
+    own ``Generator`` (``_sbm_view``); a chunked draw consumes the stream
+    exactly as one full draw does, so the block size changes memory only, and
+    memory is O(block n + |E|). Deterministic under ``spec.seed``; raises if a
+    view's expected edge count is zero.
     """
     spec.expected_hr()  # validates the edge counts
     sizes = spec.class_sizes()
@@ -342,14 +349,10 @@ def generate_synthetic(spec: SyntheticSpec) -> MultiViewGraph:
     features = means[labels] + spec.noise_scale * feat_rng.normal(
         size=(spec.n_nodes, spec.n_features)
     )
-    same = labels[:, None] == labels[None, :]
     adjacencies = []
     for view, (p_in, p_out) in enumerate(zip(spec.p_in_per_view(), spec.p_out_per_view())):
         rng = np.random.default_rng(seq[view + 1])
-        probs = np.where(same, p_in, p_out)
-        draw = rng.random((spec.n_nodes, spec.n_nodes)) < probs
-        upper = np.triu(draw, k=1)
-        adjacencies.append(sparse.csr_array(upper | upper.T, dtype=np.float64))
+        adjacencies.append(_sbm_view(rng, labels, p_in, p_out))
     return MultiViewGraph(
         features=features,
         adjacencies=adjacencies,
@@ -357,6 +360,38 @@ def generate_synthetic(spec: SyntheticSpec) -> MultiViewGraph:
         labels=labels,
         name=f"synthetic_seed{spec.seed}",
     )
+
+
+def _sbm_view(
+    rng: np.random.Generator, labels: np.ndarray, p_in: float, p_out: float
+) -> sparse.csr_array:
+    """One symmetric SBM view as canonical CSR: pair ``(i, j)``, ``i < j``, is
+    an edge when entry ``(i, j)`` of an n x n ``rng.random`` draw is below its
+    probability, ``p_in`` within a class and ``p_out`` across.
+
+    The draw is made ``_BLOCK_ROWS`` rows at a time, and each block compares
+    only the columns right of its first row. Its hits come out row-major, so
+    they form the strict upper triangle as CSR directly; adding its transpose
+    gives the canonical view, which ``MultiViewGraph`` stores without a copy.
+    """
+    n = labels.size
+    column = _index_dtype(n, 0)  # holds every column id
+    counts, columns = [np.zeros(1, dtype=np.int64)], []
+    for start in range(0, n, _BLOCK_ROWS):
+        stop = min(start + _BLOCK_ROWS, n)
+        draw = rng.random((stop - start, n))[:, start:]
+        probs = np.where(labels[start:stop, None] == labels[None, start:], p_in, p_out)
+        hits = np.triu(draw < probs, k=1)  # local column > local row: global j > i
+        counts.append(np.count_nonzero(hits, axis=1))
+        columns.append((np.nonzero(hits)[1] + start).astype(column))
+    indices = np.concatenate(columns)
+    # the index dtype of the symmetric view, so the sum below keeps it
+    index = _index_dtype(n, 2 * indices.size)
+    indptr = np.cumsum(np.concatenate(counts)).astype(index)
+    upper = sparse.csr_array(
+        (np.ones(indices.size), indices.astype(index, copy=False), indptr), shape=(n, n)
+    )
+    return upper + upper.T
 
 
 # ---------------------------------------------------------------------------
@@ -367,6 +402,23 @@ def generate_synthetic(spec: SyntheticSpec) -> MultiViewGraph:
 def _write_text(path: Path, text: str) -> None:
     try:
         Path(path).write_text(text)
+    except OSError as exc:
+        raise OSError(f"writing {path}: {exc}") from exc
+
+
+def _write_edges(path: Path, a: sparse.csr_array) -> None:
+    """One "i j" line per edge, ``i < j``, in row-major order, with no trailing
+    newline; ``a`` is a canonical CSR view, read ``_EDGE_CHUNK`` stored entries
+    at a time so the lines in memory stay bounded."""
+    try:
+        with open(path, "w") as out:
+            sep = ""
+            for rows, cols, _ in entry_chunks(a, _EDGE_CHUNK):
+                upper = cols > rows
+                if upper.any():
+                    lines = zip(rows[upper].tolist(), cols[upper].tolist())
+                    out.write(sep + "\n".join(f"{i} {j}" for i, j in lines))
+                    sep = "\n"
     except OSError as exc:
         raise OSError(f"writing {path}: {exc}") from exc
 

@@ -7,6 +7,10 @@ training passes read the O(|E|) edge lists. Both take a dense matrix too and
 convert it on entry. ``random_walk_normalize`` returns the row-stochastic
 walk matrix ``D^-1 A`` alone, as CSR; no Laplacian is formed.
 
+``check_dense_fits`` is the pre-flight check of the two consumers that still
+make dense n x n arrays (BCE's ``adjacency_input`` and ``compare_spectra``):
+it raises ``ConfigError`` before they allocate more than the process can use.
+
 Label one-hots are plain ``(n, c)`` float arrays with exactly one 1 per row;
 ``one_hot`` / ``check_one_hot`` build and validate them.
 """
@@ -14,9 +18,12 @@ Label one-hots are plain ``(n, c)`` float arrays with exactly one 1 per row;
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 from scipy import sparse
+
+from .errors import ConfigError
 
 __all__ = [
     "MultiViewGraph",
@@ -25,7 +32,11 @@ __all__ = [
     "random_walk_normalize",
     "homophily_ratio",
     "true_homophily_report",
+    "check_dense_fits",
 ]
+
+# stored entries homophily_ratio reads at once
+_ENTRY_CHUNK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -83,25 +94,56 @@ def _canonical_view(a, n: int, v: int) -> sparse.csr_array:
 
     Explicit zeros are dropped and repeated entries of a sparse input collapse
     to one edge; the index dtype is the one ``sparse.csr_array`` gives a dense
-    input, so the stored arrays do not depend on the form the view came in.
+    input, so the stored arrays do not depend on the form the view came in. A
+    view that is in that form already is stored as given, without a copy.
     """
-    coo = sparse.coo_array(a, dtype=np.float64)
-    if coo.shape != (n, n):
-        raise ValueError(f"view {v}: adjacency shape {coo.shape} does not match {n} nodes")
-    coo.eliminate_zeros()
-    binary = not (coo.data != 1).any()
-    csr = coo.tocsr()  # sorts the indices and sums repeated entries
-    index = np.int32 if max(n, csr.nnz) <= np.iinfo(np.int32).max else np.int64
-    a = sparse.csr_array(
-        (np.ones(csr.nnz), csr.indices.astype(index), csr.indptr.astype(index)), shape=(n, n)
-    )
-    if (a != a.T).nnz:
+    if _is_canonical(a, n):
+        binary = True
+    else:
+        a, binary = _to_canonical(a, n, v)
+    # both are canonical with every stored entry 1, so a == a^T iff the
+    # structures match
+    t = a.T.tocsr()
+    if not (np.array_equal(t.indptr, a.indptr) and np.array_equal(t.indices, a.indices)):
         raise ValueError(f"view {v}: adjacency is not symmetric")
     if a.diagonal().any():
         raise ValueError(f"view {v}: adjacency has self-loops")
     if not binary:
         raise ValueError(f"view {v}: adjacency entries must be 0 or 1")
     return a
+
+
+def _index_dtype(n: int, nnz: int):
+    return np.int32 if max(n, nnz) <= np.iinfo(np.int32).max else np.int64
+
+
+def _is_canonical(a, n: int) -> bool:
+    """Whether ``a`` is the CSR array ``_to_canonical`` would make of it."""
+    if not isinstance(a, sparse.csr_array) or a.shape != (n, n) or a.dtype != np.float64:
+        return False
+    index = _index_dtype(n, a.nnz)
+    return (
+        a.indptr.dtype == index
+        and a.indices.dtype == index
+        and a.indices.size == a.data.size == a.nnz
+        and a.has_canonical_format
+        and bool((a.data == 1).all())
+    )
+
+
+def _to_canonical(a, n: int, v: int) -> tuple:
+    """``(canonical CSR of a's nonzero pattern, whether every nonzero was 1)``."""
+    coo = sparse.coo_array(a, dtype=np.float64)
+    if coo.shape != (n, n):
+        raise ValueError(f"view {v}: adjacency shape {coo.shape} does not match {n} nodes")
+    coo.eliminate_zeros()
+    binary = not (coo.data != 1).any()
+    csr = coo.tocsr()  # sorts the indices and sums repeated entries
+    index = _index_dtype(n, csr.nnz)
+    canonical = sparse.csr_array(
+        (np.ones(csr.nnz), csr.indices.astype(index), csr.indptr.astype(index)), shape=(n, n)
+    )
+    return canonical, binary
 
 
 def one_hot(labels, n_classes: int) -> np.ndarray:
@@ -150,24 +192,35 @@ def homophily_ratio(a, labels_one_hot: np.ndarray) -> float:
 
     Computed over the nonzero off-diagonal entries only, so a stored without
     self-loops gives the same value as the self-loop-carrying formulation
-    minus identity. ``a`` is read through its stored entries, O(|E|), in
-    row-major order; a dense one is converted to them first.
+    minus identity. ``a`` is read as CSR, ``_ENTRY_CHUNK`` stored entries at a
+    time in row-major order, so it costs O(|E|) time and O(chunk) memory; a
+    dense or other sparse ``a`` is converted to CSR first.
 
     Raises:
         ValueError: the graph has no edges (the ratio is undefined).
     """
     p = check_one_hot(labels_one_hot)
-    edges = sparse.coo_array(a, dtype=np.float64)
+    edges = sparse.csr_array(a, dtype=np.float64)
     if edges.shape[0] != edges.shape[1] or edges.shape[0] != p.shape[0]:
         raise ValueError("adjacency and labels disagree on the node count")
-    off = edges.row != edges.col
-    rows, cols = edges.row[off], edges.col[off]
-    weights = edges.data[off]
-    total = weights.sum()
+    labels = p.argmax(axis=1)
+    total = same = 0.0
+    for rows, cols, weights in entry_chunks(edges, _ENTRY_CHUNK):
+        off = rows != cols
+        total += weights[off].sum()
+        same += weights[off & (labels[rows] == labels[cols])].sum()
     if total == 0:
         raise ValueError("homophily ratio is undefined on an edgeless graph")
-    labels = p.argmax(axis=1)
-    return float(weights[labels[rows] == labels[cols]].sum() / total)
+    return float(same / total)
+
+
+def entry_chunks(a: sparse.csr_array, size: int):
+    """``(rows, cols, data)`` of ``a``'s stored entries, ``size`` at a time,
+    in storage order."""
+    for start in range(0, a.nnz, size):
+        stop = min(start + size, a.nnz)
+        rows = np.searchsorted(a.indptr, np.arange(start, stop), side="right") - 1
+        yield rows, a.indices[start:stop], a.data[start:stop]
 
 
 def true_homophily_report(g: MultiViewGraph) -> list:
@@ -176,3 +229,42 @@ def true_homophily_report(g: MultiViewGraph) -> list:
         raise ValueError("graph has no ground-truth labels")
     encoded = one_hot(g.labels, g.n_clusters)
     return [homophily_ratio(a, encoded) for a in g.adjacencies]
+
+
+def check_dense_fits(n: int, count: int, what: str) -> None:
+    """Raise ``ConfigError`` when ``count`` dense n x n float64 arrays, the
+    estimated peak of ``what``, exceed the memory the process can still use.
+
+    Nothing is checked when that memory is unknown (``_available_bytes``).
+    """
+    need = count * 8.0 * n * n
+    available = _available_bytes()
+    if available is not None and need > available:
+        raise ConfigError(
+            f"{what} needs about {need / 1e9:.1f} GB ({count} dense {n} x {n} arrays), "
+            f"more than the {available / 1e9:.1f} GB this process can use"
+        )
+
+
+def _available_bytes() -> int | None:
+    """``MemAvailable`` from /proc/meminfo, capped by the process's cgroup v2
+    ``memory.max - memory.current``; whichever is readable, None if neither."""
+    limits = []
+    try:
+        with open("/proc/meminfo") as meminfo:
+            for line in meminfo:
+                if line.startswith("MemAvailable:"):
+                    limits.append(int(line.split()[1]) * 1024)
+                    break
+    except (OSError, ValueError):
+        pass
+    try:
+        with open("/proc/self/cgroup") as cgroup:
+            unified = next(line for line in cgroup if line.startswith("0::"))
+        root = Path("/sys/fs/cgroup") / unified.strip()[3:].lstrip("/")
+        limit = (root / "memory.max").read_text().strip()
+        if limit != "max":
+            limits.append(int(limit) - int((root / "memory.current").read_text()))
+    except (OSError, ValueError, StopIteration):
+        pass
+    return min(limits) if limits else None

@@ -15,11 +15,15 @@ import numpy as np
 
 from .encoders import EmbeddingPair
 from .filters import build_joint_aggregation
-from .graphs import MultiViewGraph, random_walk_normalize
+from .graphs import MultiViewGraph, check_dense_fits, random_walk_normalize
 
 __all__ = ["SpectrumReport", "spectrum", "largest_gap", "compare_spectra", "save_spectrum"]
 
 MATRIX_TAGS = ("adjacency_rw", "joint_aggregation_rw")
+# peak of compare_spectra in n x n arrays: the two dense matrices, the
+# symmetrized copy and its temporary, and the eigensolver's own copy (4.1 n x n
+# of RSS growth measured at n=3000), rounded up
+_SPECTRA_DENSE_ARRAYS = 5
 
 
 @dataclass(frozen=True)
@@ -77,8 +81,11 @@ def compare_spectra(
     """Spectra of one view's walk matrix and of its joint aggregation kernel.
 
     Returns ``(adjacency_report, joint_report)``; when ``out_dir`` is given,
-    each report is also written as an eigenvalue CSV plus summary JSON.
+    each report is also written as an eigenvalue CSV plus summary JSON. Both
+    matrices are dense and their eigensolves take O(n^3) time, so
+    ``check_dense_fits`` runs first.
     """
+    check_dense_fits(g.n_nodes, _SPECTRA_DENSE_ARRAYS, "compare_spectra")
     a_rw = random_walk_normalize(g.adjacencies[view]).toarray()
     s_rw = build_joint_aggregation(pair)
     rep_a = spectrum(a_rw, symmetrize=True, tag="adjacency_rw")

@@ -7,9 +7,11 @@ import numpy as np
 from scipy import sparse
 
 from gfclust.autograd import Tensor, as_tensor, sparse_matmul
+from gfclust.datasets import _class_mean_matrix
 from gfclust.encoders import decode_t, mse_t
 from gfclust.errors import NumericsWarning
 from gfclust.fusion import _FUSE_MAX_ROUNDS, _FUSE_TOL, evaluate_view_t
+from gfclust.graphs import MultiViewGraph
 
 
 def pairs(n):
@@ -245,3 +247,39 @@ class OracleAdam:
             m_hat = self.m[i] / (1.0 - b1 ** self.t)
             v_hat = self.v[i] / (1.0 - b2 ** self.t)
             p.data -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+
+
+def oracle_generate_synthetic(spec):
+    """The multi-view SBM drawn as one dense n x n uniform sample per view, with
+    dense probability and hit matrices, the reference for the row-blocked
+    ``gfclust.datasets.generate_synthetic``."""
+    spec.expected_hr()
+    labels = np.repeat(np.arange(spec.n_clusters), spec.class_sizes())
+    seq = np.random.SeedSequence(spec.seed).spawn(spec.n_views + 1)
+    feat_rng = np.random.default_rng(seq[0])
+    means = _class_mean_matrix(spec, feat_rng)
+    features = means[labels] + spec.noise_scale * feat_rng.normal(
+        size=(spec.n_nodes, spec.n_features)
+    )
+    same = labels[:, None] == labels[None, :]
+    adjacencies = []
+    for view, (p_in, p_out) in enumerate(zip(spec.p_in_per_view(), spec.p_out_per_view())):
+        rng = np.random.default_rng(seq[view + 1])
+        probs = np.where(same, p_in, p_out)
+        draw = rng.random((spec.n_nodes, spec.n_nodes)) < probs
+        upper = np.triu(draw, k=1)
+        adjacencies.append(sparse.csr_array(upper | upper.T, dtype=np.float64))
+    return MultiViewGraph(
+        features=features,
+        adjacencies=adjacencies,
+        n_clusters=spec.n_clusters,
+        labels=labels,
+        name=f"synthetic_seed{spec.seed}",
+    )
+
+
+def oracle_edge_text(a):
+    """A view's edge file as one joined string of its upper-triangle "i j"
+    lines, the reference for the chunked writer in ``gfclust.save_dataset``."""
+    upper = sparse.triu(a, k=1)
+    return "\n".join(f"{i} {j}" for i, j in zip(upper.row, upper.col))

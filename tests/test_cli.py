@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from gfclust import MultiViewGraph, load_dataset, save_dataset
+from gfclust import MultiViewGraph, graphs, load_dataset, save_dataset
 from gfclust.cli import _build_parser, _train_config, main
 
 from helpers import tiny_two_view
@@ -182,6 +182,12 @@ class TestSpectrumAndSynth:
         for view in (0, 1):
             assert (out / f"spectrum_view{view}_adjacency_rw.csv").exists()
             assert (out / f"spectrum_view{view}_joint_aggregation_rw.csv").exists()
+
+    def test_spectrum_over_the_memory_budget_exits_one(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(graphs, "_available_bytes", lambda: 1000)
+        config = base_config(tmp_path)
+        assert main(["spectrum", "--config", str(config), "--out", str(tmp_path / "s")]) == 1
+        assert "GB" in capsys.readouterr().err
 
 
 class TestArgumentHandling:

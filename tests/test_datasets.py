@@ -21,7 +21,9 @@ from gfclust import (
     save_report,
     true_homophily_report,
 )
+from gfclust import datasets
 from gfclust.errors import ConfigError, DataRepairWarning
+from oracles import oracle_edge_text, oracle_generate_synthetic
 
 RNG = np.random.default_rng(2)
 
@@ -234,6 +236,105 @@ class TestGenerateSynthetic:
     def test_probability_out_of_range(self):
         with pytest.raises(ConfigError):
             SyntheticSpec(n_nodes=10, n_clusters=2, n_views=1, p_in=1.2)
+
+
+def assert_bit_identical(g, h):
+    """Same features, labels, name and every CSR array with its dtype."""
+    assert g.features.dtype == h.features.dtype
+    assert g.features.tobytes() == h.features.tobytes()
+    assert np.array_equal(g.labels, h.labels) and g.labels.dtype == h.labels.dtype
+    assert (g.name, g.n_clusters, g.n_views) == (h.name, h.n_clusters, h.n_views)
+    for a, b in zip(g.adjacencies, h.adjacencies):
+        assert type(a) is type(b) and a.shape == b.shape
+        for name in ("indptr", "indices", "data"):
+            x, y = getattr(a, name), getattr(b, name)
+            assert x.dtype == y.dtype and np.array_equal(x, y), name
+
+
+def ac_spec(n, seed=0, **extra):
+    fields = dict(n_nodes=n, n_clusters=4, n_views=2, n_features=32, mean_separation=6.0,
+                  p_in=0.1, p_out=0.005, seed=seed)
+    return SyntheticSpec(**{**fields, **extra})
+
+
+class TestRowBlockedGenerator:
+    """``generate_synthetic`` draws each view in row blocks; the dense n x n
+    draw it replaced is ``oracle_generate_synthetic``."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 7])
+    @pytest.mark.parametrize("n", [4, 5, 100, 128, 129, 300])
+    def test_matches_the_dense_draw_bit_for_bit(self, n, seed):
+        for extra in ({}, {"p_in": 0.005, "p_out": 0.1, "mean_layout": "paired"}):
+            spec = ac_spec(n, seed, **extra)
+            assert_bit_identical(generate_synthetic(spec), oracle_generate_synthetic(spec))
+
+    def test_views_with_probability_zero_and_one(self):
+        # view 0 joins exactly the cross-class pairs, view 1 exactly the
+        # same-class pairs, view 2 every pair
+        spec = ac_spec(150, 3, n_views=3, p_in=(0.0, 1.0, 1.0), p_out=(1.0, 0.0, 1.0))
+        g = generate_synthetic(spec)
+        assert_bit_identical(g, oracle_generate_synthetic(spec))
+        same = g.labels[:, None] == g.labels[None, :]
+        off = ~np.eye(150, dtype=bool)
+        assert np.array_equal(g.adjacencies[0].toarray(), (~same).astype(float))
+        assert np.array_equal(g.adjacencies[1].toarray(), (same & off).astype(float))
+        assert np.array_equal(g.adjacencies[2].toarray(), off.astype(float))
+
+    def test_per_view_probability_tuples(self):
+        spec = ac_spec(200, 2, n_views=3, p_in=(0.3, 0.01, 0.2), p_out=(0.01, 0.3, 0.2))
+        assert_bit_identical(generate_synthetic(spec), oracle_generate_synthetic(spec))
+
+    @pytest.mark.parametrize("block", [1, 7, 64, 1000])
+    def test_block_size_changes_nothing_but_memory(self, block, monkeypatch):
+        spec = ac_spec(257, 5, p_in=0.2, p_out=0.05)
+        monkeypatch.setattr(datasets, "_BLOCK_ROWS", block)
+        assert_bit_identical(generate_synthetic(spec), oracle_generate_synthetic(spec))
+
+    def test_peak_memory_is_a_fraction_of_one_n_by_n_array(self):
+        # the dense draw peaked at 2.56 n x n; row blocks and the O(|E|) edge
+        # lists measure 0.26 at this size
+        n = 2000
+        spec = ac_spec(n)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            g = generate_synthetic(spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert g.n_nodes == n
+        assert (peak - base) / (8.0 * n * n) < 0.5
+
+
+class TestSaveDatasetEdges:
+    @pytest.mark.parametrize("chunk", [1, 2, 3, 5, 1 << 14])
+    def test_edge_files_equal_one_joined_write(self, chunk, tmp_path, monkeypatch):
+        # small chunks cross row boundaries and hold lower-triangle entries only
+        spec = ac_spec(60, 4, n_views=3, p_in=(0.3, 0.02, 0.5), p_out=(0.05, 0.0, 0.5))
+        g = generate_synthetic(spec)
+        monkeypatch.setattr(datasets, "_EDGE_CHUNK", chunk)
+        save_dataset(g, tmp_path)
+        for view, a in enumerate(g.adjacencies):
+            assert (tmp_path / f"graph_{view}.txt").read_text() == oracle_edge_text(a)
+
+    def test_edgeless_view_writes_an_empty_file(self, tmp_path):
+        g = MultiViewGraph(features=np.zeros((3, 1)), adjacencies=[np.zeros((3, 3))],
+                           n_clusters=1)
+        save_dataset(g, tmp_path)
+        assert (tmp_path / "graph_0.txt").read_bytes() == b""
+
+    def test_edge_lines_are_held_in_bounded_chunks(self, tmp_path):
+        # 57k edges a view: all lines at once cost about 90 bytes an edge
+        g = generate_synthetic(ac_spec(2000, n_features=4))
+        edges = max(a.nnz // 2 for a in g.adjacencies)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            save_dataset(g, tmp_path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (peak - base) / edges < 35.0
 
 
 class TestFlatFiles:

@@ -12,6 +12,7 @@ from gfclust import (
     encode,
     generate_synthetic,
     gradient,
+    graphs,
     reconstruction_loss,
     train_autoencoders,
 )
@@ -19,6 +20,7 @@ from gfclust.autograd import Tensor, zero_grads
 from gfclust.encoders import (
     AutoEncoderParams,
     _layer,
+    adjacency_input,
     adjacency_mse_t,
     decode,
     encode_t,
@@ -328,6 +330,28 @@ class TestFactoredAdjacencyMse:
         for g_csr, g_dense in zip(gradient(params, sparse.csr_array(a)), gradient(params, a)):
             assert np.allclose(g_csr, g_dense, rtol=1e-10, atol=1e-14)
 
+    def test_repeated_entries_are_summed_before_scoring(self):
+        # |A|^2 is read from the stored entries, so adjacency_input sums the
+        # repeats of a non-canonical CSR first, on a copy
+        rng = np.random.default_rng(8)
+        a = random_graph(rng, 10, 1, 0.4)
+        rows, cols = np.nonzero(a)
+        # each row lists its columns twice, at half weight
+        order = np.argsort(np.r_[rows, rows], kind="stable")
+        indptr = np.r_[0, np.cumsum(2 * np.bincount(rows, minlength=a.shape[0]))]
+        repeated = sparse.csr_array(
+            (np.full(2 * rows.size, 0.5), np.r_[cols, cols][order], indptr), shape=a.shape
+        )
+        assert not repeated.has_canonical_format
+        before = repeated.indices.copy()
+        target = adjacency_input(repeated)
+        assert np.array_equal(repeated.indices, before)
+        assert target.has_canonical_format and np.array_equal(target.toarray(), a)
+        params = with_random_biases(init_autoencoder(a.shape[0], 2, 5, rng), rng)
+        factored = adjacency_mse_t(params, encode_t(params, target), target)
+        oracle = oracle_adjacency_mse_t(params, encode_t(params, Tensor(a)), a)
+        assert float(factored.data) == pytest.approx(float(oracle.data), rel=1e-12)
+
     def test_pretraining_forms_no_dense_decode(self):
         # an AC2 graph as in the benchmark's heterophilous workload; the dense
         # decode peaked at 9 n x n arrays here, the factored loss at about 1.6
@@ -391,3 +415,19 @@ class TestLayerOp:
             tracemalloc.stop()
         # the taped composition keeps the product, the pre-activation and a mask as well
         assert kept < 1.5 * out.data.nbytes
+
+
+class TestDenseBudget:
+    def test_bce_input_over_budget_raises_before_the_dense_copy(self, monkeypatch):
+        # 24 n x n arrays at n=100 are 1.9 MB
+        monkeypatch.setattr(graphs, "_available_bytes", lambda: 10**6)
+        a = sparse.csr_array(random_graph(np.random.default_rng(0), 90, 10, 0.1))
+        with pytest.raises(ConfigError, match=r"0\.0 GB \(24 dense 100 x 100 arrays\)"):
+            adjacency_input(a, "bce")
+        # the sparse path makes no n x n array, nor a copy of a canonical view
+        assert np.shares_memory(adjacency_input(a, "mse").indices, a.indices)
+
+    def test_bce_input_within_budget_is_dense(self, monkeypatch):
+        monkeypatch.setattr(graphs, "_available_bytes", lambda: 10**7)
+        a = random_graph(np.random.default_rng(0), 90, 10, 0.1)
+        assert np.array_equal(adjacency_input(sparse.csr_array(a), "bce"), a)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy import sparse
@@ -6,11 +8,13 @@ from hypothesis import strategies as st
 
 from gfclust import (
     MultiViewGraph,
+    graphs,
     homophily_ratio,
     one_hot,
     random_walk_normalize,
     true_homophily_report,
 )
+from gfclust.errors import ConfigError
 
 from helpers import ratio_graph, two_ratio_fixture
 from oracles import oracle_homophily_ratio, oracle_random_walk_normalize
@@ -85,6 +89,31 @@ class TestRandomWalkNormalize:
 
 
 class TestHomophilyRatio:
+    @pytest.mark.parametrize("chunk", [1, 2, 7, 1 << 16])
+    def test_chunked_reads_give_the_exact_ratio_on_a_binary_graph(self, chunk, monkeypatch):
+        # on 0/1 entries both sums are integer counts, so any chunking is exact
+        rng = np.random.default_rng(3)
+        labels = np.repeat([0, 1, 2], 8)
+        a = ratio_graph(labels, 20, 30, rng)
+        a[np.diag_indices(24)] = 1.0  # self-loops are skipped in every chunk
+        monkeypatch.setattr(graphs, "_ENTRY_CHUNK", chunk)
+        assert homophily_ratio(sparse.csr_array(a), one_hot(labels, 3)) == 0.4
+
+    def test_reads_a_large_view_in_bounded_memory(self):
+        # 110k stored entries; the whole-view edge arrays took about 40 bytes an entry
+        rng = np.random.default_rng(0)
+        upper = sparse.triu(sparse.random_array((1200, 1200), density=0.08, rng=rng), k=1)
+        a = sparse.csr_array((upper + upper.T) != 0, dtype=np.float64)
+        p = one_hot(rng.integers(0, 4, size=1200), 4)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            homophily_ratio(a, p)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (peak - base) / a.nnz < 25.0
+
     def test_hand_enumerated_path(self):
         # edges (0,1) intra-class, (1,2) inter-class
         assert homophily_ratio(path3(), one_hot([0, 0, 1], 2)) == pytest.approx(0.5)
@@ -269,3 +298,49 @@ class TestCanonicalViews:
         assert dense.indices.dtype == sparse.csr_array(a).indices.dtype
         for view in (sparse.csr_array(a), coo, coo.tocsc()):
             assert_same_storage(stored_view(view), dense)
+
+    def test_a_canonical_csr_view_is_stored_without_a_copy(self):
+        canonical = stored_view(path3())
+        assert stored_view(canonical) is canonical
+
+    @pytest.mark.parametrize(
+        "change",
+        [
+            lambda a: sparse.csr_matrix(a),  # not a csr_array
+            lambda a: sparse.csr_array(  # unsorted column indices
+                (a.data[::-1].copy(), np.array([1, 2, 0, 1], dtype=np.int32), a.indptr),
+                shape=a.shape,
+            ),
+            lambda a: sparse.csr_array(  # int64 indices for a small view
+                (a.data, a.indices.astype(np.int64), a.indptr.astype(np.int64)), shape=a.shape
+            ),
+        ],
+    )
+    def test_a_near_canonical_csr_view_is_rebuilt(self, change):
+        canonical = stored_view(path3())
+        view = change(canonical)
+        stored = stored_view(view)
+        assert stored is not view
+        assert_same_storage(stored, canonical)
+
+    def test_asymmetry_is_reported_before_nonbinary_entries(self):
+        a = np.array([[0.0, 0.5], [0.0, 0.0]])
+        for view in both_forms(a):
+            with pytest.raises(ValueError, match="symmetric"):
+                build_graph(np.zeros((2, 2)), view, n_clusters=1)
+
+
+class TestCheckDenseFits:
+    def test_over_budget_raises_with_the_estimate(self, monkeypatch):
+        monkeypatch.setattr(graphs, "_available_bytes", lambda: 2 * 10**9)
+        with pytest.raises(ConfigError, match=r"x needs about 3\.2 GB \(1 dense 20000 x 20000"):
+            graphs.check_dense_fits(20_000, 1, "x")
+        graphs.check_dense_fits(10_000, 2, "x")  # 1.6 GB fits
+
+    def test_unknown_budget_checks_nothing(self, monkeypatch):
+        monkeypatch.setattr(graphs, "_available_bytes", lambda: None)
+        graphs.check_dense_fits(10**6, 100, "x")
+
+    def test_available_bytes_is_positive_or_unknown(self):
+        available = graphs._available_bytes()
+        assert available is None or available > 0

@@ -1,7 +1,15 @@
 import numpy as np
 import pytest
 
-from gfclust import EmbeddingPair, compare_spectra, largest_gap, random_walk_normalize, spectrum
+from gfclust import (
+    EmbeddingPair,
+    compare_spectra,
+    graphs,
+    largest_gap,
+    random_walk_normalize,
+    spectrum,
+)
+from gfclust.errors import ConfigError
 
 from helpers import tiny_two_view
 
@@ -87,3 +95,13 @@ class TestCompareSpectra:
             reloaded = np.array([float(v) for v in path.read_text().split()])
             assert np.abs(reloaded - report.eigenvalues).max() < 1e-12
             assert path.with_suffix(".json").exists()
+
+    def test_over_budget_raises_before_any_dense_matrix(self, monkeypatch):
+        # 5 n x n arrays at n=24 are 23 kB
+        g = tiny_two_view()
+        pair = EmbeddingPair(z_x=np.eye(g.n_nodes), z_a=np.eye(g.n_nodes))
+        monkeypatch.setattr(graphs, "_available_bytes", lambda: 20_000)
+        with pytest.raises(ConfigError, match=r"compare_spectra needs about 0\.0 GB \(5 dense"):
+            compare_spectra(g, 0, pair)
+        monkeypatch.setattr(graphs, "_available_bytes", lambda: 30_000)
+        compare_spectra(g, 0, pair)
