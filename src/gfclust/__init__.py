@@ -27,30 +27,14 @@ from .datasets import (
     save_embedding,
     save_report,
 )
-from .encoders import (
-    AutoEncoderParams,
-    EmbeddingPair,
-    EncoderConfig,
-    encode,
-    decode,
-    gradient,
-    reconstruction_loss,
-    train_autoencoders,
-)
+from .encoders import AutoEncoderParams, EmbeddingPair, EncoderConfig
 from .errors import ConfigError, DataRepairWarning, DivergenceError, NumericsWarning
 from .filters import (
     FilterConfig,
     build_joint_aggregation,
     filter_frequency_response,
 )
-from .fusion import (
-    evaluate_view,
-    fuse_views,
-    kl_divergence,
-    soft_assignment,
-    target_distribution,
-    update_hr,
-)
+from .fusion import target_distribution, update_hr
 from .graphs import (
     MultiViewGraph,
     homophily_ratio,

@@ -24,7 +24,7 @@ from .datasets import (
     save_embedding,
     save_report,
 )
-from .encoders import EmbeddingPair, EncoderConfig, encode
+from .encoders import EmbeddingPair, EncoderConfig, encode_t
 from .errors import ConfigError, DivergenceError
 from .filters import FilterConfig
 from .graphs import MultiViewGraph
@@ -202,7 +202,8 @@ def cmd_spectrum(payload: dict, args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     for view, (params_x, params_a) in enumerate(pipeline.models):
         pair = EmbeddingPair(
-            z_x=encode(params_x, g.features), z_a=encode(params_a, pipeline.adj_input[view])
+            z_x=encode_t(params_x, g.features).data,
+            z_a=encode_t(params_a, pipeline.adj_input[view]).data,
         )
         rep_a, rep_s = compare_spectra(g, view, pair, out_dir=out)
         print(

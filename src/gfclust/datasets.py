@@ -42,6 +42,8 @@ MEAN_LAYOUTS = ("spread", "paired")
 _BLOCK_ROWS = 128
 # stored entries of a view that save_dataset turns into edge lines at once
 _EDGE_CHUNK = 1 << 14
+# values of a matrix that save_embedding formats at once (at least one row)
+_VALUE_CHUNK = 1 << 14
 
 
 @dataclass
@@ -424,9 +426,20 @@ def _write_edges(path: Path, a: sparse.csr_array) -> None:
 
 
 def save_embedding(matrix: np.ndarray, path) -> None:
-    """Headerless CSV, one row per node, '.'-decimal, full float precision."""
+    """Headerless CSV, one row per node, '.'-decimal, full float precision, no
+    trailing newline; formatted ``_VALUE_CHUNK`` values at a time so the text
+    in memory stays bounded."""
     matrix = np.atleast_2d(np.asarray(matrix, dtype=np.float64))
-    _write_text(Path(path), "\n".join(",".join("%.17g" % v for v in row) for row in matrix))
+    step = max(1, _VALUE_CHUNK // max(matrix.shape[1], 1))
+    try:
+        with open(path, "w") as out:
+            sep = ""
+            for start in range(0, matrix.shape[0], step):
+                rows = matrix[start:start + step].tolist()
+                out.write(sep + "\n".join(",".join("%.17g" % v for v in row) for row in rows))
+                sep = "\n"
+    except OSError as exc:
+        raise OSError(f"writing {path}: {exc}") from exc
 
 
 def load_embedding(path) -> np.ndarray:

@@ -16,12 +16,12 @@ its d columns make the decode the cheaper form.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
 
-from .autograd import Adam, Tensor, as_tensor, sparse_matmul, zero_grads
+from .autograd import Adam, Tensor, as_tensor, sparse_matmul
 from .errors import ConfigError, DivergenceError
 from .graphs import check_dense_fits
 
@@ -30,15 +30,12 @@ __all__ = [
     "AutoEncoderParams",
     "EmbeddingPair",
     "init_autoencoder",
-    "encode",
-    "decode",
+    "encode_t",
     "adjacency_input",
     "adjacency_mse_t",
-    "reconstruction_loss",
-    "gradient",
+    "reconstruction_loss_t",
     "train_autoencoder",
     "pretrain_view",
-    "train_autoencoders",
 ]
 
 _ACTIVATIONS = ("tanh", "relu", "linear")
@@ -204,15 +201,6 @@ def decode_t(params: AutoEncoderParams, z: Tensor) -> Tensor:
     return _stack_forward(params.decoder_layers, params.activation, z)
 
 
-def encode(params: AutoEncoderParams, x) -> np.ndarray:
-    """Deterministic forward pass through the encoder stack (``x`` dense or sparse)."""
-    return encode_t(params, x if sparse.issparse(x) else Tensor(x)).data
-
-
-def decode(params: AutoEncoderParams, z: np.ndarray) -> np.ndarray:
-    return decode_t(params, Tensor(z)).data
-
-
 def mse_t(pred: Tensor, target: np.ndarray) -> Tensor:
     diff = pred - Tensor(target)
     return (diff * diff).mean()
@@ -286,49 +274,6 @@ def reconstruction_loss_t(params: AutoEncoderParams, data, loss: str = "mse") ->
     return mse_t(out, data)
 
 
-def reconstruction_loss(
-    params_x: AutoEncoderParams,
-    params_a: AutoEncoderParams,
-    x: np.ndarray,
-    a: np.ndarray,
-    adjacency_loss: str = "mse",
-) -> float:
-    """Mean-entry reconstruction error of both autoencoders, summed.
-
-    The feature term is always MSE; the adjacency term is MSE by default
-    (factored, on CSR) or binary cross-entropy when ``adjacency_loss="bce"``.
-    """
-    value = (
-        reconstruction_loss_t(params_x, x).data
-        + reconstruction_loss_t(params_a, adjacency_input(a, adjacency_loss),
-                                loss=adjacency_loss).data
-    )
-    value = float(value)
-    if not np.isfinite(value):
-        raise DivergenceError("reconstruction loss is non-finite")
-    return value
-
-
-def gradient(params: AutoEncoderParams, batch: np.ndarray, loss: str = "mse") -> list:
-    """Reverse-mode gradients of the reconstruction loss on ``batch``.
-
-    Returns one array per parameter, in ``params.parameters()`` order.
-    """
-    tensors = params.parameters()
-    zero_grads(tensors)
-    value = reconstruction_loss_t(params, batch, loss=loss)
-    if not np.isfinite(value.data):
-        raise DivergenceError("loss is non-finite at the current parameters")
-    value.backward()
-    grads = []
-    for p in tensors:
-        g = p.grad if p.grad is not None else np.zeros_like(p.data)
-        if not np.isfinite(g).all():
-            raise DivergenceError("gradient is non-finite")
-        grads.append(np.array(g))
-    return grads
-
-
 def train_autoencoder(
     params: AutoEncoderParams,
     data: np.ndarray,
@@ -380,16 +325,3 @@ def pretrain_view(x: np.ndarray, a: np.ndarray, config: EncoderConfig):
         params_a, a, config.epochs, config.learning_rate, loss=config.adjacency_loss
     )
     return params_x, params_a, [hx + ha for hx, ha in zip(hist_x, hist_a)]
-
-
-def train_autoencoders(x: np.ndarray, a: np.ndarray, config: EncoderConfig):
-    """Train one view's feature and adjacency autoencoders from scratch.
-
-    Returns ``(params_x, params_a, EmbeddingPair)``; with ``config.epochs == 0``
-    the freshly initialized parameters and their embeddings come back as-is.
-    """
-    a = adjacency_input(a, config.adjacency_loss)
-    params_x, params_a, _ = pretrain_view(x, a, config)
-    pair = EmbeddingPair(z_x=encode(params_x, np.asarray(x, dtype=np.float64)),
-                         z_a=encode(params_a, a))
-    return params_x, params_a, pair

@@ -1,8 +1,8 @@
 """View weighting, consensus fusion and the clustering-alignment losses.
 
-Training runs the Tensor functions (``*_t``); the numpy entry points
-``evaluate_view``, ``fuse_views``, ``soft_assignment`` and ``kl_divergence``
-are thin wrappers over them, so each quantity has one implementation.
+Each quantity has one implementation, the Tensor function (``*_t``) that
+training runs; ``target_distribution`` and ``update_hr`` take and give plain
+arrays, since no gradient flows through either.
 
 ``fuse_views_t`` is one autograd op with a replaying backward (checkpointed
 reverse mode): the forward runs the fixed-point rounds in numpy and keeps
@@ -19,17 +19,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autograd import Tensor, as_tensor
+from .autograd import Tensor
 from .errors import NumericsWarning
 from .graphs import MultiViewGraph, check_one_hot, homophily_ratio
 
 __all__ = [
-    "evaluate_view",
-    "fuse_views",
+    "evaluate_view_t",
+    "fuse_views_t",
     "update_hr",
-    "soft_assignment",
+    "soft_assignment_t",
     "target_distribution",
-    "kl_divergence",
+    "kl_divergence_t",
+    "kl_terms_t",
 ]
 
 _FUSE_TOL = 1e-6
@@ -43,18 +44,6 @@ def evaluate_view_t(h_v: Tensor, h_bar: Tensor) -> Tensor:
     norm_v = ((h_v * h_v).sum(axis=1) + 1e-30).sqrt()
     norm_b = ((h_bar * h_bar).sum(axis=1) + 1e-30).sqrt()
     return (dots / (norm_v * norm_b)).mean()
-
-
-def evaluate_view(h_v: np.ndarray, h_bar: np.ndarray) -> float:
-    """Mean over nodes of the cosine similarity between matching rows.
-
-    Rows where either side is all-zero contribute 0 to the mean.
-    """
-    h_v = np.asarray(h_v, dtype=np.float64)
-    h_bar = np.asarray(h_bar, dtype=np.float64)
-    if h_v.shape != h_bar.shape:
-        raise ValueError(f"shape mismatch: {h_v.shape} vs {h_bar.shape}")
-    return float(evaluate_view_t(Tensor(h_v), Tensor(h_bar)).data)
 
 
 @dataclass(frozen=True)
@@ -130,13 +119,14 @@ def _similarity_backward(g_e, h: np.ndarray, h_bar: np.ndarray, norm_bar: np.nda
     return g_h, g_bar
 
 
-def fuse_views_t(embeddings: list, rho: float, tol: float = _FUSE_TOL, max_rounds: int = _FUSE_MAX_ROUNDS):
+def fuse_views_t(embeddings: list, rho: float):
     """Fixed-point view weighting; returns (scalar weight tensors, consensus tensor).
 
     Weights start uniform with the consensus at the plain mean, then follow
     w_v = (eva_v / max eva)^rho renormalized to sum 1 until the largest weight
-    change drops below ``tol``. Negative similarities are clamped to zero; if
-    no view has positive similarity the weights fall back to uniform.
+    change drops below ``_FUSE_TOL``, for at most ``_FUSE_MAX_ROUNDS`` rounds.
+    Negative similarities are clamped to zero; if no view has positive
+    similarity the weights fall back to uniform.
 
     The consensus is one op: the forward runs the rounds in numpy and keeps
     only their scalars (``_Round``), and the backward replays them in reverse,
@@ -149,12 +139,12 @@ def fuse_views_t(embeddings: list, rho: float, tol: float = _FUSE_TOL, max_round
     """
     n_views = len(embeddings)
     if n_views < 1:
-        raise ValueError("fuse_views needs at least one view")
+        raise ValueError("fuse_views_t needs at least one view")
     hs = [h.data for h in embeddings]
     uniform = [np.asarray(1.0 / n_views)] * n_views
     weights, rounds = uniform, []
     h_bar = _combine(weights, hs)
-    for _ in range(max_rounds):
+    for _ in range(_FUSE_MAX_ROUNDS):
         evas = [evaluate_view_t(Tensor(h), Tensor(h_bar)).data for h in hs]
         choice = _max_chain(evas)
         top = evas[choice]
@@ -176,7 +166,7 @@ def fuse_views_t(embeddings: list, rho: float, tol: float = _FUSE_TOL, max_round
         rounds.append(_Round(weights, evas, choice, raw, total))
         weights = new_weights
         h_bar = _combine(weights, hs)
-        if delta < tol:
+        if delta < _FUSE_TOL:
             break
 
     def backward(grad):
@@ -203,16 +193,6 @@ def fuse_views_t(embeddings: list, rho: float, tol: float = _FUSE_TOL, max_round
     return [Tensor(w) for w in weights], Tensor._from_op(h_bar, tuple(embeddings), backward)
 
 
-def fuse_views(embeddings: list, rho: float):
-    """Weight and fuse per-view embeddings into the consensus embedding.
-
-    Returns ``(weights, consensus)`` with weights summing to 1.
-    """
-    tensors = [as_tensor(np.asarray(h, dtype=np.float64)) for h in embeddings]
-    weights, h_bar = fuse_views_t(tensors, rho)
-    return np.array([float(w.data) for w in weights]), h_bar.data
-
-
 def update_hr(g: MultiViewGraph, pseudo_one_hot: np.ndarray) -> list:
     """Per-view homophily ratio under the current pseudo-labels, from the CSR views."""
     pseudo = check_one_hot(pseudo_one_hot)
@@ -220,20 +200,13 @@ def update_hr(g: MultiViewGraph, pseudo_one_hot: np.ndarray) -> list:
 
 
 def soft_assignment_t(h: Tensor, centers: np.ndarray) -> Tensor:
+    """Row-stochastic Student-t (1 d.o.f.) soft cluster assignment."""
     c = Tensor(np.asarray(centers, dtype=np.float64))
     sq_h = (h * h).sum(axis=1, keepdims=True)
     sq_c = Tensor((np.asarray(centers) ** 2).sum(axis=1)[None, :])
     d2 = (sq_h - 2.0 * (h @ c.T) + sq_c).relu()
     q = 1.0 / (1.0 + d2)
     return q / q.sum(axis=1, keepdims=True)
-
-
-def soft_assignment(h: np.ndarray, centers: np.ndarray) -> np.ndarray:
-    """Row-stochastic Student-t (1 d.o.f.) soft cluster assignment."""
-    centers = np.asarray(centers, dtype=np.float64)
-    if not np.isfinite(centers).all():
-        raise ValueError("cluster centers contain non-finite entries")
-    return soft_assignment_t(Tensor(h), centers).data
 
 
 def target_distribution(q: np.ndarray) -> np.ndarray:
@@ -263,10 +236,6 @@ def kl_divergence_t(p: np.ndarray, q: Tensor) -> Tensor:
         )
     p_log_p = float(np.sum(p[p > 0] * np.log(p[p > 0])))
     return p_log_p - (Tensor(p) * q.maximum(_LOG_FLOOR).log()).sum()
-
-
-def kl_divergence(p: np.ndarray, q: np.ndarray) -> float:
-    return float(kl_divergence_t(p, Tensor(np.asarray(q, dtype=np.float64))).data)
 
 
 def kl_terms_t(p_per_view: list, q_per_view: list, p_bar: np.ndarray, q_bar: Tensor) -> Tensor:

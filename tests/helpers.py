@@ -1,8 +1,12 @@
-"""Deterministic fixture builders shared across test modules."""
+"""Deterministic fixture builders and array-facing wrappers of the Tensor
+functions, shared across test modules."""
 
 import numpy as np
 
 from gfclust import MultiViewGraph
+from gfclust.autograd import Tensor, zero_grads
+from gfclust.encoders import reconstruction_loss_t
+from gfclust.fusion import fuse_views_t
 
 
 def ratio_graph(labels, n_intra, n_inter, rng):
@@ -52,3 +56,19 @@ def tiny_two_view(seed=0, n=24, c=3, d=5, p_in=0.5, p_out=0.05):
         size=(n, d)
     )
     return MultiViewGraph(features=features, adjacencies=adjacencies, n_clusters=c, labels=labels)
+
+
+def reconstruction_grads(params, batch, loss="mse"):
+    """Gradients of ``reconstruction_loss_t(params, batch, loss)``, one array per
+    parameter in ``params.parameters()`` order; zeros where none flows."""
+    tensors = params.parameters()
+    zero_grads(tensors)
+    reconstruction_loss_t(params, batch, loss=loss).backward()
+    return [np.zeros_like(p.data) if p.grad is None else np.array(p.grad) for p in tensors]
+
+
+def fuse(embeddings, rho):
+    """``fuse_views_t`` on arrays: ``(weights, consensus)`` as arrays."""
+    weights, h_bar = fuse_views_t([Tensor(np.asarray(h, dtype=np.float64)) for h in embeddings],
+                                  rho)
+    return np.array([float(w.data) for w in weights]), h_bar.data

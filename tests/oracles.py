@@ -283,3 +283,9 @@ def oracle_edge_text(a):
     lines, the reference for the chunked writer in ``gfclust.save_dataset``."""
     upper = sparse.triu(a, k=1)
     return "\n".join(f"{i} {j}" for i, j in zip(upper.row, upper.col))
+
+
+def oracle_embedding_text(matrix):
+    """A matrix as one joined string of "%.17g" CSV rows, the reference for the
+    chunked writer ``gfclust.save_embedding``."""
+    return "\n".join(",".join("%.17g" % v for v in row) for row in np.atleast_2d(matrix))

@@ -23,7 +23,7 @@ from gfclust import (
 )
 from gfclust import datasets
 from gfclust.errors import ConfigError, DataRepairWarning
-from oracles import oracle_edge_text, oracle_generate_synthetic
+from oracles import oracle_edge_text, oracle_embedding_text, oracle_generate_synthetic
 
 RNG = np.random.default_rng(2)
 
@@ -335,6 +335,35 @@ class TestSaveDatasetEdges:
         finally:
             tracemalloc.stop()
         assert (peak - base) / edges < 35.0
+
+
+class TestSaveEmbeddingChunks:
+    @pytest.mark.parametrize("shape, chunk", [
+        ((1, 5), 2),  # one row wider than a chunk
+        ((7, 1), 3),  # one column, chunks of three rows
+        ((9, 4), 8),  # chunks of two rows, the last one short
+        ((9, 4), 36),  # exactly one chunk
+        ((4, 3), 1 << 14),
+    ])
+    def test_bytes_equal_one_joined_write(self, shape, chunk, tmp_path, monkeypatch):
+        m = RNG.normal(size=shape) * 10.0 ** RNG.integers(-300, 300, size=shape)
+        m.flat[0] = -0.0
+        monkeypatch.setattr(datasets, "_VALUE_CHUNK", chunk)
+        save_embedding(m, tmp_path / "m.csv")
+        assert (tmp_path / "m.csv").read_bytes() == oracle_embedding_text(m).encode()
+
+    def test_values_are_formatted_in_bounded_chunks(self, tmp_path):
+        # 160k values: one joined string costs about 47 bytes a value, a chunk
+        # about 1.4 MB in all
+        m = RNG.normal(size=(20000, 8))
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            save_embedding(m, tmp_path / "m.csv")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (peak - base) / m.size < 15.0
 
 
 class TestFlatFiles:

@@ -6,23 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import sparse
 
-from gfclust import (
-    EncoderConfig,
-    SyntheticSpec,
-    encode,
-    generate_synthetic,
-    gradient,
-    graphs,
-    reconstruction_loss,
-    train_autoencoders,
-)
+from gfclust import EncoderConfig, SyntheticSpec, generate_synthetic, graphs
 from gfclust.autograd import Tensor, zero_grads
 from gfclust.encoders import (
     AutoEncoderParams,
     _layer,
     adjacency_input,
     adjacency_mse_t,
-    decode,
     encode_t,
     init_autoencoder,
     pretrain_view,
@@ -31,6 +21,7 @@ from gfclust.encoders import (
 )
 from gfclust.errors import ConfigError, DivergenceError
 
+from helpers import reconstruction_grads
 from oracles import oracle_adjacency_mse_t, oracle_layer
 
 RNG = np.random.default_rng(7)
@@ -66,12 +57,12 @@ class TestEncode:
             decoder_layers=[layer(np.zeros((2, 3))), layer(np.zeros((3, 4)))],
             activation="tanh",
         )
-        out = encode(params, RNG.normal(size=(5, 4)))
+        out = encode_t(params, RNG.normal(size=(5, 4))).data
         assert np.array_equal(out, np.zeros((5, 2)))
 
     def test_identity_square_linear_passthrough(self):
         x = RNG.normal(size=(6, 3))
-        assert np.allclose(encode(identity_ae(3), x), x)
+        assert np.allclose(encode_t(identity_ae(3), x).data, x)
 
     def test_matches_independent_matrix_product_oracle(self):
         rng = np.random.default_rng(0)
@@ -79,21 +70,39 @@ class TestEncode:
         x = rng.normal(size=(7, 5))
         (w1, b1), (w2, b2) = params.encoder_layers
         expected = matmul_oracle(np.tanh(matmul_oracle(x, w1.data) + b1.data), w2.data) + b2.data
-        assert np.abs(encode(params, x) - expected).max() < 1e-10
+        assert np.abs(encode_t(params, x).data - expected).max() < 1e-10
 
     def test_dimension_mismatch(self):
         params = init_autoencoder(5, 2, 4, RNG)
         with pytest.raises(ValueError):
-            encode(params, np.zeros((3, 4)))
+            encode_t(params, np.zeros((3, 4)))
 
     def test_zero_input_equals_bias_only_forward(self):
         params = init_autoencoder(4, 2, 6, np.random.default_rng(2))
         for _, b in params.encoder_layers:
             b.data[:] = RNG.normal(size=b.data.shape)
-        zero_out = encode(params, np.zeros((3, 4)))
+        zero_out = encode_t(params, np.zeros((3, 4))).data
         (w1, b1), (w2, b2) = params.encoder_layers
         bias_only = np.tanh(b1.data) @ w2.data + b2.data
         assert np.allclose(zero_out, np.tile(bias_only, (3, 1)))
+
+    def test_array_tensor_and_csr_inputs_agree(self):
+        # the spectrum command encodes the features as an array and the
+        # adjacency in the form its autoencoder trained on, CSR under MSE
+        rng = np.random.default_rng(5)
+        x = rng.normal(size=(9, 6))
+        x[x < 0.3] = 0.0
+        params = with_random_biases(init_autoencoder(6, 2, 4, rng), rng)
+        plain = encode_t(params, x).data
+        assert np.array_equal(plain, encode_t(params, Tensor(x)).data)
+        assert np.abs(encode_t(params, sparse.csr_array(x)).data - plain).max() <= 1e-12
+
+
+def view_loss(params_x, params_a, x, a):
+    """Both autoencoders' reconstruction losses, summed, on the inputs
+    pretraining scores them on: the features, and the adjacency as CSR."""
+    return float(reconstruction_loss_t(params_x, x).data
+                 + reconstruction_loss_t(params_a, adjacency_input(a)).data)
 
 
 class TestReconstructionLoss:
@@ -101,7 +110,7 @@ class TestReconstructionLoss:
         x = RNG.normal(size=(5, 3))
         a = (RNG.random((5, 5)) < 0.4).astype(float)
         params = identity_ae(3), identity_ae(5)
-        assert reconstruction_loss(params[0], params[1], x, a) == 0.0
+        assert view_loss(params[0], params[1], x, a) == 0.0
 
     def test_zero_decoder_gives_mean_square(self):
         x = RNG.normal(size=(4, 3))
@@ -116,7 +125,7 @@ class TestReconstructionLoss:
             activation="linear",
         )
         a = np.zeros((4, 4))
-        assert reconstruction_loss(zero_x, zero_a, x, a) == pytest.approx((x**2).mean())
+        assert view_loss(zero_x, zero_a, x, a) == pytest.approx((x**2).mean())
 
     def test_permutation_invariance(self):
         x = RNG.normal(size=(6, 4))
@@ -130,8 +139,8 @@ class TestReconstructionLoss:
                 activation="linear",
             )
 
-        assert reconstruction_loss(zero_ae(), zero_ae(), x, a) == pytest.approx(
-            reconstruction_loss(zero_ae(), zero_ae(), shuffled, a)
+        assert view_loss(zero_ae(), zero_ae(), x, a) == pytest.approx(
+            view_loss(zero_ae(), zero_ae(), shuffled, a)
         )
 
 
@@ -143,7 +152,7 @@ class TestGradient:
             decoder_layers=[layer(np.zeros((2, 2))), layer(np.zeros((2, 3)))],
             activation="linear",
         )
-        grads = gradient(params, np.zeros((4, 3)))
+        grads = reconstruction_grads(params, np.zeros((4, 3)))
         assert all(np.array_equal(g, np.zeros_like(g)) for g in grads)
 
     def test_scalar_linear_ae_matches_hand_derivative(self):
@@ -154,7 +163,7 @@ class TestGradient:
             decoder_layers=[layer([[w]])],
             activation="linear",
         )
-        grads = gradient(params, x)
+        grads = reconstruction_grads(params, x)
         # x_hat = w^2 x, loss = (w^2 x - x)^2, dL/dw = 2 (w^2 x - x) * 2 w x
         expected = 2 * (w * w * 1.3 - 1.3) * (2 * w * 1.3)
         total = grads[0][0, 0] + grads[2][0, 0]  # same w appears in both stacks
@@ -164,7 +173,7 @@ class TestGradient:
         rng = np.random.default_rng(3)
         params = init_autoencoder(4, 2, 3, rng, activation="tanh")  # < 200 parameters
         x = rng.normal(size=(6, 4))
-        grads = gradient(params, x)
+        grads = reconstruction_grads(params, x)
         h = 1e-5
         worst = 0.0
         for p, g in zip(params.parameters(), grads):
@@ -184,15 +193,14 @@ class TestGradient:
         assert worst < 1e-4
 
     def test_nonfinite_parameters_raise(self):
+        # a NaN weight makes the first training step's loss NaN
         params = init_autoencoder(3, 2, 3, RNG)
         params.encoder_layers[0][0].data[0, 0] = np.nan
-        with pytest.raises(DivergenceError):
-            gradient(params, np.ones((2, 3)))
+        with pytest.raises(DivergenceError, match="epoch 0"):
+            train_autoencoder(params, np.ones((2, 3)), epochs=1, learning_rate=1e-3)
 
 
 def reconstruction_loss_value(params, x):
-    from gfclust.encoders import reconstruction_loss_t
-
     return float(reconstruction_loss_t(params, x).data)
 
 
@@ -204,20 +212,21 @@ class TestTrainAutoencoders:
             latent_dim=1, hidden_dim=4, activation="linear", epochs=1500,
             learning_rate=2e-2, seed=4,
         )
-        params_x, _, pair = train_autoencoders(x, np.zeros((12, 12)), cfg)
+        params_x, _, _ = pretrain_view(x, np.zeros((12, 12)), cfg)
         final = reconstruction_loss_value(params_x, x)
         assert final < 1e-3
-        assert pair.z_x.shape == (12, 1)
+        assert encode_t(params_x, x).data.shape == (12, 1)
 
     def test_zero_epochs_returns_initial_params(self):
         x = RNG.normal(size=(8, 5))
         a = np.zeros((8, 8))
         cfg = EncoderConfig(latent_dim=2, hidden_dim=4, epochs=0, seed=9)
-        params_x, params_a, pair = train_autoencoders(x, a, cfg)
+        params_x, params_a, history = pretrain_view(x, a, cfg)
         rng_x = np.random.default_rng(np.random.SeedSequence(9).spawn(2)[0])
         fresh = init_autoencoder(5, 2, 4, rng_x)
+        assert history == []
         assert np.array_equal(params_x.encoder_layers[0][0].data, fresh.encoder_layers[0][0].data)
-        assert np.array_equal(pair.z_x, encode(params_x, x))
+        assert np.array_equal(encode_t(params_x, x).data, encode_t(fresh, x).data)
 
     def test_same_seed_bit_identical(self):
         x = RNG.normal(size=(10, 4))
@@ -225,11 +234,12 @@ class TestTrainAutoencoders:
         a = np.triu(a, 1)
         a = a + a.T
         cfg = EncoderConfig(latent_dim=3, hidden_dim=6, epochs=25, seed=11)
-        first = train_autoencoders(x, a, cfg)
-        second = train_autoencoders(x, a, cfg)
+        first = pretrain_view(x, a, cfg)
+        second = pretrain_view(x, a, cfg)
         for p1, p2 in zip(first[0].parameters(), second[0].parameters()):
             assert np.array_equal(p1.data, p2.data)
-        assert np.array_equal(first[2].z_a, second[2].z_a)
+        a_in = adjacency_input(a)
+        assert np.array_equal(encode_t(first[1], a_in).data, encode_t(second[1], a_in).data)
 
     def test_moving_average_loss_monotone(self):
         rng = np.random.default_rng(6)
@@ -327,7 +337,8 @@ class TestFactoredAdjacencyMse:
         dense = float(reconstruction_loss_t(params, a).data)
         factored = float(reconstruction_loss_t(params, sparse.csr_array(a)).data)
         assert factored == pytest.approx(dense, rel=1e-12)
-        for g_csr, g_dense in zip(gradient(params, sparse.csr_array(a)), gradient(params, a)):
+        for g_csr, g_dense in zip(reconstruction_grads(params, sparse.csr_array(a)),
+                                  reconstruction_grads(params, a)):
             assert np.allclose(g_csr, g_dense, rtol=1e-10, atol=1e-14)
 
     def test_repeated_entries_are_summed_before_scoring(self):

@@ -5,22 +5,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gfclust import (
-    EncoderConfig,
-    evaluate_view,
-    fuse_views,
-    kl_divergence,
-    one_hot,
-    soft_assignment,
-    target_distribution,
-    update_hr,
-)
+from gfclust import EncoderConfig, fusion, one_hot, target_distribution, update_hr
 from gfclust.autograd import Tensor
 from gfclust.errors import NumericsWarning
-from gfclust.fusion import fuse_views_t, kl_terms_t
+from gfclust.fusion import (
+    evaluate_view_t,
+    fuse_views_t,
+    kl_divergence_t,
+    kl_terms_t,
+    soft_assignment_t,
+)
 from gfclust.training import TrainConfig, TrainingPipeline
 
-from helpers import two_ratio_fixture, tiny_two_view
+from helpers import fuse, two_ratio_fixture, tiny_two_view
 from oracles import oracle_fuse_views_t
 
 RNG = np.random.default_rng(13)
@@ -29,6 +26,18 @@ RNG = np.random.default_rng(13)
 def random_stochastic_rows(n, c, rng):
     q = rng.random((n, c)) + 1e-3
     return q / q.sum(axis=1, keepdims=True)
+
+
+def evaluate_view(h_v, h_bar) -> float:
+    return float(evaluate_view_t(Tensor(h_v), Tensor(h_bar)).data)
+
+
+def soft_assignment(h, centers):
+    return soft_assignment_t(Tensor(h), centers).data
+
+
+def kl_divergence(p, q) -> float:
+    return float(kl_divergence_t(p, Tensor(q)).data)
 
 
 class TestEvaluateView:
@@ -58,13 +67,13 @@ class TestEvaluateView:
 class TestFuseViews:
     def test_single_view_degenerate(self):
         h = RNG.normal(size=(5, 3))
-        weights, h_bar = fuse_views([h], rho=1.0)
+        weights, h_bar = fuse([h], rho=1.0)
         assert np.allclose(weights, [1.0])
         assert np.allclose(h_bar, h)
 
     def test_two_identical_views(self):
         h = RNG.normal(size=(5, 3))
-        weights, h_bar = fuse_views([h, h.copy()], rho=1.0)
+        weights, h_bar = fuse([h, h.copy()], rho=1.0)
         assert np.allclose(weights, [0.5, 0.5])
         assert np.allclose(h_bar, h)
 
@@ -72,13 +81,13 @@ class TestFuseViews:
         # larger-norm view dominates the initial mean, so it stays aligned
         h1 = np.tile([2.0, 0.0], (6, 1))
         h2 = np.tile([0.0, 1.0], (6, 1))
-        weights, _ = fuse_views([h1, h2], rho=1.0)
+        weights, _ = fuse([h1, h2], rho=1.0)
         assert weights[0] > weights[1]
         assert weights.sum() == pytest.approx(1.0, abs=1e-9)
 
     def test_consensus_is_exact_weighted_sum(self):
         hs = [RNG.normal(size=(7, 3)) for _ in range(3)]
-        weights, h_bar = fuse_views(hs, rho=1.5)
+        weights, h_bar = fuse(hs, rho=1.5)
         manual = sum(w * h for w, h in zip(weights, hs))
         assert np.abs(h_bar - manual).max() < 1e-12
         assert weights.sum() == pytest.approx(1.0, abs=1e-9)
@@ -86,9 +95,9 @@ class TestFuseViews:
 
     def test_permutation_equivariance(self):
         hs = [RNG.normal(size=(6, 2)) for _ in range(3)]
-        weights, h_bar = fuse_views(hs, rho=1.0)
+        weights, h_bar = fuse(hs, rho=1.0)
         perm = [2, 0, 1]
-        weights_p, h_bar_p = fuse_views([hs[i] for i in perm], rho=1.0)
+        weights_p, h_bar_p = fuse([hs[i] for i in perm], rho=1.0)
         assert np.allclose(weights_p, weights[perm])
         assert np.allclose(h_bar_p, h_bar)
 
@@ -96,23 +105,23 @@ class TestFuseViews:
         h1 = np.array([[1.0, 0.0]])
         h2 = np.array([[-1.0, 0.0]])
         with pytest.warns(NumericsWarning, match="uniform"):
-            weights, h_bar = fuse_views([h1, h2], rho=0.5)
+            weights, h_bar = fuse([h1, h2], rho=0.5)
         assert np.allclose(weights, [0.5, 0.5])
         assert np.allclose(h_bar, np.zeros((1, 2)))
 
     def test_rho_zero_gives_uniform_weights(self):
         hs = [RNG.normal(size=(4, 3)) for _ in range(3)]
-        weights, _ = fuse_views(hs, rho=0.0)
+        weights, _ = fuse(hs, rho=0.0)
         assert np.allclose(weights, 1.0 / 3.0)
 
 
-def fused(fuse, hs, rho, upstream, **kwargs):
+def fused(fuse_t, hs, rho, upstream):
     """Weights, consensus and the gradient of ``sum(upstream * consensus)``
-    w.r.t. each view, from ``fuse`` (the op or its taped oracle)."""
+    w.r.t. each view, from ``fuse_t`` (the op or its taped oracle)."""
     ts = [Tensor(h.copy(), requires_grad=True) for h in hs]
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", NumericsWarning)
-        weights, h_bar = fuse(ts, rho, **kwargs)
+        weights, h_bar = fuse_t(ts, rho)
     (h_bar * Tensor(upstream)).sum().backward()
     return [float(w.data) for w in weights], h_bar.data, [t.grad for t in ts]
 
@@ -148,14 +157,15 @@ class TestFuseViewsOp:
         for g, g_ref in zip(grads, grads_ref):
             assert np.abs(g - g_ref).max() <= 1e-10 * scale
 
-    def test_gradient_matches_central_differences(self):
+    def test_gradient_matches_central_differences(self, monkeypatch):
         rng = np.random.default_rng(21)
         hs = [rng.normal(size=(6, 3)) + 0.5 for _ in range(3)]
         upstream = rng.normal(size=(6, 3))
         # a fixed round count keeps the function smooth under the perturbation
-        fixed = dict(tol=0.0, max_rounds=4)
+        monkeypatch.setattr(fusion, "_FUSE_TOL", 0.0)
+        monkeypatch.setattr(fusion, "_FUSE_MAX_ROUNDS", 4)
         for rho in (0.5, 1.5):
-            _, _, grads = fused(fuse_views_t, hs, rho, upstream, **fixed)
+            _, _, grads = fused(fuse_views_t, hs, rho, upstream)
             for v in range(3):
                 fd = np.zeros_like(hs[v])
                 for idx in np.ndindex(hs[v].shape):
@@ -163,7 +173,7 @@ class TestFuseViewsOp:
                     for step in (1e-6, -1e-6):
                         moved = [h.copy() for h in hs]
                         moved[v][idx] += step
-                        _, h_bar, _ = fused(fuse_views_t, moved, rho, upstream, **fixed)
+                        _, h_bar, _ = fused(fuse_views_t, moved, rho, upstream)
                         values.append(float((h_bar * upstream).sum()))
                     fd[idx] = (values[0] - values[1]) / 2e-6
                 assert np.abs(grads[v] - fd).max() < 1e-6 * max(np.abs(fd).max(), 1.0)
@@ -221,10 +231,6 @@ class TestSoftAssignment:
         q = soft_assignment(rng.normal(size=(8, 3)), rng.normal(size=(4, 3)))
         assert np.abs(q.sum(axis=1) - 1.0).max() < 1e-9
         assert (q >= 0).all()
-
-    def test_nonfinite_centers_rejected(self):
-        with pytest.raises(ValueError):
-            soft_assignment(np.zeros((2, 2)), np.array([[np.nan, 0.0]]))
 
 
 class TestTargetDistribution:
