@@ -5,16 +5,17 @@ A ``Tensor`` wraps a float64 ndarray and records the operations applied to it;
 accumulates gradients into every node that (transitively) requires them.
 Only the ops needed by this package are implemented: elementwise arithmetic
 with broadcasting, matmul, tanh/exp/log/sqrt, powers, maxima, reductions and
-transpose, plus ``sparse_matmul`` for a constant scipy sparse left operand.
-Everything is float64 and 0-d/1-d/2-d shaped.
+transpose. Everything is float64 and 0-d/1-d/2-d shaped.
 
 The tape lives as long as its root: a node holds its parents and its
 backward closure, nothing holds a node's consumers, so dropping the last
 reference to a loss frees its whole graph. Composite steps that would keep
 many large intermediates are single ops built on ``Tensor._from_op`` with a
 hand-written backward that keeps or recomputes only what it needs: the
-encoder layer (``encoders._layer``), the kernel and filter
-(``filters._joint_filter_t``) and the view fusion (``fusion.fuse_views_t``).
+encoder layer (``encoders._layer``), the reconstruction losses
+(``encoders.mse_t`` and the edges term of ``encoders.adjacency_mse_t``), the
+kernel and filter (``filters._joint_filter_t``) and the view fusion
+(``fusion.fuse_views_t``).
 ``Adam.step`` updates its moments and the parameters in place.
 """
 
@@ -22,7 +23,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["Tensor", "Adam", "as_tensor", "sparse_matmul", "zero_grads"]
+__all__ = ["Tensor", "Adam", "as_tensor", "zero_grads"]
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
@@ -298,19 +299,6 @@ class Tensor:
                     parent.grad = parent.grad + pgrad
             if node is not self:
                 node.grad = None
-
-
-def sparse_matmul(a, w: Tensor) -> Tensor:
-    """``a @ w`` for a constant scipy sparse matrix ``a`` and a dense ``w``.
-
-    ``a`` gets no gradient; ``w`` gets ``a.T @ grad``, so neither pass forms
-    ``a`` densely.
-    """
-
-    def backward(grad):
-        return (np.asarray(a.T @ grad),)
-
-    return Tensor._from_op(np.asarray(a @ w.data), (w,), backward)
 
 
 def zero_grads(params) -> None:

@@ -4,6 +4,12 @@ ACC and macro-F1 are computed after an optimal cluster-to-class matching
 (Hungarian assignment on the contingency table), NMI uses arithmetic-mean
 normalization, and ARI follows the adjusted-for-chance pair-counting formula
 (negative values are legitimate).
+
+The Hungarian step is solved in this module (``_assignment``) rather than
+by ``scipy.optimize.linear_sum_assignment``: importing ``scipy.optimize``
+loads ``scipy.linalg`` and ``scipy.sparse.linalg`` with it, about 27 MB of
+resident memory in every process that imports the package, to solve one
+k x k matching per score.
 """
 
 from __future__ import annotations
@@ -12,7 +18,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 __all__ = [
     "ClusterAssignment",
@@ -150,6 +155,45 @@ def _contingency(pred: np.ndarray, truth: np.ndarray) -> np.ndarray:
     return table
 
 
+def _assignment(cost: np.ndarray) -> np.ndarray:
+    """Column matched to each row by a minimum-cost perfect matching of a square ``cost``.
+
+    Kuhn-Munkres in its shortest-augmenting-path form (Jonker & Volgenant
+    1987): each row is added by a Dijkstra-like search over reduced costs
+    ``cost[i, j] - u[i] - v[j]``, vectorised over the columns, and the dual
+    potentials ``u``, ``v`` keep every reduced cost non-negative. O(k^3).
+    Column ``k`` is a virtual start column that holds the row being added.
+    """
+    cost = np.asarray(cost, dtype=np.float64)
+    k = cost.shape[0]
+    u, v = np.zeros(k), np.zeros(k + 1)
+    row_of = np.full(k + 1, -1)  # row matched to each column, -1 when free
+    for i in range(k):
+        j0, row_of[k] = k, i
+        min_reduced = np.full(k, np.inf)
+        way = np.zeros(k, dtype=np.int64)  # previous column on the shortest path
+        used = np.zeros(k + 1, dtype=bool)
+        while row_of[j0] != -1:
+            used[j0] = True
+            i0 = row_of[j0]
+            free = ~used[:k]
+            reduced = cost[i0] - u[i0] - v[:k]
+            better = free & (reduced < min_reduced)
+            min_reduced[better] = reduced[better]
+            way[better] = j0
+            j0 = int(np.argmin(np.where(free, min_reduced, np.inf)))
+            delta = min_reduced[j0]
+            u[row_of[used]] += delta
+            v[used] -= delta
+            min_reduced[free] -= delta
+        while j0 != k:  # augment along the path back to the virtual column
+            row_of[j0] = row_of[way[j0]]
+            j0 = way[j0]
+    cols = np.empty(k, dtype=np.int64)
+    cols[row_of[:k]] = np.arange(k)
+    return cols
+
+
 def match_clusters(pred: np.ndarray, truth: np.ndarray) -> np.ndarray:
     """Relabel predicted clusters by the agreement-maximizing bijection.
 
@@ -162,17 +206,15 @@ def match_clusters(pred: np.ndarray, truth: np.ndarray) -> np.ndarray:
     k = table.shape[0]
     sums = table.sum(axis=1, keepdims=True) + table.sum(axis=0, keepdims=True)
     pair_f1 = np.divide(2.0 * table, sums, out=np.zeros(table.shape), where=sums > 0)
-    rows, cols = linear_sum_assignment(-(table.astype(np.float64) * (k + 1) + pair_f1))
-    mapping = np.empty(k, dtype=np.int64)
-    mapping[rows] = cols
+    # the F1 sum of any bijection is below k + 1, so agreement ranks first
+    mapping = _assignment(-(table.astype(np.float64) * (k + 1) + pair_f1))
     return mapping[np.asarray(pred, dtype=np.int64)]
 
 
 def accuracy(pred: np.ndarray, truth: np.ndarray) -> float:
-    """Best agreement over all cluster-to-class bijections."""
-    table = _contingency(pred, truth)
-    rows, cols = linear_sum_assignment(-table)
-    return float(table[rows, cols].sum() / len(pred))
+    """Best agreement over all cluster-to-class bijections: that of ``match_clusters``."""
+    matched = match_clusters(pred, truth)
+    return float(np.count_nonzero(matched == np.asarray(truth, dtype=np.int64)) / len(pred))
 
 
 def nmi(pred: np.ndarray, truth: np.ndarray) -> float:

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import sparse
 
-from .autograd import Adam, Tensor, as_tensor, sparse_matmul
+from .autograd import Adam, Tensor, as_tensor
 from .errors import ConfigError, DivergenceError
 from .graphs import check_dense_fits
 
@@ -202,8 +202,19 @@ def decode_t(params: AutoEncoderParams, z: Tensor) -> Tensor:
 
 
 def mse_t(pred: Tensor, target: np.ndarray) -> Tensor:
-    diff = pred - Tensor(target)
-    return (diff * diff).mean()
+    """``mean((pred - target)^2)`` as one op that keeps only ``pred - target``.
+
+    The values and the gradient ``2 g diff / count`` are those of the taped
+    ``((pred - target) * (pred - target)).mean()``, rounded alike.
+    """
+    diff = pred.data - np.asarray(target, dtype=np.float64)
+    scale = 1.0 / diff.size
+
+    def backward(g):
+        grad = (g * scale) * diff
+        return (grad + grad,)
+
+    return Tensor._from_op((diff * diff).sum() * scale, (pred,), backward)
 
 
 def bce_t(logits: Tensor, target: np.ndarray) -> Tensor:
@@ -234,6 +245,20 @@ def adjacency_input(a, loss: str = "mse"):
     return a
 
 
+def _edges_term(h: Tensor, w: Tensor, a) -> Tensor:
+    """``sum(H * (A W^T))`` as one op that keeps only ``A W^T``; ``a`` is sparse.
+
+    Gradients: ``g A W^T`` for ``H`` and ``(A^T (g H))^T`` for ``W``, the
+    values of the taped ``(h * (a @ w.T)).sum()`` with a constant sparse ``a``.
+    """
+    aw = np.asarray(a @ w.data.T)
+
+    def backward(g):
+        return (g * aw, np.asarray(a.T @ (g * h.data)).T)
+
+    return Tensor._from_op((h.data * aw).sum(), (h, w), backward)
+
+
 def adjacency_mse_t(params: AutoEncoderParams, z: Tensor, a) -> Tensor:
     """``mse_t(decode_t(params, z), a)`` for a sparse ``a``, without the dense decode.
 
@@ -243,18 +268,19 @@ def adjacency_mse_t(params: AutoEncoderParams, z: Tensor, a) -> Tensor:
         n m * mse = sum((H^T H) * (W W^T)) + 2 (1^T H) W b + n |b|^2
                     - 2 sum(H * (A W^T)) - 2 b^T (A^T 1) + |A|^2,
 
-    composed from taped ops: O(n h^2 + |E| h) time, O(n h) memory. The graph
-    constants ``A^T 1`` and ``|A|^2`` are read from ``a``'s stored entries (a
-    matvec on the transposed view and the data's dot with itself), so ``a``
-    holds no repeated entries, as ``adjacency_input`` makes it; on a 0/1 view
-    both are exact integer sums.
+    composed from taped ops and the one-op edges term (``_edges_term``):
+    O(n h^2 + |E| h) time, O(n h) memory. The graph constants ``A^T 1`` and
+    ``|A|^2`` are read from ``a``'s stored entries (a matvec on the
+    transposed view and the data's dot with itself), so ``a`` holds no
+    repeated entries, as ``adjacency_input`` makes it; on a 0/1 view both
+    are exact integer sums.
     """
     *hidden, (w, b) = params.decoder_layers
     h = _hidden_forward(hidden, params.activation, z)
     n, m = a.shape
     quadratic = ((h.T @ h) * (w @ w.T)).sum()
     cross = ((h.sum(axis=0, keepdims=True) @ w) * b).sum()
-    edges = (h * sparse_matmul(a, w.T)).sum()
+    edges = _edges_term(h, w, a)
     col_sums = np.asarray(a.sum(axis=0)).ravel()
     a_sq = float(a.data @ a.data)
     total = quadratic + 2.0 * cross + float(n) * (b * b).sum() - 2.0 * edges

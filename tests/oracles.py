@@ -6,9 +6,9 @@ from itertools import permutations
 import numpy as np
 from scipy import sparse
 
-from gfclust.autograd import Tensor, as_tensor, sparse_matmul
+from gfclust.autograd import Tensor, as_tensor
 from gfclust.datasets import _class_mean_matrix
-from gfclust.encoders import decode_t, mse_t
+from gfclust.encoders import decode_t
 from gfclust.errors import NumericsWarning
 from gfclust.fusion import _FUSE_MAX_ROUNDS, _FUSE_TOL, evaluate_view_t
 from gfclust.graphs import MultiViewGraph
@@ -144,11 +144,34 @@ def oracle_apply_filter_t(s_rw, x, cfg):
     return mix * _taped_low_pass(s_rw, x, k) + (1.0 - mix) * _taped_high_pass(s_rw, x, k)
 
 
+def sparse_matmul(a, w):
+    """``a @ w`` for a constant scipy sparse ``a`` as one taped op; ``w`` gets
+    ``a.T @ grad``. The sparse product of the taped references."""
+
+    def backward(grad):
+        return (np.asarray(a.T @ grad),)
+
+    return Tensor._from_op(np.asarray(a @ w.data), (w,), backward)
+
+
+def oracle_mse_t(pred, target):
+    """Mean squared error as four taped ops, the reference for the one-op
+    ``gfclust.encoders.mse_t``."""
+    diff = pred - Tensor(target)
+    return (diff * diff).mean()
+
+
+def oracle_edges_term(h, w, a):
+    """``sum(H * (A W^T))`` as four taped ops, the reference for the one-op
+    ``gfclust.encoders._edges_term``."""
+    return (h * sparse_matmul(a, w.T)).sum()
+
+
 def oracle_adjacency_mse_t(params, z, a):
     """Adjacency reconstruction MSE by the dense decode: the n x n ``decode_t``
-    output scored by ``mse_t`` against dense ``a``, the reference for the
-    factored ``gfclust.encoders.adjacency_mse_t``."""
-    return mse_t(decode_t(params, z), a)
+    output scored by ``oracle_mse_t`` against dense ``a``, the reference for
+    the factored ``gfclust.encoders.adjacency_mse_t``."""
+    return oracle_mse_t(decode_t(params, z), a)
 
 
 def oracle_homophily_ratio(a, labels_one_hot):

@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 from scipy import sparse
 
-from gfclust.autograd import Adam, Tensor, sparse_matmul
+from gfclust.autograd import Adam, Tensor
+from gfclust.encoders import _edges_term, mse_t
 
-from oracles import OracleAdam
+from oracles import OracleAdam, sparse_matmul
 
 RNG = np.random.default_rng(42)
 
@@ -155,6 +156,17 @@ def test_sparse_matmul_matches_dense_product_and_central_differences():
     x0 = RNG.normal(size=(4, 3))
     assert np.allclose(sparse_matmul(a, Tensor(x0)).data, a0 @ x0, rtol=0, atol=1e-15)
     check(lambda t: (sparse_matmul(a, t).tanh() * sparse_matmul(a, t)).sum(), (4, 3))
+
+
+def test_loss_ops_match_central_differences():
+    rng = np.random.default_rng(5)
+    target = rng.normal(size=(5, 4))
+    check(lambda t: mse_t(t.tanh(), target) * 2.5, (5, 4))
+    # a non-square sparse operand, so a transpose mix-up cannot pass
+    a = sparse.csr_array(rng.normal(size=(5, 4)) * (rng.random((5, 4)) < 0.5))
+    h, w = Tensor(rng.normal(size=(5, 3))), Tensor(rng.normal(size=(3, 4)))
+    check(lambda t: _edges_term(t.tanh(), w, a).tanh(), (5, 3))
+    check(lambda t: _edges_term(h, t.tanh(), a).tanh(), (3, 4))
 
 
 def test_backward_requires_scalar():

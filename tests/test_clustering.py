@@ -1,11 +1,11 @@
 import warnings
-from itertools import combinations
+from itertools import combinations, permutations
 
 import numpy as np
 import pytest
 
 from gfclust import accuracy, ari, kmeans, macro_f1, nmi, one_hot
-from gfclust.clustering import class_means
+from gfclust.clustering import _assignment, class_means
 
 from oracles import oracle_accuracy, oracle_ari, oracle_f1_candidates, oracle_nmi
 
@@ -186,3 +186,37 @@ class TestMetricExamples:
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
             accuracy([0, 1], [0, 1, 2])
+
+
+def assignment_cost(cost, cols):
+    assert sorted(cols.tolist()) == list(range(cost.shape[0]))
+    return cost[np.arange(cost.shape[0]), cols].sum()
+
+
+class TestAssignment:
+    """The in-package Hungarian solver against exhaustive search and scipy."""
+
+    def test_matches_brute_force_on_small_tables(self):
+        rng = np.random.default_rng(12)
+        tables = [np.zeros((1, 1)), np.array([[4.0]]), np.zeros((4, 4)), np.ones((3, 3))]
+        for k in range(1, 7):
+            for _ in range(6):
+                tables.append(rng.integers(0, 3, size=(k, k)))  # integers, many ties
+                tables.append(rng.integers(-20, 20, size=(k, k)))
+                tables.append(rng.normal(size=(k, k)))
+        for cost in tables:
+            k = cost.shape[0]
+            best = min(cost[np.arange(k), perm].sum() for perm in permutations(range(k)))
+            assert assignment_cost(cost, _assignment(cost)) == pytest.approx(best, abs=1e-12)
+
+    def test_matches_scipy_on_random_costs(self):
+        from scipy.optimize import linear_sum_assignment
+
+        rng = np.random.default_rng(40)
+        for k in (1, 2, 5, 13, 27, 40):
+            for scale in (1.0, 1e3):
+                cost = scale * rng.normal(size=(k, k))
+                rows, cols = linear_sum_assignment(cost)
+                best = cost[rows, cols].sum()
+                ours = assignment_cost(cost, _assignment(cost))
+                assert abs(ours - best) <= 1e-9 * abs(best)

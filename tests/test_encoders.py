@@ -10,11 +10,13 @@ from gfclust import EncoderConfig, SyntheticSpec, generate_synthetic, graphs
 from gfclust.autograd import Tensor, zero_grads
 from gfclust.encoders import (
     AutoEncoderParams,
+    _edges_term,
     _layer,
     adjacency_input,
     adjacency_mse_t,
     encode_t,
     init_autoencoder,
+    mse_t,
     pretrain_view,
     reconstruction_loss_t,
     train_autoencoder,
@@ -22,7 +24,7 @@ from gfclust.encoders import (
 from gfclust.errors import ConfigError, DivergenceError
 
 from helpers import reconstruction_grads
-from oracles import oracle_adjacency_mse_t, oracle_layer
+from oracles import oracle_adjacency_mse_t, oracle_edges_term, oracle_layer, oracle_mse_t
 
 RNG = np.random.default_rng(7)
 
@@ -442,3 +444,47 @@ class TestDenseBudget:
         monkeypatch.setattr(graphs, "_available_bytes", lambda: 10**7)
         a = random_graph(np.random.default_rng(0), 90, 10, 0.1)
         assert np.array_equal(adjacency_input(sparse.csr_array(a), "bce"), a)
+
+
+class TestLossOps:
+    """The one-op losses against the taped compositions they replace."""
+
+    def run(self, fn, inputs, upstream):
+        tensors = [Tensor(x.copy(), requires_grad=True) for x in inputs]
+        out = fn(*tensors)
+        (out * upstream).backward()
+        return [out.data] + [t.grad for t in tensors]
+
+    def test_mse_equals_the_taped_composition_exactly(self):
+        rng = np.random.default_rng(2)
+        pred, target = rng.normal(size=(17, 5)), rng.normal(size=(17, 5))
+        ours = self.run(lambda p: mse_t(p, target), [pred], 3.7)
+        ref = self.run(lambda p: oracle_mse_t(p, target), [pred], 3.7)
+        assert all(np.array_equal(a, b) for a, b in zip(ours, ref))
+
+    def test_edges_term_equals_the_taped_composition_exactly(self):
+        rng = np.random.default_rng(3)
+        a = sparse.csr_array(random_graph(rng, 15, 2, 0.3))
+        h, w = rng.normal(size=(17, 4)), rng.normal(size=(4, 17))
+        ours = self.run(lambda h_, w_: _edges_term(h_, w_, a), [h, w], -1.3)
+        ref = self.run(lambda h_, w_: oracle_edges_term(h_, w_, a), [h, w], -1.3)
+        assert all(np.array_equal(x, y) for x, y in zip(ours, ref))
+
+    def test_each_keeps_one_operand_sized_array(self):
+        rng = np.random.default_rng(4)
+        pred = Tensor(rng.normal(size=(400, 32)), requires_grad=True)
+        target = rng.normal(size=(400, 32))
+        a = sparse.csr_array(random_graph(rng, 400, 0, 0.02))
+        h = Tensor(rng.normal(size=(400, 64)), requires_grad=True)
+        w = Tensor(rng.normal(size=(64, 400)), requires_grad=True)
+        for make, size in ((lambda: mse_t(pred, target), pred.data.nbytes),
+                           (lambda: _edges_term(h, w, a), h.data.nbytes)):
+            tracemalloc.start()
+            try:
+                start = tracemalloc.get_traced_memory()[0]
+                out = make()
+                kept = tracemalloc.get_traced_memory()[0] - start
+            finally:
+                tracemalloc.stop()
+            # the taped compositions keep a second array of this size
+            assert out.requires_grad and kept < 1.5 * size
