@@ -27,7 +27,7 @@ from .datasets import (
     save_embedding,
     save_report,
 )
-from .encoders import AutoEncoderParams, EmbeddingPair, EncoderConfig
+from .encoders import AutoEncoderParams, EncoderConfig
 from .errors import ConfigError, DataRepairWarning, DivergenceError, NumericsWarning
 from .filters import (
     FilterConfig,

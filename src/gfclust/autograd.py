@@ -3,9 +3,10 @@
 A ``Tensor`` wraps a float64 ndarray and records the operations applied to it;
 ``Tensor.backward()`` replays the tape in reverse topological order and
 accumulates gradients into every node that (transitively) requires them.
-Only the ops needed by this package are implemented: elementwise arithmetic
-with broadcasting, matmul, tanh/exp/log/sqrt, powers, maxima, reductions and
-transpose. Everything is float64 and 0-d/1-d/2-d shaped.
+Only the ops this package calls are implemented: elementwise arithmetic with
+broadcasting, matmul, log/sqrt/relu, maxima, reductions and transpose; the
+taped ops only tests use are built on ``Tensor._from_op`` in the tests.
+Everything is float64 and 0-d/1-d/2-d shaped.
 
 The tape lives as long as its root: a node holds its parents and its
 backward closure, nothing holds a node's consumers, so dropping the last
@@ -13,9 +14,9 @@ reference to a loss frees its whole graph. Composite steps that would keep
 many large intermediates are single ops built on ``Tensor._from_op`` with a
 hand-written backward that keeps or recomputes only what it needs: the
 encoder layer (``encoders._layer``), the reconstruction losses
-(``encoders.mse_t`` and the edges term of ``encoders.adjacency_mse_t``), the
-kernel and filter (``filters._joint_filter_t``) and the view fusion
-(``fusion.fuse_views_t``).
+(``encoders.mse_t``, the edges term of ``encoders.adjacency_mse_t`` and the
+row-blocked BCE ``encoders._blocked_bce``), the kernel and filter
+(``filters._joint_filter_t``) and the view fusion (``fusion.fuse_views_t``).
 ``Adam.step`` updates its moments and the parameters in place.
 """
 
@@ -71,9 +72,6 @@ class Tensor:
     def ndim(self):
         return self.data.ndim
 
-    def item(self) -> float:
-        return float(self.data)
-
     def detach(self) -> "Tensor":
         return Tensor(self.data)
 
@@ -107,12 +105,6 @@ class Tensor:
 
     __rmul__ = __mul__
 
-    def __neg__(self):
-        def backward(grad):
-            return (-grad,)
-
-        return Tensor._from_op(-self.data, (self,), backward)
-
     def __sub__(self, other):
         other = as_tensor(other)
         out_data = self.data - other.data
@@ -140,22 +132,6 @@ class Tensor:
     def __rtruediv__(self, other):
         return as_tensor(other).__truediv__(self)
 
-    def __pow__(self, exponent: float):
-        p = float(exponent)
-        out_data = self.data ** p
-
-        def backward(grad):
-            base = self.data
-            if p < 1.0:
-                # subgradient 0 at base == 0 keeps fractional powers finite
-                safe = np.where(base > 0.0, base, 1.0)
-                local = np.where(base > 0.0, p * safe ** (p - 1.0), 0.0)
-            else:
-                local = p * base ** (p - 1.0)
-            return (grad * local,)
-
-        return Tensor._from_op(out_data, (self,), backward)
-
     def __matmul__(self, other):
         other = as_tensor(other)
         out_data = self.data @ other.data
@@ -178,22 +154,6 @@ class Tensor:
 
         return Tensor._from_op(self.data.T, (self,), backward)
 
-    def tanh(self):
-        out_data = np.tanh(self.data)
-
-        def backward(grad):
-            return (grad * (1.0 - out_data * out_data),)
-
-        return Tensor._from_op(out_data, (self,), backward)
-
-    def exp(self):
-        out_data = np.exp(self.data)
-
-        def backward(grad):
-            return (grad * out_data,)
-
-        return Tensor._from_op(out_data, (self,), backward)
-
     def log(self):
         def backward(grad):
             return (grad / self.data,)
@@ -215,14 +175,6 @@ class Tensor:
             return (grad * mask,)
 
         return Tensor._from_op(self.data * mask, (self,), backward)
-
-    def clip(self, lo: float, hi: float):
-        mask = (self.data >= lo) & (self.data <= hi)
-
-        def backward(grad):
-            return (grad * mask,)
-
-        return Tensor._from_op(np.clip(self.data, lo, hi), (self,), backward)
 
     def maximum(self, other):
         other = as_tensor(other)

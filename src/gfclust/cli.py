@@ -24,7 +24,7 @@ from .datasets import (
     save_embedding,
     save_report,
 )
-from .encoders import EmbeddingPair, EncoderConfig, encode_t
+from .encoders import EncoderConfig, encode_t
 from .errors import ConfigError, DivergenceError
 from .filters import FilterConfig
 from .graphs import MultiViewGraph
@@ -201,11 +201,9 @@ def cmd_spectrum(payload: dict, args) -> int:
     out = _out_dir(payload, args)
     out.mkdir(parents=True, exist_ok=True)
     for view, (params_x, params_a) in enumerate(pipeline.models):
-        pair = EmbeddingPair(
-            z_x=encode_t(params_x, g.features).data,
-            z_a=encode_t(params_a, pipeline.adj_input[view]).data,
-        )
-        rep_a, rep_s = compare_spectra(g, view, pair, out_dir=out)
+        z_x = encode_t(params_x, g.features).data
+        z_a = encode_t(params_a, g.adjacencies[view]).data
+        rep_a, rep_s = compare_spectra(g, view, z_x, z_a, out_dir=out)
         print(
             f"view {view}: largest gap adjacency_rw={rep_a.summary['largest_gap']:.6f} "
             f"joint_aggregation_rw={rep_s.summary['largest_gap']:.6f}"

@@ -8,10 +8,12 @@ training epoch's tape is freed before the next epoch builds its own. The
 adjacency autoencoder takes its graph as CSR (``adjacency_input``) and,
 under the default MSE loss, is scored by ``adjacency_mse_t``: an exact
 expansion of ``mean((H W + 1 b^T - A)^2)`` over the decoder's last hidden
-layer ``H`` that costs O(n h^2 + |E| h) and never forms the n x n decode. Binary
-cross-entropy (``adjacency_loss="bce"``) is the dense path: a dense input, a
-dense decode and a dense target. The feature autoencoder stays dense, since
-its d columns make the decode the cheaper form.
+layer ``H`` that costs O(n h^2 + |E| h) and never forms the n x n decode.
+Binary cross-entropy (``adjacency_loss="bce"``) takes the same CSR view and is
+one op on row blocks of the logits ``H W + 1 b^T``, recomputed in the backward,
+so it holds O(block * n) scratch and no n x n array either;
+``adjacency_loss_t`` picks between the two. The feature autoencoder stays
+dense, since its d columns make the decode the cheaper form.
 """
 
 from __future__ import annotations
@@ -23,16 +25,16 @@ from scipy import sparse
 
 from .autograd import Adam, Tensor, as_tensor
 from .errors import ConfigError, DivergenceError
-from .graphs import check_dense_fits
+from .filters import _row_blocks
 
 __all__ = [
     "EncoderConfig",
     "AutoEncoderParams",
-    "EmbeddingPair",
     "init_autoencoder",
     "encode_t",
     "adjacency_input",
     "adjacency_mse_t",
+    "adjacency_loss_t",
     "reconstruction_loss_t",
     "train_autoencoder",
     "pretrain_view",
@@ -96,24 +98,6 @@ class AutoEncoderParams:
         for w, b in self.encoder_layers + self.decoder_layers:
             out.extend((w, b))
         return out
-
-
-@dataclass(frozen=True)
-class EmbeddingPair:
-    """Encoded features ``z_x`` and encoded adjacency ``z_a`` of one view."""
-
-    z_x: np.ndarray
-    z_a: np.ndarray
-
-    def __post_init__(self):
-        z_x = np.asarray(self.z_x, dtype=np.float64)
-        z_a = np.asarray(self.z_a, dtype=np.float64)
-        if z_x.shape != z_a.shape or z_x.ndim != 2:
-            raise ValueError(f"z_x {z_x.shape} and z_a {z_a.shape} must be equal 2-d shapes")
-        if not (np.isfinite(z_x).all() and np.isfinite(z_a).all()):
-            raise ValueError("embeddings contain non-finite entries")
-        object.__setattr__(self, "z_x", z_x)
-        object.__setattr__(self, "z_a", z_a)
 
 
 def _glorot(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndarray:
@@ -217,27 +201,9 @@ def mse_t(pred: Tensor, target: np.ndarray) -> Tensor:
     return Tensor._from_op((diff * diff).sum() * scale, (pred,), backward)
 
 
-def bce_t(logits: Tensor, target: np.ndarray) -> Tensor:
-    q = 1.0 / (1.0 + (-logits.clip(-60.0, 60.0)).exp())
-    t = Tensor(target)
-    return -(t * q.maximum(1e-12).log() + (1.0 - t) * (1.0 - q).maximum(1e-12).log()).mean()
-
-
-# peak of one view's BCE autoencoder training in n x n arrays, its dense input
-# included: 21.7-23.1 traced at n=300-600 (latent 16, hidden 64), rounded up
-_BCE_DENSE_ARRAYS = 24
-
-
-def adjacency_input(a, loss: str = "mse"):
-    """The adjacency in the form its autoencoder takes.
-
-    CSR without repeated entries for the factored MSE (no copy when ``a`` is
-    such a CSR already); a dense float64 array for BCE, the dense path, after
-    ``check_dense_fits`` on the BCE autoencoder's estimated peak.
-    """
-    if loss == "bce":
-        check_dense_fits(a.shape[0], _BCE_DENSE_ARRAYS, "the BCE adjacency autoencoder")
-        return a.toarray() if sparse.issparse(a) else np.asarray(a, dtype=np.float64)
+def adjacency_input(a):
+    """The adjacency in the form its autoencoder takes, under either loss: CSR
+    without repeated entries, with no copy when ``a`` is such a CSR already."""
     a = sparse.csr_array(a, dtype=np.float64)
     if not a.has_canonical_format:
         a = a.copy()
@@ -288,16 +254,88 @@ def adjacency_mse_t(params: AutoEncoderParams, z: Tensor, a) -> Tensor:
     return total * (1.0 / (n * m))
 
 
+# logits are clipped to +-_LOGIT_CLIP before the sigmoid, and each log is taken
+# of a probability floored at _PROB_FLOOR
+_LOGIT_CLIP = 60.0
+_PROB_FLOOR = 1e-12
+
+
+def _bce_block(h, w, b, a, rows: slice) -> tuple:
+    """Rows ``rows`` of the BCE's inputs: the mask of logits inside the clip,
+    ``e = exp(-c)`` and ``q = 1 / (1 + e)`` for the clipped logits ``c`` of
+    ``H W + 1 b^T``, and the dense target rows ``a[rows]``."""
+    logits = h[rows] @ w
+    logits += b
+    inside = np.abs(logits) <= _LOGIT_CLIP
+    np.clip(logits, -_LOGIT_CLIP, _LOGIT_CLIP, out=logits)
+    e = np.exp(np.negative(logits, out=logits), out=logits)
+    return inside, e, 1.0 / (1.0 + e), a[rows].toarray()
+
+
+def _blocked_bce(h: Tensor, w: Tensor, b: Tensor, a) -> Tensor:
+    """``mean(BCE(sigmoid(H W + 1 b^T), A))`` as one op on row blocks of the logits.
+
+    Each term is ``t log(max(q, floor)) + (1 - t) log(max(1 - q, floor))``
+    with ``q`` the sigmoid of the logit clipped to +-60 and ``floor = 1e-12``.
+    The forward keeps nothing but the scalar; the backward recomputes each
+    block and, with ``G`` the logits' gradient, accumulates ``dH[rows] = G
+    W^T``, ``dW`` and ``db``. The gradient of a term is the taped one: zero
+    outside the clip and through a floored log. ``a`` is sparse; only its rows
+    in one block are made dense at a time.
+    """
+    hd, wd, bd = h.data, w.data, b.data
+    n, m = a.shape
+    total = 0.0
+    for rows in _row_blocks(n):
+        _, _, q, t = _bce_block(hd, wd, bd, a, rows)
+        terms = t * np.log(np.maximum(q, _PROB_FLOOR))
+        terms += (1.0 - t) * np.log(np.maximum(1.0 - q, _PROB_FLOOR))
+        total += terms.sum()
+    scale = 1.0 / (n * m)
+
+    def backward(g):
+        dh = np.empty_like(hd)
+        dw = np.zeros_like(wd)
+        db = np.zeros_like(bd)
+        for rows in _row_blocks(n):
+            inside, e, q, t = _bce_block(hd, wd, bd, a, rows)
+            omq = 1.0 - q
+            grad = t * (q >= _PROB_FLOOR) / np.maximum(q, _PROB_FLOOR)
+            grad -= (1.0 - t) * (omq >= _PROB_FLOOR) / np.maximum(omq, _PROB_FLOOR)
+            # dq/dc = e / (1 + e)^2 = (e q) q, and the loss is minus the mean
+            grad *= (e * q) * q * inside
+            grad *= -g * scale
+            dh[rows] = grad @ wd.T
+            dw += hd[rows].T @ grad
+            db += grad.sum(axis=0)
+        return dh, dw, db
+
+    return Tensor._from_op(-(total * scale), (h, w, b), backward)
+
+
+def adjacency_loss_t(params: AutoEncoderParams, z: Tensor, a, loss: str = "mse") -> Tensor:
+    """The adjacency autoencoder's reconstruction loss of the sparse ``a`` from
+    its latent ``z``: the factored ``adjacency_mse_t``, or for ``"bce"`` the
+    row-blocked binary cross-entropy of the decoder's logits."""
+    if loss == "mse":
+        return adjacency_mse_t(params, z, a)
+    *hidden, (w, b) = params.decoder_layers
+    return _blocked_bce(_hidden_forward(hidden, params.activation, z), w, b, a)
+
+
 def reconstruction_loss_t(params: AutoEncoderParams, data, loss: str = "mse") -> Tensor:
-    """Reconstruction loss of ``data``: factored when ``data`` is sparse (MSE
-    only); BCE takes a dense ``data``."""
+    """Reconstruction loss of ``data``: ``adjacency_loss_t`` when ``data`` is
+    sparse, which neither loss decodes densely; the dense decode's MSE otherwise.
+
+    Raises:
+        ValueError: BCE of a dense ``data``.
+    """
     z = encode_t(params, data)
-    if sparse.issparse(data) and loss == "mse":
-        return adjacency_mse_t(params, z, data)
-    out = decode_t(params, z)
+    if sparse.issparse(data):
+        return adjacency_loss_t(params, z, data, loss)
     if loss == "bce":
-        return bce_t(out, data)
-    return mse_t(out, data)
+        raise ValueError("BCE scores a sparse adjacency, as adjacency_input gives it")
+    return mse_t(decode_t(params, z), data)
 
 
 def train_autoencoder(
@@ -332,12 +370,12 @@ def pretrain_view(x: np.ndarray, a: np.ndarray, config: EncoderConfig):
     """Init and train one view's two autoencoders; returns the combined history.
 
     ``a`` is dense or sparse; it is trained on as ``adjacency_input`` gives
-    it, so under MSE no n x n array is formed. The two stacks are
+    it, so under either loss no n x n array is formed. The two stacks are
     independent, so the returned per-epoch history is the elementwise sum of
     their reconstruction losses.
     """
     x = np.asarray(x, dtype=np.float64)
-    a = adjacency_input(a, config.adjacency_loss)
+    a = adjacency_input(a)
     hidden = config.resolved_hidden_dim()
     seed_x, seed_a = np.random.SeedSequence(config.seed).spawn(2)
     params_x = init_autoencoder(

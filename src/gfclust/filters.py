@@ -29,7 +29,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .autograd import Tensor
-from .encoders import EmbeddingPair
 from .errors import ConfigError, DivergenceError, NumericsWarning
 
 __all__ = [
@@ -172,12 +171,16 @@ def joint_aggregation_t(z_a: Tensor, z_x: Tensor) -> JointKernel:
     return JointKernel(z_a, z_x, zk)
 
 
-def build_joint_aggregation(pair: EmbeddingPair) -> np.ndarray:
-    """Row-stochastic joint aggregation kernel ``s_rw`` of one view's embedding pair.
+def build_joint_aggregation(z_a, z_x) -> np.ndarray:
+    """Row-stochastic joint aggregation kernel ``s_rw`` of one view's encoded
+    adjacency ``z_a`` and encoded features ``z_x``, equal 2-d shapes.
 
     The only place the n x n kernel is formed, for diagnostics and tests.
     """
-    kernel = joint_aggregation_t(Tensor(pair.z_a), Tensor(pair.z_x))
+    z_a, z_x = Tensor(z_a), Tensor(z_x)
+    if z_a.shape != z_x.shape or z_a.ndim != 2:
+        raise ValueError(f"z_a {z_a.shape} and z_x {z_x.shape} must be equal 2-d shapes")
+    kernel = joint_aggregation_t(z_a, z_x)
     s_rw = np.empty(kernel.shape)
 
     def emit(rows, c, r_rows):

@@ -7,9 +7,9 @@ training passes read the O(|E|) edge lists. Both take a dense matrix too and
 convert it on entry. ``random_walk_normalize`` returns the row-stochastic
 walk matrix ``D^-1 A`` alone, as CSR; no Laplacian is formed.
 
-``check_dense_fits`` is the pre-flight check of the two consumers that still
-make dense n x n arrays (BCE's ``adjacency_input`` and ``compare_spectra``):
-it raises ``ConfigError`` before they allocate more than the process can use.
+``check_dense_fits`` is the pre-flight check of ``compare_spectra``, the one
+consumer that still makes dense n x n arrays: it raises ``ConfigError`` before
+the spectra allocate more than the process can use.
 
 Label one-hots are plain ``(n, c)`` float arrays with exactly one 1 per row;
 ``one_hot`` / ``check_one_hot`` build and validate them.
@@ -234,6 +234,7 @@ def true_homophily_report(g: MultiViewGraph) -> list:
 def check_dense_fits(n: int, count: int, what: str) -> None:
     """Raise ``ConfigError`` when ``count`` dense n x n float64 arrays, the
     estimated peak of ``what``, exceed the memory the process can still use.
+    Its one caller is ``compare_spectra``; training forms no n x n array.
 
     Nothing is checked when that memory is unknown (``_available_bytes``).
     """

@@ -13,7 +13,6 @@ from pathlib import Path
 
 import numpy as np
 
-from .encoders import EmbeddingPair
 from .filters import build_joint_aggregation
 from .graphs import MultiViewGraph, check_dense_fits, random_walk_normalize
 
@@ -75,10 +74,9 @@ def save_spectrum(report: SpectrumReport, csv_path) -> None:
         raise OSError(f"writing spectrum to {csv_path}: {exc}") from exc
 
 
-def compare_spectra(
-    g: MultiViewGraph, view: int, pair: EmbeddingPair, out_dir=None
-) -> tuple:
-    """Spectra of one view's walk matrix and of its joint aggregation kernel.
+def compare_spectra(g: MultiViewGraph, view: int, z_x, z_a, out_dir=None) -> tuple:
+    """Spectra of one view's walk matrix and of the joint aggregation kernel of
+    its encoded features ``z_x`` and encoded adjacency ``z_a``.
 
     Returns ``(adjacency_report, joint_report)``; when ``out_dir`` is given,
     each report is also written as an eigenvalue CSV plus summary JSON. Both
@@ -87,7 +85,7 @@ def compare_spectra(
     """
     check_dense_fits(g.n_nodes, _SPECTRA_DENSE_ARRAYS, "compare_spectra")
     a_rw = random_walk_normalize(g.adjacencies[view]).toarray()
-    s_rw = build_joint_aggregation(pair)
+    s_rw = build_joint_aggregation(z_a, z_x)
     rep_a = spectrum(a_rw, symmetrize=True, tag="adjacency_rw")
     rep_s = spectrum(s_rw, symmetrize=True, tag="joint_aggregation_rw")
     if out_dir is not None:

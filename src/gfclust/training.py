@@ -3,11 +3,10 @@
 The per-epoch objective is assembled as one differentiable graph
 (reconstruction + KL alignment) whose gradients reach the encoder parameters
 through the joint aggregation kernel, the hybrid filter and the fusion weights.
-Each view's adjacency is handed once to its autoencoder in the form it takes
-(``adjacency_input``): the graph's own CSR view under the default MSE, whose
-reconstruction term is the factored ``adjacency_mse_t`` on the ``z_a`` the
-epoch already encoded, so no n x n decode is formed; a dense copy under BCE,
-which decodes densely.
+Each view's adjacency autoencoder reads the graph's own CSR view under either
+loss, and its reconstruction term is ``adjacency_loss_t`` on the ``z_a`` the
+epoch already encoded: the factored MSE or the row-blocked BCE, neither of
+which forms the n x n decode.
 Each view's kernel and hybrid filter are one autograd op: ``joint_aggregation_t``
 returns the factored kernel and ``apply_filter_t`` evaluates the filter
 polynomial on it in row blocks of the Gram matrix ``z_a (z_x^T z_x) z_a^T``,
@@ -43,9 +42,7 @@ from .autograd import Adam, Tensor
 from .clustering import class_means, kmeans
 from .encoders import (
     EncoderConfig,
-    adjacency_input,
-    adjacency_mse_t,
-    bce_t,
+    adjacency_loss_t,
     decode_t,
     encode_t,
     mse_t,
@@ -154,7 +151,6 @@ class TrainingPipeline:
         enc_seq, self._kmeans_seq = self._ss.spawn(2)
 
         self.x_const = Tensor(g.features)
-        self.adj_input = [adjacency_input(a, cfg.encoder.adjacency_loss) for a in g.adjacencies]
         self.a_rw = None
         if cfg.filter.matrix_source == "raw_adjacency":
             self.a_rw = [random_walk_normalize(a) for a in g.adjacencies]
@@ -166,7 +162,7 @@ class TrainingPipeline:
             for view, child in enumerate(enc_seq.spawn(g.n_views)):
                 enc_cfg = replace(cfg.encoder, seed=int(child.generate_state(1)[0]))
                 params_x, params_a, history = pretrain_view(
-                    g.features, self.adj_input[view], enc_cfg
+                    g.features, g.adjacencies[view], enc_cfg
                 )
                 self.models.append((params_x, params_a))
                 self.pretrain_history.append({"view": view, "l_rec": history})
@@ -278,14 +274,12 @@ class TrainingPipeline:
         rec_terms = []
         h_views = []
         for view, (params_x, params_a) in enumerate(self.models):
+            a = self.g.adjacencies[view]
             z_x = encode_t(params_x, self.x_const)
-            z_a = encode_t(params_a, self.adj_input[view])
+            z_a = encode_t(params_a, a)
             if with_losses:
                 rec_terms.append(mse_t(decode_t(params_x, z_x), self.g.features))
-                if cfg.encoder.adjacency_loss == "bce":
-                    rec_terms.append(bce_t(decode_t(params_a, z_a), self.adj_input[view]))
-                else:
-                    rec_terms.append(adjacency_mse_t(params_a, z_a, self.adj_input[view]))
+                rec_terms.append(adjacency_loss_t(params_a, z_a, a, cfg.encoder.adjacency_loss))
             if self.a_rw is not None:
                 kernel = self.a_rw[view]
             else:

@@ -1,4 +1,9 @@
-"""Brute-force oracles: metrics as plain loops, kernels and losses as plain taped ops."""
+"""Brute-force oracles: metrics as plain loops, kernels and losses as plain taped ops.
+
+The elementwise ops only the oracles and the gradient checks use (``tanh``,
+``exp``, ``clip`` and powers) are taped here on ``Tensor._from_op``, not in
+the package.
+"""
 
 import warnings
 from itertools import permutations
@@ -12,6 +17,50 @@ from gfclust.encoders import decode_t
 from gfclust.errors import NumericsWarning
 from gfclust.fusion import _FUSE_MAX_ROUNDS, _FUSE_TOL, evaluate_view_t
 from gfclust.graphs import MultiViewGraph
+
+
+def oracle_tanh(t):
+    out = np.tanh(t.data)
+
+    def backward(grad):
+        return (grad * (1.0 - out * out),)
+
+    return Tensor._from_op(out, (t,), backward)
+
+
+def oracle_exp(t):
+    out = np.exp(t.data)
+
+    def backward(grad):
+        return (grad * out,)
+
+    return Tensor._from_op(out, (t,), backward)
+
+
+def oracle_clip(t, lo, hi):
+    mask = (t.data >= lo) & (t.data <= hi)
+
+    def backward(grad):
+        return (grad * mask,)
+
+    return Tensor._from_op(np.clip(t.data, lo, hi), (t,), backward)
+
+
+def oracle_pow(t, exponent):
+    """``t ** exponent`` with the subgradient 0 at a zero base when
+    ``exponent < 1``, which keeps fractional powers finite."""
+    p = float(exponent)
+
+    def backward(grad):
+        base = t.data
+        if p < 1.0:
+            safe = np.where(base > 0.0, base, 1.0)
+            local = np.where(base > 0.0, p * safe ** (p - 1.0), 0.0)
+        else:
+            local = p * base ** (p - 1.0)
+        return (grad * local,)
+
+    return Tensor._from_op(t.data ** p, (t,), backward)
 
 
 def pairs(n):
@@ -174,6 +223,16 @@ def oracle_adjacency_mse_t(params, z, a):
     return oracle_mse_t(decode_t(params, z), a)
 
 
+def oracle_bce_t(logits, target):
+    """Mean binary cross-entropy of a dense decode against a dense target as
+    taped ops: the sigmoid of the logits clipped to +-60, and each log of a
+    probability floored at 1e-12. The reference for the row-blocked BCE of
+    ``gfclust.encoders.adjacency_loss_t``; ``* -1.0`` negates exactly."""
+    q = 1.0 / (1.0 + oracle_exp(oracle_clip(logits, -60.0, 60.0) * -1.0))
+    t = Tensor(target)
+    return (t * q.maximum(1e-12).log() + (1.0 - t) * (1.0 - q).maximum(1e-12).log()).mean() * -1.0
+
+
 def oracle_homophily_ratio(a, labels_one_hot):
     """Homophily ratio from the dense same-label matrix ``p p^T`` and an
     off-diagonal mask, the reference for the edge-list form."""
@@ -202,7 +261,7 @@ def oracle_layer(x, w, b, activation):
     ``sparse_matmul``."""
     h = (sparse_matmul(x, w) if sparse.issparse(x) else as_tensor(x) @ w) + b
     if activation == "tanh":
-        return h.tanh()
+        return oracle_tanh(h)
     if activation == "relu":
         return h.relu()
     return h
@@ -234,7 +293,7 @@ def oracle_fuse_views_t(embeddings, rho, tol=_FUSE_TOL, max_rounds=_FUSE_MAX_ROU
             weights = uniform
             h_bar = combine(weights)
             break
-        raw = [(e.relu() / top) ** rho for e in evas]
+        raw = [oracle_pow(e.relu() / top, rho) for e in evas]
         total = raw[0]
         for w in raw[1:]:
             total = total + w

@@ -6,14 +6,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import sparse
 
-from gfclust import EncoderConfig, SyntheticSpec, generate_synthetic, graphs
+from gfclust import EncoderConfig, SyntheticSpec, filters, generate_synthetic, graphs
 from gfclust.autograd import Tensor, zero_grads
 from gfclust.encoders import (
     AutoEncoderParams,
     _edges_term,
     _layer,
     adjacency_input,
+    adjacency_loss_t,
     adjacency_mse_t,
+    decode_t,
     encode_t,
     init_autoencoder,
     mse_t,
@@ -23,8 +25,14 @@ from gfclust.encoders import (
 )
 from gfclust.errors import ConfigError, DivergenceError
 
-from helpers import reconstruction_grads
-from oracles import oracle_adjacency_mse_t, oracle_edges_term, oracle_layer, oracle_mse_t
+from helpers import reconstruction_grads, tiny_two_view
+from oracles import (
+    oracle_adjacency_mse_t,
+    oracle_bce_t,
+    oracle_edges_term,
+    oracle_layer,
+    oracle_mse_t,
+)
 
 RNG = np.random.default_rng(7)
 
@@ -306,6 +314,24 @@ def assert_matches_dense_oracle(params, a, tol=1e-10):
         assert np.abs(f - d).max() <= tol * scale
 
 
+def assert_bce_matches_taped_oracle(params, a, tol=1e-10):
+    """Row-blocked BCE on CSR vs the taped dense decode and target, and the
+    gradients of every encoder and decoder parameter, each to ``tol`` relative."""
+    csr = sparse.csr_array(a)
+    blocked, b_grads = loss_and_grads(
+        params, lambda: adjacency_loss_t(params, encode_t(params, csr), csr, "bce")
+    )
+    dense, d_grads = loss_and_grads(
+        params, lambda: oracle_bce_t(decode_t(params, encode_t(params, Tensor(a))), a)
+    )
+    assert abs(blocked - dense) <= tol * abs(dense)
+    for f, d in zip(b_grads, d_grads):
+        scale = np.abs(d).max() if np.abs(d).max() > 0 else abs(dense)
+        assert np.abs(f - d).max() <= tol * scale
+        # exact zeros, such as a bias whose column is clipped in every row, stay exact
+        assert (f[d == 0] == 0).all()
+
+
 class TestFactoredAdjacencyMse:
     @pytest.mark.parametrize("activation", ["tanh", "relu", "linear"])
     def test_loss_and_gradients_match_dense_oracle(self, activation):
@@ -430,20 +456,76 @@ class TestLayerOp:
         assert kept < 1.5 * out.data.nbytes
 
 
-class TestDenseBudget:
-    def test_bce_input_over_budget_raises_before_the_dense_copy(self, monkeypatch):
-        # 24 n x n arrays at n=100 are 1.9 MB
-        monkeypatch.setattr(graphs, "_available_bytes", lambda: 10**6)
-        a = sparse.csr_array(random_graph(np.random.default_rng(0), 90, 10, 0.1))
-        with pytest.raises(ConfigError, match=r"0\.0 GB \(24 dense 100 x 100 arrays\)"):
-            adjacency_input(a, "bce")
-        # the sparse path makes no n x n array, nor a copy of a canonical view
-        assert np.shares_memory(adjacency_input(a, "mse").indices, a.indices)
+def ac1_view(n):
+    """View 0 of the seed-0 AC1 graph of the benchmark's homophilous workload."""
+    spec = SyntheticSpec(
+        n_nodes=n, n_clusters=4, n_views=1, n_features=32, mean_separation=6.0,
+        p_in=0.1, p_out=0.005, noise_scale=1.0, seed=0,
+    )
+    return generate_synthetic(spec)
 
-    def test_bce_input_within_budget_is_dense(self, monkeypatch):
-        monkeypatch.setattr(graphs, "_available_bytes", lambda: 10**7)
-        a = random_graph(np.random.default_rng(0), 90, 10, 0.1)
-        assert np.array_equal(adjacency_input(sparse.csr_array(a), "bce"), a)
+
+class TestBlockedBce:
+    """The row-blocked BCE against the taped dense composition it replaced."""
+
+    # n = 30: one row per block, a ragged last block, one block of all rows,
+    # and a block larger than n
+    @pytest.mark.parametrize("block", [1, 7, 30, 128])
+    @pytest.mark.parametrize("activation", ["tanh", "relu", "linear"])
+    def test_loss_and_gradients_match_taped_oracle(self, monkeypatch, activation, block):
+        monkeypatch.setattr(filters, "_BLOCK_ROWS", block)
+        rng = np.random.default_rng(31)
+        a = random_graph(rng, 27, 3, 0.2)
+        params = with_random_biases(init_autoencoder(30, 4, 9, rng, activation), rng)
+        assert_bce_matches_taped_oracle(params, a)
+
+    def test_clipped_and_floored_logits_match_taped_oracle(self, monkeypatch):
+        monkeypatch.setattr(filters, "_BLOCK_ROWS", 7)
+        rng = np.random.default_rng(32)
+        a = random_graph(rng, 20, 2, 0.3)
+        params = with_random_biases(init_autoencoder(22, 3, 6, rng, "tanh"), rng)
+        # spread the output biases over +-90: some logits are clipped (|c| > 60),
+        # more have a probability floored at 1e-12 (|c| > 27.6)
+        params.decoder_layers[-1][1].data[:] = np.linspace(-90.0, 90.0, 22)
+        logits = decode_t(params, encode_t(params, a)).data
+        assert (logits > 60).any() and (logits < -60).any()
+        assert ((np.abs(logits) > 27.7) & (np.abs(logits) < 60)).any()
+        assert_bce_matches_taped_oracle(params, a)
+
+    def test_dense_data_is_rejected(self):
+        params = init_autoencoder(4, 2, 3, np.random.default_rng(0))
+        with pytest.raises(ValueError, match="sparse adjacency"):
+            reconstruction_loss_t(params, np.eye(4), loss="bce")
+
+    def test_adjacency_input_keeps_a_canonical_view(self):
+        # the adjacency autoencoders and update_hr share the graph's CSR views
+        for view in tiny_two_view().adjacencies:
+            a = adjacency_input(view)
+            assert np.shares_memory(a.data, view.data)
+            assert np.shares_memory(a.indices, view.indices)
+
+    def test_pretraining_runs_under_a_one_megabyte_budget(self, monkeypatch):
+        # one dense 300 x 300 array is 0.72 MB
+        monkeypatch.setattr(graphs, "_available_bytes", lambda: 10**6)
+        g = ac1_view(300)
+        cfg = EncoderConfig(latent_dim=4, hidden_dim=8, epochs=2, adjacency_loss="bce")
+        *_, history = pretrain_view(g.features, g.adjacencies[0], cfg)
+        assert np.isfinite(history).all()
+
+    def test_pretraining_forms_no_dense_decode(self):
+        # the dense decode and target peaked at 21 n x n arrays here
+        g = ac1_view(1200)
+        cfg = EncoderConfig(latent_dim=16, hidden_dim=64, epochs=4, seed=0, adjacency_loss="bce")
+        n = g.n_nodes
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            pretrain_view(g.features, g.adjacencies[0], cfg)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 8 * n * n
 
 
 class TestLossOps:

@@ -1,6 +1,7 @@
 """Every exported name resolves: each submodule's ``__all__``, and the package
 names the benchmark under ``bench/`` imports. Importing and running the
-package loads no part of scipy beyond ``scipy.sparse``."""
+package loads no part of scipy beyond ``scipy.sparse``, and training calls
+every ``Tensor`` method the package defines."""
 
 import ast
 import importlib
@@ -61,12 +62,56 @@ print(json.dumps(sorted(sys.modules)))
 """
 
 
-def test_import_and_train_load_no_heavy_scipy_module():
+def run_fresh(code: str):
+    """Run ``code`` in a fresh interpreter on this package; its last stdout line as JSON."""
     env = dict(os.environ)
     src = str(Path(gfclust.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    out = subprocess.run([sys.executable, "-c", _TINY_RUN], env=env, capture_output=True,
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True, timeout=120)
-    loaded = json.loads(out.stdout.splitlines()[-1])
+    return json.loads(out.stdout.splitlines()[-1])
+
+
+def test_import_and_train_load_no_heavy_scipy_module():
+    loaded = run_fresh(_TINY_RUN)
     heavy = [m for m in loaded if m.startswith(_HEAVY_SCIPY)]
     assert heavy == []
+
+
+# every method of Tensor is wrapped with a call counter, then tiny runs cover
+# both adjacency losses, the raw-adjacency filter and the detached kernel
+_OP_COUNT_RUN = """
+import collections, json
+from dataclasses import replace
+from gfclust import EncoderConfig, FilterConfig, SyntheticSpec, TrainConfig, generate_synthetic, train
+from gfclust.autograd import Tensor
+
+calls = collections.Counter()
+for name, attr in list(vars(Tensor).items()):
+    fn = attr.__func__ if isinstance(attr, staticmethod) else attr
+    if name == "__repr__" or isinstance(attr, property) or not callable(fn):
+        continue
+    calls[name] = 0
+
+    def counted(*args, _fn=fn, _name=name, **kwargs):
+        calls[_name] += 1
+        return _fn(*args, **kwargs)
+
+    setattr(Tensor, name, staticmethod(counted) if isinstance(attr, staticmethod) else counted)
+
+g = generate_synthetic(SyntheticSpec(n_nodes=64, n_clusters=2, n_views=2, seed=0))
+base = TrainConfig(epochs=2, hr_refresh_interval=1,
+                   encoder=EncoderConfig(latent_dim=4, hidden_dim=8, epochs=1))
+for cfg in (base, replace(base, encoder=replace(base.encoder, adjacency_loss="bce")),
+            replace(base, filter=FilterConfig(matrix_source="raw_adjacency")),
+            replace(base, detach_s=True)):
+    train(g, cfg)
+print(json.dumps(calls))
+"""
+
+
+def test_training_calls_every_tensor_method():
+    # an op only tests use belongs with the oracles in tests/oracles.py
+    calls = run_fresh(_OP_COUNT_RUN)
+    assert "backward" in calls and "__matmul__" in calls
+    assert [name for name, count in calls.items() if count == 0] == []

@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gfclust import (
-    EmbeddingPair,
     FilterConfig,
     build_joint_aggregation,
     filter_frequency_response,
@@ -36,18 +35,23 @@ def filtered(kernel, x, cfg):
 
 class TestJointAggregation:
     def test_identity_pair(self):
-        s_rw = build_joint_aggregation(EmbeddingPair(z_x=np.eye(2), z_a=np.eye(2)))
+        s_rw = build_joint_aggregation(np.eye(2), np.eye(2))
         assert np.allclose(s_rw, np.eye(2))
 
     def test_all_ones_pair(self):
-        pair = EmbeddingPair(z_x=[[1.0], [1.0]], z_a=[[1.0], [1.0]])
-        s_rw = build_joint_aggregation(pair)
+        s_rw = build_joint_aggregation([[1.0], [1.0]], [[1.0], [1.0]])
         assert np.allclose(s_rw, np.full((2, 2), 0.5), atol=1e-7)
+
+    def test_unequal_or_non_matrix_embeddings_raise(self):
+        with pytest.raises(ValueError, match="equal 2-d shapes"):
+            build_joint_aggregation(np.eye(3), np.eye(3)[:, :2])
+        with pytest.raises(ValueError, match="equal 2-d shapes"):
+            build_joint_aggregation(np.ones(3), np.ones(3))
 
     def test_gram_matches_triple_loop_oracle(self):
         z_a = RNG.normal(size=(5, 3))
         z_x = RNG.normal(size=(5, 3))
-        s_rw = build_joint_aggregation(EmbeddingPair(z_x=z_x, z_a=z_a))
+        s_rw = build_joint_aggregation(z_a, z_x)
         z = z_a @ z_x.T
         oracle = np.zeros((5, 5))
         for i in range(5):
@@ -63,8 +67,8 @@ class TestJointAggregation:
         for seed in range(8):
             rng = np.random.default_rng(seed)
             n = int(rng.integers(3, 40))
-            pair = EmbeddingPair(z_x=rng.normal(size=(n, 4)), z_a=rng.normal(size=(n, 4)))
-            s_rw = build_joint_aggregation(pair)
+            z_x, z_a = rng.normal(size=(n, 4)), rng.normal(size=(n, 4))
+            s_rw = build_joint_aggregation(z_a, z_x)
             assert np.abs(s_rw.sum(axis=1) - 1.0).max() < 1e-9
             assert s_rw.min() >= 0.0
 
@@ -72,7 +76,7 @@ class TestJointAggregation:
         z_a = np.array([[0.0, 0.0], [1.0, 0.5]])
         z_x = RNG.normal(size=(2, 2))
         with pytest.warns(NumericsWarning, match="all-zero rows"):
-            s_rw = build_joint_aggregation(EmbeddingPair(z_x=z_x, z_a=z_a))
+            s_rw = build_joint_aggregation(z_a, z_x)
         assert np.abs(s_rw.sum(axis=1) - 1.0).max() < 1e-9
 
 
@@ -201,7 +205,7 @@ class TestJointAggregationOp:
             with pytest.raises(DivergenceError, match="non-finite"):
                 apply_filter_t(joint_aggregation_t(z, z), Tensor(np.ones((5, 1))), FilterConfig())
             with pytest.raises(DivergenceError, match="non-finite"):
-                build_joint_aggregation(EmbeddingPair(z_x=z.data, z_a=z.data))
+                build_joint_aggregation(z.data, z.data)
 
     def test_forward_and_backward_form_no_n_by_n_array(self):
         # l=16, d=32, order 2 at n=1200: the taped kernel and filter peak at
@@ -316,10 +320,10 @@ class TestApplyFilter:
 class TestPerViewEmbedding:
     def test_hr_zero_is_pure_high_pass(self):
         g = tiny_two_view()
-        pair = EmbeddingPair(z_x=RNG.normal(size=(24, 4)), z_a=RNG.normal(size=(24, 4)))
-        kernel = joint_aggregation_t(Tensor(pair.z_a), Tensor(pair.z_x))
+        z_x, z_a = RNG.normal(size=(24, 4)), RNG.normal(size=(24, 4))
+        kernel = joint_aggregation_t(Tensor(z_a), Tensor(z_x))
         out = filtered(kernel, g.features, FilterConfig(order=2, hr=0.0))
-        s_rw = build_joint_aggregation(pair)
+        s_rw = build_joint_aggregation(z_a, z_x)
         hp = filtered(s_rw, g.features, FilterConfig(order=2, family="high_pass"))
         assert np.allclose(out, hp)
 

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from gfclust import (
-    EmbeddingPair,
     compare_spectra,
     graphs,
     largest_gap,
@@ -76,18 +75,15 @@ class TestSpectrum:
 class TestCompareSpectra:
     def test_identity_pair_degenerate_spectrum(self):
         g = tiny_two_view()
-        pair = EmbeddingPair(z_x=np.eye(g.n_nodes), z_a=np.eye(g.n_nodes))
-        rep_a, rep_s = compare_spectra(g, 0, pair)
+        rep_a, rep_s = compare_spectra(g, 0, np.eye(g.n_nodes), np.eye(g.n_nodes))
         assert rep_s.matrix_tag == "joint_aggregation_rw"
         assert rep_s.summary["spread"] == pytest.approx(0.0, abs=1e-12)
         assert rep_a.matrix_tag == "adjacency_rw"
 
     def test_csv_round_trip(self, tmp_path):
         g = tiny_two_view(seed=2)
-        pair = EmbeddingPair(
-            z_x=RNG.normal(size=(g.n_nodes, 4)), z_a=RNG.normal(size=(g.n_nodes, 4))
-        )
-        rep_a, rep_s = compare_spectra(g, 1, pair, out_dir=tmp_path)
+        z_x, z_a = RNG.normal(size=(g.n_nodes, 4)), RNG.normal(size=(g.n_nodes, 4))
+        rep_a, rep_s = compare_spectra(g, 1, z_x, z_a, out_dir=tmp_path)
         csvs = sorted(tmp_path.glob("*.csv"))
         assert len(csvs) == 2
         for report, path in [(rep_a, tmp_path / "spectrum_view1_adjacency_rw.csv"),
@@ -99,9 +95,9 @@ class TestCompareSpectra:
     def test_over_budget_raises_before_any_dense_matrix(self, monkeypatch):
         # 5 n x n arrays at n=24 are 23 kB
         g = tiny_two_view()
-        pair = EmbeddingPair(z_x=np.eye(g.n_nodes), z_a=np.eye(g.n_nodes))
+        eye = np.eye(g.n_nodes)
         monkeypatch.setattr(graphs, "_available_bytes", lambda: 20_000)
         with pytest.raises(ConfigError, match=r"compare_spectra needs about 0\.0 GB \(5 dense"):
-            compare_spectra(g, 0, pair)
+            compare_spectra(g, 0, eye, eye)
         monkeypatch.setattr(graphs, "_available_bytes", lambda: 30_000)
-        compare_spectra(g, 0, pair)
+        compare_spectra(g, 0, eye, eye)

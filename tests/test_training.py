@@ -130,9 +130,6 @@ class TestHrDynamics:
         pipeline = TrainingPipeline(g, fast_config(epochs=0))
         # after bootstrap the stored hr comes from the first pseudo-labels
         assert pipeline.hr == update_hr(g, one_hot(pipeline.pseudo, g.n_clusters))
-        # the adjacency autoencoders and update_hr share the graph's CSR views
-        for adj, view in zip(pipeline.adj_input, g.adjacencies):
-            assert np.shares_memory(adj.data, view.data)
         assert all(0.0 <= h <= 1.0 for h in pipeline.hr)
 
 
