@@ -3,11 +3,12 @@
 Format: a JSON manifest pointing at a headerless comma-separated feature CSV,
 an optional one-label-per-line file, and one whitespace-separated 0-indexed
 undirected edge list per view ("i j" lines). Paths are relative to the
-manifest's directory. Loading builds each view's sparse adjacency straight
-from its edge list, so no n x n array is formed; the one repair it makes is
-dropping self-loop lines, with a DataRepairWarning. A repeated or reversed
-line is the same undirected edge. Saving writes each view's edge lines a
-bounded chunk at a time.
+manifest's directory. Loading parses each file with one ``np.loadtxt`` call
+and checks the parsed array as a whole. An edge list's sorted unique pairs
+become the view as the generator builds its views (``_symmetric_view``), with
+no n x n array and no copy; a repeated or reversed line is the same edge, and
+self-loop lines are dropped with a DataRepairWarning. Saving writes each
+view's edge lines a bounded chunk at a time.
 
 The synthetic generator draws each SBM view in row blocks and keeps only the
 upper-triangle hits, so it needs O(block n + |E|) memory, not O(n^2).
@@ -24,7 +25,7 @@ import numpy as np
 from scipy import sparse
 
 from .errors import ConfigError, DataRepairWarning
-from .graphs import MultiViewGraph, _index_dtype, entry_chunks
+from .graphs import MultiViewGraph, _index_dtype
 
 __all__ = [
     "DatasetManifest",
@@ -95,64 +96,63 @@ class DatasetManifest:
         )
 
 
-def _load_matrix(path: Path, what: str) -> np.ndarray:
+def _read_table(path: Path, what: str, dtype, delimiter, invalid: str) -> np.ndarray:
+    """``path`` as a 2-d array from one ``np.loadtxt`` call: blank lines are
+    skipped, ``#`` is no comment, and a file with no data gives zero rows. A
+    parse error is raised again after ``invalid``, with numpy's row and column."""
     try:
-        rows = [
-            [float(cell) for cell in line.split(",")]
-            for line in path.read_text().splitlines()
-            if line.strip()
-        ]
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+            return np.loadtxt(path, dtype=dtype, delimiter=delimiter, ndmin=2, comments=None)
     except OSError as exc:
         raise OSError(f"reading {what} from {path}: {exc}") from exc
-    if not rows or any(len(r) != len(rows[0]) for r in rows):
-        raise ValueError(f"{what} file {path} is empty or ragged")
-    return np.asarray(rows, dtype=np.float64)
+    except ValueError as exc:
+        raise ValueError(f"{invalid}: {exc}") from exc
 
 
-def _load_edges(path: Path, n_nodes: int, view: int) -> sparse.coo_array:
-    """Symmetric sparse adjacency from an edge list, with repairs recorded.
+def _load_matrix(path: Path, what: str) -> np.ndarray:
+    invalid = f"{what} file {path} is empty or ragged or not numeric"
+    matrix = _read_table(path, what, np.float64, ",", invalid)
+    if not matrix.size:
+        raise ValueError(invalid)
+    return matrix
 
-    Each line stores both (i, j) and (j, i); a repeated line stores them
-    again, and ``MultiViewGraph`` collapses the repeats to one edge.
-    """
-    rows, cols = [], []
-    repairs = []
-    self_loops = 0
-    try:
-        lines = path.read_text().splitlines()
-    except OSError as exc:
-        raise OSError(f"reading view {view} edges from {path}: {exc}") from exc
-    for lineno, line in enumerate(lines, start=1):
-        parts = line.split()
-        if not parts:
-            continue
-        if len(parts) != 2:
-            raise ValueError(f"{path}:{lineno}: expected 'i j', got {line!r}")
-        try:
-            i, j = int(parts[0]), int(parts[1])
-        except ValueError as exc:
-            raise ValueError(f"{path}:{lineno}: non-integer endpoint in {line!r}") from exc
-        if not (0 <= i < n_nodes and 0 <= j < n_nodes):
-            raise ValueError(f"{path}:{lineno}: node id out of range [0, {n_nodes})")
-        if i == j:
-            self_loops += 1
-            continue
-        rows += (i, j)
-        cols += (j, i)
-    if self_loops:
-        repairs.append(f"dropped {self_loops} self-loop lines")
-    if repairs:
-        warnings.warn(
-            f"view {view} ({path.name}): " + "; ".join(repairs), DataRepairWarning, stacklevel=3
-        )
-    return sparse.coo_array((np.ones(len(rows)), (rows, cols)), shape=(n_nodes, n_nodes))
+
+def _load_edges(path: Path, n_nodes: int, view: int) -> sparse.csr_array:
+    """View ``view`` as canonical CSR from one parse of its edge list: two ids in
+    ``[0, n_nodes)`` a line; self-loop lines are dropped with one counting
+    ``DataRepairWarning``; the other pairs, each put in ``(min, max)`` order,
+    sorted and unique, are the upper triangle of ``_symmetric_view``."""
+    invalid = f"{path}: expected 'i j' lines of two integer ids"
+    pairs = _read_table(path, f"view {view} edges", np.int64, None, invalid)
+    if pairs.size and pairs.shape[1] != 2:
+        raise ValueError(f"{path}: expected 'i j', got lines of {pairs.shape[1]} fields")
+    pairs = pairs.reshape(-1, 2)  # an empty file parses as zero rows of one column
+    outside = pairs[(pairs < 0) | (pairs >= n_nodes)]
+    if outside.size:
+        raise ValueError(f"{path}: node id {outside[0]} out of range [0, {n_nodes})")
+    loops = pairs[:, 0] == pairs[:, 1]
+    if loops.any():
+        message = f"view {view} ({path.name}): dropped {np.count_nonzero(loops)} self-loop lines"
+        warnings.warn(message, DataRepairWarning, stacklevel=3)
+        pairs = pairs[~loops]
+    # each pair's row-major position in the strict upper triangle
+    keys = np.minimum(*pairs.T) * n_nodes + np.maximum(*pairs.T)
+    del pairs
+    keys.sort()
+    keys = keys[np.diff(keys, prepend=-1) != 0]
+    indptr = np.searchsorted(keys, np.arange(n_nodes + 1) * n_nodes)
+    keys %= n_nodes  # now the column of each pair
+    return _symmetric_view(n_nodes, indptr, keys)
 
 
 def load_dataset(manifest_path) -> MultiViewGraph:
     """Load and validate a dataset.
 
-    Each edge line adds one undirected edge; self-loop lines are dropped with a
-    DataRepairWarning rather than an error, and the views are stored as CSR.
+    Each file is parsed once by numpy; a cell that does not parse raises
+    ``ValueError`` naming the file. Each edge line adds one undirected edge;
+    self-loop lines are dropped with a DataRepairWarning rather than an error,
+    and each view is built as the generator builds its views.
     """
     manifest_path = Path(manifest_path)
     try:
@@ -373,8 +373,8 @@ def _sbm_view(
 
     The draw is made ``_BLOCK_ROWS`` rows at a time, and each block compares
     only the columns right of its first row. Its hits come out row-major, so
-    they form the strict upper triangle as CSR directly; adding its transpose
-    gives the canonical view, which ``MultiViewGraph`` stores without a copy.
+    they form the strict upper triangle as CSR directly, which
+    ``_symmetric_view`` completes to the canonical view.
     """
     n = labels.size
     column = _index_dtype(n, 0)  # holds every column id
@@ -386,12 +386,18 @@ def _sbm_view(
         hits = np.triu(draw < probs, k=1)  # local column > local row: global j > i
         counts.append(np.count_nonzero(hits, axis=1))
         columns.append((np.nonzero(hits)[1] + start).astype(column))
-    indices = np.concatenate(columns)
-    # the index dtype of the symmetric view, so the sum below keeps it
+    return _symmetric_view(n, np.cumsum(np.concatenate(counts)), np.concatenate(columns))
+
+
+def _symmetric_view(n: int, indptr: np.ndarray, indices: np.ndarray) -> sparse.csr_array:
+    """The canonical view whose strict upper triangle has the CSR structure
+    ``(indptr, indices)`` (sorted, unique columns): that triangle of 1s plus its
+    transpose, in the symmetric view's index dtype, which the sum keeps, so
+    ``MultiViewGraph`` stores it without a copy."""
     index = _index_dtype(n, 2 * indices.size)
-    indptr = np.cumsum(np.concatenate(counts)).astype(index)
     upper = sparse.csr_array(
-        (np.ones(indices.size), indices.astype(index, copy=False), indptr), shape=(n, n)
+        (np.ones(indices.size), indices.astype(index, copy=False), indptr.astype(index)),
+        shape=(n, n),
     )
     return upper + upper.T
 
@@ -423,6 +429,15 @@ def _write_edges(path: Path, a: sparse.csr_array) -> None:
                     sep = "\n"
     except OSError as exc:
         raise OSError(f"writing {path}: {exc}") from exc
+
+
+def entry_chunks(a: sparse.csr_array, size: int):
+    """``(rows, cols, data)`` of ``a``'s stored entries, ``size`` at a time,
+    in storage order."""
+    for start in range(0, a.nnz, size):
+        stop = min(start + size, a.nnz)
+        rows = np.searchsorted(a.indptr, np.arange(start, stop), side="right") - 1
+        yield rows, a.indices[start:stop], a.data[start:stop]
 
 
 def save_embedding(matrix: np.ndarray, path) -> None:

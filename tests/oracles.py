@@ -367,6 +367,28 @@ def oracle_edge_text(a):
     return "\n".join(f"{i} {j}" for i, j in zip(upper.row, upper.col))
 
 
+def oracle_load_edges(text, n_nodes):
+    """``(set of (i, j) edges with i < j, self-loop line count)`` of an edge
+    file read one line at a time, the reference for the one-parse
+    ``gfclust.datasets._load_edges``; raises ``ValueError`` on any line that
+    is not two integer ids in ``[0, n_nodes)``."""
+    edges, loops = set(), 0
+    for line in text.splitlines():
+        parts = line.split()
+        if not parts:
+            continue
+        if len(parts) != 2:
+            raise ValueError(f"expected 'i j', got {line!r}")
+        i, j = int(parts[0]), int(parts[1])
+        if not (0 <= i < n_nodes and 0 <= j < n_nodes):
+            raise ValueError(f"node id out of range [0, {n_nodes})")
+        if i == j:
+            loops += 1
+        else:
+            edges.add((min(i, j), max(i, j)))
+    return edges, loops
+
+
 def oracle_embedding_text(matrix):
     """A matrix as one joined string of "%.17g" CSV rows, the reference for the
     chunked writer ``gfclust.save_embedding``."""

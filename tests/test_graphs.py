@@ -14,6 +14,7 @@ from gfclust import (
     random_walk_normalize,
     true_homophily_report,
 )
+from gfclust.datasets import entry_chunks
 from gfclust.errors import ConfigError
 
 from helpers import ratio_graph, two_ratio_fixture
@@ -90,14 +91,18 @@ class TestRandomWalkNormalize:
 
 class TestHomophilyRatio:
     @pytest.mark.parametrize("chunk", [1, 2, 7, 1 << 16])
-    def test_chunked_reads_give_the_exact_ratio_on_a_binary_graph(self, chunk, monkeypatch):
-        # on 0/1 entries both sums are integer counts, so any chunking is exact
+    def test_chunked_reads_give_the_exact_ratio_on_a_binary_graph(self, chunk):
+        # on 0/1 entries both sums are integer counts, so the ratio is exact,
+        # also on the view put back together from entry_chunks' pieces
         rng = np.random.default_rng(3)
         labels = np.repeat([0, 1, 2], 8)
         a = ratio_graph(labels, 20, 30, rng)
-        a[np.diag_indices(24)] = 1.0  # self-loops are skipped in every chunk
-        monkeypatch.setattr(graphs, "_ENTRY_CHUNK", chunk)
-        assert homophily_ratio(sparse.csr_array(a), one_hot(labels, 3)) == 0.4
+        a[np.diag_indices(24)] = 1.0  # the trace leaves both sums
+        view = sparse.csr_array(a)
+        rows, cols, data = map(np.concatenate, zip(*entry_chunks(view, chunk)))
+        read = sparse.csr_array((data, (rows, cols)), shape=view.shape)
+        assert (read != view).nnz == 0
+        assert homophily_ratio(read, one_hot(labels, 3)) == 0.4
 
     def test_reads_a_large_view_in_bounded_memory(self):
         # 110k stored entries; the whole-view edge arrays took about 40 bytes an entry
@@ -133,8 +138,10 @@ class TestHomophilyRatio:
         assert homophily_ratio(a, one_hot(labels, 2)) == 0.0
 
     def test_edgeless_graph_raises(self):
-        with pytest.raises(ValueError, match="edgeless"):
-            homophily_ratio(np.zeros((3, 3)), one_hot([0, 1, 0], 2))
+        # a graph of self-loops alone has no edge either
+        for a in (np.zeros((3, 3)), sparse.csr_array(np.diag([1.0, 0.5, 2.0]))):
+            with pytest.raises(ValueError, match="edgeless"):
+                homophily_ratio(a, one_hot([0, 1, 0], 2))
 
     @settings(max_examples=30, deadline=None)
     @given(st.integers(min_value=0, max_value=2**31))
