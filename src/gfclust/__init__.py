@@ -31,7 +31,7 @@ from .encoders import AutoEncoderParams, EncoderConfig
 from .errors import ConfigError, DataRepairWarning, DivergenceError, NumericsWarning
 from .filters import (
     FilterConfig,
-    build_joint_aggregation,
+    build_joint_gram,
     filter_frequency_response,
 )
 from .fusion import target_distribution, update_hr

@@ -14,8 +14,8 @@ reference to a loss frees its whole graph. Composite steps that would keep
 many large intermediates are single ops built on ``Tensor._from_op`` with a
 hand-written backward that keeps or recomputes only what it needs: the
 encoder layer (``encoders._layer``), the reconstruction losses
-(``encoders.mse_t``, the edges term of ``encoders.adjacency_mse_t`` and the
-row-blocked BCE ``encoders._blocked_bce``), the kernel and filter
+(``encoders.mse_t``, the factored adjacency MSE ``encoders._factored_mse`` and
+the row-blocked BCE ``encoders._blocked_bce``), the kernel and filter
 (``filters._joint_filter_t``) and the view fusion (``fusion.fuse_views_t``).
 ``Adam.step`` updates its moments and the parameters in place.
 """

@@ -211,47 +211,53 @@ def adjacency_input(a):
     return a
 
 
-def _edges_term(h: Tensor, w: Tensor, a) -> Tensor:
-    """``sum(H * (A W^T))`` as one op that keeps only ``A W^T``; ``a`` is sparse.
-
-    Gradients: ``g A W^T`` for ``H`` and ``(A^T (g H))^T`` for ``W``, the
-    values of the taped ``(h * (a @ w.T)).sum()`` with a constant sparse ``a``.
-    """
-    aw = np.asarray(a @ w.data.T)
-
-    def backward(g):
-        return (g * aw, np.asarray(a.T @ (g * h.data)).T)
-
-    return Tensor._from_op((h.data * aw).sum(), (h, w), backward)
-
-
 def adjacency_mse_t(params: AutoEncoderParams, z: Tensor, a) -> Tensor:
     """``mse_t(decode_t(params, z), a)`` for a sparse ``a``, without the dense decode.
 
     With ``H`` the decoder's last hidden layer and ``(W, b)`` its output
     layer, the decode is ``H W + 1 b^T`` and, for ``a`` of shape ``(n, m)``,
 
-        n m * mse = sum((H^T H) * (W W^T)) + 2 (1^T H) W b + n |b|^2
+        n m * mse = sum((H_c^T H_c) * (W W^T)) + n |mu W + b|^2
                     - 2 sum(H * (A W^T)) - 2 b^T (A^T 1) + |A|^2,
 
-    composed from taped ops and the one-op edges term (``_edges_term``):
-    O(n h^2 + |E| h) time, O(n h) memory. The graph constants ``A^T 1`` and
-    ``|A|^2`` are read from ``a``'s stored entries (a matvec on the
+    with ``mu`` the column mean of ``H`` and ``H_c = H - 1 mu``, so no O(1)
+    terms cancel (Chan, Golub & LeVeque 1983). It is one op (``_factored_mse``)
+    of O(n h^2 + |E| h) time and O(n h) memory. The graph constants ``A^T 1``
+    and ``|A|^2`` are read from ``a``'s stored entries (a matvec on the
     transposed view and the data's dot with itself), so ``a`` holds no
     repeated entries, as ``adjacency_input`` makes it; on a 0/1 view both
     are exact integer sums.
     """
-    *hidden, (w, b) = params.decoder_layers
-    h = _hidden_forward(hidden, params.activation, z)
+    return adjacency_loss_t(params, z, a, "mse")
+
+
+def _factored_mse(h: Tensor, w: Tensor, b: Tensor, a) -> Tensor:
+    """``adjacency_mse_t``'s expansion as one op that keeps ``A W^T`` and the Gram
+    ``H_c^T H_c``, summed over row blocks. With ``s = mu W + b`` and ``G = 2 g
+    / (n m)``: ``dW = G (H_c^T H_c W + n mu^T s - H^T A)``, ``db = G (n s -
+    A^T 1)`` and ``dH = G (H_c W W^T + 1 s W^T - A W^T)``, to which centering
+    adds no term, since the columns of ``H_c`` sum to zero."""
+    hd, wd = h.data, w.data
     n, m = a.shape
-    quadratic = ((h.T @ h) * (w @ w.T)).sum()
-    cross = ((h.sum(axis=0, keepdims=True) @ w) * b).sum()
-    edges = _edges_term(h, w, a)
+    mu = hd.mean(axis=0)
+    shift = mu @ wd + b.data
+    blocks = (hd[rows] - mu for rows in _row_blocks(n))
+    gram, ww = sum(c.T @ c for c in blocks), wd @ wd.T
+    aw = np.asarray(a @ wd.T)
     col_sums = np.asarray(a.sum(axis=0)).ravel()
-    a_sq = float(a.data @ a.data)
-    total = quadratic + 2.0 * cross + float(n) * (b * b).sum() - 2.0 * edges
-    total = total - 2.0 * (b * col_sums).sum() + a_sq
-    return total * (1.0 / (n * m))
+    total = (gram * ww).sum() + n * (shift @ shift) - 2.0 * (hd * aw).sum()
+    total += float(a.data @ a.data) - 2.0 * (b.data @ col_sums)
+    scale = 1.0 / (n * m)
+
+    def backward(g):
+        dh = (hd - mu) @ ww
+        dh += shift @ wd.T
+        dh -= aw
+        dw = gram @ wd + n * np.outer(mu, shift) - np.asarray(a.T @ hd).T
+        g = 2.0 * scale * g
+        return g * dh, g * dw, g * (n * shift - col_sums)
+
+    return Tensor._from_op(total * scale, (h, w, b), backward)
 
 
 # logits are clipped to +-_LOGIT_CLIP before the sigmoid, and each log is taken
@@ -317,10 +323,9 @@ def adjacency_loss_t(params: AutoEncoderParams, z: Tensor, a, loss: str = "mse")
     """The adjacency autoencoder's reconstruction loss of the sparse ``a`` from
     its latent ``z``: the factored ``adjacency_mse_t``, or for ``"bce"`` the
     row-blocked binary cross-entropy of the decoder's logits."""
-    if loss == "mse":
-        return adjacency_mse_t(params, z, a)
     *hidden, (w, b) = params.decoder_layers
-    return _blocked_bce(_hidden_forward(hidden, params.activation, z), w, b, a)
+    h = _hidden_forward(hidden, params.activation, z)
+    return (_factored_mse if loss == "mse" else _blocked_bce)(h, w, b, a)
 
 
 def reconstruction_loss_t(params: AutoEncoderParams, data, loss: str = "mse") -> Tensor:

@@ -16,8 +16,8 @@ recomputed in row blocks on every pass and ``S = (C + ridge I) / r`` is
 never formed, nor is its gradient: the forward makes ``k`` block passes, the
 backward ``k - 1`` (at least one), each O(n^2 (l + d)) work with O(block * n)
 scratch for latent width ``l`` and signal width ``d``.
-``build_joint_aggregation`` is the one place ``S`` is materialized, for the
-spectral diagnostics and tests.
+``build_joint_gram`` is the one place an n x n kernel matrix is formed: the
+symmetric ``C + ridge I``, whose walk is ``S``, for the spectral diagnostics.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from .errors import ConfigError, DivergenceError, NumericsWarning
 
 __all__ = [
     "FilterConfig",
-    "build_joint_aggregation",
+    "build_joint_gram",
     "filter_coefficients",
     "filter_frequency_response",
 ]
@@ -171,25 +171,23 @@ def joint_aggregation_t(z_a: Tensor, z_x: Tensor) -> JointKernel:
     return JointKernel(z_a, z_x, zk)
 
 
-def build_joint_aggregation(z_a, z_x) -> np.ndarray:
-    """Row-stochastic joint aggregation kernel ``s_rw`` of one view's encoded
-    adjacency ``z_a`` and encoded features ``z_x``, equal 2-d shapes.
-
-    The only place the n x n kernel is formed, for diagnostics and tests.
+def build_joint_gram(z_a, z_x) -> np.ndarray:
+    """The ridged Gram matrix ``B = C + ridge I`` of one view's encoded
+    adjacency ``z_a`` and encoded features ``z_x``, equal 2-d shapes: the
+    symmetric matrix whose walk ``D^-1 B``, ``D = diag(B 1)``, is ``s_rw``.
     """
     z_a, z_x = Tensor(z_a), Tensor(z_x)
     if z_a.shape != z_x.shape or z_a.ndim != 2:
         raise ValueError(f"z_a {z_a.shape} and z_x {z_x.shape} must be equal 2-d shapes")
     kernel = joint_aggregation_t(z_a, z_x)
-    s_rw = np.empty(kernel.shape)
+    b = np.empty(kernel.shape)
 
     def emit(rows, c, r_rows):
-        i = np.arange(rows.stop - rows.start)
-        c[i, rows.start + i] += _RIDGE
-        s_rw[rows] = c / r_rows[:, None]
+        b[rows] = c
 
     _first_pass(kernel, emit)
-    return s_rw
+    b.flat[:: b.shape[0] + 1] += _RIDGE
+    return b
 
 
 def _joint_filter_t(kernel: JointKernel, x: np.ndarray, coeffs: np.ndarray) -> Tensor:

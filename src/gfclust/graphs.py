@@ -100,8 +100,8 @@ def _canonical_view(a, n: int, v: int) -> sparse.csr_array:
     else:
         a, binary = _to_canonical(a, n, v)
     # both are canonical with every stored entry 1, so a == a^T iff the
-    # structures match
-    t = a.T.tocsr()
+    # structures match; the structure alone is transposed, with one-byte data
+    t = sparse.csr_array((np.ones(a.nnz, bool), a.indices, a.indptr), shape=(n, n)).T.tocsr()
     if not (np.array_equal(t.indptr, a.indptr) and np.array_equal(t.indices, a.indices)):
         raise ValueError(f"view {v}: adjacency is not symmetric")
     if a.diagonal().any():
@@ -163,26 +163,28 @@ def check_one_hot(p: np.ndarray) -> np.ndarray:
     return p
 
 
+def _loop_isolated(a) -> sparse.csr_array:
+    """A CSR copy of ``a`` with a self-loop on each node whose row sums to 0."""
+    return (a + sparse.diags_array((a.sum(axis=1) == 0).astype(np.float64))).tocsr()
+
+
 def random_walk_normalize(a):
     """Degree-normalize an affinity matrix into the row-stochastic ``a_rw = D^-1 A``.
 
-    Rows of isolated nodes become one-hot self rows (a forced self-loop), which
-    keeps every row summing to 1. The result is CSR; a dense input is
-    converted first.
+    Rows of isolated nodes become one-hot self rows (``_loop_isolated``). The
+    result is CSR; a dense input is converted first.
 
     Raises:
         ValueError: non-square input or negative entries.
     """
-    a_rw = sparse.csr_array(a, dtype=np.float64, copy=True)
-    if a_rw.ndim != 2 or a_rw.shape[0] != a_rw.shape[1]:
-        raise ValueError(f"adjacency must be square, got shape {a_rw.shape}")
-    if (a_rw.data < 0).any():
+    a = sparse.csr_array(a, dtype=np.float64)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise ValueError(f"adjacency must be square, got shape {a.shape}")
+    if (a.data < 0).any():
         raise ValueError("adjacency entries must be nonnegative")
-    degrees = a_rw.sum(axis=1)
-    isolated = degrees == 0
-    # an isolated row stores no nonzero, so its self-loop is added as a diagonal
-    a_rw.data /= np.repeat(np.where(isolated, 1.0, degrees), np.diff(a_rw.indptr))
-    return (a_rw + sparse.diags_array(isolated.astype(np.float64))).tocsr()
+    a_rw = _loop_isolated(a)
+    a_rw.data /= np.repeat(a_rw.sum(axis=1), np.diff(a_rw.indptr))
+    return a_rw
 
 
 def homophily_ratio(a, labels_one_hot: np.ndarray) -> float:

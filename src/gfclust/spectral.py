@@ -1,8 +1,9 @@
 """Eigen-spectrum diagnostics for the walk matrix and the joint aggregation kernel.
 
-Row-stochastic matrices are not symmetric; they are symmetrized as (M + M^T)/2
-before eigendecomposition so the spectrum is real. D^-1 A is similar to the
-symmetric D^-1/2 A D^-1/2, so this preserves the qualitative frequency picture.
+Both are walks ``M = D^-1 B``, ``D = diag(B 1)``, of a symmetric ``B``: the
+view's adjacency with a self-loop on each isolated node, and the kernel's ridged
+Gram matrix. ``M`` is similar to the symmetric ``D^-1/2 B D^-1/2``, so its
+spectrum is real and is computed exactly (Chung, Spectral Graph Theory, 1997).
 """
 
 from __future__ import annotations
@@ -13,16 +14,15 @@ from pathlib import Path
 
 import numpy as np
 
-from .filters import build_joint_aggregation
-from .graphs import MultiViewGraph, check_dense_fits, random_walk_normalize
+from .filters import build_joint_gram
+from .graphs import MultiViewGraph, _loop_isolated, check_dense_fits
 
 __all__ = ["SpectrumReport", "spectrum", "largest_gap", "compare_spectra", "save_spectrum"]
 
-MATRIX_TAGS = ("adjacency_rw", "joint_aggregation_rw")
-# peak of compare_spectra in n x n arrays: the two dense matrices, the
-# symmetrized copy and its temporary, and the eigensolver's own copy (4.1 n x n
-# of RSS growth measured at n=3000), rounded up
-_SPECTRA_DENSE_ARRAYS = 5
+# peak of compare_spectra in n x n arrays: one dense B at a time, scaled in
+# place, and the eigensolver's own copy (2.02 n x n of RSS growth measured at
+# n=3000), rounded up
+_SPECTRA_DENSE_ARRAYS = 3
 
 
 @dataclass(frozen=True)
@@ -34,24 +34,26 @@ class SpectrumReport:
 
 def largest_gap(eigenvalues: np.ndarray) -> float:
     """Largest consecutive gap in the sorted spectrum (the separation statistic)."""
-    eig = np.sort(np.asarray(eigenvalues, dtype=np.float64))
-    if eig.size < 2:
-        return 0.0
-    return float(np.diff(eig).max())
+    return float(np.diff(np.sort(np.asarray(eigenvalues, dtype=np.float64))).max(initial=0.0))
 
 
-def spectrum(m: np.ndarray, symmetrize: bool = True, tag: str = "adjacency_rw") -> SpectrumReport:
-    """All eigenvalues of a square matrix via a symmetric eigensolver.
+def spectrum(b: np.ndarray, tag: str = "adjacency_rw") -> SpectrumReport:
+    """All eigenvalues of the walk ``D^-1 B`` of a symmetric ``B``, ``D = diag(B 1)``.
 
-    With ``symmetrize`` the analysis runs on (M + M^T)/2.
+    They are those of ``D^-1/2 B D^-1/2``, which a float64 ``b`` is scaled
+    into in place; the symmetric eigensolver reads its lower triangle. Raises
+    ValueError when ``b`` is not square or a row sum is not finite and positive.
     """
-    m = np.asarray(m, dtype=np.float64)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError(f"matrix must be square, got {m.shape}")
-    if not np.isfinite(m).all():
-        raise ValueError("matrix contains non-finite entries")
-    work = 0.5 * (m + m.T) if symmetrize else m
-    eig = np.sort(np.linalg.eigvalsh(work))
+    b = np.asarray(b, dtype=np.float64)
+    if b.ndim != 2 or b.shape[0] != b.shape[1]:
+        raise ValueError(f"matrix must be square, got {b.shape}")
+    d = b.sum(axis=1)
+    if not ((d > 0.0) & (d < np.inf)).all():
+        raise ValueError("every row sum must be finite and positive")
+    scale = 1.0 / np.sqrt(d)
+    b *= scale[:, None]
+    b *= scale
+    eig = np.sort(np.linalg.eigvalsh(b))
     summary = {
         "min": float(eig[0]),
         "max": float(eig[-1]),
@@ -67,9 +69,8 @@ def save_spectrum(report: SpectrumReport, csv_path) -> None:
     csv_path = Path(csv_path)
     try:
         csv_path.write_text("\n".join("%.17g" % v for v in report.eigenvalues))
-        csv_path.with_suffix(".json").write_text(
-            json.dumps({"matrix_tag": report.matrix_tag, **report.summary}, indent=2)
-        )
+        summary = {"matrix_tag": report.matrix_tag, **report.summary}
+        csv_path.with_suffix(".json").write_text(json.dumps(summary, indent=2))
     except OSError as exc:
         raise OSError(f"writing spectrum to {csv_path}: {exc}") from exc
 
@@ -79,18 +80,15 @@ def compare_spectra(g: MultiViewGraph, view: int, z_x, z_a, out_dir=None) -> tup
     its encoded features ``z_x`` and encoded adjacency ``z_a``.
 
     Returns ``(adjacency_report, joint_report)``; when ``out_dir`` is given,
-    each report is also written as an eigenvalue CSV plus summary JSON. Both
-    matrices are dense and their eigensolves take O(n^3) time, so
-    ``check_dense_fits`` runs first.
+    each report is also written as an eigenvalue CSV plus summary JSON. Each
+    takes a dense ``B`` and O(n^3) time, so ``check_dense_fits`` runs first.
     """
     check_dense_fits(g.n_nodes, _SPECTRA_DENSE_ARRAYS, "compare_spectra")
-    a_rw = random_walk_normalize(g.adjacencies[view]).toarray()
-    s_rw = build_joint_aggregation(z_a, z_x)
-    rep_a = spectrum(a_rw, symmetrize=True, tag="adjacency_rw")
-    rep_s = spectrum(s_rw, symmetrize=True, tag="joint_aggregation_rw")
+    rep_a = spectrum(_loop_isolated(g.adjacencies[view]).toarray(), tag="adjacency_rw")
+    rep_s = spectrum(build_joint_gram(z_a, z_x), tag="joint_aggregation_rw")
     if out_dir is not None:
         out_dir = Path(out_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
-        save_spectrum(rep_a, out_dir / f"spectrum_view{view}_adjacency_rw.csv")
-        save_spectrum(rep_s, out_dir / f"spectrum_view{view}_joint_aggregation_rw.csv")
+        for rep in (rep_a, rep_s):
+            save_spectrum(rep, out_dir / f"spectrum_view{view}_{rep.matrix_tag}.csv")
     return rep_a, rep_s

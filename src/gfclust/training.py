@@ -61,9 +61,6 @@ __all__ = [
     "train",
 ]
 
-_BOOTSTRAP_HR = 0.5
-
-
 @dataclass
 class TrainConfig:
     epochs: int = 200
@@ -167,8 +164,8 @@ class TrainingPipeline:
                 self.models.append((params_x, params_a))
                 self.pretrain_history.append({"view": view, "l_rec": history})
 
-            # bootstrap: equal-weight hybrid, then first pseudo-labels from k-means
-            self.hr = [_BOOTSTRAP_HR] * g.n_views
+            # bootstrap: the configured hybrid, then first pseudo-labels from k-means
+            self.hr = [cfg.filter.hr] * g.n_views
             self._bootstrap()
 
         lr = cfg.learning_rate if cfg.learning_rate is not None else cfg.encoder.learning_rate
@@ -232,7 +229,7 @@ class TrainingPipeline:
         raise DivergenceError(f"clustering kept an empty cluster in all {attempts} runs")
 
     def _bootstrap(self) -> None:
-        """First pseudo-labels from the equal-weight hybrid; its tape dies on return."""
+        """First pseudo-labels from the hybrid at ``cfg.filter.hr``; its tape dies on return."""
         self._keep(self.epoch_forward(with_losses=False))
         self._adopt_clustering(self._cluster(self._consensus, warm=None))
 
@@ -372,9 +369,9 @@ def train(g: MultiViewGraph, cfg: TrainConfig) -> TrainReport:
     """Run the full pipeline and return the report (with the final state attached).
 
     Stages: per-view autoencoder pretraining, bootstrap pseudo-labels from the
-    equal-weight hybrid, then ``cfg.epochs`` joint epochs with a pseudo-label /
-    hr / center refresh every ``cfg.hr_refresh_interval`` epochs, and a final
-    k-means on the consensus embedding (metrics only when labels exist).
+    hybrid at ``cfg.filter.hr``, then ``cfg.epochs`` joint epochs with a
+    pseudo-label / hr / center refresh every ``cfg.hr_refresh_interval`` epochs,
+    and a final k-means on the consensus embedding (metrics only when labels exist).
     Deterministic under ``cfg.seed``.
     """
     pipeline = TrainingPipeline(g, cfg)

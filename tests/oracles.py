@@ -210,10 +210,17 @@ def oracle_mse_t(pred, target):
     return (diff * diff).mean()
 
 
-def oracle_edges_term(h, w, a):
-    """``sum(H * (A W^T))`` as four taped ops, the reference for the one-op
-    ``gfclust.encoders._edges_term``."""
-    return (h * sparse_matmul(a, w.T)).sum()
+def oracle_factored_mse(h, w, b, a):
+    """The centered expansion of ``gfclust.encoders.adjacency_mse_t`` composed
+    from taped ops, the reference for the one-op ``_factored_mse``."""
+    n, m = a.shape
+    mu = h.mean(axis=0, keepdims=True)
+    h_c = h - mu
+    shift = mu @ w + b
+    col_sums = np.asarray(a.sum(axis=0)).ravel()
+    total = ((h_c.T @ h_c) * (w @ w.T)).sum() + float(n) * (shift * shift).sum()
+    total = total - 2.0 * (h * sparse_matmul(a, w.T)).sum() - 2.0 * (b * col_sums).sum()
+    return (total + float(a.data @ a.data)) * (1.0 / (n * m))
 
 
 def oracle_adjacency_mse_t(params, z, a):

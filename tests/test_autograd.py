@@ -7,7 +7,7 @@ import pytest
 from scipy import sparse
 
 from gfclust.autograd import Adam, Tensor
-from gfclust.encoders import _edges_term, mse_t
+from gfclust.encoders import _factored_mse, mse_t
 
 from oracles import (
     OracleAdam,
@@ -178,8 +178,10 @@ def test_loss_ops_match_central_differences():
     # a non-square sparse operand, so a transpose mix-up cannot pass
     a = sparse.csr_array(rng.normal(size=(5, 4)) * (rng.random((5, 4)) < 0.5))
     h, w = Tensor(rng.normal(size=(5, 3))), Tensor(rng.normal(size=(3, 4)))
-    check(lambda t: oracle_tanh(_edges_term(oracle_tanh(t), w, a)), (5, 3))
-    check(lambda t: oracle_tanh(_edges_term(h, oracle_tanh(t), a)), (3, 4))
+    b = Tensor(rng.normal(size=4))
+    check(lambda t: oracle_tanh(_factored_mse(oracle_tanh(t), w, b, a)), (5, 3))
+    check(lambda t: oracle_tanh(_factored_mse(h, oracle_tanh(t), b, a)), (3, 4))
+    check(lambda t: oracle_tanh(_factored_mse(h, w, oracle_tanh(t), a)), (4,))
 
 
 def test_backward_requires_scalar():

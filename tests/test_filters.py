@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from gfclust import (
     FilterConfig,
-    build_joint_aggregation,
+    build_joint_gram,
     filter_frequency_response,
     random_walk_normalize,
 )
@@ -33,42 +33,50 @@ def filtered(kernel, x, cfg):
     return apply_filter_t(kernel, Tensor(x), cfg).data
 
 
+def oracle_s_rw(z_a, z_x):
+    """The dense row-stochastic kernel of the taped oracle."""
+    return oracle_joint_aggregation_t(Tensor(np.asarray(z_a)), Tensor(np.asarray(z_x))).data
+
+
 class TestJointAggregation:
     def test_identity_pair(self):
-        s_rw = build_joint_aggregation(np.eye(2), np.eye(2))
-        assert np.allclose(s_rw, np.eye(2))
+        b = build_joint_gram(np.eye(2), np.eye(2))
+        assert np.array_equal(b, (1.0 + 1e-8) * np.eye(2))
 
     def test_all_ones_pair(self):
-        s_rw = build_joint_aggregation([[1.0], [1.0]], [[1.0], [1.0]])
-        assert np.allclose(s_rw, np.full((2, 2), 0.5), atol=1e-7)
+        b = build_joint_gram([[1.0], [1.0]], [[1.0], [1.0]])
+        assert np.array_equal(b, np.full((2, 2), 2.0) + 1e-8 * np.eye(2))
 
     def test_unequal_or_non_matrix_embeddings_raise(self):
         with pytest.raises(ValueError, match="equal 2-d shapes"):
-            build_joint_aggregation(np.eye(3), np.eye(3)[:, :2])
+            build_joint_gram(np.eye(3), np.eye(3)[:, :2])
         with pytest.raises(ValueError, match="equal 2-d shapes"):
-            build_joint_aggregation(np.ones(3), np.ones(3))
+            build_joint_gram(np.ones(3), np.ones(3))
 
     def test_gram_matches_triple_loop_oracle(self):
         z_a = RNG.normal(size=(5, 3))
         z_x = RNG.normal(size=(5, 3))
-        s_rw = build_joint_aggregation(z_a, z_x)
+        b = build_joint_gram(z_a, z_x)
         z = z_a @ z_x.T
         oracle = np.zeros((5, 5))
         for i in range(5):
             for j in range(5):
                 for k in range(5):
                     oracle[i, j] += z[i, k] * z[j, k]
-        # clamp at zero, ridge the diagonal, normalize the rows
+        # clamp at zero, ridge the diagonal
         oracle = np.maximum(oracle, 0.0) + 1e-8 * np.eye(5)
-        oracle /= oracle.sum(axis=1, keepdims=True)
-        assert np.abs(s_rw - oracle).max() < 1e-10
+        assert np.abs(b - oracle).max() < 1e-10 * np.abs(oracle).max()
 
     def test_s_rw_is_stochastic_on_many_pairs(self):
+        # the walk of the Gram matrix is the oracle's row-stochastic kernel
         for seed in range(8):
             rng = np.random.default_rng(seed)
             n = int(rng.integers(3, 40))
             z_x, z_a = rng.normal(size=(n, 4)), rng.normal(size=(n, 4))
-            s_rw = build_joint_aggregation(z_a, z_x)
+            b = build_joint_gram(z_a, z_x)
+            assert np.abs(b - b.T).max() <= 1e-12 * np.abs(b).max()
+            s_rw = b / b.sum(axis=1, keepdims=True)
+            assert np.abs(s_rw - oracle_s_rw(z_a, z_x)).max() < 1e-12
             assert np.abs(s_rw.sum(axis=1) - 1.0).max() < 1e-9
             assert s_rw.min() >= 0.0
 
@@ -76,8 +84,10 @@ class TestJointAggregation:
         z_a = np.array([[0.0, 0.0], [1.0, 0.5]])
         z_x = RNG.normal(size=(2, 2))
         with pytest.warns(NumericsWarning, match="all-zero rows"):
-            s_rw = build_joint_aggregation(z_a, z_x)
-        assert np.abs(s_rw.sum(axis=1) - 1.0).max() < 1e-9
+            b = build_joint_gram(z_a, z_x)
+        # the ridge alone keeps the zero row's sum positive
+        assert b[0].tolist() == [1e-8, 0.0]
+        assert (b.sum(axis=1) > 0.0).all()
 
 
 FAMILY_CONFIGS = [
@@ -205,7 +215,7 @@ class TestJointAggregationOp:
             with pytest.raises(DivergenceError, match="non-finite"):
                 apply_filter_t(joint_aggregation_t(z, z), Tensor(np.ones((5, 1))), FilterConfig())
             with pytest.raises(DivergenceError, match="non-finite"):
-                build_joint_aggregation(z.data, z.data)
+                build_joint_gram(z.data, z.data)
 
     def test_forward_and_backward_form_no_n_by_n_array(self):
         # l=16, d=32, order 2 at n=1200: the taped kernel and filter peak at
@@ -323,8 +333,7 @@ class TestPerViewEmbedding:
         z_x, z_a = RNG.normal(size=(24, 4)), RNG.normal(size=(24, 4))
         kernel = joint_aggregation_t(Tensor(z_a), Tensor(z_x))
         out = filtered(kernel, g.features, FilterConfig(order=2, hr=0.0))
-        s_rw = build_joint_aggregation(z_a, z_x)
-        hp = filtered(s_rw, g.features, FilterConfig(order=2, family="high_pass"))
+        hp = filtered(oracle_s_rw(z_a, z_x), g.features, FilterConfig(order=2, family="high_pass"))
         assert np.allclose(out, hp)
 
     def test_raw_adjacency_order_one_is_neighbor_mean(self):

@@ -132,6 +132,14 @@ class TestHrDynamics:
         assert pipeline.hr == update_hr(g, one_hot(pipeline.pseudo, g.n_clusters))
         assert all(0.0 <= h <= 1.0 for h in pipeline.hr)
 
+    def test_bootstrap_filters_with_the_configured_hr(self):
+        g = tiny_two_view()
+        consensus = [
+            TrainingPipeline(g, fast_config(epochs=0, filter=FilterConfig(hr=hr)))._consensus
+            for hr in (0.0, 1.0)
+        ]
+        assert np.abs(consensus[0] - consensus[1]).max() > 1e-3
+
 
 class TestGradientsEndToEnd:
     def test_epoch_loss_matches_central_differences(self):
