@@ -29,7 +29,7 @@ from .errors import ConfigError, DivergenceError
 from .filters import FilterConfig
 from .graphs import MultiViewGraph
 from .spectral import compare_spectra
-from .training import TrainConfig, TrainingPipeline, train
+from .training import TrainConfig, pretrain, train
 
 # top-level config keys: the TrainConfig fields plus the data source and outputs
 _TRAIN_KEYS = frozenset(f.name for f in fields(TrainConfig))
@@ -197,10 +197,10 @@ def cmd_ablate(payload: dict, args) -> int:
 def cmd_spectrum(payload: dict, args) -> int:
     cfg = _train_config(payload, args)
     g = _load_graph(payload, args)
-    pipeline = TrainingPipeline(g, cfg)
+    models, _ = pretrain(g, cfg)
     out = _out_dir(payload, args)
     out.mkdir(parents=True, exist_ok=True)
-    for view, (params_x, params_a) in enumerate(pipeline.models):
+    for view, (params_x, params_a) in enumerate(models):
         z_x = encode_t(params_x, g.features).data
         z_a = encode_t(params_a, g.adjacencies[view]).data
         rep_a, rep_s = compare_spectra(g, view, z_x, z_a, out_dir=out)

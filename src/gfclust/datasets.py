@@ -261,8 +261,10 @@ class SyntheticSpec:
             raise ConfigError("need n_nodes >= n_clusters >= 1")
         if self.n_views < 1:
             raise ConfigError("n_views must be >= 1")
-        if self.noise_scale <= 0:
-            raise ConfigError("noise_scale must be positive")
+        if not np.isfinite(self.mean_separation):
+            raise ConfigError("mean_separation must be finite")
+        if not np.isfinite(self.noise_scale) or self.noise_scale <= 0:
+            raise ConfigError("noise_scale must be finite and positive")
         if self.mean_layout not in MEAN_LAYOUTS:
             raise ConfigError(f"mean_layout must be one of {MEAN_LAYOUTS}")
         if not 0.0 <= self.pair_separation:

@@ -53,7 +53,6 @@ class EncoderConfig:
     adjacency_loss: str = "mse"  # "mse" or "bce"
     epochs: int = 100
     learning_rate: float = 1e-3
-    seed: int = 0
 
     def __post_init__(self):
         if self.latent_dim < 1:
@@ -66,8 +65,8 @@ class EncoderConfig:
             raise ConfigError("adjacency_loss must be 'mse' or 'bce'")
         if self.epochs < 0:
             raise ConfigError("epochs must be >= 0")
-        if self.learning_rate <= 0:
-            raise ConfigError("learning_rate must be positive")
+        if not np.isfinite(self.learning_rate) or self.learning_rate <= 0:
+            raise ConfigError("learning_rate must be finite and positive")
 
     def resolved_hidden_dim(self) -> int:
         return self.hidden_dim if self.hidden_dim is not None else max(256, 4 * self.latent_dim)
@@ -371,8 +370,9 @@ def _train_step(params: AutoEncoderParams, opt: Adam, data, loss: str, epoch: in
     return float(value.data)
 
 
-def pretrain_view(x: np.ndarray, a: np.ndarray, config: EncoderConfig):
-    """Init and train one view's two autoencoders; returns the combined history.
+def pretrain_view(x: np.ndarray, a: np.ndarray, config: EncoderConfig, seed: int):
+    """Init and train one view's two autoencoders from ``seed``; returns the
+    combined history.
 
     ``a`` is dense or sparse; it is trained on as ``adjacency_input`` gives
     it, so under either loss no n x n array is formed. The two stacks are
@@ -382,7 +382,7 @@ def pretrain_view(x: np.ndarray, a: np.ndarray, config: EncoderConfig):
     x = np.asarray(x, dtype=np.float64)
     a = adjacency_input(a)
     hidden = config.resolved_hidden_dim()
-    seed_x, seed_a = np.random.SeedSequence(config.seed).spawn(2)
+    seed_x, seed_a = np.random.SeedSequence(seed).spawn(2)
     params_x = init_autoencoder(
         x.shape[1], config.latent_dim, hidden, np.random.default_rng(seed_x), config.activation
     )

@@ -6,16 +6,17 @@ arrays, since no gradient flows through either.
 
 ``fuse_views_t`` is one autograd op with a replaying backward (checkpointed
 reverse mode): the forward runs the fixed-point rounds in numpy and keeps
-only each round's scalars, and the backward recomputes each round's
-consensus from its weights while it walks the rounds in reverse. No round
-leaves an n x d array on the tape, and the gradient is that of the unrolled
-iteration.
+only each round's weights and similarities, and the backward recomputes
+each round's consensus from its weights while it walks the rounds in
+reverse. No round leaves an n x d array on the tape. A round's weights are
+``relu(e)^rho`` normalized to sum 1 (the forward's scaling by the largest
+similarity cancels), so their Jacobian is taken in closed form, and the
+gradient is that of the unrolled iteration.
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -46,17 +47,6 @@ def evaluate_view_t(h_v: Tensor, h_bar: Tensor) -> Tensor:
     return (dots / (norm_v * norm_b)).mean()
 
 
-@dataclass(frozen=True)
-class _Round:
-    """The scalars one fixed-point round leaves for the backward replay."""
-
-    before: list  # weights the round's consensus was combined with
-    evas: list  # view similarities to that consensus
-    choice: int  # view whose similarity the max chain returned
-    raw: list  # (relu(eva) / top) ** rho per view
-    total: float  # sum of raw
-
-
 def _combine(weights, hs: list) -> np.ndarray:
     """``sum_v w_v h_v``, added in view order."""
     out = weights[0] * hs[0]
@@ -65,41 +55,18 @@ def _combine(weights, hs: list) -> np.ndarray:
     return out
 
 
-def _max_chain(evas: list) -> int:
-    """The view ``max(max(e_0, e_1), e_2)...`` returns; a tie keeps the left operand."""
-    choice = 0
-    for v in range(1, len(evas)):
-        if not evas[choice] >= evas[v]:
-            choice = v
-    return choice
+def _similarity_grads(weights: np.ndarray, evas: np.ndarray, gw: np.ndarray, rho: float):
+    """Gradients of a round's similarities from those of the weights it returned.
 
-
-def _pow_slope(base, p: float):
-    """d base**p / d base, with the subgradient 0 at base 0 when p < 1."""
-    if p < 1.0 and not base > 0.0:
-        return 0.0
-    return p * np.asarray(base) ** (p - 1.0)
-
-
-def _similarity_grads(rd: _Round, gw: list, rho: float) -> list:
-    """Gradients of the round's similarities from those of its new weights.
-
-    Backward through ``w_v = raw_v / total``, ``raw_v = (relu(e_v) / top) **
-    rho`` and ``top = max chain of e``.
+    ``w_v = relu(e_v)^rho / sum_u relu(e_u)^rho``, so ``dw_u / de_v =
+    rho w_u (delta_uv - w_v) / e_v`` and ``g_e_v = rho w_v (g_v - sum_u w_u
+    g_u) / e_v`` where ``e_v > 0``; the relu makes it 0 elsewhere. The
+    difference is taken as ``sum_u w_u (g_v - g_u)``, equal since the weights
+    sum to 1, which does not cancel when one weight rounds to 1.
     """
-    top = rd.evas[rd.choice]
-    g_total = 0.0
-    for g, raw in zip(gw, rd.raw):
-        g_total -= g * raw / (rd.total * rd.total)
-    g_evas, g_top = [], 0.0
-    for g, raw, e in zip(gw, rd.raw, rd.evas):
-        relu = e * (e > 0.0)
-        g_q = (g / rd.total + g_total) * _pow_slope(relu / top, rho)
-        g_top -= g_q * relu / (top * top)
-        g_evas.append(g_q / top * (e > 0.0))
-    # top cancels from the normalized weights, so g_top is rounding noise; it
-    # is kept so the replay rounds as the taped max does
-    g_evas[rd.choice] += g_top
+    g_evas = np.zeros_like(evas)
+    pos = evas > 0.0
+    g_evas[pos] = rho * weights[pos] * ((gw[pos, None] - gw) @ weights) / evas[pos]
     return g_evas
 
 
@@ -120,34 +87,35 @@ def _similarity_backward(g_e, h: np.ndarray, h_bar: np.ndarray, norm_bar: np.nda
 
 
 def fuse_views_t(embeddings: list, rho: float):
-    """Fixed-point view weighting; returns (scalar weight tensors, consensus tensor).
+    """Fixed-point view weighting; returns (weights as a float array, consensus tensor).
 
     Weights start uniform with the consensus at the plain mean, then follow
     w_v = (eva_v / max eva)^rho renormalized to sum 1 until the largest weight
     change drops below ``_FUSE_TOL``, for at most ``_FUSE_MAX_ROUNDS`` rounds.
     Negative similarities are clamped to zero; if no view has positive
-    similarity the weights fall back to uniform.
+    similarity the weights fall back to uniform. Scaling by the max keeps each
+    power at most 1, so a large rho cannot underflow the total to 0.
 
     The consensus is one op: the forward runs the rounds in numpy and keeps
-    only their scalars (``_Round``), and the backward replays them in reverse,
-    recomputing each round's consensus from the weights it was combined with.
-    That is the gradient of the unrolled iteration, with the subgradients the
-    taped ops take: the relu mask ``e > 0``, a tie in the max going to the left
-    operand, and 0 for ``x ** p`` at ``x = 0`` when ``p < 1``. The weights come
-    back as constants; the uniform fallback's consensus depends on the views
-    only through its plain mean.
+    each round's input weights, similarities and output weights, and the
+    backward replays the rounds in reverse, recomputing each round's consensus
+    from the weights it was combined with. The max cancels from the normalized
+    weights, so a round's weight Jacobian is that of ``relu(e)^rho / sum``:
+    ``g_e_v = rho w_v (g_v - sum_u w_u g_u) / e_v`` where ``e_v > 0``, else 0,
+    with ``w`` the weights the round returned. That is the gradient of the
+    unrolled iteration. The weights come back as constants; the uniform
+    fallback's consensus depends on the views only through its plain mean.
     """
     n_views = len(embeddings)
     if n_views < 1:
         raise ValueError("fuse_views_t needs at least one view")
     hs = [h.data for h in embeddings]
-    uniform = [np.asarray(1.0 / n_views)] * n_views
+    uniform = np.full(n_views, 1.0 / n_views)
     weights, rounds = uniform, []
     h_bar = _combine(weights, hs)
     for _ in range(_FUSE_MAX_ROUNDS):
-        evas = [evaluate_view_t(Tensor(h), Tensor(h_bar)).data for h in hs]
-        choice = _max_chain(evas)
-        top = evas[choice]
+        evas = np.array([evaluate_view_t(Tensor(h), Tensor(h_bar)).data for h in hs])
+        top = evas.max()
         if top <= 0.0:
             warnings.warn(
                 "all view similarities are <= 0; falling back to uniform weights",
@@ -157,13 +125,13 @@ def fuse_views_t(embeddings: list, rho: float):
             weights, rounds = uniform, []
             h_bar = _combine(weights, hs)
             break
-        raw = [np.asarray(e * (e > 0.0) / top) ** float(rho) for e in evas]
+        raw = (evas * (evas > 0.0) / top) ** float(rho)
         total = raw[0]
         for w in raw[1:]:
             total = total + w
-        new_weights = [w / total for w in raw]
-        delta = max(abs(float(nw) - float(w)) for nw, w in zip(new_weights, weights))
-        rounds.append(_Round(weights, evas, choice, raw, total))
+        new_weights = raw / total
+        delta = np.abs(new_weights - weights).max()
+        rounds.append((weights, evas, new_weights))
         weights = new_weights
         h_bar = _combine(weights, hs)
         if delta < _FUSE_TOL:
@@ -172,10 +140,10 @@ def fuse_views_t(embeddings: list, rho: float):
     def backward(grad):
         grads = [w * grad for w in weights]
         g_bar = grad
-        for rd in reversed(rounds):
-            gw = [float(np.sum(g_bar * h)) for h in hs]
-            g_evas = _similarity_grads(rd, gw, rho)
-            h_prev = _combine(rd.before, hs)
+        for before, evas, after in reversed(rounds):
+            gw = np.array([np.sum(g_bar * h) for h in hs])
+            g_evas = _similarity_grads(after, evas, gw, rho)
+            h_prev = _combine(before, hs)
             norm_bar = np.sqrt((h_prev * h_prev).sum(axis=1) + 1e-30)
             g_bar = None
             for v, g_e in enumerate(g_evas):
@@ -186,11 +154,11 @@ def fuse_views_t(embeddings: list, rho: float):
                 g_bar = g_b if g_bar is None else g_bar + g_b
             if g_bar is None:
                 break
-            for v, w in enumerate(rd.before):
+            for v, w in enumerate(before):
                 grads[v] += w * g_bar
         return tuple(grads)
 
-    return [Tensor(w) for w in weights], Tensor._from_op(h_bar, tuple(embeddings), backward)
+    return weights, Tensor._from_op(h_bar, tuple(embeddings), backward)
 
 
 def update_hr(g: MultiViewGraph, pseudo_one_hot: np.ndarray) -> list:

@@ -17,13 +17,14 @@ the op runs forward only. The ``raw_adjacency`` ablation filters with the
 CSR walk matrix of each view, a constant. ``update_hr`` reads the same CSR
 views.
 Pseudo-labels, homophily ratios and cluster centers are constants between
-refreshes. ``TrainingPipeline`` owns the whole run: pretraining and the
-bootstrap clustering on construction, then ``fit`` runs the joint epochs with
-its own Adam optimizer, the refresh cadence, the divergence check and the
-epoch records, and ends with the final clustering. A ``DivergenceError`` from
-either stage carries the partial report so far (``"final": null``); one from
-the joint stage names its epoch and sets ``last_epoch`` to the last epoch
-recorded. The kernel raises it itself when the Gram matrix overflows.
+refreshes. ``pretrain`` trains every view's autoencoders and nothing else,
+which is all ``gfclust spectrum`` needs. ``TrainingPipeline`` owns the
+whole run: pretraining and the bootstrap clustering on construction, then
+``fit`` runs the joint epochs with its own Adam optimizer, the refresh
+cadence, the divergence check and the epoch records, and ends with the final
+clustering. A ``DivergenceError`` from either stage carries the partial
+report so far (``"final": null``); one from the joint stage names its epoch
+and sets ``last_epoch`` to the last epoch recorded. The kernel raises it itself when the Gram matrix overflows.
 One tape is alive at a time: each joint epoch runs in ``_step``, whose
 forward pass dies when it returns, and the bootstrap and the refreshes keep
 plain arrays (the consensus and the per-view embeddings), never a forward
@@ -58,6 +59,7 @@ __all__ = [
     "FusionState",
     "TrainReport",
     "TrainingPipeline",
+    "pretrain",
     "train",
 ]
 
@@ -86,8 +88,10 @@ class TrainConfig:
             value = getattr(self, name)
             if not np.isfinite(value) or value < 0:
                 raise ConfigError(f"{name} must be finite and nonnegative")
-        if self.learning_rate is not None and self.learning_rate <= 0:
-            raise ConfigError("learning_rate must be positive")
+        if self.learning_rate is not None and not (
+            np.isfinite(self.learning_rate) and self.learning_rate > 0
+        ):
+            raise ConfigError("learning_rate must be finite and positive")
         if not isinstance(self.detach_s, bool):
             raise ConfigError("detach_s must be true or false")
 
@@ -128,8 +132,32 @@ class _Forward:
     l_kl: float
     h_views: list
     h_bar: Tensor
-    weights: list
+    weights: np.ndarray
     targets: tuple | None
+
+
+def pretrain(g: MultiViewGraph, cfg: TrainConfig) -> tuple:
+    """Pretrain every view's two autoencoders; returns (models, history).
+
+    ``models`` holds one ``(params_x, params_a)`` pair per view and
+    ``history`` one ``{"view", "l_rec"}`` record per view. View v trains
+    from the v-th child of the first of two children of
+    ``SeedSequence(cfg.seed)``; the pipeline's k-means draws from the second.
+    A DivergenceError carries the partial report with the views done so far.
+    """
+    enc_seq = np.random.SeedSequence(cfg.seed).spawn(2)[0]
+    models, history = [], []
+    try:
+        for view, child in enumerate(enc_seq.spawn(g.n_views)):
+            params_x, params_a, l_rec = pretrain_view(
+                g.features, g.adjacencies[view], cfg.encoder, int(child.generate_state(1)[0])
+            )
+            models.append((params_x, params_a))
+            history.append({"view": view, "l_rec": l_rec})
+    except DivergenceError as exc:
+        exc.report = TrainReport([], final=None, pretrain=history)
+        raise
+    return models, history
 
 
 class TrainingPipeline:
@@ -144,26 +172,16 @@ class TrainingPipeline:
         self.g = g
         self.cfg = cfg
         self.detach_s = cfg.detach_s
-        self._ss = np.random.SeedSequence(cfg.seed)
-        enc_seq, self._kmeans_seq = self._ss.spawn(2)
+        _, self._kmeans_seq = np.random.SeedSequence(cfg.seed).spawn(2)
 
         self.x_const = Tensor(g.features)
         self.a_rw = None
         if cfg.filter.matrix_source == "raw_adjacency":
             self.a_rw = [random_walk_normalize(a) for a in g.adjacencies]
 
-        self.models = []
-        self.pretrain_history = []
+        self.models, self.pretrain_history = pretrain(g, cfg)
         self.epoch_records = []
         with self._report_on_divergence():
-            for view, child in enumerate(enc_seq.spawn(g.n_views)):
-                enc_cfg = replace(cfg.encoder, seed=int(child.generate_state(1)[0]))
-                params_x, params_a, history = pretrain_view(
-                    g.features, g.adjacencies[view], enc_cfg
-                )
-                self.models.append((params_x, params_a))
-                self.pretrain_history.append({"view": view, "l_rec": history})
-
             # bootstrap: the configured hybrid, then first pseudo-labels from k-means
             self.hr = [cfg.filter.hr] * g.n_views
             self._bootstrap()
@@ -359,7 +377,7 @@ class TrainingPipeline:
                 "l_kl": fwd.l_kl,
                 "l_total": total,
                 "hr": [float(h) for h in self.hr],
-                "weights": [float(w.data) for w in fwd.weights],
+                "weights": fwd.weights.tolist(),
             }
         )
         self._keep(fwd)
@@ -392,7 +410,7 @@ def train(g: MultiViewGraph, cfg: TrainConfig) -> TrainReport:
 
     state = FusionState(
         per_view_embeddings=[h.data for h in final_fwd.h_views],
-        weights=np.array([float(w.data) for w in final_fwd.weights]),
+        weights=final_fwd.weights,
         consensus=final_fwd.h_bar.data,
         labels_one_hot=one_hot(labels, g.n_clusters),
         hr_per_view=[float(h) for h in final_hr],

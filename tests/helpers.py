@@ -71,4 +71,4 @@ def fuse(embeddings, rho):
     """``fuse_views_t`` on arrays: ``(weights, consensus)`` as arrays."""
     weights, h_bar = fuse_views_t([Tensor(np.asarray(h, dtype=np.float64)) for h in embeddings],
                                   rho)
-    return np.array([float(w.data) for w in weights]), h_bar.data
+    return weights, h_bar.data

@@ -3,11 +3,26 @@ import json
 import numpy as np
 import pytest
 
-from gfclust import MultiViewGraph, graphs, load_dataset, save_dataset
+from gfclust import (
+    MultiViewGraph,
+    SyntheticSpec,
+    generate_synthetic,
+    graphs,
+    load_dataset,
+    save_dataset,
+    training,
+)
 from gfclust.cli import _build_parser, _train_config, main
+from gfclust.encoders import encode_t
+from gfclust.spectral import compare_spectra
+from gfclust.training import TrainingPipeline
 
 from helpers import tiny_two_view
 from test_datasets import write_tiny3
+
+
+def _must_not_run(*args, **kwargs):
+    raise AssertionError("called")
 
 
 def base_config(tmp_path, **extra):
@@ -108,6 +123,33 @@ class TestRun:
         assert not out.exists()
         assert "unknown config keys: epoch" in capsys.readouterr().err
 
+    def test_encoder_seed_is_an_unknown_field(self, tmp_path, capsys):
+        # each view's encoders train from a seed drawn from the top-level seed
+        config = base_config(tmp_path, encoder={"latent_dim": 4, "hidden_dim": 8, "seed": 3})
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(config), "--out", str(out)]) == 1
+        assert not out.exists()
+        assert "unknown config field" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    @pytest.mark.parametrize("section, name", [
+        ("encoder", "learning_rate"),
+        (None, "learning_rate"),
+        ("synthetic", "mean_separation"),
+        ("synthetic", "noise_scale"),
+    ])
+    def test_nonfinite_number_exits_one_before_training(self, tmp_path, capsys, monkeypatch,
+                                                        section, name, value):
+        payload = json.loads(base_config(tmp_path).read_text())
+        (payload if section is None else payload[section])[name] = value
+        config = tmp_path / "nonfinite.json"
+        config.write_text(json.dumps(payload))
+        monkeypatch.setattr(training, "pretrain_view", _must_not_run)
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(config), "--out", str(out)]) == 1
+        assert not out.exists()
+        assert f"{name} must be finite" in capsys.readouterr().err
+
     def test_config_keys_reach_train_config(self):
         args = _build_parser().parse_args(["run"])
         cfg = _train_config({"kmeans_restarts": 2, "synthetic": {}}, args)
@@ -182,6 +224,27 @@ class TestSpectrumAndSynth:
         for view in (0, 1):
             assert (out / f"spectrum_view{view}_adjacency_rw.csv").exists()
             assert (out / f"spectrum_view{view}_joint_aggregation_rw.csv").exists()
+
+    def test_spectrum_pretrains_only_and_writes_the_pipelines_spectra(self, tmp_path, capsys,
+                                                                      monkeypatch):
+        config = base_config(tmp_path)
+        out = tmp_path / "spec"
+        with monkeypatch.context() as patch:
+            patch.setattr(training, "kmeans", _must_not_run)
+            assert main(["spectrum", "--config", str(config), "--out", str(out)]) == 0
+        # the same files from the encoders a whole pipeline pretrains
+        payload = json.loads(config.read_text())
+        cfg = _train_config(payload, _build_parser().parse_args(["spectrum"]))
+        g = generate_synthetic(SyntheticSpec(**payload["synthetic"]))
+        expected = tmp_path / "expected"
+        for view, (params_x, params_a) in enumerate(TrainingPipeline(g, cfg).models):
+            z_x = encode_t(params_x, g.features).data
+            z_a = encode_t(params_a, g.adjacencies[view]).data
+            compare_spectra(g, view, z_x, z_a, out_dir=expected)
+        names = sorted(path.name for path in expected.glob("*.csv"))
+        assert names == sorted(path.name for path in out.glob("*.csv"))
+        for name in names:
+            assert (out / name).read_bytes() == (expected / name).read_bytes()
 
     def test_spectrum_over_the_memory_budget_exits_one(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(graphs, "_available_bytes", lambda: 1000)

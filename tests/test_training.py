@@ -14,6 +14,7 @@ from gfclust import (
     generate_synthetic,
     one_hot,
     train,
+    training,
     true_homophily_report,
     update_hr,
 )
@@ -23,7 +24,7 @@ from gfclust.training import TrainingPipeline
 
 from helpers import tiny_two_view
 
-FAST_ENCODER = EncoderConfig(latent_dim=4, hidden_dim=8, epochs=10, seed=0)
+FAST_ENCODER = EncoderConfig(latent_dim=4, hidden_dim=8, epochs=10)
 
 
 def fast_config(**kwargs):
@@ -118,7 +119,7 @@ class TestHrDynamics:
         g = tiny_two_view(seed=12, n=45, c=3, d=10, p_in=0.55, p_out=0.03)
         cfg = fast_config(
             epochs=6,
-            encoder=EncoderConfig(latent_dim=5, hidden_dim=32, epochs=100, seed=0),
+            encoder=EncoderConfig(latent_dim=5, hidden_dim=32, epochs=100),
         )
         report = train(g, cfg)
         truth = true_homophily_report(g)
@@ -146,7 +147,7 @@ class TestGradientsEndToEnd:
         g = tiny_two_view(seed=8, n=20, c=2, d=4, p_in=0.5, p_out=0.1)
         cfg = TrainConfig(
             epochs=1,
-            encoder=EncoderConfig(latent_dim=3, hidden_dim=5, epochs=4, seed=0),
+            encoder=EncoderConfig(latent_dim=3, hidden_dim=5, epochs=4),
             filter=FilterConfig(order=2),
             gamma_rec=1.0,
             gamma_kl=0.1,
@@ -181,7 +182,7 @@ class TestGradientsEndToEnd:
         g = tiny_two_view(seed=8, n=18, c=2, d=4)
         cfg = TrainConfig(
             epochs=1,
-            encoder=EncoderConfig(latent_dim=3, hidden_dim=5, epochs=3, seed=0),
+            encoder=EncoderConfig(latent_dim=3, hidden_dim=5, epochs=3),
             gamma_rec=0.0,
             gamma_kl=1.0,
             detach_s=True,
@@ -201,7 +202,7 @@ class TestGradientsEndToEnd:
         g = tiny_two_view(seed=8, n=18, c=2, d=4)
         cfg = TrainConfig(
             epochs=1,
-            encoder=EncoderConfig(latent_dim=3, hidden_dim=5, epochs=3, seed=0),
+            encoder=EncoderConfig(latent_dim=3, hidden_dim=5, epochs=3),
             gamma_rec=0.0,
             gamma_kl=1.0,
             seed=5,
@@ -221,7 +222,7 @@ class TestDivergence:
         bad = tiny_two_view(n=15, c=3)
         bad.features[:] = 1e200
         cfg = fast_config(epochs=2, encoder=EncoderConfig(
-            latent_dim=2, hidden_dim=3, epochs=0, activation="linear", seed=0
+            latent_dim=2, hidden_dim=3, epochs=0, activation="linear"
         ))
         with pytest.raises(DivergenceError) as err:
             train(bad, cfg)
@@ -231,6 +232,22 @@ class TestDivergence:
             "final": None,
             "pretrain": [{"view": 0, "l_rec": []}, {"view": 1, "l_rec": []}],
         }
+
+    def test_divergence_in_pretraining_keeps_the_views_done(self, monkeypatch):
+        g = tiny_two_view()
+        done = train(g, fast_config(epochs=0)).pretrain
+        real, calls = training.pretrain_view, []
+
+        def second_view_diverges(*args):
+            calls.append(args)
+            if len(calls) == 2:
+                raise DivergenceError("autoencoder loss diverged at epoch 0")
+            return real(*args)
+
+        monkeypatch.setattr(training, "pretrain_view", second_view_diverges)
+        with pytest.raises(DivergenceError, match="epoch 0") as err:
+            train(g, fast_config())
+        assert err.value.report.to_dict() == {"epochs": [], "final": None, "pretrain": done[:1]}
 
     def test_partial_report_keeps_the_epochs_so_far(self):
         g = tiny_two_view()
@@ -298,7 +315,7 @@ class TestOneTapeAlive:
     def pipeline(self, graph, epochs=3):
         cfg = TrainConfig(
             epochs=epochs,
-            encoder=EncoderConfig(latent_dim=16, hidden_dim=64, epochs=1, seed=0),
+            encoder=EncoderConfig(latent_dim=16, hidden_dim=64, epochs=1),
             filter=FilterConfig(order=2),
             seed=0,
         )
