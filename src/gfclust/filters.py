@@ -12,12 +12,18 @@ The joint aggregation kernel stays factored: ``joint_aggregation_t`` returns
 a ``JointKernel`` holding ``z_a``, ``z_x`` and ``zk = z_a (z_x^T z_x)``, and
 ``apply_filter_t`` runs the kernel and the filter as one autograd op with a
 hand-written backward. The clamped Gram matrix ``C = max(zk z_a^T, 0)`` is
-recomputed in row blocks on every pass and ``S = (C + ridge I) / r`` is
-never formed, nor is its gradient: the forward makes ``k`` block passes, the
-backward ``k - 1`` (at least one), each O(n^2 (l + d)) work with O(block * n)
-scratch for latent width ``l`` and signal width ``d``.
-``build_joint_gram`` is the one place an n x n kernel matrix is formed: the
-symmetric ``C + ridge I``, whose walk is ``S``, for the spectral diagnostics.
+recomputed on every pass and ``S = (C + ridge I) / r`` is never formed, nor
+is its gradient: the forward makes ``k`` passes, the backward ``k - 1`` (at
+least one), each O(n^2 (l + d)) work for latent width ``l`` and signal
+width ``d``. ``C`` is symmetric, so a product pass walks the tile pairs
+``(I, J)``, ``I <= J``, of its upper triangle (the BLAS ``syrk`` idea): each
+``block x block`` tile is formed and clamped once and serves rows ``I``
+and, transposed, rows ``J``, with O(block^2) scratch. The backward's last
+pass stays in ``block x n`` row blocks: row ``i`` of ``B_1`` and of the
+kernel's gradient needs all of row ``i`` of ``C``, where a tile holds only
+part of it. ``build_joint_gram`` is the one place an n x n kernel matrix is
+formed, tile by mirrored tile: the exactly symmetric ``C + ridge I``, whose
+walk is ``S``, for the spectral diagnostics.
 """
 
 from __future__ import annotations
@@ -111,50 +117,71 @@ def _row_blocks(n: int):
         yield slice(start, min(start + _BLOCK_ROWS, n))
 
 
-def _gram_rows(kernel: JointKernel, rows: slice) -> np.ndarray:
-    """Rows ``rows`` of the clamped Gram matrix ``C = max(zk z_a^T, 0)``."""
-    c = kernel.zk[rows] @ kernel.z_a.data.T
+def _tile_pairs(n: int):
+    """The tile pairs ``(I, J)``, ``I <= J``, of an n x n matrix's upper triangle."""
+    blocks = list(_row_blocks(n))
+    for i, rows in enumerate(blocks):
+        for cols in blocks[i:]:
+            yield rows, cols
+
+
+def _gram_tile(kernel: JointKernel, rows: slice, cols: slice) -> np.ndarray:
+    """Tile ``(rows, cols)`` of the clamped Gram matrix ``C = max(zk z_a^T, 0)``."""
+    c = kernel.zk[rows] @ kernel.z_a.data[cols].T
     return np.maximum(c, 0.0, out=c)
 
 
+def _gram_rows(kernel: JointKernel, rows: slice) -> np.ndarray:
+    """Rows ``rows`` of ``C``, all ``n`` columns."""
+    return _gram_tile(kernel, rows, slice(None))
+
+
 def _ridged_product(kernel: JointKernel, y: np.ndarray) -> np.ndarray:
-    """``(C + ridge I) y`` in row blocks: one pass over ``C``."""
+    """``(C + ridge I) y`` in one walk over the upper triangle of ``C``.
+
+    Each tile ``c = C[I, J]``, ``I <= J``, is formed once and adds ``c y[J]``
+    to rows ``I`` and, off the diagonal, ``c^T y[I]`` to rows ``J``: ``C`` is
+    symmetric, so ``C[J, I] = c^T``.
+    """
     out = _RIDGE * y
-    for rows in _row_blocks(y.shape[0]):
-        out[rows] += _gram_rows(kernel, rows) @ y
+    for rows, cols in _tile_pairs(y.shape[0]):
+        c = _gram_tile(kernel, rows, cols)
+        out[rows] += c @ y[cols]
+        if rows != cols:
+            out[cols] += c.T @ y[rows]
     return out
 
 
-def _first_pass(kernel: JointKernel, emit) -> np.ndarray:
-    """Walk the row blocks of ``C`` once and return ``r = rowsum(C) + ridge``.
-
-    ``emit(rows, c, r_rows)`` consumes each block. Raises DivergenceError,
-    before anything is normalized, when ``zk`` or ``r`` is non-finite: that
-    is where an overflowing embedding first shows. A row that is all-zero
-    before the ridge triggers one NumericsWarning with the count of such rows.
+def _check_row_sums(kernel: JointKernel, r: np.ndarray, stacklevel: int) -> None:
+    """Raise DivergenceError when ``zk`` or ``r = rowsum(C) + ridge`` is
+    non-finite: that is where an overflowing embedding first shows. Rows that
+    are all-zero before the ridge (``r`` is the ridge alone) trigger one
+    NumericsWarning with their count, at ``stacklevel`` as seen from the caller.
     """
-    n = kernel.shape[0]
-    r = np.empty(n)
-    zero_rows = 0
-    with np.errstate(over="ignore", invalid="ignore"):
-        if not np.isfinite(kernel.zk).all():
-            raise DivergenceError("joint aggregation kernel became non-finite")
-        for rows in _row_blocks(n):
-            c = _gram_rows(kernel, rows)
-            mass = c.sum(axis=1)
-            if not np.isfinite(mass).all():
-                raise DivergenceError("joint aggregation kernel became non-finite")
-            zero_rows += int(np.count_nonzero(mass == 0.0))
-            r[rows] = mass + _RIDGE
-            emit(rows, c, r[rows])
+    if not (np.isfinite(kernel.zk).all() and np.isfinite(r).all()):
+        raise DivergenceError("joint aggregation kernel became non-finite")
+    zero_rows = int(np.count_nonzero(r == _RIDGE))
     if zero_rows:
         warnings.warn(
             f"{zero_rows} all-zero rows in the clamped Gram matrix; "
             "the diagonal ridge keeps them row-stochastic",
             NumericsWarning,
-            stacklevel=3,
+            stacklevel=stacklevel + 1,
         )
-    return r
+
+
+def _first_pass(kernel: JointKernel, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``((C + ridge I) x, r)`` with ``r = rowsum(C) + ridge``, from one walk.
+
+    A column of ones appended to ``x`` makes ``r`` the last column of the
+    same tile products. Raises DivergenceError before anything is normalized
+    and warns about all-zero rows (``_check_row_sums``).
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        prod = _ridged_product(kernel, np.hstack([x, np.ones((x.shape[0], 1))]))
+        r = prod[:, -1].copy()  # the backward keeps r, not the whole product
+        _check_row_sums(kernel, r, stacklevel=3)
+    return prod[:, :-1], r
 
 
 def joint_aggregation_t(z_a: Tensor, z_x: Tensor) -> JointKernel:
@@ -180,36 +207,41 @@ def build_joint_gram(z_a, z_x) -> np.ndarray:
     if z_a.shape != z_x.shape or z_a.ndim != 2:
         raise ValueError(f"z_a {z_a.shape} and z_x {z_x.shape} must be equal 2-d shapes")
     kernel = joint_aggregation_t(z_a, z_x)
-    b = np.empty(kernel.shape)
-
-    def emit(rows, c, r_rows):
-        b[rows] = c
-
-    _first_pass(kernel, emit)
-    b.flat[:: b.shape[0] + 1] += _RIDGE
+    n = kernel.shape[0]
+    b = np.empty((n, n))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for rows, cols in _tile_pairs(n):
+            c = _gram_tile(kernel, rows, cols)
+            if rows == cols:  # mirror the diagonal tile's own upper triangle
+                c = np.triu(c) + np.triu(c, 1).T
+            b[rows, cols] = c
+            b[cols, rows] = c.T
+        b.flat[:: n + 1] += _RIDGE
+        _check_row_sums(kernel, b.sum(axis=1), stacklevel=2)
     return b
 
 
 def _joint_filter_t(kernel: JointKernel, x: np.ndarray, coeffs: np.ndarray) -> Tensor:
     """``sum_p c_p S^p x`` on the factored kernel, as one autograd op.
 
-    Forward: ``Y_p = (C Y_{p-1} + ridge Y_{p-1}) / r``, the first pass also
-    yielding ``r``. Backward, with ``x`` constant and ``g`` the upstream
-    gradient: ``B_k = c_k g`` and ``B_p = c_p g + S^T B_{p+1}``, where
+    Forward: ``Y_p = (C Y_{p-1} + ridge Y_{p-1}) / r``, each product one walk
+    over the upper-triangle tiles of ``C`` (``_ridged_product``), the first
+    also yielding ``r`` (``_first_pass``). Backward, with ``x`` constant and
+    ``g`` the upstream gradient: ``B_k = c_k g`` and
+    ``B_p = c_p g + S^T B_{p+1}``, where
     ``S^T b = (C + ridge I)(b / r)`` because ``C`` is symmetric. The kernel's
     upstream gradient ``G = sum_p B_p Y_{p-1}^T`` and ``rowsum(G * S) =
     sum_p <B_p, Y_p>`` are taken row block by row block, and the last step
     (``B_1``) shares the pass that forms ``ds = mask * (G - rowsum(G * S)) / r``.
+    That pass stays in ``block x n`` row blocks (``_gram_rows``): a row of
+    ``ds`` needs the whole row of ``C`` and of ``B_1``; the earlier ``B_p``
+    are tile walks.
     With ``K = z_x^T z_x``, ``dz_a = (ds + ds^T) zk``, ``dK = z_a^T ds z_a``
     and ``dz_x = z_x (dK + dK^T)``.
     """
     k = len(coeffs) - 1
-    ys = [x, np.empty_like(x)]
-
-    def emit(rows, c, r_rows):
-        ys[1][rows] = (c @ x + _RIDGE * x[rows]) / r_rows[:, None]
-
-    r = _first_pass(kernel, emit)
+    y1, r = _first_pass(kernel, x)
+    ys = [x, y1 / r[:, None]]
     for _ in range(1, k):
         ys.append(_ridged_product(kernel, ys[-1]) / r[:, None])
     h = coeffs[0] * x

@@ -13,6 +13,7 @@ from gfclust import (
     filter_frequency_response,
     random_walk_normalize,
 )
+from gfclust import filters
 from gfclust.autograd import Tensor
 from gfclust.errors import ConfigError, DivergenceError, NumericsWarning
 from gfclust.filters import _BLOCK_ROWS, apply_filter_t, filter_coefficients, joint_aggregation_t
@@ -80,6 +81,15 @@ class TestJointAggregation:
             assert np.abs(s_rw.sum(axis=1) - 1.0).max() < 1e-9
             assert s_rw.min() >= 0.0
 
+    def test_gram_over_ragged_tiles_is_exactly_symmetric(self):
+        n = 2 * _BLOCK_ROWS + 37
+        rng = np.random.default_rng(11)
+        z_a, z_x = rng.normal(size=(n, 5)), rng.normal(size=(n, 5))
+        b = build_joint_gram(z_a, z_x)
+        assert np.array_equal(b, b.T)
+        s_rw = b / b.sum(axis=1, keepdims=True)
+        assert np.abs(s_rw - oracle_s_rw(z_a, z_x)).max() < 1e-12
+
     def test_zero_row_warns_but_stays_stochastic(self):
         z_a = np.array([[0.0, 0.0], [1.0, 0.5]])
         z_x = RNG.normal(size=(2, 2))
@@ -145,32 +155,86 @@ def assert_op_matches_oracle(n, latent, seed, cfgs=FAMILY_CONFIGS, width=3, zero
             assert np.abs(g - w).max() <= 1e-10 * max(np.abs(w).max(), floor), (name, cfg)
 
 
+def assert_zero_rows_warn_once(n, zero_rows):
+    """Zeroed ``z_a`` rows give one NumericsWarning with their count, from the
+    filter op (forward and backward) and from ``build_joint_gram`` alike, and
+    the op still matches the taped oracle."""
+    rng = np.random.default_rng(4)
+    z_a = rng.normal(size=(n, 4))
+    z_a[list(zero_rows)] = 0.0
+    z_x = rng.normal(size=z_a.shape)
+    a, zx = Tensor(z_a, requires_grad=True), Tensor(z_x, requires_grad=True)
+
+    def filter_forward_and_backward():
+        h = apply_filter_t(joint_aggregation_t(a, zx), Tensor(z_x), FilterConfig(order=3))
+        h.sum().backward()
+
+    for run in (filter_forward_and_backward, lambda: build_joint_gram(z_a, z_x)):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            run()
+        numerics = [w for w in caught if issubclass(w.category, NumericsWarning)]
+        assert len(numerics) == 1
+        assert str(numerics[0].message).startswith(f"{len(zero_rows)} all-zero rows")
+    assert_op_matches_oracle(n, 4, seed=4, zero_rows=zero_rows)
+
+
 class TestJointAggregationOp:
     """The fused kernel-and-filter op against the taped composition it replaces."""
 
     @pytest.mark.parametrize(
         "n",
-        [_BLOCK_ROWS // 2, _BLOCK_ROWS + 37, 2 * _BLOCK_ROWS],
-        ids=["below-block", "ragged-last-block", "whole-blocks"],
+        [
+            _BLOCK_ROWS // 2,
+            _BLOCK_ROWS - 1,
+            _BLOCK_ROWS,
+            _BLOCK_ROWS + 1,
+            _BLOCK_ROWS + 37,
+            2 * _BLOCK_ROWS,
+        ],
+        ids=[
+            "below-block",
+            "one-short-of-a-block",
+            "one-block",
+            "one-past-a-block",
+            "ragged-last-block",
+            "whole-blocks",
+        ],
     )
     def test_matches_taped_oracle(self, n):
         assert_op_matches_oracle(n, 5, seed=n)
 
     def test_zero_rows_warn_once_with_their_count(self):
-        zero_rows = (0, 3, _BLOCK_ROWS + 1)
-        rng = np.random.default_rng(4)
-        z_a = rng.normal(size=(_BLOCK_ROWS + 9, 4))
-        z_a[list(zero_rows)] = 0.0
-        z_x = rng.normal(size=z_a.shape)
-        a, zx = Tensor(z_a, requires_grad=True), Tensor(z_x, requires_grad=True)
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            h = apply_filter_t(joint_aggregation_t(a, zx), Tensor(z_x), FilterConfig(order=3))
-            h.sum().backward()
-        numerics = [w for w in caught if issubclass(w.category, NumericsWarning)]
-        assert len(numerics) == 1
-        assert str(numerics[0].message).startswith("3 all-zero rows")
-        assert_op_matches_oracle(_BLOCK_ROWS + 9, 4, seed=4, zero_rows=zero_rows)
+        assert_zero_rows_warn_once(_BLOCK_ROWS + 9, (0, 3, _BLOCK_ROWS + 1))
+
+    def test_zero_row_in_the_last_partial_tile_warns_once(self):
+        assert_zero_rows_warn_once(2 * _BLOCK_ROWS + 37, (2 * _BLOCK_ROWS + 30,))
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_forward_forms_each_upper_tile_once_per_pass(self, monkeypatch, k):
+        n = 2 * _BLOCK_ROWS + 37
+        rng = np.random.default_rng(k)
+        a = Tensor(rng.normal(size=(n, 4)), requires_grad=True)
+        zx = Tensor(rng.normal(size=(n, 4)), requires_grad=True)
+        x = Tensor(rng.normal(size=(n, 3)))
+        formed = []
+        gram_tile = filters._gram_tile
+
+        def recording_tile(kernel, rows, cols):
+            formed.append((rows.start, rows.stop, cols.start, cols.stop))
+            return gram_tile(kernel, rows, cols)
+
+        def no_row_blocks(kernel, rows):
+            raise AssertionError("the forward formed a block x n row block")
+
+        monkeypatch.setattr(filters, "_gram_tile", recording_tile)
+        monkeypatch.setattr(filters, "_gram_rows", no_row_blocks)
+        apply_filter_t(joint_aggregation_t(a, zx), x, FilterConfig(order=k))
+        edges = [0, _BLOCK_ROWS, 2 * _BLOCK_ROWS, n]
+        blocks = list(zip(edges[:-1], edges[1:]))
+        upper = [rows + cols for i, rows in enumerate(blocks) for cols in blocks[i:]]
+        assert len(upper) == 6
+        assert sorted(formed) == sorted(upper * k)
 
     @settings(max_examples=25, deadline=None)
     @given(
@@ -235,6 +299,23 @@ class TestJointAggregationOp:
         finally:
             tracemalloc.stop()
         assert (peak - base) / (8.0 * n * n) < 1.0
+
+    def test_detached_forward_scratch_is_a_few_signals(self):
+        # l=16, d=32, order 2 at n=2000: a forward in 128 x n row blocks
+        # peaked at 9.0 n x d; over 128 x 128 tiles it peaks at 5.0 n x d,
+        # mostly the ones-extended signal, the pass outputs and the filter sum
+        n, d = 2000, 32
+        rng = np.random.default_rng(0)
+        kernel = joint_aggregation_t(Tensor(rng.normal(size=(n, 16))), Tensor(rng.normal(size=(n, 16))))
+        x = Tensor(rng.normal(size=(n, d)))
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            apply_filter_t(kernel.detach(), x, FilterConfig(order=2))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (peak - base) / (8.0 * n * d) < 6.0
 
 
 class TestApplyFilter:

@@ -95,7 +95,7 @@ class TestTrainReportShape:
         second = train(g, fast_config()).to_dict()
         assert first == second
 
-    def test_bce_dense_path_same_seed_identical(self):
+    def test_bce_adjacency_loss_same_seed_identical(self):
         g = tiny_two_view()
         cfg = fast_config(encoder=replace(FAST_ENCODER, adjacency_loss="bce"))
         first = train(g, cfg).to_dict()
