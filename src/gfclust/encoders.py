@@ -352,10 +352,14 @@ def train_autoencoder(
     """Full-batch Adam on one autoencoder, in place. Returns the loss history.
 
     The forward pass runs with numpy's overflow warnings off: an overflow
-    shows as a non-finite loss, which raises DivergenceError.
+    shows as a non-finite loss, which raises DivergenceError. The last
+    step's gradients are released on return, so the trained parameters
+    hold no ``grad``.
     """
     opt = Adam(params.parameters(), lr=learning_rate)
-    return [_train_step(params, opt, data, loss, epoch) for epoch in range(epochs)]
+    history = [_train_step(params, opt, data, loss, epoch) for epoch in range(epochs)]
+    opt.zero_grad()
+    return history
 
 
 def _train_step(params: AutoEncoderParams, opt: Adam, data, loss: str, epoch: int) -> float:
@@ -377,7 +381,9 @@ def pretrain_view(x: np.ndarray, a: np.ndarray, config: EncoderConfig, seed: int
     ``a`` is dense or sparse; it is trained on as ``adjacency_input`` gives
     it, so under either loss no n x n array is formed. The two stacks are
     independent, so the returned per-epoch history is the elementwise sum of
-    their reconstruction losses.
+    their reconstruction losses. ``training.pretrain`` makes one call per
+    view, concurrently: a call only reads ``x`` and ``a`` and writes nothing
+    but the parameters it creates, so its result is the same on any thread.
     """
     x = np.asarray(x, dtype=np.float64)
     a = adjacency_input(a)

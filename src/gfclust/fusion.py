@@ -40,11 +40,19 @@ _LOG_FLOOR = 1e-12
 
 
 def evaluate_view_t(h_v: Tensor, h_bar: Tensor) -> Tensor:
-    """Mean row-wise cosine similarity (differentiable, zero rows contribute ~0)."""
+    """Mean row-wise cosine similarity (differentiable).
+
+    A row that is zero on either side contributes 0 and takes a zero
+    gradient: the 1e-30 guard only keeps its division finite, and its
+    gradient through the guard would scale the other side's row by 1e15.
+    """
+    sq_v = (h_v * h_v).sum(axis=1)
+    sq_b = (h_bar * h_bar).sum(axis=1)
+    live = Tensor((sq_v.data > 0.0) & (sq_b.data > 0.0))
     dots = (h_v * h_bar).sum(axis=1)
-    norm_v = ((h_v * h_v).sum(axis=1) + 1e-30).sqrt()
-    norm_b = ((h_bar * h_bar).sum(axis=1) + 1e-30).sqrt()
-    return (dots / (norm_v * norm_b)).mean()
+    norm_v = (sq_v + 1e-30).sqrt()
+    norm_b = (sq_b + 1e-30).sqrt()
+    return (dots / (norm_v * norm_b) * live).mean()
 
 
 def _combine(weights, hs: list) -> np.ndarray:
@@ -70,16 +78,20 @@ def _similarity_grads(weights: np.ndarray, evas: np.ndarray, gw: np.ndarray, rho
     return g_evas
 
 
-def _similarity_backward(g_e, h: np.ndarray, h_bar: np.ndarray, norm_bar: np.ndarray):
-    """Gradients of ``g_e * evaluate_view_t(h, h_bar)`` w.r.t. ``h`` and ``h_bar``.
+def _similarity_backward(g_e, h: np.ndarray, h_bar: np.ndarray, sq_bar: np.ndarray):
+    """Gradients of ``g_e * evaluate_view_t(h, h_bar)`` w.r.t. ``h`` and ``h_bar``;
+    ``sq_bar`` holds the squared row norms of ``h_bar``.
 
     Row i of the mean contributes ``cos_i = <h_i, b_i> / (|h_i| |b_i|)``, whose
     gradient is ``b_i / (|h_i| |b_i|) - cos_i h_i / |h_i|^2`` for ``h_i`` and
-    the mirror image for ``b_i``; the norms carry the same 1e-30 guard.
+    the mirror image for ``b_i``; the norms carry the same 1e-30 guard, and a
+    row with ``|h_i| |b_i| = 0`` gets a zero gradient on both sides.
     """
-    norm = np.sqrt((h * h).sum(axis=1) + 1e-30)
+    sq = (h * h).sum(axis=1)
+    norm, norm_bar = np.sqrt(sq + 1e-30), np.sqrt(sq_bar + 1e-30)
     c = g_e / h.shape[0]
     inv = 1.0 / (norm * norm_bar)
+    inv[(sq == 0.0) | (sq_bar == 0.0)] = 0.0
     c_cos = c * (h * h_bar).sum(axis=1) * inv
     g_h = (c * inv)[:, None] * h_bar - (c_cos / (norm * norm))[:, None] * h
     g_bar = (c * inv)[:, None] * h - (c_cos / (norm_bar * norm_bar))[:, None] * h_bar
@@ -144,12 +156,12 @@ def fuse_views_t(embeddings: list, rho: float):
             gw = np.array([np.sum(g_bar * h) for h in hs])
             g_evas = _similarity_grads(after, evas, gw, rho)
             h_prev = _combine(before, hs)
-            norm_bar = np.sqrt((h_prev * h_prev).sum(axis=1) + 1e-30)
+            sq_bar = (h_prev * h_prev).sum(axis=1)
             g_bar = None
             for v, g_e in enumerate(g_evas):
                 if g_e == 0.0:
                     continue
-                g_h, g_b = _similarity_backward(g_e, hs[v], h_prev, norm_bar)
+                g_h, g_b = _similarity_backward(g_e, hs[v], h_prev, sq_bar)
                 grads[v] += g_h
                 g_bar = g_b if g_bar is None else g_bar + g_b
             if g_bar is None:

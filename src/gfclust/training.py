@@ -29,13 +29,30 @@ One tape is alive at a time: each joint epoch runs in ``_step``, whose
 forward pass dies when it returns, and the bootstrap and the refreshes keep
 plain arrays (the consensus and the per-view embeddings), never a forward
 pass, so an epoch's forward and backward never share memory with an
-earlier epoch's graph.
+earlier epoch's graph. Each view's part of that tape may be built on its
+own thread, and the whole tape is walked back on the calling thread.
+The views are independent up to ``fuse_views_t``, so they run concurrently
+(``_for_each_view``): each view's pretraining, and each view's part of a
+forward pass (its encoders, reconstruction terms, kernel and filter). View 0
+runs on the calling thread and views 1.. on ``min(n_views, usable CPUs) - 1``
+worker threads, usable CPUs being the process's affinity mask. With BLAS
+pinned to one thread, the other cores are otherwise idle, and numpy and
+scipy release the GIL in their sparse and dense products and large ufuncs.
+With one usable CPU or one view everything runs inline. Fusion, the KL
+terms, the backward pass, Adam and k-means stay on the calling thread. A
+view's arithmetic does not depend on the thread that runs it, and its
+results are taken, and its loss terms summed, in view order, so a report is
+byte-identical whatever the thread count.
 """
 
 from __future__ import annotations
 
+import contextvars
+import os
+from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
+from itertools import takewhile
 
 import numpy as np
 
@@ -136,6 +153,39 @@ class _Forward:
     targets: tuple | None
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity mask where the OS has one."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _for_each_view(fn, n_views: int) -> list:
+    """``[fn(0), ..., fn(n_views - 1)]``, the views run concurrently.
+
+    View 0 runs on the calling thread, views 1.. on ``min(n_views, usable
+    CPUs) - 1`` workers of a pool that lives for this call; with one usable
+    CPU or one view every call runs inline, in view order. Each worker task
+    runs in a copy of the caller's context, so the caller's ``np.errstate``
+    holds there too. The first failure in view order is raised once the
+    views already started have finished; views not started by then are
+    dropped.
+    """
+    workers = min(n_views, _usable_cpus()) - 1
+    if workers < 1:
+        return [fn(view) for view in range(n_views)]
+    pool = ThreadPoolExecutor(max_workers=workers, thread_name_prefix="gfclust-view")
+    try:
+        futures = [
+            pool.submit(contextvars.copy_context().run, fn, view) for view in range(1, n_views)
+        ]
+        results = [fn(0)]
+        results.extend(future.result() for future in futures)
+    finally:
+        pool.shutdown(wait=True, cancel_futures=True)
+    return results
+
+
 def pretrain(g: MultiViewGraph, cfg: TrainConfig) -> tuple:
     """Pretrain every view's two autoencoders; returns (models, history).
 
@@ -143,21 +193,30 @@ def pretrain(g: MultiViewGraph, cfg: TrainConfig) -> tuple:
     ``history`` one ``{"view", "l_rec"}`` record per view. View v trains
     from the v-th child of the first of two children of
     ``SeedSequence(cfg.seed)``; the pipeline's k-means draws from the second.
-    A DivergenceError carries the partial report with the views done so far.
+    The views train concurrently (``_for_each_view``), each through one
+    ``pretrain_view`` call; a view's result depends only on its seed, so
+    neither the models nor the history depend on the thread count.
+    A DivergenceError carries the partial report with the views before the
+    first view, in view order, that diverged.
     """
     enc_seq = np.random.SeedSequence(cfg.seed).spawn(2)[0]
-    models, history = [], []
+    seeds = [int(child.generate_state(1)[0]) for child in enc_seq.spawn(g.n_views)]
+    records = [None] * g.n_views
+
+    def one_view(view):
+        params_x, params_a, l_rec = pretrain_view(
+            g.features, g.adjacencies[view], cfg.encoder, seeds[view]
+        )
+        records[view] = {"view": view, "l_rec": l_rec}
+        return params_x, params_a
+
     try:
-        for view, child in enumerate(enc_seq.spawn(g.n_views)):
-            params_x, params_a, l_rec = pretrain_view(
-                g.features, g.adjacencies[view], cfg.encoder, int(child.generate_state(1)[0])
-            )
-            models.append((params_x, params_a))
-            history.append({"view": view, "l_rec": l_rec})
+        models = _for_each_view(one_view, g.n_views)
     except DivergenceError as exc:
+        history = list(takewhile(lambda record: record is not None, records))
         exc.report = TrainReport([], final=None, pretrain=history)
         raise
-    return models, history
+    return models, records
 
 
 class TrainingPipeline:
@@ -281,29 +340,39 @@ class TrainingPipeline:
     def epoch_forward(self, with_losses: bool = True, targets: tuple | None = None) -> _Forward:
         """One epoch's forward pass.
 
+        Each view's encoders, reconstruction terms, kernel and filter run
+        concurrently (``_for_each_view``); the fusion and the KL terms run on
+        the calling thread, and the terms are summed in view order, so the
+        loss does not depend on the thread count.
         ``targets`` freezes the sharpened targets (p per view, consensus p);
         left to None they are recomputed from the current soft assignments,
         which is what a training step uses.
         """
         cfg = self.cfg
-        rec_terms = []
-        h_views = []
-        for view, (params_x, params_a) in enumerate(self.models):
+
+        def one_view(view):
+            params_x, params_a = self.models[view]
             a = self.g.adjacencies[view]
             z_x = encode_t(params_x, self.x_const)
             z_a = encode_t(params_a, a)
+            rec = ()
             if with_losses:
-                rec_terms.append(mse_t(decode_t(params_x, z_x), self.g.features))
-                rec_terms.append(adjacency_loss_t(params_a, z_a, a, cfg.encoder.adjacency_loss))
+                rec = (
+                    mse_t(decode_t(params_x, z_x), self.g.features),
+                    adjacency_loss_t(params_a, z_a, a, cfg.encoder.adjacency_loss),
+                )
             if self.a_rw is not None:
                 kernel = self.a_rw[view]
             else:
                 kernel = joint_aggregation_t(z_a, z_x)
                 if self.detach_s:
                     kernel = kernel.detach()
-            h_views.append(
-                apply_filter_t(kernel, self.x_const, replace(cfg.filter, hr=self.hr[view]))
-            )
+            h = apply_filter_t(kernel, self.x_const, replace(cfg.filter, hr=self.hr[view]))
+            return rec, h
+
+        per_view = _for_each_view(one_view, self.g.n_views)
+        rec_terms = [term for rec, _ in per_view for term in rec]
+        h_views = [h for _, h in per_view]
         weights, h_bar = fuse_views_t(h_views, cfg.rho)
 
         if not with_losses:

@@ -251,6 +251,13 @@ class TestTrainAutoencoders:
         a_in = adjacency_input(a)
         assert np.array_equal(encode_t(first[1], a_in).data, encode_t(second[1], a_in).data)
 
+    def test_pretraining_leaves_no_gradient_behind(self):
+        x = RNG.normal(size=(10, 4))
+        a = np.triu((RNG.random((10, 10)) < 0.3).astype(float), 1)
+        cfg = EncoderConfig(latent_dim=3, hidden_dim=6, epochs=3)
+        params_x, params_a, _ = pretrain_view(x, a + a.T, cfg, seed=2)
+        assert all(p.grad is None for p in params_x.parameters() + params_a.parameters())
+
     def test_moving_average_loss_monotone(self):
         rng = np.random.default_rng(6)
         x = rng.normal(size=(20, 6))

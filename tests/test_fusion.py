@@ -63,6 +63,29 @@ class TestEvaluateView:
         with pytest.raises(ValueError):
             evaluate_view(np.zeros((2, 2)), np.zeros((3, 2)))
 
+    def test_zero_rows_take_zero_gradient_and_the_rest_match_central_differences(self):
+        rng = np.random.default_rng(4)
+        h, h_bar = rng.normal(size=(6, 3)), rng.normal(size=(6, 3))
+        h[1] = 0.0
+        h_bar[4] = 0.0
+        g_e = 0.7
+        g_h, g_bar = fusion._similarity_backward(g_e, h, h_bar, (h_bar * h_bar).sum(axis=1))
+        ts = [Tensor(h, requires_grad=True), Tensor(h_bar, requires_grad=True)]
+        (evaluate_view_t(*ts) * g_e).backward()
+        for grad, taped, x in ((g_h, ts[0].grad, h), (g_bar, ts[1].grad, h_bar)):
+            assert np.all(grad[[1, 4]] == 0.0) and np.all(taped[[1, 4]] == 0.0)
+            for i in (0, 2, 3, 5):
+                for j in range(3):
+                    values = []
+                    for step in (1e-6, -1e-6):
+                        moved = x.copy()
+                        moved[i, j] += step
+                        pair = (moved, h_bar) if x is h else (h, moved)
+                        values.append(g_e * evaluate_view(*pair))
+                    fd = (values[0] - values[1]) / 2e-6
+                    assert grad[i, j] == pytest.approx(fd, rel=1e-6, abs=1e-9)
+                    assert taped[i, j] == pytest.approx(fd, rel=1e-6, abs=1e-9)
+
 
 class TestFuseViews:
     def test_single_view_degenerate(self):

@@ -1,4 +1,7 @@
 import gc
+import json
+import os
+import threading
 import tracemalloc
 import types
 from dataclasses import replace
@@ -9,6 +12,7 @@ import pytest
 from gfclust import (
     EncoderConfig,
     FilterConfig,
+    MultiViewGraph,
     SyntheticSpec,
     TrainConfig,
     generate_synthetic,
@@ -236,11 +240,10 @@ class TestDivergence:
     def test_divergence_in_pretraining_keeps_the_views_done(self, monkeypatch):
         g = tiny_two_view()
         done = train(g, fast_config(epochs=0)).pretrain
-        real, calls = training.pretrain_view, []
+        real = training.pretrain_view
 
         def second_view_diverges(*args):
-            calls.append(args)
-            if len(calls) == 2:
+            if args[1] is g.adjacencies[1]:
                 raise DivergenceError("autoencoder loss diverged at epoch 0")
             return real(*args)
 
@@ -268,6 +271,91 @@ class TestDivergence:
         g = tiny_two_view()
         with pytest.raises(DivergenceError, match="after epoch 0") as err:
             train(g, fast_config(epochs=1, learning_rate=1e100))
+        assert err.value.last_epoch == 0
+        assert [rec["epoch"] for rec in err.value.report.to_dict()["epochs"]] == [0]
+
+
+needs_two_cpus = pytest.mark.skipif(
+    training._usable_cpus() < 2, reason="views run concurrently only with two usable CPUs"
+)
+
+
+def three_view_graph():
+    g = tiny_two_view()
+    extra = tiny_two_view(seed=1).adjacencies[0]
+    return MultiViewGraph(features=g.features, adjacencies=[*g.adjacencies, extra],
+                          n_clusters=g.n_clusters, labels=g.labels)
+
+
+class TestConcurrentViews:
+    def test_more_views_than_cpus_give_the_one_cpu_report(self, monkeypatch):
+        g = three_view_graph()
+        concurrent = json.dumps(train(g, fast_config()).to_dict())
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        assert training._usable_cpus() == 1
+        assert json.dumps(train(g, fast_config()).to_dict()) == concurrent
+
+    @needs_two_cpus
+    def test_two_views_are_in_flight_at_once(self, monkeypatch):
+        g = tiny_two_view()
+        expected = train(g, fast_config()).to_dict()
+        barrier = threading.Barrier(2, timeout=10)
+
+        def met(real):
+            def both_views_arrive(*args):
+                barrier.wait()
+                return real(*args)
+            return both_views_arrive
+
+        monkeypatch.setattr(training, "pretrain_view", met(training.pretrain_view))
+        monkeypatch.setattr(training, "apply_filter_t", met(training.apply_filter_t))
+        assert train(g, fast_config()).to_dict() == expected
+
+    @needs_two_cpus
+    def test_workers_run_under_the_callers_errstate(self):
+        caller = threading.current_thread()
+        with np.errstate(over="raise"):
+            seen = training._for_each_view(
+                lambda view: (threading.current_thread(), np.geterr()["over"]), 2
+            )
+        assert seen[0][0] is caller and seen[1][0] is not caller
+        assert [over for _, over in seen] == ["raise", "raise"]
+
+    @needs_two_cpus
+    def test_divergence_on_the_calling_thread_keeps_no_view(self, monkeypatch):
+        g = tiny_two_view()
+        real, caller = training.pretrain_view, threading.current_thread()
+        started = threading.Event()
+
+        def first_view_diverges(*args):
+            if args[1] is g.adjacencies[0]:
+                assert threading.current_thread() is caller
+                assert started.wait(10)
+                raise DivergenceError("autoencoder loss diverged at epoch 0")
+            assert threading.current_thread() is not caller
+            started.set()
+            return real(*args)
+
+        monkeypatch.setattr(training, "pretrain_view", first_view_diverges)
+        with pytest.raises(DivergenceError, match="epoch 0") as err:
+            train(g, fast_config())
+        assert err.value.report.to_dict() == {"epochs": [], "final": None, "pretrain": []}
+
+    @needs_two_cpus
+    def test_kernel_divergence_in_a_worker_names_its_epoch(self, monkeypatch):
+        g = tiny_two_view()
+        real, caller, worker_calls = training.joint_aggregation_t, threading.current_thread(), []
+
+        def overflows_in_the_worker(z_a, z_x):
+            if threading.current_thread() is not caller:
+                worker_calls.append(threading.current_thread().name)
+                if len(worker_calls) == 3:  # the bootstrap, epoch 0, then epoch 1
+                    z_a = Tensor(z_a.data * 1e300)
+            return real(z_a, z_x)
+
+        monkeypatch.setattr(training, "joint_aggregation_t", overflows_in_the_worker)
+        with pytest.raises(DivergenceError, match="kernel became non-finite at epoch 1") as err:
+            train(g, fast_config())
         assert err.value.last_epoch == 0
         assert [rec["epoch"] for rec in err.value.report.to_dict()["epochs"]] == [0]
 
