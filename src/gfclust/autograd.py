@@ -3,6 +3,12 @@
 A ``Tensor`` wraps a float64 ndarray and records the operations applied to it;
 ``Tensor.backward()`` replays the tape in reverse topological order and
 accumulates gradients into every node that (transitively) requires them.
+Given ``branches``, groups of tensors whose sub-tapes share no node that
+requires a gradient, the same walk is split: the shared top of the tape is
+walked down to the branch tensors on the calling thread, then each branch
+from all of its tensors at once, the branches through a runner the caller
+passes (``training`` runs one per view, concurrently). Each part keeps the
+node order of the whole walk, so the gradients do not change.
 Only the ops this package calls are implemented: elementwise arithmetic with
 broadcasting, matmul, log/sqrt/relu, maxima, reductions and transpose; the
 taped ops only tests use are built on ``Tensor._from_op`` in the tests.
@@ -210,47 +216,99 @@ class Tensor:
 
     # -- backward pass --------------------------------------------------------------
 
-    def backward(self, grad=None):
+    def backward(self, grad=None, branches=(), for_each=None):
         """Accumulate gradients of this (scalar) tensor w.r.t. all ancestors.
 
         Gradients are never written in place, so a node may share its ``grad``
         array with another node. An intermediate node's ``grad`` is released
         once its own backward has run; the root and the leaves keep theirs.
+
+        ``branches`` splits the walk into independent parts. Each entry is a
+        group of tensors of this tape; its branch is everything behind them.
+        First the shared top of the tape, the nodes in no branch, is walked
+        on the calling thread down to the branch tensors. Then each branch
+        is walked from all of its tensors at once, by ``for_each(walk, count)``,
+        which calls ``walk(0), ..., walk(count - 1)`` in any order, possibly
+        concurrently (in order when ``for_each`` is None). Every part runs its
+        nodes in the order of the walk without branches, and a branch receives
+        gradient from the top only through its own tensors, so when those are
+        not inputs of their own branch every gradient has the same bits as
+        without branches.
+
+        Raises:
+            ValueError: two branches share a node that requires a gradient,
+                or a top node takes an input from inside a branch; nothing
+                has been accumulated then.
         """
         if grad is None:
             if self.data.size != 1:
                 raise ValueError("backward() without a seed needs a scalar tensor")
             grad = np.ones_like(self.data)
 
-        order: list[Tensor] = []
-        seen = set()
-        stack = [(self, False)]
-        while stack:
-            node, processed = stack.pop()
-            if processed:
-                order.append(node)
-                continue
-            if id(node) in seen:
-                continue
-            seen.add(id(node))
-            stack.append((node, True))
-            for parent in node._parents:
-                if parent.requires_grad and id(parent) not in seen:
-                    stack.append((parent, False))
+        order = _topo_order([self])
+        top, parts = order, []
+        if branches:
+            member = {}
+            for b, group in enumerate(branches):
+                for node in _topo_order([t for t in group if t.requires_grad]):
+                    if member.setdefault(id(node), b) != b:
+                        raise ValueError("two backward branches share a node")
+            ends = {id(t) for group in branches for t in group}
+            top = [node for node in order if id(node) not in member]
+            for node in top:
+                if any(id(p) in member and id(p) not in ends for p in node._parents):
+                    raise ValueError("the top of the tape reaches into a backward branch")
+            parts = [[] for _ in branches]
+            for node in order:
+                if id(node) in member:
+                    parts[member[id(node)]].append(node)
 
         self.grad = np.asarray(grad, dtype=np.float64)
-        for node in reversed(order):
-            if node._backward is None or node.grad is None:
+        _walk(top, self)
+        if for_each is None:
+            for part in parts:
+                _walk(part, self)
+        elif parts:
+            for_each(lambda b: _walk(parts[b], self), len(parts))
+
+
+def _topo_order(roots: list) -> list:
+    """Every node reachable from ``roots`` through parents that require a
+    gradient, each after all of its parents."""
+    order: list[Tensor] = []
+    seen = set()
+    stack = [(root, False) for root in reversed(roots)]
+    while stack:
+        node, processed = stack.pop()
+        if processed:
+            order.append(node)
+            continue
+        if id(node) in seen:
+            continue
+        seen.add(id(node))
+        stack.append((node, True))
+        for parent in node._parents:
+            if parent.requires_grad and id(parent) not in seen:
+                stack.append((parent, False))
+    return order
+
+
+def _walk(order: list, root: "Tensor") -> None:
+    """Run each node's backward, last node first, into its parents'
+    gradients, and release each intermediate node's gradient (never
+    ``root``'s) once its backward has run."""
+    for node in reversed(order):
+        if node._backward is None or node.grad is None:
+            continue
+        for parent, pgrad in zip(node._parents, node._backward(node.grad)):
+            if not parent.requires_grad:
                 continue
-            for parent, pgrad in zip(node._parents, node._backward(node.grad)):
-                if not parent.requires_grad:
-                    continue
-                if parent.grad is None:
-                    parent.grad = np.asarray(pgrad)
-                else:
-                    parent.grad = parent.grad + pgrad
-            if node is not self:
-                node.grad = None
+            if parent.grad is None:
+                parent.grad = np.asarray(pgrad)
+            else:
+                parent.grad = parent.grad + pgrad
+        if node is not root:
+            node.grad = None
 
 
 def zero_grads(params) -> None:

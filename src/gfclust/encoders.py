@@ -132,8 +132,8 @@ def _layer(x, w: Tensor, b: Tensor, activation: str) -> Tensor:
 
     The bias and the activation are applied in place on the product, and the
     backward takes the activation's slope from the output: ``1 - out^2`` for
-    tanh, ``out > 0`` for relu. The values and gradients are those of the
-    taped ``act((x @ w) + b)``.
+    tanh, built and scaled in one buffer, ``out > 0`` for relu. The values
+    and gradients are those of the taped ``act((x @ w) + b)``.
     """
     if sparse.issparse(x):
         x_data, parents = x, (w, b)
@@ -149,7 +149,10 @@ def _layer(x, w: Tensor, b: Tensor, activation: str) -> Tensor:
 
     def backward(grad):
         if activation == "tanh":
-            grad = grad * (1.0 - out * out)
+            slope = np.multiply(out, out)
+            np.subtract(1.0, slope, out=slope)
+            slope *= grad
+            grad = slope
         elif activation == "relu":
             grad = grad * (out > 0.0)
         grads = (np.asarray(x_data.T @ grad), grad.sum(axis=0))
@@ -252,9 +255,13 @@ def _factored_mse(h: Tensor, w: Tensor, b: Tensor, a) -> Tensor:
         dh = (hd - mu) @ ww
         dh += shift @ wd.T
         dh -= aw
-        dw = gram @ wd + n * np.outer(mu, shift) - np.asarray(a.T @ hd).T
+        dw = gram @ wd
+        dw += n * np.outer(mu, shift)
+        dw -= np.asarray(a.T @ hd).T
         g = 2.0 * scale * g
-        return g * dh, g * dw, g * (n * shift - col_sums)
+        dh *= g
+        dw *= g
+        return dh, dw, g * (n * shift - col_sums)
 
     return Tensor._from_op(total * scale, (h, w, b), backward)
 

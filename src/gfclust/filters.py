@@ -125,15 +125,16 @@ def _tile_pairs(n: int):
             yield rows, cols
 
 
-def _gram_tile(kernel: JointKernel, rows: slice, cols: slice) -> np.ndarray:
-    """Tile ``(rows, cols)`` of the clamped Gram matrix ``C = max(zk z_a^T, 0)``."""
-    c = kernel.zk[rows] @ kernel.z_a.data[cols].T
+def _gram_tile(kernel: JointKernel, rows: slice, cols: slice, out=None) -> np.ndarray:
+    """Tile ``(rows, cols)`` of the clamped Gram matrix ``C = max(zk z_a^T, 0)``,
+    written into ``out`` when given."""
+    c = np.matmul(kernel.zk[rows], kernel.z_a.data[cols].T, out=out)
     return np.maximum(c, 0.0, out=c)
 
 
-def _gram_rows(kernel: JointKernel, rows: slice) -> np.ndarray:
-    """Rows ``rows`` of ``C``, all ``n`` columns."""
-    return _gram_tile(kernel, rows, slice(None))
+def _gram_rows(kernel: JointKernel, rows: slice, out=None) -> np.ndarray:
+    """Rows ``rows`` of ``C``, all ``n`` columns, written into ``out`` when given."""
+    return _gram_tile(kernel, rows, slice(None), out)
 
 
 def _ridged_product(kernel: JointKernel, y: np.ndarray) -> np.ndarray:
@@ -235,7 +236,13 @@ def _joint_filter_t(kernel: JointKernel, x: np.ndarray, coeffs: np.ndarray) -> T
     (``B_1``) shares the pass that forms ``ds = mask * (G - rowsum(G * S)) / r``.
     That pass stays in ``block x n`` row blocks (``_gram_rows``): a row of
     ``ds`` needs the whole row of ``C`` and of ``B_1``; the earlier ``B_p``
-    are tile walks.
+    are tile walks. Its scratch is one ``block x n`` buffer, which holds a
+    block's ``C`` and then, once ``B_1`` and the mask ``C > 0`` are taken
+    from it, the block's ``ds``; one ``block x n`` bool mask; ``B_2 .. B_k``
+    and ``[Y_0 | ... | Y_{k-1}]`` over all rows, while ``B_1`` and
+    ``[Y_1 | ... | Y_k]`` are formed one block at a time. Views run their
+    backwards concurrently; at order 2, l=16 and d=32 one call peaks near
+    11 n x d, so two at once hold about 22 n x d.
     With ``K = z_x^T z_x``, ``dz_a = (ds + ds^T) zk``, ``dK = z_a^T ds z_a``
     and ``dz_x = z_x (dK + dK^T)``.
     """
@@ -252,29 +259,34 @@ def _joint_filter_t(kernel: JointKernel, x: np.ndarray, coeffs: np.ndarray) -> T
         a, zk = kernel.z_a.data, kernel.zk
         n, d = x.shape
         latent = a.shape[1]
-        # bs = [B_1 | ... | B_k]; B_1 is filled in block by block in the last pass
-        bs = np.empty((n, k * d))
-        bs[:, (k - 1) * d:] = coeffs[k] * g
+        # later = [B_2 | ... | B_k]; a block's B_1 is formed in the last pass
+        later = np.empty((n, (k - 1) * d))
+        if k > 1:
+            later[:, (k - 2) * d:] = coeffs[k] * g
         for p in range(k - 1, 1, -1):
-            bs[:, (p - 1) * d:p * d] = coeffs[p] * g + _ridged_product(
-                kernel, bs[:, p * d:(p + 1) * d] / r[:, None]
+            later[:, (p - 2) * d:(p - 1) * d] = coeffs[p] * g + _ridged_product(
+                kernel, later[:, (p - 1) * d:p * d] / r[:, None]
             )
         if k > 1:
-            u = bs[:, d:2 * d] / r[:, None]  # S^T B_2 = (C + ridge I) u
+            u = later[:, :d] / r[:, None]  # S^T B_2 = (C + ridge I) u
         y_prev = np.hstack(ys[:k])
-        y_next = np.hstack(ys[1:])
         right = np.hstack([zk, a])
         g_a = np.zeros_like(a)
         g_k = np.zeros((latent, latent))
+        block = np.empty((min(_BLOCK_ROWS, n), n))  # a block's C, then its ds
+        mask = np.empty(block.shape, dtype=bool)
         for rows in _row_blocks(n):
-            c = _gram_rows(kernel, rows)
+            m = rows.stop - rows.start
+            c = _gram_rows(kernel, rows, block[:m])
+            positive = np.greater(c, 0.0, out=mask[:m])
+            b_1 = coeffs[1] * g[rows]
             if k > 1:
-                bs[rows, :d] = coeffs[1] * g[rows] + c @ u + _RIDGE * u[rows]
-            left = bs[rows]
-            t = np.einsum("ij,ij->i", left, y_next[rows])
-            ds = left @ y_prev.T
+                b_1 = b_1 + c @ u + _RIDGE * u[rows]
+            left = np.hstack([b_1, later[rows]])
+            t = np.einsum("ij,ij->i", left, np.hstack([y[rows] for y in ys[1:]]))
+            ds = np.matmul(left, y_prev.T, out=c)
             ds -= t[:, None]
-            ds *= c > 0.0
+            ds *= positive
             ds /= r[rows, None]
             prod = ds @ right
             g_a[rows] += prod[:, :latent]

@@ -29,20 +29,25 @@ One tape is alive at a time: each joint epoch runs in ``_step``, whose
 forward pass dies when it returns, and the bootstrap and the refreshes keep
 plain arrays (the consensus and the per-view embeddings), never a forward
 pass, so an epoch's forward and backward never share memory with an
-earlier epoch's graph. Each view's part of that tape may be built on its
-own thread, and the whole tape is walked back on the calling thread.
+earlier epoch's graph.
 The views are independent up to ``fuse_views_t``, so they run concurrently
-(``_for_each_view``): each view's pretraining, and each view's part of a
-forward pass (its encoders, reconstruction terms, kernel and filter). View 0
+(``_for_each_view``): each view's pretraining, each view's part of a
+forward pass (its encoders, reconstruction terms, kernel and filter) and
+that part's backward. A step's one ``backward`` call walks the shared top
+of the tape (the loss sums, the KL terms and the fusion) on the calling
+thread, down to each view's outputs, its two reconstruction terms and its
+filtered ``h``; each view's branch behind them (the filter's kernel
+backward and both encoders) is then walked on that view's thread, and a
+view's gradients land in its own parameters only. View 0
 runs on the calling thread and views 1.. on ``min(n_views, usable CPUs) - 1``
 worker threads, usable CPUs being the process's affinity mask. With BLAS
 pinned to one thread, the other cores are otherwise idle, and numpy and
 scipy release the GIL in their sparse and dense products and large ufuncs.
 With one usable CPU or one view everything runs inline. Fusion, the KL
-terms, the backward pass, Adam and k-means stay on the calling thread. A
-view's arithmetic does not depend on the thread that runs it, and its
-results are taken, and its loss terms summed, in view order, so a report is
-byte-identical whatever the thread count.
+terms, the top of the backward pass, Adam and k-means stay on the calling
+thread. A view's arithmetic does not depend on the thread that runs it, and
+its results are taken, and its loss terms summed, in view order, so a
+report is byte-identical whatever the thread count.
 """
 
 from __future__ import annotations
@@ -151,6 +156,7 @@ class _Forward:
     h_bar: Tensor
     weights: np.ndarray
     targets: tuple | None
+    branches: list  # per view: its reconstruction terms and h, its backward branch
 
 
 def _usable_cpus() -> int:
@@ -343,7 +349,9 @@ class TrainingPipeline:
         Each view's encoders, reconstruction terms, kernel and filter run
         concurrently (``_for_each_view``); the fusion and the KL terms run on
         the calling thread, and the terms are summed in view order, so the
-        loss does not depend on the thread count.
+        loss does not depend on the thread count. With the losses, each
+        view's reconstruction terms and ``h`` come back as its backward
+        branch (``_Forward.branches``).
         ``targets`` freezes the sharpened targets (p per view, consensus p);
         left to None they are recomputed from the current soft assignments,
         which is what a training step uses.
@@ -376,7 +384,7 @@ class TrainingPipeline:
         weights, h_bar = fuse_views_t(h_views, cfg.rho)
 
         if not with_losses:
-            return _Forward(None, 0.0, 0.0, h_views, h_bar, weights, None)
+            return _Forward(None, 0.0, 0.0, h_views, h_bar, weights, None, [])
 
         l_rec = rec_terms[0]
         for term in rec_terms[1:]:
@@ -400,7 +408,10 @@ class TrainingPipeline:
             l_kl_value = float(l_kl.data)
             loss = loss + cfg.gamma_kl * l_kl
 
-        return _Forward(loss, float(l_rec.data), l_kl_value, h_views, h_bar, weights, targets)
+        branches = [(*rec, h) for rec, h in per_view]
+        return _Forward(
+            loss, float(l_rec.data), l_kl_value, h_views, h_bar, weights, targets, branches
+        )
 
     # -- training loop -----------------------------------------------------
 
@@ -431,13 +442,19 @@ class TrainingPipeline:
 
         The epoch's tape is a local here, so it is freed on return, before the
         next forward builds its own; only the arrays a refresh needs are kept.
+        The one ``backward`` call walks the top of the tape here and each
+        view's branch, from its reconstruction terms and ``h``, on that
+        view's thread (``_for_each_view``); the gradients are those of the
+        walk without branches, bit for bit. A failure in a branch is raised,
+        the first in view order, before Adam steps, so the parameters stay
+        as they were.
         """
         fwd = self.epoch_forward()
         total = float(fwd.loss.data)
         if not np.isfinite(total):
             raise DivergenceError("loss became non-finite")
         self.optimizer.zero_grad()
-        fwd.loss.backward()
+        fwd.loss.backward(branches=fwd.branches, for_each=_for_each_view)
         self.optimizer.step()
         self.epoch_records.append(
             {

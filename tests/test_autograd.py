@@ -184,6 +184,63 @@ def test_loss_ops_match_central_differences():
     check(lambda t: oracle_tanh(_factored_mse(h, w, oracle_tanh(t), a)), (4,))
 
 
+def branched_tape(rng):
+    """Two branches of two leaves each, joined on top by a shared product;
+    returns (loss, branches, leaves)."""
+    leaves = [Tensor(rng.normal(size=(4, 3)), requires_grad=True) for _ in range(4)]
+    branches = []
+    for x, w in (leaves[:2], leaves[2:]):
+        hidden = oracle_tanh(x * w)
+        branches.append(((hidden * hidden).sum(), hidden * w))
+    (r0, h0), (r1, h1) = branches
+    loss = r0 + 2.0 * r1 + (h0 * h1).sum() + (h0 * h0).mean()
+    return loss, branches, leaves
+
+
+@pytest.mark.parametrize("runner", ["inline", "reversed"])
+def test_branched_backward_gives_the_bits_of_the_whole_walk(runner):
+    for_each = {
+        "inline": None,
+        "reversed": lambda walk, count: [walk(b) for b in reversed(range(count))],
+    }[runner]
+    loss, _, leaves = branched_tape(np.random.default_rng(3))
+    loss.backward()
+    whole = [leaf.grad for leaf in leaves]
+    loss, branches, leaves = branched_tape(np.random.default_rng(3))
+    loss.backward(branches=branches, for_each=for_each)
+    for leaf, expected in zip(leaves, whole):
+        assert np.array_equal(leaf.grad, expected)
+    assert all(t.grad is None for branch in branches for t in branch)
+    assert loss.grad is not None
+
+
+def test_branches_that_share_a_node_are_refused_before_any_gradient():
+    rng = np.random.default_rng(4)
+    shared = Tensor(rng.normal(size=3), requires_grad=True)
+    a, b = shared * 2.0, oracle_tanh(shared)
+    with pytest.raises(ValueError, match="share"):
+        (a + b).sum().backward(branches=[[a], [b]])
+    assert shared.grad is None
+
+
+def test_a_top_that_reaches_into_a_branch_is_refused():
+    x = Tensor(np.random.default_rng(5).normal(size=3), requires_grad=True)
+    inner = oracle_tanh(x)
+    end = inner * 3.0
+    with pytest.raises(ValueError, match="reaches into"):
+        (end + inner).sum().backward(branches=[[end]])
+    assert x.grad is None
+
+
+def test_branch_tensors_without_a_gradient_are_skipped():
+    x = Tensor(np.arange(3.0), requires_grad=True)
+    constant = Tensor(np.ones(3))
+    square = x * x
+    loss = square.sum() + constant.sum()
+    loss.backward(branches=[[constant], [square]])
+    assert np.array_equal(x.grad, 2.0 * np.arange(3.0))
+
+
 def test_backward_requires_scalar():
     t = Tensor(RNG.normal(size=(2, 2)), requires_grad=True)
     with pytest.raises(ValueError):

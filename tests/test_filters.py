@@ -300,6 +300,29 @@ class TestJointAggregationOp:
             tracemalloc.stop()
         assert (peak - base) / (8.0 * n * n) < 1.0
 
+    def test_backward_scratch_is_a_few_signals(self):
+        # l=16, d=32, order 2 at n=1200: with a C and a ds per row block and
+        # all of B_1, Y_1 and Y_2 stacked, one backward call peaked at 20.6
+        # n x d; one block buffer, one mask and B_1 and [Y_1 | Y_2] formed
+        # block by block bring it to 11.0, so two views' calls at once hold
+        # about what one held
+        n, d = 1200, 32
+        rng = np.random.default_rng(0)
+        a = Tensor(rng.normal(size=(n, 16)), requires_grad=True)
+        zx = Tensor(rng.normal(size=(n, 16)), requires_grad=True)
+        h = apply_filter_t(joint_aggregation_t(a, zx), Tensor(rng.normal(size=(n, d))),
+                           FilterConfig(order=2))
+        upstream = rng.normal(size=(n, d))
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            h.backward(upstream)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert a.grad.shape == (n, 16) and zx.grad.shape == (n, 16)
+        assert (peak - base) / (8.0 * n * d) < 12.0
+
     def test_detached_forward_scratch_is_a_few_signals(self):
         # l=16, d=32, order 2 at n=2000: a forward in 128 x n row blocks
         # peaked at 9.0 n x d; over 128 x 128 tiles it peaks at 5.0 n x d,

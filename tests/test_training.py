@@ -15,6 +15,7 @@ from gfclust import (
     MultiViewGraph,
     SyntheticSpec,
     TrainConfig,
+    filters,
     generate_synthetic,
     one_hot,
     train,
@@ -358,6 +359,69 @@ class TestConcurrentViews:
             train(g, fast_config())
         assert err.value.last_epoch == 0
         assert [rec["epoch"] for rec in err.value.report.to_dict()["epochs"]] == [0]
+
+    @needs_two_cpus
+    def test_two_views_walk_their_backward_branches_at_once(self, monkeypatch):
+        # n < 128, so each view's kernel backward forms one row block per step
+        g = tiny_two_view()
+        expected = train(g, fast_config()).to_dict()
+        barrier = threading.Barrier(2, timeout=10)
+        real = filters._gram_rows
+
+        def both_branches_arrive(*args):
+            barrier.wait()
+            return real(*args)
+
+        monkeypatch.setattr(filters, "_gram_rows", both_branches_arrive)
+        assert train(g, fast_config()).to_dict() == expected
+
+    @pytest.mark.parametrize("case", ["three-views", "default", "detach_s", "raw_adjacency",
+                                      "no-kl"])
+    def test_branched_step_gives_the_bits_of_the_whole_walk(self, case):
+        g = three_view_graph() if case == "three-views" else tiny_two_view()
+        cfg = {
+            "detach_s": fast_config(detach_s=True),
+            "raw_adjacency": fast_config(filter=FilterConfig(matrix_source="raw_adjacency")),
+            "no-kl": fast_config(gamma_kl=0.0),
+        }.get(case, fast_config())
+        pipeline = TrainingPipeline(g, cfg)
+        params = pipeline.parameters()
+        stepped = []
+        pipeline.optimizer.step = lambda: stepped.append([p.grad for p in params])
+        pipeline._step(0)
+        pipeline.optimizer.zero_grad()
+        pipeline.epoch_forward().loss.backward()
+        assert len(stepped) == 1
+        for branched, p in zip(stepped[0], params):
+            assert (branched is None) == (p.grad is None)
+            if branched is not None:
+                assert np.array_equal(branched, p.grad)
+        assert any(grad is not None for grad in stepped[0])
+
+    @needs_two_cpus
+    @pytest.mark.parametrize("failing", [(1,), (0, 1)], ids=["view-1", "views-0-and-1"])
+    def test_a_failing_branch_is_raised_before_adam_steps(self, monkeypatch, failing):
+        pipeline = TrainingPipeline(tiny_two_view(), fast_config())
+        before = [p.data.copy() for p in pipeline.parameters()]
+        real, caller = filters._gram_rows, threading.current_thread()
+        view_one_failed = threading.Event()
+
+        def fails(*args):
+            view = 0 if threading.current_thread() is caller else 1
+            if view not in failing:
+                return real(*args)
+            if view == 0:
+                assert view_one_failed.wait(10)
+            else:
+                view_one_failed.set()
+            raise RuntimeError(f"view {view} failed")
+
+        monkeypatch.setattr(filters, "_gram_rows", fails)
+        with pytest.raises(RuntimeError, match=f"view {failing[0]} failed"):
+            pipeline._step(0)
+        assert pipeline.optimizer.t == 0 and pipeline.epoch_records == []
+        for p, data in zip(pipeline.parameters(), before):
+            assert np.array_equal(p.data, data)
 
 
 def traced(fn):
