@@ -14,9 +14,14 @@ broadcasting, matmul, log/sqrt/relu, maxima, reductions and transpose; the
 taped ops only tests use are built on ``Tensor._from_op`` in the tests.
 Everything is float64 and 0-d/1-d/2-d shaped.
 
-The tape lives as long as its root: a node holds its parents and its
-backward closure, nothing holds a node's consumers, so dropping the last
-reference to a loss frees its whole graph. Composite steps that would keep
+The tape lives as long as its root until a backward walk consumes it, as
+PyTorch's does without ``retain_graph``. A node holds its parents and its
+backward closure, and nothing holds a node's consumers. The walk releases a
+node's closure and parents once the node's backward has run, or was skipped
+because no gradient reached it, so what an op saved for its backward is
+freed there rather than when the root is dropped. Leaves keep their
+gradients and the root keeps its data; a second walk through a walked tape
+raises ``ValueError``. Composite steps that would keep
 many large intermediates are single ops built on ``Tensor._from_op`` with a
 hand-written backward that keeps or recomputes only what it needs: the
 encoder layer (``encoders._layer``), the reconstruction losses
@@ -220,8 +225,12 @@ class Tensor:
         """Accumulate gradients of this (scalar) tensor w.r.t. all ancestors.
 
         Gradients are never written in place, so a node may share its ``grad``
-        array with another node. An intermediate node's ``grad`` is released
-        once its own backward has run; the root and the leaves keep theirs.
+        array with another node. The walk consumes the tape: once a node's
+        backward has run, or was skipped because no gradient reached it,
+        the node lets go of its backward closure, its parents and, unless it
+        is the root, its ``grad``; the leaves keep theirs. The walk also
+        drops its own references to the nodes as it passes them, on every
+        thread, so each op's saved arrays are freed at its backward.
 
         ``branches`` splits the walk into independent parts. Each entry is a
         group of tensors of this tape; its branch is everything behind them.
@@ -236,33 +245,16 @@ class Tensor:
         without branches.
 
         Raises:
-            ValueError: two branches share a node that requires a gradient,
-                or a top node takes an input from inside a branch; nothing
-                has been accumulated then.
+            ValueError: the tape, or a node on it, was walked already; two
+                branches share a node that requires a gradient; or a top
+                node takes an input from inside a branch. Nothing has been
+                accumulated then.
         """
         if grad is None:
             if self.data.size != 1:
                 raise ValueError("backward() without a seed needs a scalar tensor")
             grad = np.ones_like(self.data)
-
-        order = _topo_order([self])
-        top, parts = order, []
-        if branches:
-            member = {}
-            for b, group in enumerate(branches):
-                for node in _topo_order([t for t in group if t.requires_grad]):
-                    if member.setdefault(id(node), b) != b:
-                        raise ValueError("two backward branches share a node")
-            ends = {id(t) for group in branches for t in group}
-            top = [node for node in order if id(node) not in member]
-            for node in top:
-                if any(id(p) in member and id(p) not in ends for p in node._parents):
-                    raise ValueError("the top of the tape reaches into a backward branch")
-            parts = [[] for _ in branches]
-            for node in order:
-                if id(node) in member:
-                    parts[member[id(node)]].append(node)
-
+        top, parts = _walk_parts(self, branches)
         self.grad = np.asarray(grad, dtype=np.float64)
         _walk(top, self)
         if for_each is None:
@@ -270,6 +262,36 @@ class Tensor:
                 _walk(part, self)
         elif parts:
             for_each(lambda b: _walk(parts[b], self), len(parts))
+
+
+def _walked(grad):
+    """The backward of a node whose own backward has run: a tape is walked once."""
+    raise ValueError("backward through a tape that was walked already")
+
+
+def _walk_parts(root: "Tensor", branches) -> tuple:
+    """The walk from ``root``, split as ``Tensor.backward`` describes: the top
+    part and one part per branch (none without ``branches``)."""
+    order = _topo_order([root])
+    if any(node._backward is _walked for node in order):
+        _walked(None)
+    if not branches:
+        return order, []
+    member = {}
+    for b, group in enumerate(branches):
+        for node in _topo_order([t for t in group if t.requires_grad]):
+            if member.setdefault(id(node), b) != b:
+                raise ValueError("two backward branches share a node")
+    ends = {id(t) for group in branches for t in group}
+    top = [node for node in order if id(node) not in member]
+    for node in top:
+        if any(id(p) in member and id(p) not in ends for p in node._parents):
+            raise ValueError("the top of the tape reaches into a backward branch")
+    parts = [[] for _ in branches]
+    for node in order:
+        if id(node) in member:
+            parts[member[id(node)]].append(node)
+    return top, parts
 
 
 def _topo_order(roots: list) -> list:
@@ -294,21 +316,33 @@ def _topo_order(roots: list) -> list:
 
 
 def _walk(order: list, root: "Tensor") -> None:
-    """Run each node's backward, last node first, into its parents'
-    gradients, and release each intermediate node's gradient (never
-    ``root``'s) once its backward has run."""
-    for node in reversed(order):
-        if node._backward is None or node.grad is None:
+    """Pop ``order`` from its last node and run each node's backward into its
+    parents' gradients. Each node gives up its backward closure and its
+    parents as it is walked, reached by a gradient or not, and each
+    intermediate node's gradient (never ``root``'s) is released once its
+    backward has run, so what an op saved for its backward is freed there."""
+    while order:
+        node = order.pop()
+        backward, parents = node._backward, node._parents
+        if backward is None:
             continue
-        for parent, pgrad in zip(node._parents, node._backward(node.grad)):
-            if not parent.requires_grad:
-                continue
-            if parent.grad is None:
-                parent.grad = np.asarray(pgrad)
-            else:
-                parent.grad = parent.grad + pgrad
+        node._backward, node._parents = _walked, ()
+        if node.grad is not None:
+            _accumulate(parents, backward(node.grad))
         if node is not root:
             node.grad = None
+
+
+def _accumulate(parents: tuple, grads) -> None:
+    """Add each of ``grads`` into its parent's gradient; no gradient it adds
+    stays referenced once it returns."""
+    for parent, pgrad in zip(parents, grads):
+        if not parent.requires_grad:
+            continue
+        if parent.grad is None:
+            parent.grad = np.asarray(pgrad)
+        else:
+            parent.grad = parent.grad + pgrad
 
 
 def zero_grads(params) -> None:

@@ -39,23 +39,27 @@ class ClusterAssignment:
     inertia_history: tuple = ()
 
 
-def _sq_dists(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
+def _sq_dists(points: np.ndarray, sq_norms: np.ndarray, centers: np.ndarray) -> np.ndarray:
+    """Squared distances of every point to every center; ``sq_norms`` is
+    ``(points * points).sum(axis=1)``, computed once per ``kmeans`` call."""
     d2 = (
-        (points * points).sum(axis=1)[:, None]
+        sq_norms[:, None]
         - 2.0 * points @ centers.T
         + (centers * centers).sum(axis=1)[None, :]
     )
     return np.maximum(d2, 0.0)
 
 
-def _kmeanspp_init(points: np.ndarray, c: int, rng: np.random.Generator) -> np.ndarray:
+def _kmeanspp_init(
+    points: np.ndarray, sq_norms: np.ndarray, c: int, rng: np.random.Generator
+) -> np.ndarray:
     """Greedy k-means++: several D^2-sampled candidates per center, keep the one
     that lowers the total potential the most."""
     n = points.shape[0]
     n_trials = 2 + int(np.log(c)) if c > 1 else 1
     centers = np.empty((c, points.shape[1]))
     centers[0] = points[rng.integers(n)]
-    d2 = _sq_dists(points, centers[:1]).ravel()
+    d2 = _sq_dists(points, sq_norms, centers[:1]).ravel()
     for j in range(1, c):
         total = d2.sum()
         if total > 0:
@@ -64,7 +68,7 @@ def _kmeanspp_init(points: np.ndarray, c: int, rng: np.random.Generator) -> np.n
             candidates = rng.integers(n, size=n_trials)
         best_idx, best_d2, best_potential = None, None, np.inf
         for idx in candidates:
-            trial = np.minimum(d2, _sq_dists(points, points[idx : idx + 1]).ravel())
+            trial = np.minimum(d2, _sq_dists(points, sq_norms, points[idx : idx + 1]).ravel())
             potential = trial.sum()
             if potential < best_potential:
                 best_idx, best_d2, best_potential = int(idx), trial, potential
@@ -94,17 +98,18 @@ def kmeans(
     n = points.shape[0]
     if not 1 <= c <= n:
         raise ValueError(f"need n >= c >= 1, got n={n}, c={c}")
+    sq_norms = (points * points).sum(axis=1)
     if warm_centers is not None:
         centers = np.array(warm_centers, dtype=np.float64)
         if centers.shape != (c, points.shape[1]):
             raise ValueError(f"warm_centers shape {centers.shape} != ({c}, {points.shape[1]})")
     else:
-        centers = _kmeanspp_init(points, c, np.random.default_rng(seed))
+        centers = _kmeanspp_init(points, sq_norms, c, np.random.default_rng(seed))
 
     labels = np.full(n, -1)
     history = []
     for _ in range(max_iter):
-        d2 = _sq_dists(points, centers)
+        d2 = _sq_dists(points, sq_norms, centers)
         new_labels = d2.argmin(axis=1)
         closest = d2[np.arange(n), new_labels]
         for j in range(c):
@@ -112,7 +117,7 @@ def kmeans(
                 continue
             farthest = int(closest.argmax())
             centers[j] = points[farthest]
-            d2[:, j] = _sq_dists(points, centers[j : j + 1]).ravel()
+            d2[:, j] = _sq_dists(points, sq_norms, centers[j : j + 1]).ravel()
             new_labels = d2.argmin(axis=1)
             closest = d2[np.arange(n), new_labels]
         history.append(float(closest.sum()))

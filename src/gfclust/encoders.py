@@ -4,7 +4,8 @@ Each layer ``act(x @ W + b)`` is one autograd op that keeps only its output:
 the bias and the activation are applied in place, and the backward takes the
 activation's slope from that output. An autoencoder's input is a dense array
 or a scipy sparse matrix, which the first layer multiplies directly. A
-training epoch's tape is freed before the next epoch builds its own. The
+training step's backward walk consumes its tape, and the step releases its
+gradients once Adam has used them, so neither outlives the step. The
 adjacency autoencoder takes its graph as CSR (``adjacency_input``) and,
 under the default MSE loss, is scored by ``adjacency_mse_t``: an exact
 expansion of ``mean((H W + 1 b^T - A)^2)`` over the decoder's last hidden
@@ -359,25 +360,28 @@ def train_autoencoder(
     """Full-batch Adam on one autoencoder, in place. Returns the loss history.
 
     The forward pass runs with numpy's overflow warnings off: an overflow
-    shows as a non-finite loss, which raises DivergenceError. The last
-    step's gradients are released on return, so the trained parameters
-    hold no ``grad``.
+    shows as a non-finite loss, which raises DivergenceError. Each step
+    releases its gradients once Adam has used them, so the trained
+    parameters hold no ``grad``.
     """
     opt = Adam(params.parameters(), lr=learning_rate)
-    history = [_train_step(params, opt, data, loss, epoch) for epoch in range(epochs)]
-    opt.zero_grad()
-    return history
+    return [_train_step(params, opt, data, loss, epoch) for epoch in range(epochs)]
 
 
 def _train_step(params: AutoEncoderParams, opt: Adam, data, loss: str, epoch: int) -> float:
-    """One Adam step on the reconstruction loss; the epoch's tape is freed on return."""
-    opt.zero_grad()
+    """One Adam step on the reconstruction loss.
+
+    The backward walk consumes the epoch's tape, freeing what each op kept as
+    its backward runs, and the gradients are released right after Adam has
+    used them, so the step leaves neither behind for the next epoch's forward.
+    """
     with np.errstate(over="ignore", invalid="ignore"):
         value = reconstruction_loss_t(params, data, loss=loss)
     if not np.isfinite(value.data):
         raise DivergenceError(f"autoencoder loss diverged at epoch {epoch}", last_epoch=epoch - 1)
     value.backward()
     opt.step()
+    opt.zero_grad()
     return float(value.data)
 
 

@@ -25,11 +25,12 @@ cadence, the divergence check and the epoch records, and ends with the final
 clustering. A ``DivergenceError`` from either stage carries the partial
 report so far (``"final": null``); one from the joint stage names its epoch
 and sets ``last_epoch`` to the last epoch recorded. The kernel raises it itself when the Gram matrix overflows.
-One tape is alive at a time: each joint epoch runs in ``_step``, whose
-forward pass dies when it returns, and the bootstrap and the refreshes keep
-plain arrays (the consensus and the per-view embeddings), never a forward
-pass, so an epoch's forward and backward never share memory with an
-earlier epoch's graph.
+One tape is alive at a time, and its backward consumes it: each joint epoch
+runs in ``_step``, whose backward walk frees what each op kept once that
+op's backward has run, and which releases the gradients once Adam has used
+them. The bootstrap and the refreshes keep plain arrays (the consensus and
+the per-view embeddings), never a forward pass, so an epoch's forward and
+backward never share memory with an earlier epoch's graph or gradients.
 The views are independent up to ``fuse_views_t``, so they run concurrently
 (``_for_each_view``): each view's pretraining, each view's part of a
 forward pass (its encoders, reconstruction terms, kernel and filter) and
@@ -440,22 +441,25 @@ class TrainingPipeline:
     def _step(self, epoch: int) -> None:
         """One joint epoch: forward, backward, Adam step and its record.
 
-        The epoch's tape is a local here, so it is freed on return, before the
-        next forward builds its own; only the arrays a refresh needs are kept.
         The one ``backward`` call walks the top of the tape here and each
         view's branch, from its reconstruction terms and ``h``, on that
         view's thread (``_for_each_view``); the gradients are those of the
-        walk without branches, bit for bit. A failure in a branch is raised,
-        the first in view order, before Adam steps, so the parameters stay
-        as they were.
+        walk without branches, bit for bit. The walk consumes the tape: each
+        op's kept arrays are freed once its backward has run, and the
+        gradients once Adam has used them, so the next forward starts with
+        neither; only the arrays a refresh needs are kept. A failure in a
+        branch is raised, the first in view order, before Adam steps, so the
+        parameters stay as they were, and no gradient is left behind.
         """
         fwd = self.epoch_forward()
         total = float(fwd.loss.data)
         if not np.isfinite(total):
             raise DivergenceError("loss became non-finite")
-        self.optimizer.zero_grad()
-        fwd.loss.backward(branches=fwd.branches, for_each=_for_each_view)
-        self.optimizer.step()
+        try:
+            fwd.loss.backward(branches=fwd.branches, for_each=_for_each_view)
+            self.optimizer.step()
+        finally:
+            self.optimizer.zero_grad()
         self.epoch_records.append(
             {
                 "epoch": epoch,

@@ -1,6 +1,9 @@
 """Deterministic fixture builders and array-facing wrappers of the Tensor
 functions, shared across test modules."""
 
+import gc
+import types
+
 import numpy as np
 
 from gfclust import MultiViewGraph
@@ -72,3 +75,18 @@ def fuse(embeddings, rho):
     weights, h_bar = fuse_views_t([Tensor(np.asarray(h, dtype=np.float64)) for h in embeddings],
                                   rho)
     return weights, h_bar.data
+
+
+def taped_tensors(root):
+    """Every Tensor reachable from ``root`` that still has a tape behind it."""
+    skip = (type, types.ModuleType, types.FunctionType, types.BuiltinFunctionType, np.ndarray)
+    seen, stack, found = set(), [root], []
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen or isinstance(obj, skip):
+            continue
+        seen.add(id(obj))
+        if isinstance(obj, Tensor) and obj._parents:
+            found.append(obj)
+        stack.extend(gc.get_referents(obj))
+    return found

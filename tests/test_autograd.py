@@ -2,6 +2,8 @@
 of the taped ops the oracles add (``oracle_tanh``, ``oracle_exp``,
 ``oracle_clip``, ``oracle_pow``)."""
 
+import weakref
+
 import numpy as np
 import pytest
 from scipy import sparse
@@ -9,6 +11,7 @@ from scipy import sparse
 from gfclust.autograd import Adam, Tensor
 from gfclust.encoders import _factored_mse, mse_t
 
+from helpers import taped_tensors
 from oracles import (
     OracleAdam,
     oracle_clip,
@@ -239,6 +242,52 @@ def test_branch_tensors_without_a_gradient_are_skipped():
     loss = square.sum() + constant.sum()
     loss.backward(branches=[[constant], [square]])
     assert np.array_equal(x.grad, 2.0 * np.arange(3.0))
+
+
+@pytest.mark.parametrize("split", [False, True], ids=["whole", "branches"])
+def test_a_walk_leaves_no_tape_behind_its_root(split):
+    loss, branches, leaves = branched_tape(np.random.default_rng(6))
+    assert taped_tensors((loss, branches))
+    loss.backward(branches=branches if split else ())
+    assert taped_tensors((loss, branches)) == []
+    assert loss.grad is not None and loss.data.shape == ()
+    assert all(leaf.grad is not None for leaf in leaves)
+
+
+def test_an_ops_saved_array_is_freed_at_its_own_backward():
+    def scale(t, factor, on_backward=None):
+        def backward(grad):
+            if on_backward is not None:
+                on_backward()
+            return (grad * factor,)
+
+        return Tensor._from_op(t.data * factor, (t,), backward)
+
+    x = Tensor(RNG.normal(size=(3, 2)), requires_grad=True)
+    factor = RNG.normal(size=(3, 2))
+    freed = []
+    inner = scale(x, 2.0, lambda: freed.append((saved() is None, output() is None)))
+    outer = scale(inner, factor)
+    saved, output = weakref.ref(factor), weakref.ref(outer.data)
+    loss = outer.sum()
+    del factor, inner, outer
+    loss.backward()
+    # the outer op's saved factor and its output are gone by the time the
+    # inner op's backward runs
+    assert freed == [(True, True)]
+
+
+@pytest.mark.parametrize("split", [False, True], ids=["whole", "branches"])
+def test_a_second_walk_through_a_tape_is_refused(split):
+    loss, branches, leaves = branched_tape(np.random.default_rng(7))
+    loss.backward(branches=branches if split else ())
+    grads = [leaf.grad for leaf in leaves]
+    with pytest.raises(ValueError, match="walked already"):
+        loss.backward(branches=branches if split else ())
+    with pytest.raises(ValueError, match="walked already"):
+        (branches[0][1] * 2.0).sum().backward()
+    assert branches[0][1].grad is None
+    assert all(leaf.grad is grad for leaf, grad in zip(leaves, grads))
 
 
 def test_backward_requires_scalar():

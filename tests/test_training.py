@@ -1,9 +1,7 @@
-import gc
 import json
 import os
 import threading
 import tracemalloc
-import types
 from dataclasses import replace
 
 import numpy as np
@@ -27,7 +25,7 @@ from gfclust.autograd import Tensor, zero_grads
 from gfclust.errors import ConfigError, DivergenceError
 from gfclust.training import TrainingPipeline
 
-from helpers import tiny_two_view
+from helpers import taped_tensors, tiny_two_view
 
 FAST_ENCODER = EncoderConfig(latent_dim=4, hidden_dim=8, epochs=10)
 
@@ -398,6 +396,19 @@ class TestConcurrentViews:
                 assert np.array_equal(branched, p.grad)
         assert any(grad is not None for grad in stepped[0])
 
+    @pytest.mark.parametrize("case", ["default", "detach_s", "raw_adjacency"])
+    def test_a_branched_backward_consumes_the_whole_forward(self, case):
+        cfg = {
+            "detach_s": fast_config(detach_s=True),
+            "raw_adjacency": fast_config(filter=FilterConfig(matrix_source="raw_adjacency")),
+        }.get(case, fast_config())
+        pipeline = TrainingPipeline(tiny_two_view(), cfg)
+        fwd = pipeline.epoch_forward()
+        fwd.loss.backward(branches=fwd.branches, for_each=training._for_each_view)
+        assert taped_tensors(fwd) == []
+        with pytest.raises(ValueError, match="walked already"):
+            fwd.loss.backward(branches=fwd.branches, for_each=training._for_each_view)
+
     @needs_two_cpus
     @pytest.mark.parametrize("failing", [(1,), (0, 1)], ids=["view-1", "views-0-and-1"])
     def test_a_failing_branch_is_raised_before_adam_steps(self, monkeypatch, failing):
@@ -437,21 +448,6 @@ def traced(fn):
     return result, current - start, peak - start
 
 
-def taped_tensors(root):
-    """Every Tensor reachable from ``root`` that still has a tape behind it."""
-    skip = (type, types.ModuleType, types.FunctionType, types.BuiltinFunctionType, np.ndarray)
-    seen, stack, found = set(), [root], []
-    while stack:
-        obj = stack.pop()
-        if id(obj) in seen or isinstance(obj, skip):
-            continue
-        seen.add(id(obj))
-        if isinstance(obj, Tensor) and obj._parents:
-            found.append(obj)
-        stack.extend(gc.get_referents(obj))
-    return found
-
-
 class TestOneTapeAlive:
     """The joint epochs keep one lean tape: none from an earlier epoch, the
     bootstrap or a refresh outlives its step (AC1, n=1200, two views)."""
@@ -483,6 +479,12 @@ class TestOneTapeAlive:
         fwd, left, _ = traced(pipeline.epoch_forward)
         assert fwd.loss._parents
         assert left / (8.0 * self.N**2) < 2.0
+
+    def test_a_step_leaves_no_gradient_behind(self, graph):
+        pipeline = self.pipeline(graph)
+        pipeline._step(0)
+        assert pipeline.optimizer.t == 1
+        assert all(p.grad is None for p in pipeline.parameters())
 
     def test_no_tape_survives_the_bootstrap_a_refresh_or_fit(self, graph):
         pipeline = self.pipeline(graph, epochs=1)
