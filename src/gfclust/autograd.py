@@ -14,28 +14,44 @@ broadcasting, matmul, log/sqrt/relu, maxima, reductions and transpose; the
 taped ops only tests use are built on ``Tensor._from_op`` in the tests.
 Everything is float64 and 0-d/1-d/2-d shaped.
 
-The tape lives as long as its root until a backward walk consumes it, as
-PyTorch's does without ``retain_graph``. A node holds its parents and its
-backward closure, and nothing holds a node's consumers. The walk releases a
-node's closure and parents once the node's backward has run, or was skipped
-because no gradient reached it, so what an op saved for its backward is
-freed there rather than when the root is dropped. Leaves keep their
-gradients and the root keeps its data; a second walk through a walked tape
-raises ``ValueError``. Composite steps that would keep
-many large intermediates are single ops built on ``Tensor._from_op`` with a
-hand-written backward that keeps or recomputes only what it needs: the
-encoder layer (``encoders._layer``), the reconstruction losses
-(``encoders.mse_t``, the factored adjacency MSE ``encoders._factored_mse`` and
-the row-blocked BCE ``encoders._blocked_bce``), the kernel and filter
-(``filters._joint_filter_t``) and the view fusion (``fusion.fuse_views_t``).
+A tape is built only outside ``no_grad()`` (PyTorch's ``torch.no_grad``), a
+mode the threads that run a copy of the caller's context share. It lives as
+long as its root until a backward walk consumes it, as PyTorch's does without
+``retain_graph``. A node holds its parents and its backward closure, and
+nothing holds a node's consumers. The walk releases a node's closure and
+parents once the node's backward has run, or was skipped because no gradient
+reached it, so what an op saved for its backward is freed there rather than
+when the root is dropped. Leaves keep their gradients and the root keeps its
+data; a second walk through a walked tape raises ``ValueError``. Composite
+steps that would keep many large intermediates are single ops built on
+``Tensor._from_op`` with a hand-written backward that keeps or recomputes only
+what it needs: the encoder layer (``encoders._layer``), the reconstruction
+losses (``encoders.mse_t``, the factored adjacency MSE
+``encoders._factored_mse`` and the row-blocked BCE ``encoders._blocked_bce``),
+the kernel and filter (``filters._joint_filter_t``) and the view fusion
+(``fusion.fuse_views_t``).
 ``Adam.step`` updates its moments and the parameters in place.
 """
 
 from __future__ import annotations
 
+import contextvars
+
 import numpy as np
 
-__all__ = ["Tensor", "Adam", "as_tensor", "zero_grads"]
+__all__ = ["Tensor", "Adam", "as_tensor", "no_grad", "zero_grads"]
+
+_GRAD_ENABLED = contextvars.ContextVar("gfclust_grad_enabled", default=True)
+
+
+class no_grad:
+    """Build no tape inside the block; the previous mode returns on exit."""
+
+    def __enter__(self):
+        self._token = _GRAD_ENABLED.set(False)
+
+    def __exit__(self, *exc_info):
+        _GRAD_ENABLED.reset(self._token)
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
@@ -69,10 +85,8 @@ class Tensor:
     @staticmethod
     def _from_op(data, parents, backward):
         out = Tensor(data)
-        if any(p.requires_grad for p in parents):
-            out.requires_grad = True
-            out._parents = parents
-            out._backward = backward
+        if _GRAD_ENABLED.get() and any(p.requires_grad for p in parents):
+            out.requires_grad, out._parents, out._backward = True, parents, backward
         return out
 
     @property
@@ -82,9 +96,6 @@ class Tensor:
     @property
     def ndim(self):
         return self.data.ndim
-
-    def detach(self) -> "Tensor":
-        return Tensor(self.data)
 
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
@@ -148,7 +159,7 @@ class Tensor:
         out_data = self.data @ other.data
 
         def backward(grad):
-            # a constant operand (raw adjacency, a detached kernel) gets no gradient
+            # a constant operand (cluster centers, an untaped embedding) gets no gradient
             return (
                 grad @ other.data.T if self.requires_grad else None,
                 self.data.T @ grad if other.requires_grad else None,

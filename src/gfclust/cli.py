@@ -16,6 +16,7 @@ import sys
 from dataclasses import fields, replace
 from pathlib import Path
 
+from .autograd import no_grad
 from .datasets import (
     SyntheticSpec,
     generate_synthetic,
@@ -201,8 +202,9 @@ def cmd_spectrum(payload: dict, args) -> int:
     out = _out_dir(payload, args)
     out.mkdir(parents=True, exist_ok=True)
     for view, (params_x, params_a) in enumerate(models):
-        z_x = encode_t(params_x, g.features).data
-        z_a = encode_t(params_a, g.adjacencies[view]).data
+        with no_grad():
+            z_x = encode_t(params_x, g.features).data
+            z_a = encode_t(params_a, g.adjacencies[view]).data
         rep_a, rep_s = compare_spectra(g, view, z_x, z_a, out_dir=out)
         print(
             f"view {view}: largest gap adjacency_rw={rep_a.summary['largest_gap']:.6f} "

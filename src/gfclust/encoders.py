@@ -7,7 +7,7 @@ or a scipy sparse matrix, which the first layer multiplies directly. A
 training step's backward walk consumes its tape, and the step releases its
 gradients once Adam has used them, so neither outlives the step. The
 adjacency autoencoder takes its graph as CSR (``adjacency_input``) and,
-under the default MSE loss, is scored by ``adjacency_mse_t``: an exact
+under the default MSE loss, is scored by ``_factored_mse``: an exact
 expansion of ``mean((H W + 1 b^T - A)^2)`` over the decoder's last hidden
 layer ``H`` that costs O(n h^2 + |E| h) and never forms the n x n decode.
 Binary cross-entropy (``adjacency_loss="bce"``) takes the same CSR view and is
@@ -34,7 +34,6 @@ __all__ = [
     "init_autoencoder",
     "encode_t",
     "adjacency_input",
-    "adjacency_mse_t",
     "adjacency_loss_t",
     "reconstruction_loss_t",
     "train_autoencoder",
@@ -214,32 +213,26 @@ def adjacency_input(a):
     return a
 
 
-def adjacency_mse_t(params: AutoEncoderParams, z: Tensor, a) -> Tensor:
-    """``mse_t(decode_t(params, z), a)`` for a sparse ``a``, without the dense decode.
-
-    With ``H`` the decoder's last hidden layer and ``(W, b)`` its output
-    layer, the decode is ``H W + 1 b^T`` and, for ``a`` of shape ``(n, m)``,
+def _factored_mse(h: Tensor, w: Tensor, b: Tensor, a) -> Tensor:
+    """``mse_t(H W + 1 b^T, a)`` for a sparse ``a`` of shape ``(n, m)``, with
+    ``H`` the decoder's last hidden layer and ``(W, b)`` its output layer,
+    without the dense decode:
 
         n m * mse = sum((H_c^T H_c) * (W W^T)) + n |mu W + b|^2
                     - 2 sum(H * (A W^T)) - 2 b^T (A^T 1) + |A|^2,
 
     with ``mu`` the column mean of ``H`` and ``H_c = H - 1 mu``, so no O(1)
-    terms cancel (Chan, Golub & LeVeque 1983). It is one op (``_factored_mse``)
-    of O(n h^2 + |E| h) time and O(n h) memory. The graph constants ``A^T 1``
-    and ``|A|^2`` are read from ``a``'s stored entries (a matvec on the
-    transposed view and the data's dot with itself), so ``a`` holds no
-    repeated entries, as ``adjacency_input`` makes it; on a 0/1 view both
-    are exact integer sums.
+    terms cancel (Chan, Golub & LeVeque 1983). One op of O(n h^2 + |E| h)
+    time and O(n h) memory keeps ``A W^T`` and the Gram ``H_c^T H_c``, summed
+    over row blocks. The graph constants ``A^T 1`` and ``|A|^2`` are read
+    from ``a``'s stored entries (a matvec on the transposed view and the
+    data's dot with itself), so ``a`` holds no repeated entries, as
+    ``adjacency_input`` makes it; on a 0/1 view both are exact integer sums.
+    With ``s = mu W + b`` and ``G = 2 g / (n m)``:
+    ``dW = G (H_c^T H_c W + n mu^T s - H^T A)``, ``db = G (n s - A^T 1)``
+    and ``dH = G (H_c W W^T + 1 s W^T - A W^T)``, to which centering adds
+    no term, since the columns of ``H_c`` sum to zero.
     """
-    return adjacency_loss_t(params, z, a, "mse")
-
-
-def _factored_mse(h: Tensor, w: Tensor, b: Tensor, a) -> Tensor:
-    """``adjacency_mse_t``'s expansion as one op that keeps ``A W^T`` and the Gram
-    ``H_c^T H_c``, summed over row blocks. With ``s = mu W + b`` and ``G = 2 g
-    / (n m)``: ``dW = G (H_c^T H_c W + n mu^T s - H^T A)``, ``db = G (n s -
-    A^T 1)`` and ``dH = G (H_c W W^T + 1 s W^T - A W^T)``, to which centering
-    adds no term, since the columns of ``H_c`` sum to zero."""
     hd, wd = h.data, w.data
     n, m = a.shape
     mu = hd.mean(axis=0)
@@ -328,8 +321,8 @@ def _blocked_bce(h: Tensor, w: Tensor, b: Tensor, a) -> Tensor:
 
 def adjacency_loss_t(params: AutoEncoderParams, z: Tensor, a, loss: str = "mse") -> Tensor:
     """The adjacency autoencoder's reconstruction loss of the sparse ``a`` from
-    its latent ``z``: the factored ``adjacency_mse_t``, or for ``"bce"`` the
-    row-blocked binary cross-entropy of the decoder's logits."""
+    its latent ``z``: the factored MSE (``_factored_mse``), or for ``"bce"``
+    the row-blocked binary cross-entropy of the decoder's logits."""
     *hidden, (w, b) = params.decoder_layers
     h = _hidden_forward(hidden, params.activation, z)
     return (_factored_mse if loss == "mse" else _blocked_bce)(h, w, b, a)

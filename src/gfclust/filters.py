@@ -108,9 +108,6 @@ class JointKernel:
         n = self.zk.shape[0]
         return (n, n)
 
-    def detach(self) -> "JointKernel":
-        return JointKernel(self.z_a.detach(), self.z_x.detach(), self.zk)
-
 
 def _row_blocks(n: int):
     for start in range(0, n, _BLOCK_ROWS):
@@ -301,8 +298,7 @@ def apply_filter_t(kernel, x: Tensor, cfg: FilterConfig) -> Tensor:
     """Filter the constant signal ``x`` with the configured family and order.
 
     ``kernel`` is a ``JointKernel`` (the fused op, differentiable in its
-    embeddings unless detached) or a constant matrix, a numpy array or a
-    scipy sparse array.
+    embeddings) or a constant matrix, a numpy array or a scipy sparse array.
 
     Raises:
         ValueError: ``x`` requires a gradient.

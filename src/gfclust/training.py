@@ -11,11 +11,11 @@ Each view's kernel and hybrid filter are one autograd op: ``joint_aggregation_t`
 returns the factored kernel and ``apply_filter_t`` evaluates the filter
 polynomial on it in row blocks of the Gram matrix ``z_a (z_x^T z_x) z_a^T``,
 O(n^2 (l + d)) per product, so no n x n array is formed in the joint epochs
-and the kernel's gradients are kept at every size. ``detach_s`` is an
-explicit choice, off by default: set, it cuts the kernel out of the tape and
-the op runs forward only. The ``raw_adjacency`` ablation filters with the
-CSR walk matrix of each view, a constant. ``update_hr`` reads the same CSR
-views.
+and the kernel's gradients are kept at every size. Only the KL term needs
+them, so with ``gamma_kl`` at 0, or ``detach_s`` set (off by default), the
+op runs forward only, under ``no_grad``. The ``raw_adjacency`` ablation
+filters with the CSR walk matrix of each view, a constant. ``update_hr``
+reads the same CSR views.
 Pseudo-labels, homophily ratios and cluster centers are constants between
 refreshes. ``pretrain`` trains every view's autoencoders and nothing else,
 which is all ``gfclust spectrum`` needs. ``TrainingPipeline`` owns the
@@ -28,9 +28,9 @@ and sets ``last_epoch`` to the last epoch recorded. The kernel raises it itself 
 One tape is alive at a time, and its backward consumes it: each joint epoch
 runs in ``_step``, whose backward walk frees what each op kept once that
 op's backward has run, and which releases the gradients once Adam has used
-them. The bootstrap and the refreshes keep plain arrays (the consensus and
-the per-view embeddings), never a forward pass, so an epoch's forward and
-backward never share memory with an earlier epoch's graph or gradients.
+them. The bootstrap and final forwards, which nothing walks, run under
+``no_grad``, and a refresh re-clusters plain arrays (the consensus and the
+per-view embeddings), so an epoch never shares memory with an earlier tape.
 The views are independent up to ``fuse_views_t``, so they run concurrently
 (``_for_each_view``): each view's pretraining, each view's part of a
 forward pass (its encoders, reconstruction terms, kernel and filter) and
@@ -56,13 +56,13 @@ from __future__ import annotations
 import contextvars
 import os
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field, replace
 from itertools import takewhile
 
 import numpy as np
 
-from .autograd import Adam, Tensor
+from .autograd import Adam, Tensor, no_grad
 from .clustering import class_means, kmeans
 from .encoders import (
     EncoderConfig,
@@ -174,9 +174,9 @@ def _for_each_view(fn, n_views: int) -> list:
     CPUs) - 1`` workers of a pool that lives for this call; with one usable
     CPU or one view every call runs inline, in view order. Each worker task
     runs in a copy of the caller's context, so the caller's ``np.errstate``
-    holds there too. The first failure in view order is raised once the
-    views already started have finished; views not started by then are
-    dropped.
+    and ``no_grad`` hold there too. The first failure in view order is raised
+    once the views already started have finished; views not started by then
+    are dropped.
     """
     workers = min(n_views, _usable_cpus()) - 1
     if workers < 1:
@@ -248,7 +248,6 @@ class TrainingPipeline:
         self.models, self.pretrain_history = pretrain(g, cfg)
         self.epoch_records = []
         with self._report_on_divergence():
-            # bootstrap: the configured hybrid, then first pseudo-labels from k-means
             self.hr = [cfg.filter.hr] * g.n_views
             self._bootstrap()
 
@@ -313,8 +312,9 @@ class TrainingPipeline:
         raise DivergenceError(f"clustering kept an empty cluster in all {attempts} runs")
 
     def _bootstrap(self) -> None:
-        """First pseudo-labels from the hybrid at ``cfg.filter.hr``; its tape dies on return."""
-        self._keep(self.epoch_forward(with_losses=False))
+        """First pseudo-labels from the hybrid at ``cfg.filter.hr``, by an untaped forward."""
+        with no_grad():
+            self._keep(self.epoch_forward(with_losses=False))
         self._adopt_clustering(self._cluster(self._consensus, warm=None))
 
     def _keep(self, fwd: _Forward) -> None:
@@ -358,6 +358,7 @@ class TrainingPipeline:
         which is what a training step uses.
         """
         cfg = self.cfg
+        taped_filter = cfg.gamma_kl > 0.0 and not self.detach_s  # only the KL term reads h
 
         def one_view(view):
             params_x, params_a = self.models[view]
@@ -370,13 +371,9 @@ class TrainingPipeline:
                     mse_t(decode_t(params_x, z_x), self.g.features),
                     adjacency_loss_t(params_a, z_a, a, cfg.encoder.adjacency_loss),
                 )
-            if self.a_rw is not None:
-                kernel = self.a_rw[view]
-            else:
-                kernel = joint_aggregation_t(z_a, z_x)
-                if self.detach_s:
-                    kernel = kernel.detach()
-            h = apply_filter_t(kernel, self.x_const, replace(cfg.filter, hr=self.hr[view]))
+            with nullcontext() if taped_filter else no_grad():
+                kernel = joint_aggregation_t(z_a, z_x) if self.a_rw is None else self.a_rw[view]
+                h = apply_filter_t(kernel, self.x_const, replace(cfg.filter, hr=self.hr[view]))
             return rec, h
 
         per_view = _for_each_view(one_view, self.g.n_views)
@@ -434,7 +431,8 @@ class TrainingPipeline:
                     self.refresh()
                 self._step(epoch)
 
-            final = self.epoch_forward(with_losses=False)
+            with no_grad():
+                final = self.epoch_forward(with_losses=False)
             labels = self._cluster(final.h_bar.data, warm=self.centers_bar).labels
         return final, labels, update_hr(self.g, one_hot(labels, self.g.n_clusters))
 

@@ -211,8 +211,8 @@ def oracle_mse_t(pred, target):
 
 
 def oracle_factored_mse(h, w, b, a):
-    """The centered expansion of ``gfclust.encoders.adjacency_mse_t`` composed
-    from taped ops, the reference for the one-op ``_factored_mse``."""
+    """The centered expansion of ``gfclust.encoders._factored_mse`` composed
+    from taped ops, the reference for that one op."""
     n, m = a.shape
     mu = h.mean(axis=0, keepdims=True)
     h_c = h - mu
@@ -226,7 +226,7 @@ def oracle_factored_mse(h, w, b, a):
 def oracle_adjacency_mse_t(params, z, a):
     """Adjacency reconstruction MSE by the dense decode: the n x n ``decode_t``
     output scored by ``oracle_mse_t`` against dense ``a``, the reference for
-    the factored ``gfclust.encoders.adjacency_mse_t``."""
+    the factored MSE of ``gfclust.encoders.adjacency_loss_t``."""
     return oracle_mse_t(decode_t(params, z), a)
 
 

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from scipy import sparse
 
-from gfclust.autograd import Adam, Tensor
+from gfclust.autograd import Adam, Tensor, no_grad
 from gfclust.encoders import _factored_mse, mse_t
 
 from helpers import taped_tensors
@@ -117,9 +117,23 @@ def test_power_gradient_guards_zero_base():
 
 def test_detach_cuts_the_tape():
     t = Tensor(RNG.normal(size=(3, 3)), requires_grad=True)
-    loss = (t.detach() * t).sum()
+    with no_grad():
+        constant = t * 1.0
+    loss = (constant * t).sum()
     loss.backward()
-    assert np.allclose(t.grad, t.data)  # only the non-detached factor contributes
+    assert np.allclose(t.grad, t.data)  # only the factor taped outside no_grad contributes
+
+
+def test_no_grad_restores_the_outer_mode_on_exit_and_when_its_body_raises():
+    t = Tensor(np.ones(3), requires_grad=True)
+    with no_grad():
+        with no_grad():
+            pass
+        assert not (t * 2.0).requires_grad
+    assert (t * 2.0)._parents
+    with pytest.raises(RuntimeError, match="body"), no_grad():
+        raise RuntimeError("body")
+    assert (t * 2.0)._parents
 
 
 def test_maximum_routes_gradient_to_larger_branch():

@@ -15,7 +15,6 @@ from gfclust.encoders import (
     _train_step,
     adjacency_input,
     adjacency_loss_t,
-    adjacency_mse_t,
     decode_t,
     encode_t,
     init_autoencoder,
@@ -309,7 +308,7 @@ def assert_matches_dense_oracle(params, a, tol=1e-10):
     encoder and decoder parameter, each to ``tol`` relative."""
     csr = sparse.csr_array(a)
     factored, f_grads = loss_and_grads(
-        params, lambda: adjacency_mse_t(params, encode_t(params, csr), csr)
+        params, lambda: adjacency_loss_t(params, encode_t(params, csr), csr, "mse")
     )
     dense, d_grads = loss_and_grads(
         params, lambda: oracle_adjacency_mse_t(params, encode_t(params, Tensor(a)), a)
@@ -398,7 +397,7 @@ class TestFactoredAdjacencyMse:
         assert np.array_equal(repeated.indices, before)
         assert target.has_canonical_format and np.array_equal(target.toarray(), a)
         params = with_random_biases(init_autoencoder(a.shape[0], 2, 5, rng), rng)
-        factored = adjacency_mse_t(params, encode_t(params, target), target)
+        factored = adjacency_loss_t(params, encode_t(params, target), target, "mse")
         oracle = oracle_adjacency_mse_t(params, encode_t(params, Tensor(a)), a)
         assert float(factored.data) == pytest.approx(float(oracle.data), rel=1e-12)
 

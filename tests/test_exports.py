@@ -79,7 +79,8 @@ def test_import_and_train_load_no_heavy_scipy_module():
 
 
 # every method of Tensor is wrapped with a call counter, then tiny runs cover
-# both adjacency losses, the raw-adjacency filter and the detached kernel
+# both adjacency losses, the raw-adjacency filter, the detached kernel and the
+# step without the KL term, whose kernel and filter run untaped
 _OP_COUNT_RUN = """
 import collections, json
 from dataclasses import replace
@@ -104,7 +105,7 @@ base = TrainConfig(epochs=2, hr_refresh_interval=1,
                    encoder=EncoderConfig(latent_dim=4, hidden_dim=8, epochs=1))
 for cfg in (base, replace(base, encoder=replace(base.encoder, adjacency_loss="bce")),
             replace(base, filter=FilterConfig(matrix_source="raw_adjacency")),
-            replace(base, detach_s=True)):
+            replace(base, detach_s=True), replace(base, gamma_kl=0.0)):
     train(g, cfg)
 print(json.dumps(calls))
 """

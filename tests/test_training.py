@@ -21,7 +21,7 @@ from gfclust import (
     true_homophily_report,
     update_hr,
 )
-from gfclust.autograd import Tensor, zero_grads
+from gfclust.autograd import Tensor, no_grad, zero_grads
 from gfclust.errors import ConfigError, DivergenceError
 from gfclust.training import TrainingPipeline
 
@@ -218,6 +218,18 @@ class TestGradientsEndToEnd:
         # the KL term reaches the encoders only through the kernel
         assert any(p.grad is not None and not np.allclose(p.grad, 0.0) for p in params)
 
+    def test_the_final_forward_is_untaped(self):
+        final, _, _ = TrainingPipeline(tiny_two_view(), fast_config(epochs=1)).fit()
+        assert final.h_bar.data.shape == (24, 5)
+        assert taped_tensors(final) == []
+
+    def test_without_kl_only_the_reconstruction_terms_are_taped(self):
+        pipeline = TrainingPipeline(tiny_two_view(), fast_config(gamma_kl=0.0))
+        fwd = pipeline.epoch_forward()
+        assert taped_tensors((fwd.h_views, fwd.h_bar)) == []
+        rec_terms = [term for *rec, _ in fwd.branches for term in rec]
+        assert len(rec_terms) == 4 and all(term._parents for term in rec_terms)
+
 
 class TestDivergence:
     def test_nonfinite_loss_raises_with_last_epoch(self):
@@ -319,6 +331,23 @@ class TestConcurrentViews:
             )
         assert seen[0][0] is caller and seen[1][0] is not caller
         assert [over for _, over in seen] == ["raise", "raise"]
+
+    @needs_two_cpus
+    def test_workers_run_under_the_callers_grad_mode(self):
+        caller = threading.current_thread()
+        t = Tensor(np.ones(3), requires_grad=True)
+        with no_grad():
+            seen = training._for_each_view(lambda view: (threading.current_thread(), t * 2.0), 2)
+        assert seen[0][0] is caller and seen[1][0] is not caller
+        assert [out.requires_grad or bool(out._parents) for _, out in seen] == [False, False]
+        assert (t * 2.0)._parents
+
+        def fails(view):
+            raise RuntimeError(f"view {view} failed")
+
+        with pytest.raises(RuntimeError, match="view 0 failed"), no_grad():
+            training._for_each_view(fails, 2)
+        assert (t * 2.0)._parents
 
     @needs_two_cpus
     def test_divergence_on_the_calling_thread_keeps_no_view(self, monkeypatch):
