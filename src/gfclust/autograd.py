@@ -42,6 +42,7 @@ import numpy as np
 __all__ = ["Tensor", "Adam", "as_tensor", "no_grad", "zero_grads"]
 
 _GRAD_ENABLED = contextvars.ContextVar("gfclust_grad_enabled", default=True)
+_ADAM_BLOCK = 16384  # elements per half of Adam's scratch block
 
 
 class no_grad:
@@ -364,10 +365,12 @@ def zero_grads(params) -> None:
 class Adam:
     """Adam with bias-corrected first/second moment estimates (full batch).
 
-    ``step`` updates the moments in place and stages its temporaries in one
-    scratch buffer, two views the size of the largest parameter, so a step
-    allocates nothing; each value is rounded as in the textbook expression
-    ``p -= lr * (m / c1) / (sqrt(v / c2) + eps)``.
+    ``step`` updates the moments and the parameters in place, walking each
+    parameter in flat slices of ``_ADAM_BLOCK`` elements through one fixed
+    scratch block of two such halves, so a step allocates nothing and the
+    scratch does not grow with the parameters. The update is elementwise, so
+    each value is rounded as in the textbook expression
+    ``p -= lr * (m / c1) / (sqrt(v / c2) + eps)``, whatever the slicing.
     """
 
     def __init__(self, params, lr: float = 1e-3, betas=(0.9, 0.999), eps: float = 1e-8):
@@ -376,9 +379,10 @@ class Adam:
         self.beta1, self.beta2 = betas
         self.eps = eps
         self.t = 0
-        self._m = [np.zeros_like(p.data) for p in self.params]
-        self._v = [np.zeros_like(p.data) for p in self.params]
-        self._scratch = np.empty(2 * max((p.data.size for p in self.params), default=0))
+        # C-ordered, so that their flat views below are views
+        self._m = [np.zeros(p.data.shape) for p in self.params]
+        self._v = [np.zeros(p.data.shape) for p in self.params]
+        self._scratch = np.empty((2, _ADAM_BLOCK))
 
     def zero_grad(self):
         zero_grads(self.params)
@@ -387,23 +391,28 @@ class Adam:
         self.t += 1
         b1, b2 = self.beta1, self.beta2
         c1, c2 = 1.0 - b1 ** self.t, 1.0 - b2 ** self.t
-        for p, m, v in zip(self.params, self._m, self._v):
+        for p, m_all, v_all in zip(self.params, self._m, self._v):
             if p.grad is None:
                 continue
-            g = p.grad
-            size = p.data.size
-            num = self._scratch[:size].reshape(p.data.shape)
-            den = self._scratch[size:2 * size].reshape(p.data.shape)
-            m *= b1
-            m += np.multiply(g, 1.0 - b1, out=num)
-            v *= b2
-            np.multiply(g, g, out=den)
-            den *= 1.0 - b2
-            v += den
-            np.divide(v, c2, out=den)
-            np.sqrt(den, out=den)
-            den += self.eps
-            np.divide(m, c1, out=num)
-            num *= self.lr
-            num /= den
-            p.data -= num
+            data = p.data.reshape(-1)  # a view unless p.data is not C-contiguous
+            g_all = p.grad.reshape(-1)
+            m_all, v_all = m_all.reshape(-1), v_all.reshape(-1)
+            for start in range(0, data.size, _ADAM_BLOCK):
+                part = slice(start, start + _ADAM_BLOCK)
+                w, g, m, v = data[part], g_all[part], m_all[part], v_all[part]
+                num, den = self._scratch[0, :g.size], self._scratch[1, :g.size]
+                m *= b1
+                m += np.multiply(g, 1.0 - b1, out=num)
+                v *= b2
+                np.multiply(g, g, out=den)
+                den *= 1.0 - b2
+                v += den
+                np.divide(v, c2, out=den)
+                np.sqrt(den, out=den)
+                den += self.eps
+                np.divide(m, c1, out=num)
+                num *= self.lr
+                num /= den
+                w -= num
+            if not np.may_share_memory(data, p.data):
+                p.data[...] = data.reshape(p.data.shape)

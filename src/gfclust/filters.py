@@ -4,9 +4,16 @@ A filter is one polynomial in its kernel ``S``: ``h = sum_p c_p S^p x`` for
 ``p = 0..k``, with ``c = hr e_k + (1 - hr) ((-1)^p C(k, p))_p``, so the
 low-pass ``S^k x`` and the high-pass ``(I - S)^k x`` share their ``k``
 products (``filter_coefficients``). The kernel is either the row-normalized
-joint aggregation matrix of a view's embedding pair, or the view's own
-random-walk adjacency (the ``raw_adjacency`` ablation, a CSR array). The
-``k``-th matrix power is never materialized.
+joint aggregation matrix of a view's embedding pair, or a constant matrix
+such as the view's own random-walk adjacency (the ``raw_adjacency``
+ablation). The ``k``-th matrix power is never materialized.
+
+A constant kernel filtering a constant signal has constant powers
+``S x .. S^k x``, so it takes one form: the Krylov basis
+``KrylovBasis`` that ``krylov_basis`` builds once, after which the matrix
+itself can be dropped (the SGC / SIGN precomputation). ``apply_filter_t``
+combines a basis with any filter's coefficients and runs no product; a
+dense or sparse matrix passed to it goes through the same builder first.
 
 The joint aggregation kernel stays factored: ``joint_aggregation_t`` returns
 a ``JointKernel`` holding ``z_a``, ``z_x`` and ``zk = z_a (z_x^T z_x)``, and
@@ -107,6 +114,42 @@ class JointKernel:
     def shape(self) -> tuple:
         n = self.zk.shape[0]
         return (n, n)
+
+
+@dataclass(frozen=True, eq=False)
+class KrylovBasis:
+    """The powers ``(S x, ..., S^k x)`` of a constant kernel ``S`` on a constant
+    signal ``x``, read-only; ``shape`` is the kernel's ``(n, n)``."""
+
+    powers: tuple
+
+    @property
+    def order(self) -> int:
+        return len(self.powers)
+
+    @property
+    def shape(self) -> tuple:
+        n = self.powers[0].shape[0]
+        return (n, n)
+
+
+def krylov_basis(matrix, x: np.ndarray, order: int) -> KrylovBasis:
+    """The Krylov basis of the constant ``matrix`` (a numpy array or a scipy
+    sparse array) on the signal ``x``, up to ``S^order x``: ``order``
+    products, after which ``matrix`` is no longer needed.
+
+    Raises:
+        ValueError: ``order`` is below 1.
+    """
+    if order < 1:
+        raise ValueError(f"a Krylov basis needs order >= 1, got {order}")
+    powers = []
+    y = x
+    for _ in range(order):
+        y = matrix @ y
+        y.flags.writeable = False
+        powers.append(y)
+    return KrylovBasis(tuple(powers))
 
 
 def _row_blocks(n: int):
@@ -298,20 +341,28 @@ def apply_filter_t(kernel, x: Tensor, cfg: FilterConfig) -> Tensor:
     """Filter the constant signal ``x`` with the configured family and order.
 
     ``kernel`` is a ``JointKernel`` (the fused op, differentiable in its
-    embeddings) or a constant matrix, a numpy array or a scipy sparse array.
+    embeddings), a ``KrylovBasis`` of a constant kernel on ``x``, or a
+    constant matrix, a numpy array or a scipy sparse array, whose basis is
+    built here. A basis is combined as ``c_0 x + c_1 S x + ... + c_k S^k x``,
+    term by term in that order, with no product.
 
     Raises:
-        ValueError: ``x`` requires a gradient.
+        ValueError: ``x`` requires a gradient, or a basis does not match
+            ``cfg.order`` or the shape of ``x``.
     """
     if x.requires_grad:
         raise ValueError("the filtered signal must be a constant")
     coeffs = filter_coefficients(cfg)
     if isinstance(kernel, JointKernel):
         return _joint_filter_t(kernel, x.data, coeffs)
-    y = x.data
-    h = coeffs[0] * y
-    for c_p in coeffs[1:]:
-        y = kernel @ y
+    if not isinstance(kernel, KrylovBasis):
+        kernel = krylov_basis(kernel, x.data, cfg.order)
+    if kernel.order != cfg.order:
+        raise ValueError(f"the basis has order {kernel.order}, the filter {cfg.order}")
+    if kernel.powers[0].shape != x.shape:
+        raise ValueError(f"the basis has signal shape {kernel.powers[0].shape}, x {x.shape}")
+    h = coeffs[0] * x.data
+    for c_p, y in zip(coeffs[1:], kernel.powers):
         h = h + c_p * y
     return Tensor(h)
 

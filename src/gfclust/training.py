@@ -14,8 +14,11 @@ O(n^2 (l + d)) per product, so no n x n array is formed in the joint epochs
 and the kernel's gradients are kept at every size. Only the KL term needs
 them, so with ``gamma_kl`` at 0, or ``detach_s`` set (off by default), the
 op runs forward only, under ``no_grad``. The ``raw_adjacency`` ablation
-filters with the CSR walk matrix of each view, a constant. ``update_hr``
-reads the same CSR views.
+filters with each view's random-walk matrix, a constant, so the pipeline
+builds each view's Krylov basis ``S x .. S^k x`` of the features once, on
+construction, and keeps the basis, not the walk matrix: its forward passes
+run no walk product, and its untaped forwards encode nothing, since the
+raw filter reads no embedding. ``update_hr`` reads the graph's CSR views.
 Pseudo-labels, homophily ratios and cluster centers are constants between
 refreshes. ``pretrain`` trains every view's autoencoders and nothing else,
 which is all ``gfclust spectrum`` needs. ``TrainingPipeline`` owns the
@@ -73,7 +76,7 @@ from .encoders import (
     pretrain_view,
 )
 from .errors import ConfigError, DivergenceError
-from .filters import FilterConfig, apply_filter_t, joint_aggregation_t
+from .filters import FilterConfig, apply_filter_t, joint_aggregation_t, krylov_basis
 from .fusion import fuse_views_t, kl_terms_t, soft_assignment_t, target_distribution, update_hr
 from .graphs import MultiViewGraph, one_hot, random_walk_normalize
 
@@ -241,9 +244,13 @@ class TrainingPipeline:
         _, self._kmeans_seq = np.random.SeedSequence(cfg.seed).spawn(2)
 
         self.x_const = Tensor(g.features)
-        self.a_rw = None
+        self.raw_bases = None  # per view, the Krylov basis of its walk matrix
         if cfg.filter.matrix_source == "raw_adjacency":
-            self.a_rw = [random_walk_normalize(a) for a in g.adjacencies]
+            # each walk matrix lives only until its basis is built
+            self.raw_bases = [
+                krylov_basis(random_walk_normalize(a), self.x_const.data, cfg.filter.order)
+                for a in g.adjacencies
+            ]
 
         self.models, self.pretrain_history = pretrain(g, cfg)
         self.epoch_records = []
@@ -363,8 +370,9 @@ class TrainingPipeline:
         def one_view(view):
             params_x, params_a = self.models[view]
             a = self.g.adjacencies[view]
-            z_x = encode_t(params_x, self.x_const)
-            z_a = encode_t(params_a, a)
+            if with_losses or self.raw_bases is None:  # the raw filter reads no embedding
+                z_x = encode_t(params_x, self.x_const)
+                z_a = encode_t(params_a, a)
             rec = ()
             if with_losses:
                 rec = (
@@ -372,7 +380,10 @@ class TrainingPipeline:
                     adjacency_loss_t(params_a, z_a, a, cfg.encoder.adjacency_loss),
                 )
             with nullcontext() if taped_filter else no_grad():
-                kernel = joint_aggregation_t(z_a, z_x) if self.a_rw is None else self.a_rw[view]
+                kernel = (
+                    joint_aggregation_t(z_a, z_x) if self.raw_bases is None
+                    else self.raw_bases[view]
+                )
                 h = apply_filter_t(kernel, self.x_const, replace(cfg.filter, hr=self.hr[view]))
             return rec, h
 

@@ -77,8 +77,8 @@ def fuse(embeddings, rho):
     return weights, h_bar.data
 
 
-def taped_tensors(root):
-    """Every Tensor reachable from ``root`` that still has a tape behind it."""
+def reachable(root, match):
+    """Every object reachable from ``root`` for which ``match`` holds."""
     skip = (type, types.ModuleType, types.FunctionType, types.BuiltinFunctionType, np.ndarray)
     seen, stack, found = set(), [root], []
     while stack:
@@ -86,7 +86,12 @@ def taped_tensors(root):
         if id(obj) in seen or isinstance(obj, skip):
             continue
         seen.add(id(obj))
-        if isinstance(obj, Tensor) and obj._parents:
+        if match(obj):
             found.append(obj)
         stack.extend(gc.get_referents(obj))
     return found
+
+
+def taped_tensors(root):
+    """Every Tensor reachable from ``root`` that still has a tape behind it."""
+    return reachable(root, lambda obj: isinstance(obj, Tensor) and bool(obj._parents))

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from scipy import sparse
 
+from gfclust import autograd
 from gfclust.autograd import Adam, Tensor, no_grad
 from gfclust.encoders import _factored_mse, mse_t
 
@@ -334,9 +335,10 @@ def test_adam_is_deterministic():
     assert np.array_equal(run(), run())
 
 
-def test_adam_step_in_place_equals_the_textbook_update_exactly():
+def assert_adam_matches_oracle(shapes):
+    """Adam and OracleAdam over 40 steps on parameters of ``shapes``, bit for bit."""
     rng = np.random.default_rng(3)
-    inits = [rng.normal(size=shape) for shape in ((30, 8), (8,), (8, 30), (1,))]
+    inits = [rng.normal(size=shape) for shape in shapes]
     ours = [Tensor(x.copy(), requires_grad=True) for x in inits]
     ref = [Tensor(x.copy(), requires_grad=True) for x in inits]
     opt, oracle = Adam(ours, lr=0.01), OracleAdam(ref, lr=0.01)
@@ -355,3 +357,35 @@ def test_adam_step_in_place_equals_the_textbook_update_exactly():
         assert np.array_equal(a.data, b.data)
         assert np.array_equal(m, m_ref)
         assert np.array_equal(v, v_ref)
+
+
+def test_adam_step_in_place_equals_the_textbook_update_exactly():
+    assert_adam_matches_oracle(((30, 8), (8,), (8, 30), (1,)))
+
+
+def test_adam_walks_parameters_beyond_its_scratch_block_exactly():
+    # larger than the block, and not a multiple of it
+    block = autograd._ADAM_BLOCK
+    assert_adam_matches_oracle(((block + 5,), (97, 211), (3 * block,)))
+
+
+def test_adam_scratch_does_not_grow_with_the_parameters():
+    small = Adam([Tensor(np.ones(3), requires_grad=True)])
+    large = Adam([Tensor(np.ones((400, 300)), requires_grad=True)])
+    assert small._scratch.nbytes == large._scratch.nbytes == 2 * 8 * autograd._ADAM_BLOCK
+
+
+def test_adam_updates_a_non_contiguous_parameter_in_place():
+    rng = np.random.default_rng(4)
+    init = rng.normal(size=(autograd._ADAM_BLOCK // 50, 70))
+    ours = Tensor(np.asfortranarray(init), requires_grad=True)
+    ref = Tensor(init.copy(), requires_grad=True)
+    data = ours.data
+    opt, oracle = Adam([ours], lr=0.01), OracleAdam([ref], lr=0.01)
+    for step in range(3):
+        ours.grad = np.cos((step + 1) * ours.data)
+        ref.grad = ours.grad.copy()
+        opt.step()
+        oracle.step()
+    assert ours.data is data
+    assert np.array_equal(ours.data, ref.data)

@@ -16,7 +16,14 @@ from gfclust import (
 from gfclust import filters
 from gfclust.autograd import Tensor, no_grad
 from gfclust.errors import ConfigError, DivergenceError, NumericsWarning
-from gfclust.filters import _BLOCK_ROWS, apply_filter_t, filter_coefficients, joint_aggregation_t
+from gfclust.filters import (
+    _BLOCK_ROWS,
+    KrylovBasis,
+    apply_filter_t,
+    filter_coefficients,
+    joint_aggregation_t,
+    krylov_basis,
+)
 
 from helpers import tiny_two_view
 from oracles import oracle_apply_filter_t, oracle_joint_aggregation_t
@@ -430,6 +437,53 @@ class TestApplyFilter:
             FilterConfig(family="fixed_mix", alpha=-0.1)
         with pytest.raises(ConfigError):
             FilterConfig(matrix_source="identity")
+
+
+def interleaved_filter(matrix, x, cfg):
+    """The filter of a constant matrix with each product taken as its term is
+    added, ``h = c_0 x``, then ``y = S y`` and ``h = h + c_p y`` for each ``p``."""
+    coeffs = filter_coefficients(cfg)
+    y, h = x, coeffs[0] * x
+    for c_p in coeffs[1:]:
+        y = matrix @ y
+        h = h + c_p * y
+    return h
+
+
+class TestKrylovBasis:
+    @pytest.mark.parametrize("layout", ["csr", "dense"])
+    def test_basis_gives_the_bits_of_the_interleaved_matrix_filter(self, layout):
+        g = tiny_two_view(seed=4)
+        a_rw = random_walk_normalize(g.adjacencies[0])
+        matrix = a_rw if layout == "csr" else a_rw.toarray()
+        x = g.features
+        for k in (1, 2, 3):
+            basis = krylov_basis(matrix, x, k)  # one basis serves every family and hr
+            assert basis.order == k and basis.shape == (g.n_nodes, g.n_nodes)
+            cfgs = [c for c in FAMILY_CONFIGS if c.order == k] + [FilterConfig(order=k, hr=1.0)]
+            for cfg in cfgs:
+                expected = interleaved_filter(matrix, x, cfg)
+                for kernel in (basis, matrix):
+                    assert np.array_equal(filtered(kernel, x, cfg), expected), (cfg, kernel)
+
+    def test_powers_are_read_only(self):
+        basis = krylov_basis(random_stochastic(5, RNG), RNG.normal(size=(5, 2)), 2)
+        assert isinstance(basis, KrylovBasis) and len(basis.powers) == 2
+        with pytest.raises(ValueError):
+            basis.powers[0][0, 0] = 1.0
+
+    def test_mismatched_basis_is_rejected(self):
+        s = random_stochastic(6, RNG)
+        x = RNG.normal(size=(6, 2))
+        basis = krylov_basis(s, x, 2)
+        with pytest.raises(ValueError, match="order 2, the filter 3"):
+            apply_filter_t(basis, Tensor(x), FilterConfig(order=3))
+        with pytest.raises(ValueError, match="signal shape"):
+            apply_filter_t(basis, Tensor(x[:, :1]), FilterConfig(order=2))
+        with pytest.raises(ValueError, match="signal shape"):
+            apply_filter_t(basis, Tensor(x[:5]), FilterConfig(order=2))
+        with pytest.raises(ValueError, match="order >= 1"):
+            krylov_basis(s, x, 0)
 
 
 class TestPerViewEmbedding:

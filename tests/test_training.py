@@ -6,6 +6,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy import sparse
 
 from gfclust import (
     EncoderConfig,
@@ -25,7 +26,7 @@ from gfclust.autograd import Tensor, no_grad, zero_grads
 from gfclust.errors import ConfigError, DivergenceError
 from gfclust.training import TrainingPipeline
 
-from helpers import taped_tensors, tiny_two_view
+from helpers import reachable, taped_tensors, tiny_two_view
 
 FAST_ENCODER = EncoderConfig(latent_dim=4, hidden_dim=8, epochs=10)
 
@@ -229,6 +230,54 @@ class TestGradientsEndToEnd:
         assert taped_tensors((fwd.h_views, fwd.h_bar)) == []
         rec_terms = [term for *rec, _ in fwd.branches for term in rec]
         assert len(rec_terms) == 4 and all(term._parents for term in rec_terms)
+
+
+RAW = FilterConfig(matrix_source="raw_adjacency")
+
+
+def counting(calls, fn):
+    """``fn`` that appends its first argument to ``calls`` on every call."""
+    def counted(*args, **kwargs):
+        calls.append(args[0])
+        return fn(*args, **kwargs)
+    return counted
+
+
+class TestRawAdjacencyBasis:
+    def test_each_walk_matrix_is_built_once_and_dropped(self, monkeypatch):
+        normalized = []
+        monkeypatch.setattr(training, "random_walk_normalize",
+                            counting(normalized, training.random_walk_normalize))
+        g = tiny_two_view()
+        pipeline = TrainingPipeline(g, fast_config(filter=RAW))
+        assert [a is adj for a, adj in zip(normalized, g.adjacencies)] == [True, True]
+        held = reachable(pipeline, sparse.issparse)
+        assert held and all(any(a is adj for adj in g.adjacencies) for a in held)
+        pipeline.fit()
+        assert len(normalized) == 2
+
+    def test_fit_filters_with_the_bases_and_runs_no_walk_product(self, monkeypatch):
+        pipeline = TrainingPipeline(tiny_two_view(), fast_config(filter=RAW))
+        kernels, built = [], []
+        monkeypatch.setattr(training, "apply_filter_t",
+                            counting(kernels, training.apply_filter_t))
+        monkeypatch.setattr(filters, "krylov_basis", counting(built, filters.krylov_basis))
+        monkeypatch.setattr(training, "krylov_basis", counting(built, training.krylov_basis))
+        pipeline.fit()
+        assert built == []
+        assert len(kernels) == 2 * (fast_config().epochs + 1)
+        assert all(any(k is basis for basis in pipeline.raw_bases) for k in kernels)
+
+    @pytest.mark.parametrize("filter_cfg", [RAW, FilterConfig()], ids=["raw", "joint"])
+    def test_only_the_kernel_path_encodes_in_an_untaped_forward(self, monkeypatch, filter_cfg):
+        pipeline = TrainingPipeline(tiny_two_view(), fast_config(filter=filter_cfg))
+        taped = pipeline.epoch_forward()
+        encoded = []
+        monkeypatch.setattr(training, "encode_t", counting(encoded, training.encode_t))
+        with no_grad():
+            untaped = pipeline.epoch_forward(with_losses=False)
+        assert len(encoded) == (0 if filter_cfg is RAW else 4)
+        assert np.array_equal(untaped.h_bar.data, taped.h_bar.data)
 
 
 class TestDivergence:
