@@ -32,7 +32,6 @@ from .errors import ConfigError, DataRepairWarning, DivergenceError, NumericsWar
 from .filters import (
     FilterConfig,
     build_joint_gram,
-    filter_frequency_response,
 )
 from .fusion import target_distribution, update_hr
 from .graphs import (

@@ -9,10 +9,13 @@ walked down to the branch tensors on the calling thread, then each branch
 from all of its tensors at once, the branches through a runner the caller
 passes (``training`` runs one per view, concurrently). Each part keeps the
 node order of the whole walk, so the gradients do not change.
-Only the ops this package calls are implemented: elementwise arithmetic with
-broadcasting, matmul, log/sqrt/relu, maxima, reductions and transpose; the
-taped ops only tests use are built on ``Tensor._from_op`` in the tests.
-Everything is float64 and 0-d/1-d/2-d shaped.
+``Tensor`` keeps only the ops the package composes: ``+`` (the loss sums),
+``scalar * tensor`` (the loss weights) and ``@``, which cluster assignment
+still tapes for ``h c^T`` and which the benchmark's spans wrap by name.
+Every other step is a single op built on ``Tensor._from_op`` with a
+hand-written backward; the taped ops only tests use (the general
+elementwise arithmetic, reductions and transpose) are built on it in the
+tests. Everything is float64 and 0-d/1-d/2-d shaped.
 
 A tape is built only outside ``no_grad()`` (PyTorch's ``torch.no_grad``), a
 mode the threads that run a copy of the caller's context share. It lives as
@@ -28,8 +31,10 @@ steps that would keep many large intermediates are single ops built on
 what it needs: the encoder layer (``encoders._layer``), the reconstruction
 losses (``encoders.mse_t``, the factored adjacency MSE
 ``encoders._factored_mse`` and the row-blocked BCE ``encoders._blocked_bce``),
-the kernel and filter (``filters._joint_filter_t``) and the view fusion
-(``fusion.fuse_views_t``).
+the kernel and filter (``filters._joint_filter_t``), the view fusion
+(``fusion.fuse_views_t``), the view similarity and the alignment
+(``fusion.evaluate_view_t``, ``fusion.soft_assignment_t`` and
+``fusion.kl_divergence_t``).
 ``Adam.step`` updates its moments and the parameters in place.
 """
 
@@ -94,10 +99,6 @@ class Tensor:
     def shape(self):
         return self.data.shape
 
-    @property
-    def ndim(self):
-        return self.data.ndim
-
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
 
@@ -112,48 +113,14 @@ class Tensor:
 
         return Tensor._from_op(out_data, (self, other), backward)
 
-    __radd__ = __add__
-
-    def __mul__(self, other):
-        other = as_tensor(other)
-        out_data = self.data * other.data
+    def __rmul__(self, scalar):
+        """``scalar * self`` for a Python or numpy float ``scalar``."""
+        scalar = float(scalar)
 
         def backward(grad):
-            return (
-                _unbroadcast(grad * other.data, self.shape),
-                _unbroadcast(grad * self.data, other.shape),
-            )
+            return (grad * scalar,)
 
-        return Tensor._from_op(out_data, (self, other), backward)
-
-    __rmul__ = __mul__
-
-    def __sub__(self, other):
-        other = as_tensor(other)
-        out_data = self.data - other.data
-
-        def backward(grad):
-            return (_unbroadcast(grad, self.shape), _unbroadcast(-grad, other.shape))
-
-        return Tensor._from_op(out_data, (self, other), backward)
-
-    def __rsub__(self, other):
-        return as_tensor(other).__sub__(self)
-
-    def __truediv__(self, other):
-        other = as_tensor(other)
-        out_data = self.data / other.data
-
-        def backward(grad):
-            return (
-                _unbroadcast(grad / other.data, self.shape),
-                _unbroadcast(-grad * self.data / (other.data * other.data), other.shape),
-            )
-
-        return Tensor._from_op(out_data, (self, other), backward)
-
-    def __rtruediv__(self, other):
-        return as_tensor(other).__truediv__(self)
+        return Tensor._from_op(self.data * scalar, (self,), backward)
 
     def __matmul__(self, other):
         other = as_tensor(other)
@@ -167,69 +134,6 @@ class Tensor:
             )
 
         return Tensor._from_op(out_data, (self, other), backward)
-
-    # -- elementwise functions ---------------------------------------------------
-
-    @property
-    def T(self) -> "Tensor":
-        def backward(grad):
-            return (grad.T,)
-
-        return Tensor._from_op(self.data.T, (self,), backward)
-
-    def log(self):
-        def backward(grad):
-            return (grad / self.data,)
-
-        return Tensor._from_op(np.log(self.data), (self,), backward)
-
-    def sqrt(self):
-        out_data = np.sqrt(self.data)
-
-        def backward(grad):
-            return (grad * 0.5 / out_data,)
-
-        return Tensor._from_op(out_data, (self,), backward)
-
-    def relu(self):
-        mask = self.data > 0.0
-
-        def backward(grad):
-            return (grad * mask,)
-
-        return Tensor._from_op(self.data * mask, (self,), backward)
-
-    def maximum(self, other):
-        other = as_tensor(other)
-        take_self = self.data >= other.data
-
-        def backward(grad):
-            return (
-                _unbroadcast(grad * take_self, self.shape),
-                _unbroadcast(grad * ~take_self, other.shape),
-            )
-
-        return Tensor._from_op(np.maximum(self.data, other.data), (self, other), backward)
-
-    # -- reductions ---------------------------------------------------------------
-
-    def sum(self, axis=None, keepdims: bool = False):
-        out_data = self.data.sum(axis=axis, keepdims=keepdims)
-
-        def backward(grad):
-            g = grad
-            if axis is not None and not keepdims:
-                g = np.expand_dims(g, axis)
-            return (np.broadcast_to(g, self.shape),)
-
-        return Tensor._from_op(out_data, (self,), backward)
-
-    def mean(self, axis=None, keepdims: bool = False):
-        if axis is None:
-            count = self.data.size
-        else:
-            count = self.data.shape[axis]
-        return self.sum(axis=axis, keepdims=keepdims) * (1.0 / count)
 
     # -- backward pass --------------------------------------------------------------
 

@@ -24,7 +24,7 @@ from pathlib import Path
 import numpy as np
 from scipy import sparse
 
-from .errors import ConfigError, DataRepairWarning
+from .errors import ConfigError, DataRepairWarning, check_integers
 from .graphs import MultiViewGraph, _index_dtype
 
 __all__ = [
@@ -257,6 +257,7 @@ class SyntheticSpec:
     pair_separation: float = 0.25
 
     def __post_init__(self):
+        check_integers(self, "n_nodes", "n_clusters", "n_views", "n_features", "seed")
         if self.n_nodes < self.n_clusters or self.n_clusters < 1:
             raise ConfigError("need n_nodes >= n_clusters >= 1")
         if self.n_views < 1:

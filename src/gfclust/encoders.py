@@ -25,7 +25,7 @@ import numpy as np
 from scipy import sparse
 
 from .autograd import Adam, Tensor, as_tensor
-from .errors import ConfigError, DivergenceError
+from .errors import ConfigError, DivergenceError, check_integers
 from .filters import _row_blocks
 
 __all__ = [
@@ -55,6 +55,9 @@ class EncoderConfig:
     learning_rate: float = 1e-3
 
     def __post_init__(self):
+        check_integers(self, "latent_dim", "epochs")
+        if self.hidden_dim is not None:
+            check_integers(self, "hidden_dim")
         if self.latent_dim < 1:
             raise ConfigError("latent_dim must be >= 1")
         if self.hidden_dim is not None and self.hidden_dim < 1:

@@ -1,8 +1,19 @@
-"""Shared exception and warning types."""
+"""Shared exception and warning types, and the integer check of config counts."""
+
+import numbers
 
 
 class ConfigError(ValueError):
     """A configuration value violates its documented range or shape."""
+
+
+def check_integers(config, *names: str) -> None:
+    """Raise ``ConfigError`` unless each named field of ``config`` is an
+    integer: any ``numbers.Integral`` but ``bool``."""
+    for name in names:
+        value = getattr(config, name)
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+            raise ConfigError(f"{name} must be an integer, got {value!r}")
 
 
 class DivergenceError(RuntimeError):

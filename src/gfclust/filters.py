@@ -42,13 +42,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .autograd import Tensor
-from .errors import ConfigError, DivergenceError, NumericsWarning
+from .errors import ConfigError, DivergenceError, NumericsWarning, check_integers
 
 __all__ = [
     "FilterConfig",
     "build_joint_gram",
     "filter_coefficients",
-    "filter_frequency_response",
 ]
 
 FAMILIES = ("adaptive_hybrid", "low_pass", "high_pass", "fixed_mix")
@@ -67,6 +66,7 @@ class FilterConfig:
     matrix_source: str = "joint_aggregation"
 
     def __post_init__(self):
+        check_integers(self, "order")
         if self.order < 1:
             raise ConfigError("filter order must be >= 1")
         if not 0.0 <= self.hr <= 1.0:
@@ -244,10 +244,10 @@ def build_joint_gram(z_a, z_x) -> np.ndarray:
     adjacency ``z_a`` and encoded features ``z_x``, equal 2-d shapes: the
     symmetric matrix whose walk ``D^-1 B``, ``D = diag(B 1)``, is ``s_rw``.
     """
-    z_a, z_x = Tensor(z_a), Tensor(z_x)
+    z_a, z_x = np.asarray(z_a, dtype=np.float64), np.asarray(z_x, dtype=np.float64)
     if z_a.shape != z_x.shape or z_a.ndim != 2:
         raise ValueError(f"z_a {z_a.shape} and z_x {z_x.shape} must be equal 2-d shapes")
-    kernel = joint_aggregation_t(z_a, z_x)
+    kernel = joint_aggregation_t(Tensor(z_a), Tensor(z_x))
     n = kernel.shape[0]
     b = np.empty((n, n))
     with np.errstate(over="ignore", invalid="ignore"):
@@ -365,16 +365,3 @@ def apply_filter_t(kernel, x: Tensor, cfg: FilterConfig) -> Tensor:
     for c_p, y in zip(coeffs[1:], kernel.powers):
         h = h + c_p * y
     return Tensor(h)
-
-
-def filter_frequency_response(cfg: FilterConfig, lambdas: np.ndarray | None = None):
-    """Scalar spectral response g(lambda) sampled on a grid over [0, 2].
-
-    The filter polynomial evaluated at the kernel eigenvalue ``1 - lambda``:
-    for the hybrid family g(lambda) = hr (1-lambda)^k + (1-hr) lambda^k; the
-    pure families keep only one term and fixed_mix swaps hr for alpha.
-    """
-    if lambdas is None:
-        lambdas = np.linspace(0.0, 2.0, 201)
-    lam = np.asarray(lambdas, dtype=np.float64)
-    return lam, np.polynomial.polynomial.polyval(1.0 - lam, filter_coefficients(cfg))

@@ -12,6 +12,15 @@ reverse. No round leaves an n x d array on the tape. A round's weights are
 ``relu(e)^rho`` normalized to sum 1 (the forward's scaling by the largest
 similarity cancels), so their Jacobian is taken in closed form, and the
 gradient is that of the unrolled iteration.
+
+The similarity and the alignment are closed-form ops too, each forward the
+numpy arithmetic of its taped composition in the same order:
+``evaluate_view_t`` is one op whose backward is the fusion's
+``_similarity_backward``; ``soft_assignment_t`` is the product ``h c^T``
+and one op for the Student-t kernel and its row normalization; and
+``kl_divergence_t`` is one op. Together the last two give the closed-form
+gradient of Xie, Girshick & Farhadi (ICML 2016, eq. 4, nu = 1), split at
+the assignment ``q``.
 """
 
 from __future__ import annotations
@@ -40,19 +49,24 @@ _LOG_FLOOR = 1e-12
 
 
 def evaluate_view_t(h_v: Tensor, h_bar: Tensor) -> Tensor:
-    """Mean row-wise cosine similarity (differentiable).
+    """Mean row-wise cosine similarity, as one op.
 
     A row that is zero on either side contributes 0 and takes a zero
     gradient: the 1e-30 guard only keeps its division finite, and its
     gradient through the guard would scale the other side's row by 1e15.
+    The mean is taken as ``sum * (1 / n)``; the backward is
+    ``_similarity_backward``.
     """
-    sq_v = (h_v * h_v).sum(axis=1)
-    sq_b = (h_bar * h_bar).sum(axis=1)
-    live = Tensor((sq_v.data > 0.0) & (sq_b.data > 0.0))
-    dots = (h_v * h_bar).sum(axis=1)
-    norm_v = (sq_v + 1e-30).sqrt()
-    norm_b = (sq_b + 1e-30).sqrt()
-    return (dots / (norm_v * norm_b) * live).mean()
+    hv, hb = h_v.data, h_bar.data
+    sq_v, sq_b = (hv * hv).sum(axis=1), (hb * hb).sum(axis=1)
+    live = (sq_v > 0.0) & (sq_b > 0.0)
+    cos = (hv * hb).sum(axis=1) / (np.sqrt(sq_v + 1e-30) * np.sqrt(sq_b + 1e-30))
+    value = (cos * live).sum() * (1.0 / cos.size)
+
+    def backward(grad):
+        return _similarity_backward(grad, hv, hb, sq_b)
+
+    return Tensor._from_op(value, (h_v, h_bar), backward)
 
 
 def _combine(weights, hs: list) -> np.ndarray:
@@ -180,13 +194,28 @@ def update_hr(g: MultiViewGraph, pseudo_one_hot: np.ndarray) -> list:
 
 
 def soft_assignment_t(h: Tensor, centers: np.ndarray) -> Tensor:
-    """Row-stochastic Student-t (1 d.o.f.) soft cluster assignment."""
-    c = Tensor(np.asarray(centers, dtype=np.float64))
-    sq_h = (h * h).sum(axis=1, keepdims=True)
-    sq_c = Tensor((np.asarray(centers) ** 2).sum(axis=1)[None, :])
-    d2 = (sq_h - 2.0 * (h @ c.T) + sq_c).relu()
-    q = 1.0 / (1.0 + d2)
-    return q / q.sum(axis=1, keepdims=True)
+    """Row-stochastic Student-t (1 d.o.f.) soft cluster assignment.
+
+    Two ops: the product ``cross = h c^T`` and one op on ``(h, cross)`` for
+    ``d = relu(|h|^2 - 2 cross + |c|^2)``, ``u = 1 / (1 + d)`` and
+    ``q = u / rowsum(u)``. With ``t = rowsum(G q)``, the gradient ``G`` of
+    ``q`` gives ``G_d = -u q (G - t) [d > 0]``, and the op returns
+    ``2 h rowsum(G_d)`` to ``h`` and ``-2 G_d`` to ``cross``.
+    """
+    centers = np.asarray(centers, dtype=np.float64)
+    cross = h @ Tensor(centers.T)
+    sq_h = (h.data * h.data).sum(axis=1, keepdims=True)
+    d = sq_h - cross.data * 2.0 + (centers**2).sum(axis=1)[None, :]
+    positive = d > 0.0
+    u = 1.0 / (d * positive + 1.0)
+    q = u / u.sum(axis=1, keepdims=True)
+
+    def backward(grad):
+        t = (grad * q).sum(axis=1, keepdims=True)
+        g_d = (t - grad) * q * u * positive
+        return (h.data * (2.0 * g_d.sum(axis=1, keepdims=True)), -2.0 * g_d)
+
+    return Tensor._from_op(q, (h, cross), backward)
 
 
 def target_distribution(q: np.ndarray) -> np.ndarray:
@@ -206,7 +235,11 @@ def target_distribution(q: np.ndarray) -> np.ndarray:
 
 
 def kl_divergence_t(p: np.ndarray, q: Tensor) -> Tensor:
-    """KL(p || q) with p as a constant target; 0 log 0 = 0 and q floored at 1e-12."""
+    """KL(p || q) with p as a constant target; 0 log 0 = 0 and q floored at 1e-12.
+
+    One op; its gradient is ``-g p / max(q, 1e-12)`` where ``q >= 1e-12``
+    and 0 where the floor holds ``q`` up.
+    """
     p = np.asarray(p, dtype=np.float64)
     if ((q.data < _LOG_FLOOR) & (p > 0)).any():
         warnings.warn(
@@ -215,7 +248,13 @@ def kl_divergence_t(p: np.ndarray, q: Tensor) -> Tensor:
             stacklevel=2,
         )
     p_log_p = float(np.sum(p[p > 0] * np.log(p[p > 0])))
-    return p_log_p - (Tensor(p) * q.maximum(_LOG_FLOOR).log()).sum()
+    unfloored = q.data >= _LOG_FLOOR
+    floored = np.maximum(q.data, _LOG_FLOOR)
+
+    def backward(grad):
+        return (-grad * p / floored * unfloored,)
+
+    return Tensor._from_op(p_log_p - (p * np.log(floored)).sum(), (q,), backward)
 
 
 def kl_terms_t(p_per_view: list, q_per_view: list, p_bar: np.ndarray, q_bar: Tensor) -> Tensor:

@@ -32,6 +32,7 @@ __all__ = [
     "check_one_hot",
     "random_walk_normalize",
     "homophily_ratio",
+    "is_edgeless",
     "true_homophily_report",
     "check_dense_fits",
 ]
@@ -187,6 +188,12 @@ def random_walk_normalize(a):
     return a_rw
 
 
+def is_edgeless(a) -> bool:
+    """Whether the sparse ``a`` has no nonzero entry off its diagonal, which
+    leaves its homophily ratio undefined."""
+    return a.count_nonzero() == np.count_nonzero(a.diagonal())
+
+
 def homophily_ratio(a, labels_one_hot: np.ndarray) -> float:
     """Fraction of edge weight whose endpoints share a label, self-loops left out.
 
@@ -202,10 +209,9 @@ def homophily_ratio(a, labels_one_hot: np.ndarray) -> float:
     a = sparse.csr_array(a, dtype=np.float64)
     if a.shape[0] != a.shape[1] or a.shape[0] != p.shape[0]:
         raise ValueError("adjacency and labels disagree on the node count")
-    loops = a.diagonal()
-    if a.count_nonzero() == np.count_nonzero(loops):
+    if is_edgeless(a):
         raise ValueError("homophily ratio is undefined on an edgeless graph")
-    trace = loops.sum()
+    trace = a.diagonal().sum()
     return float((((a @ p) * p).sum() - trace) / (a.sum() - trace))
 
 

@@ -75,10 +75,10 @@ from .encoders import (
     mse_t,
     pretrain_view,
 )
-from .errors import ConfigError, DivergenceError
+from .errors import ConfigError, DivergenceError, check_integers
 from .filters import FilterConfig, apply_filter_t, joint_aggregation_t, krylov_basis
 from .fusion import fuse_views_t, kl_terms_t, soft_assignment_t, target_distribution, update_hr
-from .graphs import MultiViewGraph, one_hot, random_walk_normalize
+from .graphs import MultiViewGraph, is_edgeless, one_hot, random_walk_normalize
 
 __all__ = [
     "TrainConfig",
@@ -104,6 +104,7 @@ class TrainConfig:
     kmeans_restarts: int = 4
 
     def __post_init__(self):
+        check_integers(self, "epochs", "hr_refresh_interval", "kmeans_restarts", "seed")
         if self.epochs < 0:
             raise ConfigError("epochs must be >= 0")
         if self.hr_refresh_interval < 1:
@@ -235,9 +236,18 @@ class TrainingPipeline:
     Construction pretrains every view and bootstraps the first pseudo-labels;
     ``fit`` runs the joint epochs. The gradient checks drive ``epoch_forward``
     directly with frozen targets.
+
+    Raises:
+        ValueError: a view has no edges, so its homophily ratio is undefined;
+            raised before any view is pretrained.
     """
 
     def __init__(self, g: MultiViewGraph, cfg: TrainConfig):
+        for view, a in enumerate(g.adjacencies):
+            if is_edgeless(a):
+                raise ValueError(
+                    f"homophily ratio is undefined on view {view}, which has no edges"
+                )
         self.g = g
         self.cfg = cfg
         self.detach_s = cfg.detach_s

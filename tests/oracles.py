@@ -1,8 +1,12 @@
 """Brute-force oracles: metrics as plain loops, kernels and losses as plain taped ops.
 
-The elementwise ops only the oracles and the gradient checks use (``tanh``,
-``exp``, ``clip`` and powers) are taped here on ``Tensor._from_op``, not in
-the package.
+The package's ``Tensor`` tapes only ``+``, ``scalar *`` and ``@``. The
+general taped ops the oracles and the gradient checks compose (elementwise
+arithmetic with broadcasting, ``log``, ``sqrt``, ``relu``, ``maximum``,
+transpose, ``sum`` and ``mean``, and ``tanh``, ``exp``, ``clip`` and powers)
+are built here on ``Tensor._from_op``, in the subclass ``OracleTensor`` and
+the functions beside it; every op of an ``OracleTensor`` gives one back.
+``lift`` views any ``Tensor`` or array as one.
 """
 
 import warnings
@@ -11,12 +15,150 @@ from itertools import permutations
 import numpy as np
 from scipy import sparse
 
-from gfclust.autograd import Tensor, as_tensor
+from gfclust.autograd import Tensor, _unbroadcast, as_tensor
 from gfclust.datasets import _class_mean_matrix
 from gfclust.encoders import decode_t
 from gfclust.errors import NumericsWarning
-from gfclust.fusion import _FUSE_MAX_ROUNDS, _FUSE_TOL, evaluate_view_t
+from gfclust.fusion import _FUSE_MAX_ROUNDS, _FUSE_TOL, _LOG_FLOOR
 from gfclust.graphs import MultiViewGraph
+
+
+class OracleTensor(Tensor):
+    """A ``Tensor`` with the general-purpose taped ops; each op's result is
+    an ``OracleTensor`` too, so the oracles compose them freely."""
+
+    __slots__ = ()
+
+    @staticmethod
+    def _adopt(node):
+        """The node an op of ``Tensor`` just made, as an ``OracleTensor``."""
+        out = OracleTensor(node.data)
+        out.requires_grad, out._parents, out._backward = (
+            node.requires_grad, node._parents, node._backward)
+        return out
+
+    @staticmethod
+    def _from_op(data, parents, backward):
+        return OracleTensor._adopt(Tensor._from_op(data, parents, backward))
+
+    def __add__(self, other):
+        return OracleTensor._adopt(Tensor.__add__(self, other))
+
+    __radd__ = __add__
+
+    def __mul__(self, other):
+        other = as_tensor(other)
+        out_data = self.data * other.data
+
+        def backward(grad):
+            return (
+                _unbroadcast(grad * other.data, self.shape),
+                _unbroadcast(grad * self.data, other.shape),
+            )
+
+        return OracleTensor._from_op(out_data, (self, other), backward)
+
+    __rmul__ = __mul__
+
+    def __sub__(self, other):
+        other = as_tensor(other)
+        out_data = self.data - other.data
+
+        def backward(grad):
+            return (_unbroadcast(grad, self.shape), _unbroadcast(-grad, other.shape))
+
+        return OracleTensor._from_op(out_data, (self, other), backward)
+
+    def __rsub__(self, other):
+        return lift(other).__sub__(self)
+
+    def __truediv__(self, other):
+        other = as_tensor(other)
+        out_data = self.data / other.data
+
+        def backward(grad):
+            return (
+                _unbroadcast(grad / other.data, self.shape),
+                _unbroadcast(-grad * self.data / (other.data * other.data), other.shape),
+            )
+
+        return OracleTensor._from_op(out_data, (self, other), backward)
+
+    def __rtruediv__(self, other):
+        return lift(other).__truediv__(self)
+
+    def __matmul__(self, other):
+        return OracleTensor._adopt(Tensor.__matmul__(self, other))
+
+    def __rmatmul__(self, other):
+        return OracleTensor._adopt(Tensor.__matmul__(as_tensor(other), self))
+
+    @property
+    def T(self):
+        def backward(grad):
+            return (grad.T,)
+
+        return OracleTensor._from_op(self.data.T, (self,), backward)
+
+    def log(self):
+        def backward(grad):
+            return (grad / self.data,)
+
+        return OracleTensor._from_op(np.log(self.data), (self,), backward)
+
+    def sqrt(self):
+        out_data = np.sqrt(self.data)
+
+        def backward(grad):
+            return (grad * 0.5 / out_data,)
+
+        return OracleTensor._from_op(out_data, (self,), backward)
+
+    def relu(self):
+        mask = self.data > 0.0
+
+        def backward(grad):
+            return (grad * mask,)
+
+        return OracleTensor._from_op(self.data * mask, (self,), backward)
+
+    def maximum(self, other):
+        other = as_tensor(other)
+        take_self = self.data >= other.data
+
+        def backward(grad):
+            return (
+                _unbroadcast(grad * take_self, self.shape),
+                _unbroadcast(grad * ~take_self, other.shape),
+            )
+
+        return OracleTensor._from_op(np.maximum(self.data, other.data), (self, other), backward)
+
+    def sum(self, axis=None, keepdims=False):
+        out_data = self.data.sum(axis=axis, keepdims=keepdims)
+
+        def backward(grad):
+            g = grad
+            if axis is not None and not keepdims:
+                g = np.expand_dims(g, axis)
+            return (np.broadcast_to(g, self.shape),)
+
+        return OracleTensor._from_op(out_data, (self,), backward)
+
+    def mean(self, axis=None, keepdims=False):
+        count = self.data.size if axis is None else self.data.shape[axis]
+        return self.sum(axis=axis, keepdims=keepdims) * (1.0 / count)
+
+
+def lift(value):
+    """``value`` as an ``OracleTensor``: itself when it is one, a constant for
+    an array or a scalar, and otherwise an identity op on the ``Tensor``,
+    which hands its gradient on unchanged."""
+    if isinstance(value, OracleTensor):
+        return value
+    if not isinstance(value, Tensor):
+        return OracleTensor(value)
+    return OracleTensor._from_op(value.data, (value,), lambda grad: (grad,))
 
 
 def oracle_tanh(t):
@@ -25,7 +167,7 @@ def oracle_tanh(t):
     def backward(grad):
         return (grad * (1.0 - out * out),)
 
-    return Tensor._from_op(out, (t,), backward)
+    return OracleTensor._from_op(out, (t,), backward)
 
 
 def oracle_exp(t):
@@ -34,7 +176,7 @@ def oracle_exp(t):
     def backward(grad):
         return (grad * out,)
 
-    return Tensor._from_op(out, (t,), backward)
+    return OracleTensor._from_op(out, (t,), backward)
 
 
 def oracle_clip(t, lo, hi):
@@ -43,7 +185,7 @@ def oracle_clip(t, lo, hi):
     def backward(grad):
         return (grad * mask,)
 
-    return Tensor._from_op(np.clip(t.data, lo, hi), (t,), backward)
+    return OracleTensor._from_op(np.clip(t.data, lo, hi), (t,), backward)
 
 
 def oracle_pow(t, exponent):
@@ -60,7 +202,46 @@ def oracle_pow(t, exponent):
             local = p * base ** (p - 1.0)
         return (grad * local,)
 
-    return Tensor._from_op(t.data ** p, (t,), backward)
+    return OracleTensor._from_op(t.data ** p, (t,), backward)
+
+
+def oracle_evaluate_view_t(h_v, h_bar):
+    """Mean row-wise cosine similarity as taped ops, the reference for the
+    one-op ``gfclust.fusion.evaluate_view_t``."""
+    h_v, h_bar = lift(h_v), lift(h_bar)
+    sq_v = (h_v * h_v).sum(axis=1)
+    sq_b = (h_bar * h_bar).sum(axis=1)
+    live = Tensor((sq_v.data > 0.0) & (sq_b.data > 0.0))
+    dots = (h_v * h_bar).sum(axis=1)
+    norm_v = (sq_v + 1e-30).sqrt()
+    norm_b = (sq_b + 1e-30).sqrt()
+    return (dots / (norm_v * norm_b) * live).mean()
+
+
+def oracle_soft_assignment_t(h, centers):
+    """The Student-t soft assignment as taped ops, the reference for the
+    two-op ``gfclust.fusion.soft_assignment_t``."""
+    h = lift(h)
+    c = OracleTensor(np.asarray(centers, dtype=np.float64))
+    sq_h = (h * h).sum(axis=1, keepdims=True)
+    sq_c = Tensor((np.asarray(centers) ** 2).sum(axis=1)[None, :])
+    d2 = (sq_h - 2.0 * (h @ c.T) + sq_c).relu()
+    q = 1.0 / (1.0 + d2)
+    return q / q.sum(axis=1, keepdims=True)
+
+
+def oracle_kl_divergence_t(p, q):
+    """KL(p || q) as taped ops with the same floor and warning, the reference
+    for the one-op ``gfclust.fusion.kl_divergence_t``."""
+    p = np.asarray(p, dtype=np.float64)
+    if ((q.data < _LOG_FLOOR) & (p > 0)).any():
+        warnings.warn(
+            "soft assignment has near-zero mass where the target is positive; clamping",
+            NumericsWarning,
+            stacklevel=2,
+        )
+    p_log_p = float(np.sum(p[p > 0] * np.log(p[p > 0])))
+    return p_log_p - (Tensor(p) * lift(q).maximum(_LOG_FLOOR).log()).sum()
 
 
 def pairs(n):
@@ -160,7 +341,7 @@ def oracle_joint_aggregation_t(z_a, z_x):
     ridge and the row normalization: the reference for the factored,
     row-blocked op in ``gfclust.filters``.
     """
-    z = z_a @ z_x.T
+    z = lift(z_a) @ lift(z_x).T
     s = z @ z.T
     ridged = s.relu() + Tensor(1e-8 * np.eye(s.shape[0]))
     return ridged / ridged.sum(axis=1, keepdims=True)
@@ -200,13 +381,13 @@ def sparse_matmul(a, w):
     def backward(grad):
         return (np.asarray(a.T @ grad),)
 
-    return Tensor._from_op(np.asarray(a @ w.data), (w,), backward)
+    return OracleTensor._from_op(np.asarray(a @ w.data), (w,), backward)
 
 
 def oracle_mse_t(pred, target):
     """Mean squared error as four taped ops, the reference for the one-op
     ``gfclust.encoders.mse_t``."""
-    diff = pred - Tensor(target)
+    diff = lift(pred) - target
     return (diff * diff).mean()
 
 
@@ -214,6 +395,7 @@ def oracle_factored_mse(h, w, b, a):
     """The centered expansion of ``gfclust.encoders._factored_mse`` composed
     from taped ops, the reference for that one op."""
     n, m = a.shape
+    h, w, b = lift(h), lift(w), lift(b)
     mu = h.mean(axis=0, keepdims=True)
     h_c = h - mu
     shift = mu @ w + b
@@ -236,7 +418,7 @@ def oracle_bce_t(logits, target):
     probability floored at 1e-12. The reference for the row-blocked BCE of
     ``gfclust.encoders.adjacency_loss_t``; ``* -1.0`` negates exactly."""
     q = 1.0 / (1.0 + oracle_exp(oracle_clip(logits, -60.0, 60.0) * -1.0))
-    t = Tensor(target)
+    t = OracleTensor(target)
     return (t * q.maximum(1e-12).log() + (1.0 - t) * (1.0 - q).maximum(1e-12).log()).mean() * -1.0
 
 
@@ -266,7 +448,7 @@ def oracle_layer(x, w, b, activation):
     """A dense layer as three taped ops, ``act((x @ w) + b)``, the reference
     for the one-op ``gfclust.encoders._layer``; a sparse ``x`` enters through
     ``sparse_matmul``."""
-    h = (sparse_matmul(x, w) if sparse.issparse(x) else as_tensor(x) @ w) + b
+    h = (sparse_matmul(x, w) if sparse.issparse(x) else lift(x) @ w) + b
     if activation == "tanh":
         return oracle_tanh(h)
     if activation == "relu":
@@ -279,7 +461,7 @@ def oracle_fuse_views_t(embeddings, rho, tol=_FUSE_TOL, max_rounds=_FUSE_MAX_ROU
     the replaying op ``gfclust.fusion.fuse_views_t``: the same rounds, with
     weights that stay differentiable Tensors."""
     n_views = len(embeddings)
-    uniform = [Tensor(1.0 / n_views) for _ in range(n_views)]
+    uniform = [OracleTensor(1.0 / n_views) for _ in range(n_views)]
 
     def combine(ws):
         out = ws[0] * embeddings[0]
@@ -290,7 +472,7 @@ def oracle_fuse_views_t(embeddings, rho, tol=_FUSE_TOL, max_rounds=_FUSE_MAX_ROU
     weights = uniform
     h_bar = combine(weights)
     for _ in range(max_rounds):
-        evas = [evaluate_view_t(h, h_bar) for h in embeddings]
+        evas = [oracle_evaluate_view_t(h, h_bar) for h in embeddings]
         top = evas[0]
         for e in evas[1:]:
             top = top.maximum(e)

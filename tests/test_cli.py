@@ -150,6 +150,36 @@ class TestRun:
         assert not out.exists()
         assert f"{name} must be finite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("value", [1.5, True])
+    @pytest.mark.parametrize("section, name", [
+        (None, "epochs"),
+        (None, "hr_refresh_interval"),
+        (None, "kmeans_restarts"),
+        (None, "seed"),
+        ("encoder", "latent_dim"),
+        ("encoder", "hidden_dim"),
+        ("encoder", "epochs"),
+        ("filter", "order"),
+        ("synthetic", "n_nodes"),
+        ("synthetic", "n_clusters"),
+        ("synthetic", "n_views"),
+        ("synthetic", "n_features"),
+        ("synthetic", "seed"),
+    ])
+    def test_non_integer_count_exits_one_before_pretraining(self, tmp_path, capsys, monkeypatch,
+                                                            section, name, value):
+        payload = json.loads(base_config(tmp_path).read_text())
+        (payload if section is None else payload.setdefault(section, {}))[name] = value
+        config = tmp_path / "count.json"
+        config.write_text(json.dumps(payload))
+        monkeypatch.setattr(training, "pretrain_view", _must_not_run)
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(config), "--out", str(out)]) == 1
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and f"{name} must be an integer" in err
+        assert "Traceback" not in err
+
     def test_config_keys_reach_train_config(self):
         args = _build_parser().parse_args(["run"])
         cfg = _train_config({"kmeans_restarts": 2, "synthetic": {}}, args)
@@ -245,6 +275,23 @@ class TestSpectrumAndSynth:
         assert names == sorted(path.name for path in out.glob("*.csv"))
         for name in names:
             assert (out / name).read_bytes() == (expected / name).read_bytes()
+
+    # the edgeless view's encoded adjacency leaves its clamped Gram rows at zero
+    @pytest.mark.filterwarnings("ignore:.*all-zero rows:gfclust.errors.NumericsWarning")
+    def test_spectrum_runs_on_a_view_without_edges(self, tmp_path, capsys):
+        g = tiny_two_view()
+        g = MultiViewGraph(g.features, [g.adjacencies[0], np.zeros((g.n_nodes, g.n_nodes))],
+                           g.n_clusters, g.labels)
+        manifest = save_dataset(g, tmp_path, name="edgeless")
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({
+            "manifest": manifest.name, "encoder": {"latent_dim": 2, "hidden_dim": 4, "epochs": 2},
+        }))
+        out = tmp_path / "spec"
+        assert main(["spectrum", "--config", str(config), "--out", str(out)]) == 0
+        assert len(list(out.glob("*.csv"))) == 4
+        assert main(["run", "--config", str(config), "--out", str(tmp_path / "run")]) == 1
+        assert "undefined on view 1" in capsys.readouterr().err
 
     def test_spectrum_over_the_memory_budget_exits_one(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(graphs, "_available_bytes", lambda: 1000)

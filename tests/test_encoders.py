@@ -27,6 +27,7 @@ from gfclust.errors import ConfigError, DivergenceError
 
 from helpers import reconstruction_grads, tiny_two_view
 from oracles import (
+    OracleTensor,
     oracle_adjacency_mse_t,
     oracle_bce_t,
     oracle_factored_mse,
@@ -461,7 +462,7 @@ class TestLayerOp:
         x[2] = 0.0  # with b[0] = 0 this row's first pre-activation is exactly 0
         w0, b0 = rng.normal(size=(6, 4)), rng.normal(size=4)
         b0[0] = 0.0
-        upstream = Tensor(rng.normal(size=(13, 4)))
+        upstream = OracleTensor(rng.normal(size=(13, 4)))
         results = []
         for fn in (_layer, oracle_layer):
             w, b = Tensor(w0.copy(), requires_grad=True), Tensor(b0.copy(), requires_grad=True)
@@ -470,7 +471,7 @@ class TestLayerOp:
             else:
                 x_in = Tensor(x.copy(), requires_grad=form == "dense-taped")
             out = fn(x_in, w, b, activation)
-            (out * upstream).sum().backward()
+            (upstream * out).sum().backward()
             x_grad = x_in.grad if form == "dense-taped" else None
             results.append((out.data, w.grad, b.grad, x_grad))
         for ours, ref in zip(*results):
@@ -570,7 +571,7 @@ class TestLossOps:
     def run(self, fn, inputs, upstream):
         tensors = [Tensor(x.copy(), requires_grad=True) for x in inputs]
         out = fn(*tensors)
-        (out * upstream).backward()
+        (upstream * out).backward()
         return [out.data] + [t.grad for t in tensors]
 
     def test_mse_equals_the_taped_composition_exactly(self):

@@ -78,9 +78,10 @@ def test_import_and_train_load_no_heavy_scipy_module():
     assert heavy == []
 
 
-# every method of Tensor is wrapped with a call counter, then tiny runs cover
-# both adjacency losses, the raw-adjacency filter, the detached kernel and the
-# step without the KL term, whose kernel and filter run untaped
+# every method and property getter of Tensor is wrapped with a call counter,
+# then tiny runs cover both adjacency losses, the raw-adjacency filter, the
+# detached kernel and the step without the KL term, whose kernel and filter
+# run untaped
 _OP_COUNT_RUN = """
 import collections, json
 from dataclasses import replace
@@ -89,8 +90,8 @@ from gfclust.autograd import Tensor
 
 calls = collections.Counter()
 for name, attr in list(vars(Tensor).items()):
-    fn = attr.__func__ if isinstance(attr, staticmethod) else attr
-    if name == "__repr__" or isinstance(attr, property) or not callable(fn):
+    fn = attr.fget if isinstance(attr, property) else getattr(attr, "__func__", attr)
+    if name == "__repr__" or not callable(fn):
         continue
     calls[name] = 0
 
@@ -98,7 +99,11 @@ for name, attr in list(vars(Tensor).items()):
         calls[_name] += 1
         return _fn(*args, **kwargs)
 
-    setattr(Tensor, name, staticmethod(counted) if isinstance(attr, staticmethod) else counted)
+    if isinstance(attr, property):
+        counted = property(counted)
+    elif isinstance(attr, staticmethod):
+        counted = staticmethod(counted)
+    setattr(Tensor, name, counted)
 
 g = generate_synthetic(SyntheticSpec(n_nodes=64, n_clusters=2, n_views=2, seed=0))
 base = TrainConfig(epochs=2, hr_refresh_interval=1,

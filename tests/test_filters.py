@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from gfclust import (
     FilterConfig,
     build_joint_gram,
-    filter_frequency_response,
     random_walk_normalize,
 )
 from gfclust import filters
@@ -26,7 +25,7 @@ from gfclust.filters import (
 )
 
 from helpers import tiny_two_view
-from oracles import oracle_apply_filter_t, oracle_joint_aggregation_t
+from oracles import OracleTensor, lift, oracle_apply_filter_t, oracle_joint_aggregation_t
 
 RNG = np.random.default_rng(21)
 
@@ -128,7 +127,7 @@ def filter_and_grads(filter_fn, z_a, z_x, upstream):
     """The filtered signal and the gradients of ``<upstream, h>`` w.r.t. ``z_a`` and ``z_x``."""
     a, x = Tensor(z_a, requires_grad=True), Tensor(z_x, requires_grad=True)
     h = filter_fn(a, x)
-    (h * Tensor(upstream)).sum().backward()
+    (OracleTensor(upstream) * h).sum().backward()
     return h.data, a.grad, x.grad
 
 
@@ -174,7 +173,7 @@ def assert_zero_rows_warn_once(n, zero_rows):
 
     def filter_forward_and_backward():
         h = apply_filter_t(joint_aggregation_t(a, zx), Tensor(z_x), FilterConfig(order=3))
-        h.sum().backward()
+        lift(h).sum().backward()
 
     for run in (filter_forward_and_backward, lambda: build_joint_gram(z_a, z_x)):
         with warnings.catch_warnings(record=True) as caught:
@@ -296,12 +295,12 @@ class TestJointAggregationOp:
         a = Tensor(rng.normal(size=(n, 16)), requires_grad=True)
         zx = Tensor(rng.normal(size=(n, 16)), requires_grad=True)
         x = Tensor(rng.normal(size=(n, 32)))
-        upstream = Tensor(rng.normal(size=(n, 32)))
+        upstream = OracleTensor(rng.normal(size=(n, 32)))
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
             h = apply_filter_t(joint_aggregation_t(a, zx), x, FilterConfig(order=2))
-            (h * upstream).sum().backward()
+            (upstream * h).sum().backward()
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -520,24 +519,31 @@ class TestPerViewEmbedding:
         assert within_class_scatter(smoothed) < within_class_scatter(g.features)
 
 
+def frequency_response(cfg, lambdas=np.linspace(0.0, 2.0, 201)):
+    """``(lambda, g(lambda))``: the filter polynomial at the kernel eigenvalue
+    ``1 - lambda``, for the hybrid hr (1-lambda)^k + (1-hr) lambda^k."""
+    lam = np.asarray(lambdas, dtype=np.float64)
+    return lam, np.polynomial.polynomial.polyval(1.0 - lam, filter_coefficients(cfg))
+
+
 class TestFrequencyResponse:
+    """``filter_coefficients`` seen through the response of its polynomial."""
+
     def test_low_pass_line(self):
-        lam, values = filter_frequency_response(FilterConfig(order=1, hr=1.0))
+        lam, values = frequency_response(FilterConfig(order=1, hr=1.0))
         assert values[lam == 0.0] == 1.0
         assert values[lam == 2.0] == -1.0
 
     def test_high_pass_is_identity_on_lambda(self):
-        lam, values = filter_frequency_response(FilterConfig(order=1, hr=0.0))
+        lam, values = frequency_response(FilterConfig(order=1, hr=0.0))
         assert np.allclose(values, lam)
 
     def test_balanced_mix_at_unit_frequency(self):
-        lam, values = filter_frequency_response(
-            FilterConfig(order=1, hr=0.5), lambdas=np.array([1.0])
-        )
+        lam, values = frequency_response(FilterConfig(order=1, hr=0.5), lambdas=np.array([1.0]))
         assert values[0] == pytest.approx(0.5)
 
     def test_families_agree_with_hybrid_extremes(self):
         lam = np.linspace(0, 2, 33)
-        _, lp = filter_frequency_response(FilterConfig(order=3, family="low_pass"), lam)
-        _, hybrid_lp = filter_frequency_response(FilterConfig(order=3, hr=1.0), lam)
+        _, lp = frequency_response(FilterConfig(order=3, family="low_pass"), lam)
+        _, hybrid_lp = frequency_response(FilterConfig(order=3, hr=1.0), lam)
         assert np.allclose(lp, hybrid_lp)

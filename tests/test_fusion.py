@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from gfclust import EncoderConfig, fusion, one_hot, target_distribution, update_hr
+from gfclust import EncoderConfig, autograd, fusion, one_hot, target_distribution, update_hr
 from gfclust.autograd import Tensor
 from gfclust.errors import NumericsWarning
 from gfclust.fusion import (
@@ -18,7 +18,13 @@ from gfclust.fusion import (
 from gfclust.training import TrainConfig, TrainingPipeline
 
 from helpers import fuse, two_ratio_fixture, tiny_two_view
-from oracles import oracle_fuse_views_t
+from oracles import (
+    OracleTensor,
+    oracle_evaluate_view_t,
+    oracle_fuse_views_t,
+    oracle_kl_divergence_t,
+    oracle_soft_assignment_t,
+)
 
 RNG = np.random.default_rng(13)
 
@@ -69,10 +75,13 @@ class TestEvaluateView:
         h[1] = 0.0
         h_bar[4] = 0.0
         g_e = 0.7
-        g_h, g_bar = fusion._similarity_backward(g_e, h, h_bar, (h_bar * h_bar).sum(axis=1))
-        ts = [Tensor(h, requires_grad=True), Tensor(h_bar, requires_grad=True)]
-        (evaluate_view_t(*ts) * g_e).backward()
-        for grad, taped, x in ((g_h, ts[0].grad, h), (g_bar, ts[1].grad, h_bar)):
+        grads = []
+        for evaluate_t in (evaluate_view_t, oracle_evaluate_view_t):
+            ts = [Tensor(h, requires_grad=True), Tensor(h_bar, requires_grad=True)]
+            (g_e * evaluate_t(*ts)).backward()
+            grads.append([t.grad for t in ts])
+        (g_h, g_bar), (taped_h, taped_bar) = grads
+        for grad, taped, x in ((g_h, taped_h, h), (g_bar, taped_bar, h_bar)):
             assert np.all(grad[[1, 4]] == 0.0) and np.all(taped[[1, 4]] == 0.0)
             for i in (0, 2, 3, 5):
                 for j in range(3):
@@ -145,7 +154,7 @@ def fused(fuse_t, hs, rho, upstream):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", NumericsWarning)
         weights, h_bar = fuse_t(ts, rho)
-    (h_bar * Tensor(upstream)).sum().backward()
+    (OracleTensor(upstream) * h_bar).sum().backward()
     # the op returns a float array, the oracle differentiable Tensors
     weights = [float(w.data) if isinstance(w, Tensor) else float(w) for w in weights]
     return weights, h_bar.data, [t.grad for t in ts]
@@ -219,7 +228,7 @@ class TestFuseViewsOp:
             weights, h_bar = fuse_views_t(ts, 1.0)
         assert type(weights) is np.ndarray and weights.dtype == np.float64
         assert np.array_equal(weights, [0.5, 0.5])
-        (h_bar * Tensor(upstream)).sum().backward()
+        (OracleTensor(upstream) * h_bar).sum().backward()
         for t in ts:
             assert np.array_equal(t.grad, 0.5 * upstream)
 
@@ -333,6 +342,116 @@ class TestKlLoss:
             assert kl_divergence(q, bump) > 0.0
 
 
+def alignment_draw(rng, n_clusters=None, far=None):
+    """``(h, centers, p)``: up to 40 rows of 1-5 features and 2-5 clusters (or
+    ``n_clusters``) at a scale drawn from [1e-2, 30], and a target ``p`` with
+    some zero entries but none at the last center. A ``far`` last center is
+    moved out to ``far`` times the scale, where its assignments fall under
+    the KL floor."""
+    n, d = int(rng.integers(1, 41)), int(rng.integers(1, 6))
+    c = n_clusters or int(rng.integers(2, 6))
+    scale = 10.0 ** rng.uniform(-2.0, np.log10(30.0))
+    h, centers = scale * rng.normal(size=(n, d)), scale * rng.normal(size=(c, d))
+    if far is not None:
+        centers[-1] = far * scale
+    p = rng.random((n, c)) * (rng.random((n, c)) < 0.8)
+    p[:, -1] += 1e-3  # the far center's targets stay positive
+    return h, centers, p / p.sum(axis=1, keepdims=True)
+
+
+def long_double_alignment(h, centers, p, g):
+    """The gradient of ``g KL(p || q(h))`` w.r.t. ``h`` for the Student-t
+    assignment ``q`` with its 1e-12 floor, in long double, and its scale
+    ``max_i 2 sum_j u_ij (P_ij + s_i q_ij) |h_i - c_j|``, the size of the
+    gradient before cancellation (``P = |g| p`` where ``q`` is not floored,
+    ``s`` its row sums)."""
+    h, c, p = (np.asarray(x, dtype=np.longdouble) for x in (h, centers, p))
+    diff = h[:, None, :] - c[None, :, :]
+    u = 1.0 / (1.0 + (diff * diff).sum(axis=2))
+    q = u / u.sum(axis=1, keepdims=True)
+    live = q >= 1e-12
+    g_q = np.where(live, -g * p / np.where(live, q, 1.0), 0.0)
+    g_d = -u * q * (g_q - (g_q * q).sum(axis=1, keepdims=True))
+    grad = 2.0 * (g_d[:, :, None] * diff).sum(axis=1)
+    mass = abs(g) * p * live
+    size = u * (mass + mass.sum(axis=1, keepdims=True) * q) * np.sqrt((diff * diff).sum(axis=2))
+    return grad.astype(np.float64), float(2.0 * size.sum(axis=1).max())
+
+
+def alignment_grad(soft_t, kl_t, h, centers, p, g):
+    """The gradient of ``g * kl_t(p, soft_t(h, centers))`` w.r.t. ``h``."""
+    t = Tensor(h, requires_grad=True)
+    (g * kl_t(p, soft_t(t, centers))).backward()
+    return t.grad
+
+
+class TestClosedFormOps:
+    """The one-op similarity, soft assignment and KL against the taped
+    compositions they replace, and their gradients against long double."""
+
+    def test_forwards_equal_the_taped_compositions_exactly_in_one_op_each(self):
+        rng = np.random.default_rng(0)
+        for _ in range(500):
+            h, centers, p = alignment_draw(rng)
+            h_bar = h + rng.normal(scale=np.abs(h).max(), size=h.shape)
+            h_bar[rng.random(h.shape[0]) < 0.1] = 0.0
+            h_t, h_bar_t = Tensor(h, requires_grad=True), Tensor(h_bar, requires_grad=True)
+            e = evaluate_view_t(h_t, h_bar_t)
+            assert np.array_equal(e.data, oracle_evaluate_view_t(Tensor(h), Tensor(h_bar)).data)
+            q = soft_assignment_t(h_t, centers)
+            assert np.array_equal(q.data, oracle_soft_assignment_t(Tensor(h), centers).data)
+            q_t = Tensor(q.data, requires_grad=True)
+            kl = kl_divergence_t(p, q_t)
+            assert np.array_equal(kl.data, oracle_kl_divergence_t(p, Tensor(q.data)).data)
+            # the similarity and the KL are one op on their inputs; the
+            # assignment is one op on h and the taped product h c^T
+            assert e._parents == (h_t, h_bar_t) and kl._parents == (q_t,)
+            cross = q._parents[1]
+            assert q._parents[0] is h_t and cross._parents[0] is h_t
+            assert np.array_equal(cross.data, h @ centers.T)
+
+    def test_alignment_gradient_matches_long_double(self):
+        # plain draws, one cluster, where the gradient is exactly 0, and a far
+        # center whose assignments fall under the floor, where the KL warns
+        for seed, case in enumerate(("plain", "one-cluster", "floored")):
+            rng = np.random.default_rng(seed)
+            for _ in range(200):
+                h, centers, p = alignment_draw(
+                    rng, n_clusters=1 if case == "one-cluster" else None,
+                    far=1e9 if case == "floored" else None,
+                )
+                g = rng.uniform(-2.0, 2.0)
+                ref, scale = long_double_alignment(h, centers, p, g)
+                with warnings.catch_warnings(record=True) as caught:
+                    warnings.simplefilter("always", NumericsWarning)
+                    ours = alignment_grad(soft_assignment_t, kl_divergence_t, h, centers, p, g)
+                    taped = alignment_grad(
+                        oracle_soft_assignment_t, oracle_kl_divergence_t, h, centers, p, g
+                    )
+                assert len(caught) == (2 if case == "floored" else 0)
+                assert np.abs(ours - ref).max() <= 1e-12 * scale
+                assert np.abs(taped - ref).max() <= 1e-12 * scale
+                if case == "one-cluster":
+                    assert np.all(ours == 0.0)
+
+    def test_kl_gradient_is_zero_under_the_floor_and_a_tie_goes_to_q(self):
+        p = np.array([[0.2, 0.3, 0.5], [0.6, 0.4, 0.0]])
+        q = np.array([[1e-13, 1e-12, 1.0 - 1.1e-12], [0.5, 0.0, 0.5]])
+        grads = []
+        for kl_t in (kl_divergence_t, oracle_kl_divergence_t):
+            t = Tensor(q, requires_grad=True)
+            with pytest.warns(NumericsWarning, match="clamping"):
+                kl = kl_t(p, t)
+            assert kl_t is oracle_kl_divergence_t or kl._parents == (t,)
+            (1.5 * kl).backward()
+            grads.append(t.grad)
+        ours, taped = grads
+        assert np.array_equal(ours, taped)
+        assert ours[0, 0] == 0.0 and ours[1, 1] == 0.0
+        assert ours[0, 1] == -1.5 * 0.3 / 1e-12
+        assert ours[1, 0] == -1.5 * 0.6 / 0.5
+
+
 def epoch_loss(gamma_rec, gamma_kl):
     """One training epoch's forward pass under the given trade-off weights."""
     cfg = TrainConfig(
@@ -361,3 +480,13 @@ class TestTotalLoss:
         fwd = epoch_loss(gamma_rec=0.7, gamma_kl=0.1)
         assert fwd.l_rec > 0.0 and fwd.l_kl > 0.0
         assert fwd.loss.data == 0.7 * fwd.l_rec + 0.1 * fwd.l_kl
+
+
+def test_the_top_of_a_joint_step_is_two_nodes_per_embedding_and_one_per_kl_term():
+    fwd = epoch_loss(gamma_rec=1.0, gamma_kl=0.1)
+    top, _ = autograd._walk_parts(fwd.loss, fwd.branches)
+    n_views = len(fwd.h_views)
+    embeddings, kl_terms, rec_terms = n_views + 1, 2 * n_views + 1, 2 * n_views
+    # the two loss sums, their two weights and the sum of the two
+    loss_sums = (rec_terms - 1) + (kl_terms - 1) + 3
+    assert len(top) <= 2 * embeddings + kl_terms + loss_sums + 1

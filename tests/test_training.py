@@ -57,6 +57,28 @@ class TestTrainConfig:
         with pytest.raises(ConfigError):
             TrainConfig(detach_s=None)
 
+    @pytest.mark.parametrize("value", [1.5, True])
+    @pytest.mark.parametrize("make, name", [
+        (TrainConfig, "epochs"),
+        (TrainConfig, "hr_refresh_interval"),
+        (TrainConfig, "kmeans_restarts"),
+        (TrainConfig, "seed"),
+        (EncoderConfig, "latent_dim"),
+        (EncoderConfig, "hidden_dim"),
+        (EncoderConfig, "epochs"),
+        (FilterConfig, "order"),
+        *((lambda **kw: SyntheticSpec(**{"n_nodes": 8, "n_clusters": 2, "n_views": 1, **kw}),
+           name) for name in ("n_nodes", "n_clusters", "n_views", "n_features", "seed")),
+    ])
+    def test_count_fields_refuse_non_integers(self, make, name, value):
+        with pytest.raises(ConfigError, match=f"{name} must be an integer"):
+            make(**{name: value})
+
+    def test_count_fields_take_any_integral_type(self):
+        cfg = TrainConfig(epochs=np.int64(3), seed=np.uint32(7),
+                          encoder=EncoderConfig(hidden_dim=np.int32(8)))
+        assert cfg.epochs == 3 and cfg.seed == 7 and cfg.encoder.hidden_dim == 8
+
 
 class TestTrainReportShape:
     def test_epoch_records_and_final(self):
@@ -243,6 +265,20 @@ def counting(calls, fn):
     return counted
 
 
+def test_a_view_without_edges_is_refused_before_pretraining(monkeypatch):
+    g = tiny_two_view()
+    g = MultiViewGraph(g.features, [g.adjacencies[0], np.zeros((g.n_nodes, g.n_nodes))],
+                       g.n_clusters, g.labels)
+    pretrained = []
+    monkeypatch.setattr(training, "pretrain_view", counting(pretrained, training.pretrain_view))
+    with pytest.raises(ValueError, match="homophily ratio is undefined on view 1"):
+        TrainingPipeline(g, fast_config())
+    assert len(pretrained) == 0
+    # pretraining alone, all that the spectrum needs, still runs on it
+    models, _ = training.pretrain(g, fast_config())
+    assert len(models) == 2 and len(pretrained) == 2
+
+
 class TestRawAdjacencyBasis:
     def test_each_walk_matrix_is_built_once_and_dropped(self, monkeypatch):
         normalized = []
@@ -386,17 +422,17 @@ class TestConcurrentViews:
         caller = threading.current_thread()
         t = Tensor(np.ones(3), requires_grad=True)
         with no_grad():
-            seen = training._for_each_view(lambda view: (threading.current_thread(), t * 2.0), 2)
+            seen = training._for_each_view(lambda view: (threading.current_thread(), 2.0 * t), 2)
         assert seen[0][0] is caller and seen[1][0] is not caller
         assert [out.requires_grad or bool(out._parents) for _, out in seen] == [False, False]
-        assert (t * 2.0)._parents
+        assert (2.0 * t)._parents
 
         def fails(view):
             raise RuntimeError(f"view {view} failed")
 
         with pytest.raises(RuntimeError, match="view 0 failed"), no_grad():
             training._for_each_view(fails, 2)
-        assert (t * 2.0)._parents
+        assert (2.0 * t)._parents
 
     @needs_two_cpus
     def test_divergence_on_the_calling_thread_keeps_no_view(self, monkeypatch):
