@@ -9,13 +9,14 @@ walked down to the branch tensors on the calling thread, then each branch
 from all of its tensors at once, the branches through a runner the caller
 passes (``training`` runs one per view, concurrently). Each part keeps the
 node order of the whole walk, so the gradients do not change.
-``Tensor`` keeps only the ops the package composes: ``+`` (the loss sums),
-``scalar * tensor`` (the loss weights) and ``@``, which cluster assignment
-still tapes for ``h c^T`` and which the benchmark's spans wrap by name.
-Every other step is a single op built on ``Tensor._from_op`` with a
-hand-written backward; the taped ops only tests use (the general
-elementwise arithmetic, reductions and transpose) are built on it in the
-tests. Everything is float64 and 0-d/1-d/2-d shaped.
+``Tensor`` keeps only the ops the package composes: ``+`` of two Tensors of
+one shape (the 0-d loss sums), ``scalar * tensor`` (the loss weights) and
+``@`` of two Tensors, which cluster assignment still tapes for ``h c^T`` and
+which the benchmark's spans wrap by name. Every other step is a single op
+built on ``Tensor._from_op`` with a hand-written backward; the taped ops
+only tests use (the general elementwise arithmetic with broadcasting,
+reductions and transpose) are built on it in the tests. Everything is
+float64 and 0-d/1-d/2-d shaped.
 
 A tape is built only outside ``no_grad()`` (PyTorch's ``torch.no_grad``), a
 mode the threads that run a copy of the caller's context share. It lives as
@@ -60,18 +61,6 @@ class no_grad:
         _GRAD_ENABLED.reset(self._token)
 
 
-def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
-    """Sum ``grad`` over the axes that numpy broadcasting expanded."""
-    if grad.shape == shape:
-        return grad
-    while grad.ndim > len(shape):
-        grad = grad.sum(axis=0)
-    for axis, size in enumerate(shape):
-        if size == 1 and grad.shape[axis] != 1:
-            grad = grad.sum(axis=axis, keepdims=True)
-    return grad
-
-
 def as_tensor(value) -> "Tensor":
     return value if isinstance(value, Tensor) else Tensor(value)
 
@@ -105,13 +94,15 @@ class Tensor:
     # -- arithmetic ------------------------------------------------------------
 
     def __add__(self, other):
-        other = as_tensor(other)
-        out_data = self.data + other.data
+        """``self + other`` for a Tensor ``other`` of the same shape."""
+        if not isinstance(other, Tensor) or other.shape != self.shape:
+            got = other.shape if isinstance(other, Tensor) else type(other).__name__
+            raise ValueError(f"+ takes two Tensors of one shape, got {self.shape} and {got}")
 
         def backward(grad):
-            return (_unbroadcast(grad, self.shape), _unbroadcast(grad, other.shape))
+            return (grad, grad)
 
-        return Tensor._from_op(out_data, (self, other), backward)
+        return Tensor._from_op(self.data + other.data, (self, other), backward)
 
     def __rmul__(self, scalar):
         """``scalar * self`` for a Python or numpy float ``scalar``."""
@@ -123,7 +114,9 @@ class Tensor:
         return Tensor._from_op(self.data * scalar, (self,), backward)
 
     def __matmul__(self, other):
-        other = as_tensor(other)
+        """``self @ other`` for a Tensor ``other``."""
+        if not isinstance(other, Tensor):
+            raise TypeError(f"@ takes two Tensors, got {type(other).__name__}")
         out_data = self.data @ other.data
 
         def backward(grad):

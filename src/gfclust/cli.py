@@ -1,9 +1,16 @@
 """Command-line entry point: run / ablate / spectrum / synth.
 
-Configuration comes from a single JSON file (``--config``) whose keys mirror
-TrainConfig plus a data source (exactly one of ``manifest`` or ``synthetic``);
-any other top-level key is rejected, and command-line flags override file
-values. Relative manifest paths resolve against the config file's directory.
+Configuration comes from a single JSON file (``--config``), and command-line
+flags override its values. Its top-level keys are the TrainConfig fields
+(``filter`` and ``encoder`` are objects of FilterConfig and EncoderConfig
+fields), one data source, either ``manifest`` (a path relative to the config
+file's directory) or ``synthetic`` (an object of SyntheticSpec fields), and
+``out``, ``name`` and ``variant``. ``run`` and ``spectrum`` read the training
+keys, the data source and ``out``; ``ablate`` reads ``variant`` too, which
+the other two refuse; ``synth`` reads ``synthetic``, ``out`` and ``name``.
+A key that no command reads, at any level, and a value out of its range
+fail with exit 1 before any data is read (``synth`` checks only the keys it
+reads).
 Exit codes: 0 success, 1 configuration or data errors, 2 numeric divergence
 (``run`` and ``ablate`` still write the partial report, with ``"final": null``).
 """
@@ -13,7 +20,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import fields, replace
+from dataclasses import replace
 from pathlib import Path
 
 from .autograd import no_grad
@@ -26,15 +33,16 @@ from .datasets import (
     save_report,
 )
 from .encoders import EncoderConfig, encode_t
-from .errors import ConfigError, DivergenceError
+from .errors import ConfigError, DivergenceError, from_mapping
 from .filters import FilterConfig
 from .graphs import MultiViewGraph
 from .spectral import compare_spectra
 from .training import TrainConfig, pretrain, train
 
-# top-level config keys: the TrainConfig fields plus the data source and outputs
-_TRAIN_KEYS = frozenset(f.name for f in fields(TrainConfig))
+# top-level config keys besides the TrainConfig fields: the data source and outputs
 _DATA_KEYS = frozenset({"manifest", "synthetic", "out", "name", "variant"})
+# flags that override the TrainConfig field of their name
+_FLAG_KEYS = ("epochs", "rho", "gamma_rec", "gamma_kl", "seed")
 
 VARIANTS = ("no_rec", "no_kl", "raw_adjacency", "low_pass_only", "raw_adjacency_low_pass")
 
@@ -85,26 +93,14 @@ def _load_config(args) -> dict:
 
 
 def _train_config(payload: dict, args) -> TrainConfig:
-    unknown = sorted(set(payload) - _TRAIN_KEYS - _DATA_KEYS)
-    if unknown:
-        raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
-    values = {key: payload[key] for key in _TRAIN_KEYS if key in payload}
-    try:
-        values["filter"] = FilterConfig(**payload.get("filter", {}))
-        values["encoder"] = EncoderConfig(**payload.get("encoder", {}))
-        cfg = TrainConfig(**values)
-    except TypeError as exc:
-        raise ConfigError(f"unknown config field: {exc}") from exc
-    if args.epochs is not None:
-        cfg = replace(cfg, epochs=args.epochs)
-    if args.rho is not None:
-        cfg = replace(cfg, rho=args.rho)
-    if args.gamma_rec is not None:
-        cfg = replace(cfg, gamma_rec=args.gamma_rec)
-    if args.gamma_kl is not None:
-        cfg = replace(cfg, gamma_kl=args.gamma_kl)
-    if args.seed is not None:
-        cfg = replace(cfg, seed=args.seed)
+    if "variant" in payload and args.command != "ablate":
+        raise ConfigError(f"config key 'variant' is read by ablate only, not by {args.command}")
+    values = {key: value for key, value in payload.items() if key not in _DATA_KEYS}
+    values.update((key, getattr(args, key)) for key in _FLAG_KEYS if getattr(args, key) is not None)
+    for name, cls in (("filter", FilterConfig), ("encoder", EncoderConfig)):
+        if name in values:
+            values[name] = from_mapping(cls, values[name], f"config field {name!r}")
+    cfg = from_mapping(TrainConfig, values, "config")
     if args.order is not None:
         cfg = replace(cfg, filter=replace(cfg.filter, order=args.order))
     return cfg
@@ -117,24 +113,28 @@ def _load_graph(payload: dict, args) -> MultiViewGraph:
         raise ConfigError("config needs exactly one data source: 'manifest' or 'synthetic'")
     if has_manifest:
         base = Path(args.config).parent if args.config else Path.cwd()
-        return load_dataset(base / payload["manifest"])
+        return load_dataset(base / _string(payload, "manifest"))
     return generate_synthetic(_synthetic_spec(payload, args))
 
 
 def _synthetic_spec(payload: dict, args) -> SyntheticSpec:
     if "synthetic" not in payload:
         raise ConfigError("config has no 'synthetic' section")
-    try:
-        spec = SyntheticSpec(**payload["synthetic"])
-    except TypeError as exc:
-        raise ConfigError(f"bad synthetic spec: {exc}") from exc
+    spec = from_mapping(SyntheticSpec, payload["synthetic"], "config field 'synthetic'")
     if args.seed is not None and args.command == "synth":
         spec = replace(spec, seed=args.seed)
     return spec
 
 
+def _string(payload: dict, key: str, default=None) -> str:
+    value = payload.get(key, default)
+    if not isinstance(value, str):
+        raise ConfigError(f"config key {key!r} must be a string, got {value!r}")
+    return value
+
+
 def _out_dir(payload: dict, args) -> Path:
-    return Path(args.out) if args.out is not None else Path(payload.get("out", "gfclust-out"))
+    return Path(args.out) if args.out is not None else Path(_string(payload, "out", "gfclust-out"))
 
 
 def _metrics_line(final: dict) -> str:
@@ -150,8 +150,8 @@ def _train_and_save(payload: dict, args, cfg: TrainConfig, suffix: str = "") -> 
 
     On divergence the partial report is written before the error propagates.
     """
-    g = _load_graph(payload, args)
     out = _out_dir(payload, args)
+    g = _load_graph(payload, args)
     try:
         report = train(g, cfg)
     except DivergenceError as exc:
@@ -197,9 +197,9 @@ def cmd_ablate(payload: dict, args) -> int:
 
 def cmd_spectrum(payload: dict, args) -> int:
     cfg = _train_config(payload, args)
+    out = _out_dir(payload, args)
     g = _load_graph(payload, args)
     models, _ = pretrain(g, cfg)
-    out = _out_dir(payload, args)
     out.mkdir(parents=True, exist_ok=True)
     for view, (params_x, params_a) in enumerate(models):
         with no_grad():
@@ -215,9 +215,9 @@ def cmd_spectrum(payload: dict, args) -> int:
 
 def cmd_synth(payload: dict, args) -> int:
     spec = _synthetic_spec(payload, args)
-    g = generate_synthetic(spec)
     out = _out_dir(payload, args)
-    manifest = save_dataset(g, out, name=payload.get("name", g.name))
+    g = generate_synthetic(spec)
+    manifest = save_dataset(g, out, name=_string(payload, "name", g.name))
     print(f"wrote {manifest}")
     return 0
 

@@ -87,8 +87,9 @@ def kmeans(
     """Lloyd iterations until the assignment stops changing.
 
     Seeding is k-means++ unless ``warm_centers`` is given. An empty cluster is
-    re-seeded at the point farthest from its closest center, which keeps the
-    recorded inertia history non-increasing.
+    re-seeded at the point farthest from its closest center among those that
+    are not their cluster's only member, which keeps the recorded inertia
+    history non-increasing.
     """
     points = np.asarray(points, dtype=np.float64)
     if points.ndim != 2:
@@ -113,9 +114,11 @@ def kmeans(
         new_labels = d2.argmin(axis=1)
         closest = d2[np.arange(n), new_labels]
         for j in range(c):
-            if (new_labels == j).any():
+            sizes = np.bincount(new_labels, minlength=c)
+            if sizes[j]:
                 continue
-            farthest = int(closest.argmax())
+            # the farthest point whose cluster keeps a member without it
+            farthest = int(np.where(sizes[new_labels] > 1, closest, -1.0).argmax())
             centers[j] = points[farthest]
             d2[:, j] = _sq_dists(points, sq_norms, centers[j : j + 1]).ravel()
             new_labels = d2.argmin(axis=1)
@@ -125,7 +128,9 @@ def kmeans(
             break
         labels = new_labels
         for j in range(c):
-            centers[j] = points[labels == j].mean(axis=0)
+            members = labels == j
+            if members.any():  # points that follow a re-seed can leave a cluster empty
+                centers[j] = points[members].mean(axis=0)
 
     inertia = float(((points - centers[labels]) ** 2).sum())
     return ClusterAssignment(

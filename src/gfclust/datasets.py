@@ -18,13 +18,13 @@ from __future__ import annotations
 
 import json
 import warnings
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
 from scipy import sparse
 
-from .errors import ConfigError, DataRepairWarning, check_integers
+from .errors import ConfigError, DataRepairWarning, check_integers, check_reals, from_mapping
 from .graphs import MultiViewGraph, _index_dtype
 
 __all__ = [
@@ -58,42 +58,15 @@ class DatasetManifest:
     graph_files: list
     label_file: str | None = None
 
-    def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "n_nodes": self.n_nodes,
-            "n_views": self.n_views,
-            "n_features": self.n_features,
-            "n_clusters": self.n_clusters,
-            "feature_file": self.feature_file,
-            "label_file": self.label_file,
-            "graph_files": list(self.graph_files),
-        }
-
-    @staticmethod
-    def from_dict(payload: dict) -> "DatasetManifest":
-        required = {
-            "name",
-            "n_nodes",
-            "n_views",
-            "n_features",
-            "n_clusters",
-            "feature_file",
-            "graph_files",
-        }
-        missing = required - payload.keys()
-        if missing:
-            raise ValueError(f"manifest is missing fields: {sorted(missing)}")
-        return DatasetManifest(
-            name=payload["name"],
-            n_nodes=int(payload["n_nodes"]),
-            n_views=int(payload["n_views"]),
-            n_features=int(payload["n_features"]),
-            n_clusters=int(payload["n_clusters"]),
-            feature_file=payload["feature_file"],
-            graph_files=list(payload["graph_files"]),
-            label_file=payload.get("label_file"),
-        )
+    def __post_init__(self):
+        check_integers(self, "n_nodes", "n_views", "n_features", "n_clusters")
+        for name in ("name", "feature_file", "label_file"):
+            value = getattr(self, name)
+            if not (isinstance(value, str) or (name == "label_file" and value is None)):
+                raise ConfigError(f"{name} must be a string, got {value!r}")
+        if not (isinstance(self.graph_files, list)
+                and all(isinstance(f, str) for f in self.graph_files)):
+            raise ConfigError(f"graph_files must be a list of strings, got {self.graph_files!r}")
 
 
 def _read_table(path: Path, what: str, dtype, delimiter, invalid: str) -> np.ndarray:
@@ -156,7 +129,7 @@ def load_dataset(manifest_path) -> MultiViewGraph:
     """
     manifest_path = Path(manifest_path)
     try:
-        manifest = DatasetManifest.from_dict(json.loads(manifest_path.read_text()))
+        manifest = from_mapping(DatasetManifest, json.loads(manifest_path.read_text()), "manifest")
     except OSError as exc:
         raise OSError(f"reading manifest {manifest_path}: {exc}") from exc
     except json.JSONDecodeError as exc:
@@ -222,7 +195,7 @@ def save_dataset(g: MultiViewGraph, out_dir, name: str | None = None) -> Path:
         label_file=label_file,
     )
     manifest_path = out_dir / "manifest.json"
-    _write_text(manifest_path, json.dumps(manifest.to_dict(), indent=2))
+    _write_text(manifest_path, json.dumps(asdict(manifest), indent=2))
     return manifest_path
 
 
@@ -257,38 +230,22 @@ class SyntheticSpec:
     pair_separation: float = 0.25
 
     def __post_init__(self):
-        check_integers(self, "n_nodes", "n_clusters", "n_views", "n_features", "seed")
-        if self.n_nodes < self.n_clusters or self.n_clusters < 1:
-            raise ConfigError("need n_nodes >= n_clusters >= 1")
-        if self.n_views < 1:
-            raise ConfigError("n_views must be >= 1")
-        if not np.isfinite(self.mean_separation):
-            raise ConfigError("mean_separation must be finite")
-        if not np.isfinite(self.noise_scale) or self.noise_scale <= 0:
-            raise ConfigError("noise_scale must be finite and positive")
+        check_integers(self, "n_clusters", "n_views", low=1)
+        check_integers(self, "n_nodes", "n_features", low=self.n_clusters)
+        check_integers(self, "seed", low=0)
+        check_reals(self, "mean_separation")
+        check_reals(self, "noise_scale", low=0.0, open_low=True)
+        check_reals(self, "pair_separation", low=0.0)
+        check_reals(self, "p_in", "p_out", low=0.0, high=1.0, sequences=True)
+        for name in ("p_in", "p_out"):
+            value = getattr(self, name)
+            if isinstance(value, (list, tuple)) and len(value) != self.n_views:
+                raise ConfigError(f"{name} needs {self.n_views} per-view values, got {len(value)}")
         if self.mean_layout not in MEAN_LAYOUTS:
             raise ConfigError(f"mean_layout must be one of {MEAN_LAYOUTS}")
-        if not 0.0 <= self.pair_separation:
-            raise ConfigError("pair_separation must be nonnegative")
-        for p in (*self.p_in_per_view(), *self.p_out_per_view()):
-            if not 0.0 <= p <= 1.0:
-                raise ConfigError("edge probabilities must lie in [0, 1]")
-        if self.n_features < self._directions_needed():
-            raise ConfigError(
-                f"n_features must be >= {self._directions_needed()} for this layout"
-            )
-
-    def _directions_needed(self) -> int:
-        # both layouts consume one orthogonal direction per class
-        return self.n_clusters
 
     def _per_view(self, value) -> tuple:
-        if np.isscalar(value):
-            return (float(value),) * self.n_views
-        value = tuple(float(v) for v in value)
-        if len(value) != self.n_views:
-            raise ConfigError(f"expected {self.n_views} per-view probabilities, got {len(value)}")
-        return value
+        return tuple(value) if isinstance(value, (list, tuple)) else (value,) * self.n_views
 
     def p_in_per_view(self) -> tuple:
         return self._per_view(self.p_in)
@@ -318,7 +275,7 @@ class SyntheticSpec:
 
 def _class_mean_matrix(spec: SyntheticSpec, rng: np.random.Generator) -> np.ndarray:
     c, d = spec.n_clusters, spec.n_features
-    directions, _ = np.linalg.qr(rng.normal(size=(d, spec._directions_needed())))
+    directions, _ = np.linalg.qr(rng.normal(size=(d, spec.n_clusters)))
     mu = spec.mean_separation
     means = np.empty((c, d))
     if spec.mean_layout == "spread":
@@ -332,7 +289,7 @@ def _class_mean_matrix(spec: SyntheticSpec, rng: np.random.Generator) -> np.ndar
         means[2 * pair] = base + offset
         means[2 * pair + 1] = base - offset
     if c % 2:
-        means[c - 1] = mu * directions[:, spec._directions_needed() - 1]
+        means[c - 1] = mu * directions[:, spec.n_clusters - 1]
     return means
 
 

@@ -25,7 +25,7 @@ import numpy as np
 from scipy import sparse
 
 from .autograd import Adam, Tensor, as_tensor
-from .errors import ConfigError, DivergenceError, check_integers
+from .errors import ConfigError, DivergenceError, check_integers, check_reals
 from .filters import _row_blocks
 
 __all__ = [
@@ -55,21 +55,15 @@ class EncoderConfig:
     learning_rate: float = 1e-3
 
     def __post_init__(self):
-        check_integers(self, "latent_dim", "epochs")
+        check_integers(self, "latent_dim", low=1)
         if self.hidden_dim is not None:
-            check_integers(self, "hidden_dim")
-        if self.latent_dim < 1:
-            raise ConfigError("latent_dim must be >= 1")
-        if self.hidden_dim is not None and self.hidden_dim < 1:
-            raise ConfigError("hidden_dim must be >= 1")
+            check_integers(self, "hidden_dim", low=1)
+        check_integers(self, "epochs", low=0)
+        check_reals(self, "learning_rate", low=0.0, open_low=True)
         if self.activation not in _ACTIVATIONS:
             raise ConfigError(f"activation must be one of {_ACTIVATIONS}")
         if self.adjacency_loss not in ("mse", "bce"):
             raise ConfigError("adjacency_loss must be 'mse' or 'bce'")
-        if self.epochs < 0:
-            raise ConfigError("epochs must be >= 0")
-        if not np.isfinite(self.learning_rate) or self.learning_rate <= 0:
-            raise ConfigError("learning_rate must be finite and positive")
 
     def resolved_hidden_dim(self) -> int:
         return self.hidden_dim if self.hidden_dim is not None else max(256, 4 * self.latent_dim)

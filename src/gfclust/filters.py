@@ -42,7 +42,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .autograd import Tensor
-from .errors import ConfigError, DivergenceError, NumericsWarning, check_integers
+from .errors import ConfigError, DivergenceError, NumericsWarning, check_integers, check_reals
 
 __all__ = [
     "FilterConfig",
@@ -66,15 +66,14 @@ class FilterConfig:
     matrix_source: str = "joint_aggregation"
 
     def __post_init__(self):
-        check_integers(self, "order")
-        if self.order < 1:
-            raise ConfigError("filter order must be >= 1")
-        if not 0.0 <= self.hr <= 1.0:
-            raise ConfigError("hr must lie in [0, 1]")
+        check_integers(self, "order", low=1)
+        check_reals(self, "hr", low=0.0, high=1.0)
+        if self.family == "fixed_mix":
+            check_reals(self, "alpha", low=0.0, high=1.0)
+        else:  # the other families ignore alpha
+            check_reals(self, "alpha")
         if self.family not in FAMILIES:
             raise ConfigError(f"family must be one of {FAMILIES}")
-        if self.family == "fixed_mix" and not 0.0 <= self.alpha <= 1.0:
-            raise ConfigError("alpha must lie in [0, 1]")
         if self.matrix_source not in MATRIX_SOURCES:
             raise ConfigError(f"matrix_source must be one of {MATRIX_SOURCES}")
 
@@ -341,12 +340,12 @@ def apply_filter_t(kernel, x: Tensor, cfg: FilterConfig) -> Tensor:
     """Filter the constant signal ``x`` with the configured family and order.
 
     ``kernel`` is a ``JointKernel`` (the fused op, differentiable in its
-    embeddings), a ``KrylovBasis`` of a constant kernel on ``x``, or a
-    constant matrix, a numpy array or a scipy sparse array, whose basis is
-    built here. A basis is combined as ``c_0 x + c_1 S x + ... + c_k S^k x``,
-    term by term in that order, with no product.
+    embeddings) or the ``KrylovBasis`` of a constant kernel on ``x``. A basis
+    is combined as ``c_0 x + c_1 S x + ... + c_k S^k x``, term by term in
+    that order, with no product.
 
     Raises:
+        TypeError: ``kernel`` is neither.
         ValueError: ``x`` requires a gradient, or a basis does not match
             ``cfg.order`` or the shape of ``x``.
     """
@@ -356,7 +355,7 @@ def apply_filter_t(kernel, x: Tensor, cfg: FilterConfig) -> Tensor:
     if isinstance(kernel, JointKernel):
         return _joint_filter_t(kernel, x.data, coeffs)
     if not isinstance(kernel, KrylovBasis):
-        kernel = krylov_basis(kernel, x.data, cfg.order)
+        raise TypeError(f"expected a JointKernel or a KrylovBasis, got {type(kernel).__name__}")
     if kernel.order != cfg.order:
         raise ValueError(f"the basis has order {kernel.order}, the filter {cfg.order}")
     if kernel.powers[0].shape != x.shape:

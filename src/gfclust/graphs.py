@@ -44,9 +44,9 @@ class MultiViewGraph:
 
     Each view may be given dense or as any scipy sparse array and is stored as
     canonical CSR (``_canonical_view``). Invariants (checked on construction):
-    every adjacency is square, symmetric, binary with a zero diagonal and
-    matches the feature row count; labels, when present, are integers in
-    ``[0, n_clusters)``.
+    the features are finite; every adjacency is square, symmetric, binary
+    with a zero diagonal and matches the feature row count; labels, when
+    present, are integers in ``[0, n_clusters)``.
     """
 
     features: np.ndarray
@@ -60,6 +60,9 @@ class MultiViewGraph:
         object.__setattr__(self, "features", features)
         if features.ndim != 2:
             raise ValueError(f"features must be 2-d, got shape {features.shape}")
+        non_finite = np.count_nonzero(~np.isfinite(features))
+        if non_finite:
+            raise ValueError(f"features hold {non_finite} non-finite values")
         n = features.shape[0]
         if not self.adjacencies:
             raise ValueError("at least one view adjacency is required")

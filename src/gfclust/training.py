@@ -75,7 +75,7 @@ from .encoders import (
     mse_t,
     pretrain_view,
 )
-from .errors import ConfigError, DivergenceError, check_integers
+from .errors import ConfigError, DivergenceError, check_integers, check_reals
 from .filters import FilterConfig, apply_filter_t, joint_aggregation_t, krylov_basis
 from .fusion import fuse_views_t, kl_terms_t, soft_assignment_t, target_distribution, update_hr
 from .graphs import MultiViewGraph, is_edgeless, one_hot, random_walk_normalize
@@ -104,21 +104,11 @@ class TrainConfig:
     kmeans_restarts: int = 4
 
     def __post_init__(self):
-        check_integers(self, "epochs", "hr_refresh_interval", "kmeans_restarts", "seed")
-        if self.epochs < 0:
-            raise ConfigError("epochs must be >= 0")
-        if self.hr_refresh_interval < 1:
-            raise ConfigError("hr_refresh_interval must be >= 1")
-        if self.kmeans_restarts < 1:
-            raise ConfigError("kmeans_restarts must be >= 1")
-        for name in ("rho", "gamma_rec", "gamma_kl"):
-            value = getattr(self, name)
-            if not np.isfinite(value) or value < 0:
-                raise ConfigError(f"{name} must be finite and nonnegative")
-        if self.learning_rate is not None and not (
-            np.isfinite(self.learning_rate) and self.learning_rate > 0
-        ):
-            raise ConfigError("learning_rate must be finite and positive")
+        check_integers(self, "epochs", "seed", low=0)
+        check_integers(self, "hr_refresh_interval", "kmeans_restarts", low=1)
+        check_reals(self, "rho", "gamma_rec", "gamma_kl", low=0.0)
+        if self.learning_rate is not None:
+            check_reals(self, "learning_rate", low=0.0, open_low=True)
         if not isinstance(self.detach_s, bool):
             raise ConfigError("detach_s must be true or false")
 

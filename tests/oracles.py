@@ -1,8 +1,9 @@
 """Brute-force oracles: metrics as plain loops, kernels and losses as plain taped ops.
 
-The package's ``Tensor`` tapes only ``+``, ``scalar *`` and ``@``. The
-general taped ops the oracles and the gradient checks compose (elementwise
-arithmetic with broadcasting, ``log``, ``sqrt``, ``relu``, ``maximum``,
+The package's ``Tensor`` tapes only ``+`` of two Tensors of one shape,
+``scalar *`` and ``@`` of two Tensors. The general taped ops the oracles and
+the gradient checks compose (elementwise arithmetic with broadcasting and
+with plain arrays, ``log``, ``sqrt``, ``relu``, ``maximum``,
 transpose, ``sum`` and ``mean``, and ``tanh``, ``exp``, ``clip`` and powers)
 are built here on ``Tensor._from_op``, in the subclass ``OracleTensor`` and
 the functions beside it; every op of an ``OracleTensor`` gives one back.
@@ -15,12 +16,24 @@ from itertools import permutations
 import numpy as np
 from scipy import sparse
 
-from gfclust.autograd import Tensor, _unbroadcast, as_tensor
+from gfclust.autograd import Tensor, as_tensor
 from gfclust.datasets import _class_mean_matrix
 from gfclust.encoders import decode_t
 from gfclust.errors import NumericsWarning
 from gfclust.fusion import _FUSE_MAX_ROUNDS, _FUSE_TOL, _LOG_FLOOR
 from gfclust.graphs import MultiViewGraph
+
+
+def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
+    """Sum ``grad`` over the axes that numpy broadcasting expanded."""
+    if grad.shape == shape:
+        return grad
+    while grad.ndim > len(shape):
+        grad = grad.sum(axis=0)
+    for axis, size in enumerate(shape):
+        if size == 1 and grad.shape[axis] != 1:
+            grad = grad.sum(axis=axis, keepdims=True)
+    return grad
 
 
 class OracleTensor(Tensor):
@@ -42,7 +55,12 @@ class OracleTensor(Tensor):
         return OracleTensor._adopt(Tensor._from_op(data, parents, backward))
 
     def __add__(self, other):
-        return OracleTensor._adopt(Tensor.__add__(self, other))
+        other = as_tensor(other)
+
+        def backward(grad):
+            return (_unbroadcast(grad, self.shape), _unbroadcast(grad, other.shape))
+
+        return OracleTensor._from_op(self.data + other.data, (self, other), backward)
 
     __radd__ = __add__
 
@@ -88,7 +106,7 @@ class OracleTensor(Tensor):
         return lift(other).__truediv__(self)
 
     def __matmul__(self, other):
-        return OracleTensor._adopt(Tensor.__matmul__(self, other))
+        return OracleTensor._adopt(Tensor.__matmul__(self, as_tensor(other)))
 
     def __rmatmul__(self, other):
         return OracleTensor._adopt(Tensor.__matmul__(as_tensor(other), self))

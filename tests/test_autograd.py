@@ -82,14 +82,26 @@ def test_matmul_chain_gradient():
     a, b = Tensor(a0, requires_grad=True), Tensor(b0, requires_grad=True)
     loss = (oracle_tanh(a @ b) * (a @ b)).sum()
     loss.backward()
-    fd_a = fd_gradient(
-        lambda x: float((oracle_tanh(Tensor(x) @ b0) * (Tensor(x) @ b0)).sum().data), a0
-    )
-    fd_b = fd_gradient(
-        lambda x: float((oracle_tanh(Tensor(a0) @ x) * (Tensor(a0) @ x)).sum().data), b0
-    )
+
+    def f(x, y):
+        return float((oracle_tanh(Tensor(x) @ Tensor(y)) * (Tensor(x) @ Tensor(y))).sum().data)
+
+    fd_a = fd_gradient(lambda x: f(x, b0), a0)
+    fd_b = fd_gradient(lambda y: f(a0, y), b0)
     assert np.allclose(a.grad, fd_a, rtol=1e-5, atol=1e-7)
     assert np.allclose(b.grad, fd_b, rtol=1e-5, atol=1e-7)
+
+
+def test_add_takes_two_tensors_of_one_shape():
+    a, b = Tensor(np.ones(2), requires_grad=True), Tensor(np.arange(2.0), requires_grad=True)
+    (a + b).backward(np.array([1.0, 2.0]))
+    assert np.array_equal(a.grad, [1.0, 2.0]) and np.array_equal(b.grad, [1.0, 2.0])
+    with pytest.raises(ValueError, match=r"one shape, got \(2,\) and \(1, 2\)"):
+        a + Tensor(np.ones((1, 2)))
+    with pytest.raises(ValueError, match=r"one shape, got \(2,\) and ndarray"):
+        a + np.ones(2)
+    with pytest.raises(TypeError, match="two Tensors, got float"):
+        a @ 1.0
 
 
 def test_broadcast_gradients_unbroadcast_correctly():

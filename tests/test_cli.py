@@ -180,6 +180,67 @@ class TestRun:
         assert err.startswith("error:") and f"{name} must be an integer" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("section, name, value, message", [
+        (None, "rho", "1.0", "rho must be a real number, got '1.0'"),
+        (None, "gamma_kl", True, "gamma_kl must be a real number, got True"),
+        (None, "seed", -1, "seed must be >= 0, got -1"),
+        ("filter", "hr", True, "hr must be a real number, got True"),
+        ("synthetic", "p_in", "0.1", "p_in must be a real number, got '0.1'"),
+        ("synthetic", "p_in", True, "p_in must be a real number, got True"),
+        ("synthetic", "p_out", [0.01, True], "p_out must be a real number, got True"),
+        ("synthetic", "pair_separation", float("inf"), "pair_separation must be finite, got inf"),
+        ("synthetic", "seed", -1, "seed must be >= 0, got -1"),
+    ])
+    def test_bad_value_exits_one_naming_it_before_pretraining(self, tmp_path, capsys, monkeypatch,
+                                                              section, name, value, message):
+        payload = json.loads(base_config(tmp_path).read_text())
+        (payload if section is None else payload.setdefault(section, {}))[name] = value
+        config = tmp_path / "bad.json"
+        config.write_text(json.dumps(payload))
+        monkeypatch.setattr(training, "pretrain_view", _must_not_run)
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(config), "--out", str(out)]) == 1
+        assert not out.exists()
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_bad_manifest_or_features_exit_one_before_pretraining(self, tmp_path, capsys,
+                                                                  monkeypatch):
+        monkeypatch.setattr(training, "pretrain_view", _must_not_run)
+        manifest = write_tiny3(tmp_path)
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"manifest": manifest.name, "epochs": 1}))
+        good = manifest.read_text()
+        manifest.write_text(good.replace('"n_clusters": 2', '"n_clusters": 2.9'))
+        assert main(["run", "--config", str(config)]) == 1
+        assert capsys.readouterr().err == "error: n_clusters must be an integer, got 2.9\n"
+        manifest.write_text(good)
+        (tmp_path / "features.csv").write_text("0.5,1\nnan,0\n0,0.25")
+        assert main(["run", "--config", str(config)]) == 1
+        assert capsys.readouterr().err == "error: features hold 1 non-finite values\n"
+
+    @pytest.mark.parametrize("key, value", [("manifest", 5), ("out", ["a"]), ("name", None)])
+    def test_non_string_path_or_name_exits_one(self, tmp_path, capsys, key, value):
+        payload = json.loads(base_config(tmp_path).read_text())
+        if key == "manifest":
+            del payload["synthetic"]
+        payload[key] = value
+        config = tmp_path / "paths.json"
+        config.write_text(json.dumps(payload))
+        command = "synth" if key == "name" else "run"
+        out = [] if key == "out" else ["--out", str(tmp_path / "o")]
+        assert main([command, "--config", str(config), *out]) == 1
+        assert capsys.readouterr().err == f"error: config key {key!r} must be a string, got {value!r}\n"
+
+    @pytest.mark.parametrize("command", ["run", "spectrum"])
+    def test_variant_key_is_refused_outside_ablate(self, tmp_path, capsys, monkeypatch, command):
+        config = base_config(tmp_path, variant="no_kl")
+        monkeypatch.setattr(training, "pretrain_view", _must_not_run)
+        out = tmp_path / "out"
+        assert main([command, "--config", str(config), "--out", str(out)]) == 1
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert err == f"error: config key 'variant' is read by ablate only, not by {command}\n"
+
     def test_config_keys_reach_train_config(self):
         args = _build_parser().parse_args(["run"])
         cfg = _train_config({"kmeans_restarts": 2, "synthetic": {}}, args)
@@ -206,6 +267,12 @@ class TestAblate:
         assert code == 0
         report = json.loads((out / "report_no_kl.json").read_text())
         assert all(rec["l_kl"] == 0.0 for rec in report["epochs"])
+
+    def test_variant_from_the_config(self, tmp_path, capsys):
+        config = base_config(tmp_path, variant="no_kl")
+        out = tmp_path / "out"
+        assert main(["ablate", "--config", str(config), "--out", str(out)]) == 0
+        assert (out / "report_no_kl.json").exists()
 
     def test_unknown_variant_exits_one(self, tmp_path, capsys):
         config = base_config(tmp_path)

@@ -74,6 +74,17 @@ class TestKmeans:
         assert np.unique(result.labels).size == 2
         assert (result.labels[:10] != result.labels[10]).all()
 
+    def test_reseed_never_takes_a_clusters_only_member(self):
+        # the empty third cluster's farthest point is 10, the only member of
+        # the second; taking it would empty that cluster in turn
+        points = np.array([[0.0], [0.1], [0.2], [10.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result = kmeans(points, 3, warm_centers=np.array([[0.1], [10.5], [100.0]]))
+        assert np.bincount(result.labels, minlength=3).min() == 1
+        assert np.isfinite(result.centers).all()
+        assert len(result.inertia_history) < 300
+
     def test_invalid_sizes(self):
         with pytest.raises(ValueError):
             kmeans(np.zeros((2, 2)), 3)

@@ -103,6 +103,38 @@ class TestLoadDataset:
         with pytest.raises(ValueError, match="missing fields"):
             load_dataset(path)
 
+    @pytest.mark.parametrize("key, value, message", [
+        ("n_clusters", 2.9, "n_clusters must be an integer, got 2.9"),
+        ("n_nodes", "3", "n_nodes must be an integer"),
+        ("feature_file", 7, "feature_file must be a string"),
+        ("label_file", ["labels.csv"], "label_file must be a string"),
+        ("graph_files", "g0.txt", "graph_files must be a list of strings"),
+        ("graph_files", ["g0.txt", 1], "graph_files must be a list of strings"),
+        ("weights", 1.0, "unknown manifest keys: weights"),
+    ])
+    def test_bad_manifest_value_is_a_config_error(self, tmp_path, key, value, message):
+        path = write_tiny3(tmp_path)
+        payload = json.loads(path.read_text())
+        payload[key] = value
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ConfigError, match=message):
+            load_dataset(path)
+
+    def test_non_finite_feature_is_a_data_error(self, tmp_path):
+        path = write_tiny3(tmp_path)
+        (tmp_path / "features.csv").write_text("0.5,1\nnan,0\n0,inf")
+        with pytest.raises(ValueError, match="features hold 2 non-finite values"):
+            load_dataset(path)
+
+    def test_manifest_round_trips_through_save(self, tmp_path):
+        g = load_dataset(write_tiny3(tmp_path))
+        manifest = json.loads(save_dataset(g, tmp_path / "out").read_text())
+        assert manifest == {
+            "name": "tiny3", "n_nodes": 3, "n_views": 2, "n_features": 2, "n_clusters": 2,
+            "feature_file": "features.csv", "graph_files": ["graph_0.txt", "graph_1.txt"],
+            "label_file": "labels.csv",
+        }
+
     def test_unlabeled_dataset(self, tmp_path):
         path = write_tiny3(tmp_path)
         payload = json.loads(path.read_text())
