@@ -214,6 +214,7 @@ def cmd_spectrum(payload: dict, args) -> int:
 
 
 def cmd_synth(payload: dict, args) -> int:
+    _train_config(payload, args)  # refuse what run would refuse, before generating
     spec = _synthetic_spec(payload, args)
     out = _out_dir(payload, args)
     g = generate_synthetic(spec)

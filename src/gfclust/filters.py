@@ -16,21 +16,20 @@ combines a basis with any filter's coefficients and runs no product; a
 dense or sparse matrix passed to it goes through the same builder first.
 
 The joint aggregation kernel stays factored: ``joint_aggregation_t`` returns
-a ``JointKernel`` holding ``z_a``, ``z_x`` and ``zk = z_a (z_x^T z_x)``, and
-``apply_filter_t`` runs the kernel and the filter as one autograd op with a
-hand-written backward. The clamped Gram matrix ``C = max(zk z_a^T, 0)`` is
-recomputed on every pass and ``S = (C + ridge I) / r`` is never formed, nor
-is its gradient: the forward makes ``k`` passes, the backward ``k - 1`` (at
-least one), each O(n^2 (l + d)) work for latent width ``l`` and signal
-width ``d``. ``C`` is symmetric, so a product pass walks the tile pairs
-``(I, J)``, ``I <= J``, of its upper triangle (the BLAS ``syrk`` idea): each
+a ``JointKernel`` holding ``z_a``, ``z_x``, ``K = z_x^T z_x`` and
+``zk = z_a K``, and ``apply_filter_t`` runs the kernel and the filter as one
+autograd op with a hand-written backward. The clamped Gram matrix
+``C = max(zk z_a^T, 0)`` is recomputed on every pass and
+``S = (C + ridge I) / r`` is never formed, nor is its gradient: the forward
+makes ``k`` passes, the backward ``k`` (``k - 1`` products and one gradient
+walk), each O(n^2 (l + d)) work for latent width ``l`` and signal width
+``d``. ``C`` is symmetric, so every pass walks the tile pairs ``(I, J)``,
+``I <= J``, of its upper triangle (the BLAS ``syrk`` idea): each
 ``block x block`` tile is formed and clamped once and serves rows ``I``
-and, transposed, rows ``J``, with O(block^2) scratch. The backward's last
-pass stays in ``block x n`` row blocks: row ``i`` of ``B_1`` and of the
-kernel's gradient needs all of row ``i`` of ``C``, where a tile holds only
-part of it. ``build_joint_gram`` is the one place an n x n kernel matrix is
-formed, tile by mirrored tile: the exactly symmetric ``C + ridge I``, whose
-walk is ``S``, for the spectral diagnostics.
+and, transposed, rows ``J``, with O(block^2) scratch. ``build_joint_gram``
+is the one place an n x n kernel matrix is formed, tile by mirrored tile:
+the exactly symmetric ``C + ridge I``, whose walk is ``S``, for the
+spectral diagnostics.
 """
 
 from __future__ import annotations
@@ -54,7 +53,7 @@ FAMILIES = ("adaptive_hybrid", "low_pass", "high_pass", "fixed_mix")
 MATRIX_SOURCES = ("joint_aggregation", "raw_adjacency")
 
 _RIDGE = 1e-8
-_BLOCK_ROWS = 128  # rows of the Gram matrix per block in every kernel pass
+_BLOCK_ROWS = 128  # the side of a Gram tile in every kernel pass
 
 
 @dataclass
@@ -102,12 +101,13 @@ class JointKernel:
     """The joint aggregation kernel ``s_rw`` of one embedding pair, kept factored.
 
     ``s_rw = (C + ridge I) / r`` with ``C = max(zk z_a^T, 0)`` and
-    ``r = rowsum(C) + ridge``; ``apply_filter_t`` evaluates it in row blocks.
+    ``r = rowsum(C) + ridge``; ``apply_filter_t`` walks it tile by tile.
     """
 
     z_a: Tensor
     z_x: Tensor
-    zk: np.ndarray  # z_a (z_x^T z_x), so that C = max(zk z_a^T, 0)
+    xtx: np.ndarray  # K = z_x^T z_x
+    zk: np.ndarray  # z_a K, so that C = max(zk z_a^T, 0)
 
     @property
     def shape(self) -> tuple:
@@ -164,16 +164,10 @@ def _tile_pairs(n: int):
             yield rows, cols
 
 
-def _gram_tile(kernel: JointKernel, rows: slice, cols: slice, out=None) -> np.ndarray:
-    """Tile ``(rows, cols)`` of the clamped Gram matrix ``C = max(zk z_a^T, 0)``,
-    written into ``out`` when given."""
-    c = np.matmul(kernel.zk[rows], kernel.z_a.data[cols].T, out=out)
+def _gram_tile(kernel: JointKernel, rows: slice, cols: slice) -> np.ndarray:
+    """Tile ``(rows, cols)`` of the clamped Gram matrix ``C = max(zk z_a^T, 0)``."""
+    c = kernel.zk[rows] @ kernel.z_a.data[cols].T
     return np.maximum(c, 0.0, out=c)
-
-
-def _gram_rows(kernel: JointKernel, rows: slice, out=None) -> np.ndarray:
-    """Rows ``rows`` of ``C``, all ``n`` columns, written into ``out`` when given."""
-    return _gram_tile(kernel, rows, slice(None), out)
 
 
 def _ridged_product(kernel: JointKernel, y: np.ndarray) -> np.ndarray:
@@ -190,6 +184,29 @@ def _ridged_product(kernel: JointKernel, y: np.ndarray) -> np.ndarray:
         if rows != cols:
             out[cols] += c.T @ y[rows]
     return out
+
+
+def _gradient_walk(kernel: JointKernel, left: np.ndarray, right: np.ndarray):
+    """``(g_zk, g_a)``: the gradient ``D = left right^T`` of ``C``, carried
+    through the clamp to ``zk`` and ``z_a`` in one walk over the upper
+    triangle of ``C``.
+
+    The forward used each tile ``c = C[I, J]``, ``I <= J``, also as
+    ``C[J, I] = c^T``, so off the diagonal the tile's gradient is
+    ``E = (c > 0) * (D[I, J] + D[J, I]^T)``, on it ``E = (c > 0) * D[I, I]``;
+    ``E`` adds ``E z_a[J]`` to ``g_zk[I]`` and ``E^T zk[I]`` to ``g_a[J]``.
+    """
+    zk, a = kernel.zk, kernel.z_a.data
+    g_zk, g_a = np.zeros_like(zk), np.zeros_like(a)
+    for rows, cols in _tile_pairs(zk.shape[0]):
+        c = _gram_tile(kernel, rows, cols)
+        e = left[rows] @ right[cols].T
+        if rows != cols:
+            e += right[rows] @ left[cols].T
+        e *= c > 0.0
+        g_zk[rows] += e @ a[cols]
+        g_a[cols] += e.T @ zk[rows]
+    return g_zk, g_a
 
 
 def _check_row_sums(kernel: JointKernel, r: np.ndarray, stacklevel: int) -> None:
@@ -228,14 +245,14 @@ def joint_aggregation_t(z_a: Tensor, z_x: Tensor) -> JointKernel:
     """The row-stochastic joint aggregation kernel of ``(z_a, z_x)``, factored.
 
     ``s = (z_a z_x^T)(z_a z_x^T)^T`` is clamped at zero, ridged with
-    ``1e-8 * I`` and row-normalized. Only ``zk = z_a (z_x^T z_x)`` is
-    computed here (O(n l^2)); ``apply_filter_t`` filters with the kernel and
-    carries the gradients to ``z_a`` and ``z_x``.
+    ``1e-8 * I`` and row-normalized. Only ``K = z_x^T z_x`` and
+    ``zk = z_a K`` are computed here (O(n l^2)); ``apply_filter_t`` filters
+    with the kernel and carries the gradients to ``z_a`` and ``z_x``.
     """
-    a, x = z_a.data, z_x.data
     with np.errstate(over="ignore", invalid="ignore"):
-        zk = a @ (x.T @ x)
-    return JointKernel(z_a, z_x, zk)
+        xtx = z_x.data.T @ z_x.data
+        zk = z_a.data @ xtx
+    return JointKernel(z_a, z_x, xtx, zk)
 
 
 def build_joint_gram(z_a, z_x) -> np.ndarray:
@@ -268,22 +285,18 @@ def _joint_filter_t(kernel: JointKernel, x: np.ndarray, coeffs: np.ndarray) -> T
     over the upper-triangle tiles of ``C`` (``_ridged_product``), the first
     also yielding ``r`` (``_first_pass``). Backward, with ``x`` constant and
     ``g`` the upstream gradient: ``B_k = c_k g`` and
-    ``B_p = c_p g + S^T B_{p+1}``, where
-    ``S^T b = (C + ridge I)(b / r)`` because ``C`` is symmetric. The kernel's
-    upstream gradient ``G = sum_p B_p Y_{p-1}^T`` and ``rowsum(G * S) =
-    sum_p <B_p, Y_p>`` are taken row block by row block, and the last step
-    (``B_1``) shares the pass that forms ``ds = mask * (G - rowsum(G * S)) / r``.
-    That pass stays in ``block x n`` row blocks (``_gram_rows``): a row of
-    ``ds`` needs the whole row of ``C`` and of ``B_1``; the earlier ``B_p``
-    are tile walks. Its scratch is one ``block x n`` buffer, which holds a
-    block's ``C`` and then, once ``B_1`` and the mask ``C > 0`` are taken
-    from it, the block's ``ds``; one ``block x n`` bool mask; ``B_2 .. B_k``
-    and ``[Y_0 | ... | Y_{k-1}]`` over all rows, while ``B_1`` and
-    ``[Y_1 | ... | Y_k]`` are formed one block at a time. Views run their
-    backwards concurrently; at order 2, l=16 and d=32 one call peaks near
-    11 n x d, so two at once hold about 22 n x d.
-    With ``K = z_x^T z_x``, ``dz_a = (ds + ds^T) zk``, ``dK = z_a^T ds z_a``
-    and ``dz_x = z_x (dK + dK^T)``.
+    ``B_p = c_p g + S^T B_{p+1}``, where ``S^T b = (C + ridge I)(b / r)``
+    because ``C`` is symmetric, each one more product walk. The gradient of
+    ``S`` is ``G = sum_p B_p Y_{p-1}^T``, that of ``C`` is
+    ``(G - t 1^T) / r`` with ``t = rowsum(G * S) = sum_p rowdot(B_p, Y_p)``,
+    so the shift folds into one product:
+    ``D = [B_1 | ... | B_k | -t] / r  [Y_0 | ... | Y_{k-1} | 1]^T``, which
+    ``_gradient_walk`` forms tile by tile. With ``K = z_x^T z_x`` and
+    ``zk = z_a K`` the walk's ``(g_zk, g_a)`` finish as
+    ``dz_a = g_a + g_zk K``, ``dK = z_a^T g_zk`` and
+    ``dz_x = z_x (dK + dK^T)``. The scratch is the two stacked operands and
+    a few n x d signals: views run their backwards concurrently, and at
+    order 2, l=16 and d=32 one call peaks near 6.4 n x d.
     """
     k = len(coeffs) - 1
     y1, r = _first_pass(kernel, x)
@@ -295,42 +308,20 @@ def _joint_filter_t(kernel: JointKernel, x: np.ndarray, coeffs: np.ndarray) -> T
         h = h + c_p * y
 
     def backward(g):
-        a, zk = kernel.z_a.data, kernel.zk
         n, d = x.shape
-        latent = a.shape[1]
-        # later = [B_2 | ... | B_k]; a block's B_1 is formed in the last pass
-        later = np.empty((n, (k - 1) * d))
-        if k > 1:
-            later[:, (k - 2) * d:] = coeffs[k] * g
-        for p in range(k - 1, 1, -1):
-            later[:, (p - 2) * d:(p - 1) * d] = coeffs[p] * g + _ridged_product(
-                kernel, later[:, (p - 1) * d:p * d] / r[:, None]
-            )
-        if k > 1:
-            u = later[:, :d] / r[:, None]  # S^T B_2 = (C + ridge I) u
-        y_prev = np.hstack(ys[:k])
-        right = np.hstack([zk, a])
-        g_a = np.zeros_like(a)
-        g_k = np.zeros((latent, latent))
-        block = np.empty((min(_BLOCK_ROWS, n), n))  # a block's C, then its ds
-        mask = np.empty(block.shape, dtype=bool)
-        for rows in _row_blocks(n):
-            m = rows.stop - rows.start
-            c = _gram_rows(kernel, rows, block[:m])
-            positive = np.greater(c, 0.0, out=mask[:m])
-            b_1 = coeffs[1] * g[rows]
-            if k > 1:
-                b_1 = b_1 + c @ u + _RIDGE * u[rows]
-            left = np.hstack([b_1, later[rows]])
-            t = np.einsum("ij,ij->i", left, np.hstack([y[rows] for y in ys[1:]]))
-            ds = np.matmul(left, y_prev.T, out=c)
-            ds -= t[:, None]
-            ds *= positive
-            ds /= r[rows, None]
-            prod = ds @ right
-            g_a[rows] += prod[:, :latent]
-            g_a += ds.T @ zk[rows]
-            g_k += a[rows].T @ prod[:, latent:]
+        left = np.empty((n, k * d + 1))  # [B_1 | ... | B_k | -t] / r
+        t = np.zeros(n)
+        for p in range(k, 0, -1):
+            b = np.multiply(coeffs[p], g, out=left[:, (p - 1) * d:p * d])
+            if p < k:
+                b += _ridged_product(kernel, left[:, p * d:(p + 1) * d])
+            t += np.einsum("ij,ij->i", b, ys[p])
+            b /= r[:, None]
+        left[:, -1] = -t / r
+        right = np.hstack([*ys[:k], np.ones((n, 1))])
+        g_zk, g_a = _gradient_walk(kernel, left, right)
+        g_a += g_zk @ kernel.xtx
+        g_k = kernel.z_a.data.T @ g_zk
         return g_a, kernel.z_x.data @ (g_k + g_k.T)
 
     return Tensor._from_op(h, (kernel.z_a, kernel.z_x), backward)

@@ -9,7 +9,7 @@ epoch already encoded: the factored MSE or the row-blocked BCE, neither of
 which forms the n x n decode.
 Each view's kernel and hybrid filter are one autograd op: ``joint_aggregation_t``
 returns the factored kernel and ``apply_filter_t`` evaluates the filter
-polynomial on it in row blocks of the Gram matrix ``z_a (z_x^T z_x) z_a^T``,
+polynomial on it in tiles of the Gram matrix ``z_a (z_x^T z_x) z_a^T``,
 O(n^2 (l + d)) per product, so no n x n array is formed in the joint epochs
 and the kernel's gradients are kept at every size. Only the KL term needs
 them, so with ``gamma_kl`` at 0, or ``detach_s`` set (off by default), the

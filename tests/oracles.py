@@ -357,7 +357,7 @@ def oracle_joint_aggregation_t(z_a, z_x):
 
     The dense ``z = z_a z_x^T``, the O(n^3) Gram ``z z^T``, the clamp, a dense
     ridge and the row normalization: the reference for the factored,
-    row-blocked op in ``gfclust.filters``.
+    tiled op in ``gfclust.filters``.
     """
     z = lift(z_a) @ lift(z_x).T
     s = z @ z.T

@@ -12,6 +12,7 @@ from gfclust import (
     save_dataset,
     training,
 )
+from gfclust import cli
 from gfclust.cli import _build_parser, _train_config, main
 from gfclust.encoders import encode_t
 from gfclust.spectral import compare_spectra
@@ -312,6 +313,22 @@ class TestSpectrumAndSynth:
         assert main(["synth", "--config", str(config), "--seed", "5", "--out", str(out2)]) == 0
         for name in ("manifest.json", "features.csv", "labels.csv", "graph_0.txt", "graph_1.txt"):
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+
+    @pytest.mark.parametrize("extra, flags, message", [
+        ({"epoch": 5}, [], "unknown config keys: epoch"),
+        ({"epoch": 5, "encoder": {"latent_dim": "x"}}, [], "latent_dim must be an integer, got 'x'"),
+        ({"variant": "no_kl"}, [], "config key 'variant' is read by ablate only, not by synth"),
+        ({}, ["--epochs", "-1"], "epochs must be >= 0, got -1"),
+        ({}, ["--order", "0"], "order must be >= 1, got 0"),
+    ], ids=["unknown-key", "bad-encoder-value", "variant", "epochs-flag", "order-flag"])
+    def test_synth_refuses_what_run_refuses_before_generating(self, tmp_path, capsys, monkeypatch,
+                                                              extra, flags, message):
+        monkeypatch.setattr(cli, "generate_synthetic", _must_not_run)
+        config = base_config(tmp_path, **extra)
+        out = tmp_path / "ds"
+        assert main(["synth", "--config", str(config), "--out", str(out), *flags]) == 1
+        assert not (out / "manifest.json").exists()
+        assert capsys.readouterr().err == f"error: {message}\n"
 
     def test_spectrum_emits_two_csvs_per_view(self, tmp_path, capsys):
         config = base_config(tmp_path)

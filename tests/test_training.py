@@ -474,18 +474,20 @@ class TestConcurrentViews:
 
     @needs_two_cpus
     def test_two_views_walk_their_backward_branches_at_once(self, monkeypatch):
-        # n < 128, so each view's kernel backward forms one row block per step
+        # each view's kernel backward makes one gradient walk per step
         g = tiny_two_view()
         expected = train(g, fast_config()).to_dict()
         barrier = threading.Barrier(2, timeout=10)
-        real = filters._gram_rows
+        real, caller, arrived = filters._gradient_walk, threading.current_thread(), []
 
         def both_branches_arrive(*args):
+            arrived.append(threading.current_thread() is caller)
             barrier.wait()
             return real(*args)
 
-        monkeypatch.setattr(filters, "_gram_rows", both_branches_arrive)
+        monkeypatch.setattr(filters, "_gradient_walk", both_branches_arrive)
         assert train(g, fast_config()).to_dict() == expected
+        assert arrived.count(True) == arrived.count(False) > 0
 
     @pytest.mark.parametrize("case", ["three-views", "default", "detach_s", "raw_adjacency",
                                       "no-kl"])
@@ -528,11 +530,12 @@ class TestConcurrentViews:
     def test_a_failing_branch_is_raised_before_adam_steps(self, monkeypatch, failing):
         pipeline = TrainingPipeline(tiny_two_view(), fast_config())
         before = [p.data.copy() for p in pipeline.parameters()]
-        real, caller = filters._gram_rows, threading.current_thread()
-        view_one_failed = threading.Event()
+        real, caller = filters._gradient_walk, threading.current_thread()
+        view_one_failed, walked = threading.Event(), []
 
         def fails(*args):
             view = 0 if threading.current_thread() is caller else 1
+            walked.append(view)
             if view not in failing:
                 return real(*args)
             if view == 0:
@@ -541,9 +544,10 @@ class TestConcurrentViews:
                 view_one_failed.set()
             raise RuntimeError(f"view {view} failed")
 
-        monkeypatch.setattr(filters, "_gram_rows", fails)
+        monkeypatch.setattr(filters, "_gradient_walk", fails)
         with pytest.raises(RuntimeError, match=f"view {failing[0]} failed"):
             pipeline._step(0)
+        assert sorted(walked) == [0, 1]
         assert pipeline.optimizer.t == 0 and pipeline.epoch_records == []
         for p, data in zip(pipeline.parameters(), before):
             assert np.array_equal(p.data, data)
