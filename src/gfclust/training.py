@@ -17,11 +17,13 @@ op runs forward only, under ``no_grad``. The ``raw_adjacency`` ablation
 filters with each view's random-walk matrix, a constant, so the pipeline
 builds each view's Krylov basis ``S x .. S^k x`` of the features once, on
 construction, and keeps the basis, not the walk matrix: its forward passes
-run no walk product, and its untaped forwards encode nothing, since the
-raw filter reads no embedding. ``update_hr`` reads the graph's CSR views.
-Pseudo-labels, homophily ratios and cluster centers are constants between
-refreshes. ``pretrain`` trains every view's autoencoders and nothing else,
-which is all ``gfclust spectrum`` needs. ``TrainingPipeline`` owns the
+run no walk product. Its filter reads no embedding, and its ``h`` depends
+only on ``hr``, so nothing an autoencoder learns could reach its result:
+the raw path builds no autoencoders, encodes nothing, computes no loss and
+takes no backward or optimizer step. ``update_hr`` reads the graph's CSR
+views. Pseudo-labels, homophily ratios and cluster centers are constants
+between refreshes. ``pretrain`` trains every view's autoencoders and nothing
+else, which is all ``gfclust spectrum`` needs. ``TrainingPipeline`` owns the
 whole run: pretraining and the bootstrap clustering on construction, then
 ``fit`` runs the joint epochs with its own Adam optimizer, the refresh
 cadence, the divergence check and the epoch records, and ends with the final
@@ -91,6 +93,11 @@ __all__ = [
 
 @dataclass
 class TrainConfig:
+    """Settings of one run. With ``filter.matrix_source == "raw_adjacency"``
+    nothing is trained, so ``gamma_rec``, ``gamma_kl``, ``encoder`` and
+    ``learning_rate`` have no effect there (the ``no_rec`` and ``no_kl``
+    ablations are identities on that path)."""
+
     epochs: int = 200
     hr_refresh_interval: int = 5
     rho: float = 1.0
@@ -130,7 +137,9 @@ class TrainReport:
 
     ``state`` carries the final FusionState for downstream use; it is not part
     of the serialized report. ``final`` is None in the partial report a
-    ``DivergenceError`` carries.
+    ``DivergenceError`` carries. The ``raw_adjacency`` ablation trains
+    nothing, so its ``pretrain`` is empty and every epoch's ``l_rec``,
+    ``l_kl`` and ``l_total`` is None; its ``hr`` and ``weights`` are kept.
     """
 
     epochs: list
@@ -144,9 +153,9 @@ class TrainReport:
 
 @dataclass
 class _Forward:
-    loss: Tensor | None
-    l_rec: float
-    l_kl: float
+    loss: Tensor | None  # None, as are l_rec and l_kl, when no loss was computed
+    l_rec: float | None
+    l_kl: float | None
     h_views: list
     h_bar: Tensor
     weights: np.ndarray
@@ -224,8 +233,11 @@ class TrainingPipeline:
     """Owns the per-view autoencoders, the optimizer and the epoch loop.
 
     Construction pretrains every view and bootstraps the first pseudo-labels;
-    ``fit`` runs the joint epochs. The gradient checks drive ``epoch_forward``
-    directly with frozen targets.
+    ``fit`` runs the joint epochs. On the ``raw_adjacency`` path construction
+    builds each view's Krylov basis instead, and there are no autoencoders
+    (``models`` is None) and no optimizer: each joint epoch is a forward pass
+    and its record. The gradient checks drive ``epoch_forward`` directly with
+    frozen targets.
 
     Raises:
         ValueError: a view has no edges, so its homophily ratio is undefined;
@@ -245,21 +257,21 @@ class TrainingPipeline:
 
         self.x_const = Tensor(g.features)
         self.raw_bases = None  # per view, the Krylov basis of its walk matrix
+        self.models, self.pretrain_history, self.optimizer = None, [], None
         if cfg.filter.matrix_source == "raw_adjacency":
             # each walk matrix lives only until its basis is built
             self.raw_bases = [
                 krylov_basis(random_walk_normalize(a), self.x_const.data, cfg.filter.order)
                 for a in g.adjacencies
             ]
-
-        self.models, self.pretrain_history = pretrain(g, cfg)
+        else:
+            self.models, self.pretrain_history = pretrain(g, cfg)
+            lr = cfg.learning_rate if cfg.learning_rate is not None else cfg.encoder.learning_rate
+            self.optimizer = Adam(self.parameters(), lr=lr)
         self.epoch_records = []
         with self._report_on_divergence():
             self.hr = [cfg.filter.hr] * g.n_views
             self._bootstrap()
-
-        lr = cfg.learning_rate if cfg.learning_rate is not None else cfg.encoder.learning_rate
-        self.optimizer = Adam(self.parameters(), lr=lr)
 
     @contextmanager
     def _report_on_divergence(self):
@@ -344,7 +356,7 @@ class TrainingPipeline:
 
     def parameters(self) -> list:
         out = []
-        for params_x, params_a in self.models:
+        for params_x, params_a in self.models or ():
             out.extend(params_x.parameters())
             out.extend(params_a.parameters())
         return out
@@ -359,7 +371,9 @@ class TrainingPipeline:
         the calling thread, and the terms are summed in view order, so the
         loss does not depend on the thread count. With the losses, each
         view's reconstruction terms and ``h`` come back as its backward
-        branch (``_Forward.branches``).
+        branch (``_Forward.branches``). On the ``raw_adjacency`` path a view's
+        part is its basis filtered at its ``hr``, and no loss is computed,
+        whatever ``with_losses`` says.
         ``targets`` freezes the sharpened targets (p per view, consensus p);
         left to None they are recomputed from the current soft assignments,
         which is what a training step uses.
@@ -368,11 +382,13 @@ class TrainingPipeline:
         taped_filter = cfg.gamma_kl > 0.0 and not self.detach_s  # only the KL term reads h
 
         def one_view(view):
+            filter_cfg = replace(cfg.filter, hr=self.hr[view])
+            if self.raw_bases is not None:
+                return (), apply_filter_t(self.raw_bases[view], self.x_const, filter_cfg)
             params_x, params_a = self.models[view]
             a = self.g.adjacencies[view]
-            if with_losses or self.raw_bases is None:  # the raw filter reads no embedding
-                z_x = encode_t(params_x, self.x_const)
-                z_a = encode_t(params_a, a)
+            z_x = encode_t(params_x, self.x_const)
+            z_a = encode_t(params_a, a)
             rec = ()
             if with_losses:
                 rec = (
@@ -380,11 +396,7 @@ class TrainingPipeline:
                     adjacency_loss_t(params_a, z_a, a, cfg.encoder.adjacency_loss),
                 )
             with nullcontext() if taped_filter else no_grad():
-                kernel = (
-                    joint_aggregation_t(z_a, z_x) if self.raw_bases is None
-                    else self.raw_bases[view]
-                )
-                h = apply_filter_t(kernel, self.x_const, replace(cfg.filter, hr=self.hr[view]))
+                h = apply_filter_t(joint_aggregation_t(z_a, z_x), self.x_const, filter_cfg)
             return rec, h
 
         per_view = _for_each_view(one_view, self.g.n_views)
@@ -392,8 +404,8 @@ class TrainingPipeline:
         h_views = [h for _, h in per_view]
         weights, h_bar = fuse_views_t(h_views, cfg.rho)
 
-        if not with_losses:
-            return _Forward(None, 0.0, 0.0, h_views, h_bar, weights, None, [])
+        if not with_losses or self.raw_bases is not None:
+            return _Forward(None, None, None, h_views, h_bar, weights, None, [])
 
         l_rec = rec_terms[0]
         for term in rec_terms[1:]:
@@ -459,16 +471,20 @@ class TrainingPipeline:
         neither; only the arrays a refresh needs are kept. A failure in a
         branch is raised, the first in view order, before Adam steps, so the
         parameters stay as they were, and no gradient is left behind.
+        A forward without a loss (the ``raw_adjacency`` path) is recorded
+        with null losses, and nothing is walked or stepped.
         """
         fwd = self.epoch_forward()
-        total = float(fwd.loss.data)
-        if not np.isfinite(total):
-            raise DivergenceError("loss became non-finite")
-        try:
-            fwd.loss.backward(branches=fwd.branches, for_each=_for_each_view)
-            self.optimizer.step()
-        finally:
-            self.optimizer.zero_grad()
+        total = None
+        if fwd.loss is not None:
+            total = float(fwd.loss.data)
+            if not np.isfinite(total):
+                raise DivergenceError("loss became non-finite")
+            try:
+                fwd.loss.backward(branches=fwd.branches, for_each=_for_each_view)
+                self.optimizer.step()
+            finally:
+                self.optimizer.zero_grad()
         self.epoch_records.append(
             {
                 "epoch": epoch,
@@ -485,10 +501,11 @@ class TrainingPipeline:
 def train(g: MultiViewGraph, cfg: TrainConfig) -> TrainReport:
     """Run the full pipeline and return the report (with the final state attached).
 
-    Stages: per-view autoencoder pretraining, bootstrap pseudo-labels from the
-    hybrid at ``cfg.filter.hr``, then ``cfg.epochs`` joint epochs with a
-    pseudo-label / hr / center refresh every ``cfg.hr_refresh_interval`` epochs,
-    and a final k-means on the consensus embedding (metrics only when labels exist).
+    Stages: per-view autoencoder pretraining (none on the ``raw_adjacency``
+    path), bootstrap pseudo-labels from the hybrid at ``cfg.filter.hr``, then
+    ``cfg.epochs`` joint epochs with a pseudo-label / hr / center refresh every
+    ``cfg.hr_refresh_interval`` epochs, and a final k-means on the consensus
+    embedding (metrics only when labels exist).
     Deterministic under ``cfg.seed``.
     """
     pipeline = TrainingPipeline(g, cfg)

@@ -22,7 +22,7 @@ from gfclust import (
     true_homophily_report,
     update_hr,
 )
-from gfclust.autograd import Tensor, no_grad, zero_grads
+from gfclust.autograd import Adam, Tensor, no_grad, zero_grads
 from gfclust.errors import ConfigError, DivergenceError
 from gfclust.training import TrainingPipeline
 
@@ -307,13 +307,49 @@ class TestRawAdjacencyBasis:
     @pytest.mark.parametrize("filter_cfg", [RAW, FilterConfig()], ids=["raw", "joint"])
     def test_only_the_kernel_path_encodes_in_an_untaped_forward(self, monkeypatch, filter_cfg):
         pipeline = TrainingPipeline(tiny_two_view(), fast_config(filter=filter_cfg))
-        taped = pipeline.epoch_forward()
         encoded = []
         monkeypatch.setattr(training, "encode_t", counting(encoded, training.encode_t))
+        taped = pipeline.epoch_forward()
+        # the raw path encodes nothing in its taped forward either
+        assert len(encoded) == (0 if filter_cfg is RAW else 4)
+        encoded.clear()
         with no_grad():
             untaped = pipeline.epoch_forward(with_losses=False)
         assert len(encoded) == (0 if filter_cfg is RAW else 4)
         assert np.array_equal(untaped.h_bar.data, taped.h_bar.data)
+
+    def test_the_raw_path_trains_nothing(self, monkeypatch):
+        pipeline = TrainingPipeline(tiny_two_view(), fast_config(filter=RAW))
+        assert pipeline.models is None and pipeline.optimizer is None
+        assert reachable(pipeline, lambda obj: isinstance(obj, Adam)
+                         or isinstance(obj, Tensor) and obj.requires_grad) == []
+
+        calls = {"pretrain_view": [], "encode_t": [], "backward": [], "step": []}
+        for owner, name in ((training, "pretrain_view"), (training, "encode_t"),
+                            (Tensor, "backward"), (Adam, "step")):
+            monkeypatch.setattr(owner, name, counting(calls[name], getattr(owner, name)))
+        report = train(tiny_two_view(), fast_config(filter=RAW))
+        assert calls == {"pretrain_view": [], "encode_t": [], "backward": [], "step": []}
+        assert report.pretrain == []
+        assert len(report.epochs) == fast_config().epochs
+        for record in report.epochs:
+            assert record["l_rec"] is None and record["l_kl"] is None
+            assert record["l_total"] is None
+            assert len(record["hr"]) == len(record["weights"]) == 2
+
+    @pytest.mark.parametrize("change", [
+        {"encoder": replace(FAST_ENCODER, epochs=0)},
+        {"encoder": replace(FAST_ENCODER, epochs=3)},
+        {"gamma_rec": 0.0},
+        {"gamma_kl": 0.0},
+        {"encoder": replace(FAST_ENCODER, latent_dim=2)},
+        {"encoder": replace(FAST_ENCODER, latent_dim=6)},
+    ], ids=["pretrain-0", "pretrain-3", "no-rec", "no-kl", "latent-2", "latent-6"])
+    def test_the_raw_report_does_not_depend_on_training_settings(self, change):
+        # against the fast config: 10 pretraining epochs, latent 4, gamma_rec 1, gamma_kl 0.1
+        g = tiny_two_view()
+        expected = train(g, fast_config(filter=RAW)).to_dict()
+        assert train(g, fast_config(filter=RAW, **change)).to_dict() == expected
 
 
 class TestDivergence:
@@ -489,13 +525,11 @@ class TestConcurrentViews:
         assert train(g, fast_config()).to_dict() == expected
         assert arrived.count(True) == arrived.count(False) > 0
 
-    @pytest.mark.parametrize("case", ["three-views", "default", "detach_s", "raw_adjacency",
-                                      "no-kl"])
+    @pytest.mark.parametrize("case", ["three-views", "default", "detach_s", "no-kl"])
     def test_branched_step_gives_the_bits_of_the_whole_walk(self, case):
         g = three_view_graph() if case == "three-views" else tiny_two_view()
         cfg = {
             "detach_s": fast_config(detach_s=True),
-            "raw_adjacency": fast_config(filter=FilterConfig(matrix_source="raw_adjacency")),
             "no-kl": fast_config(gamma_kl=0.0),
         }.get(case, fast_config())
         pipeline = TrainingPipeline(g, cfg)
@@ -512,12 +546,9 @@ class TestConcurrentViews:
                 assert np.array_equal(branched, p.grad)
         assert any(grad is not None for grad in stepped[0])
 
-    @pytest.mark.parametrize("case", ["default", "detach_s", "raw_adjacency"])
+    @pytest.mark.parametrize("case", ["default", "detach_s"])
     def test_a_branched_backward_consumes_the_whole_forward(self, case):
-        cfg = {
-            "detach_s": fast_config(detach_s=True),
-            "raw_adjacency": fast_config(filter=FilterConfig(matrix_source="raw_adjacency")),
-        }.get(case, fast_config())
+        cfg = fast_config(detach_s=True) if case == "detach_s" else fast_config()
         pipeline = TrainingPipeline(tiny_two_view(), cfg)
         fwd = pipeline.epoch_forward()
         fwd.loss.backward(branches=fwd.branches, for_each=training._for_each_view)
