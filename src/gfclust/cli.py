@@ -9,8 +9,8 @@ file's directory) or ``synthetic`` (an object of SyntheticSpec fields), and
 keys, the data source and ``out``; ``ablate`` reads ``variant`` too, which
 the other two refuse; ``synth`` reads ``synthetic``, ``out`` and ``name``.
 A key that no command reads, at any level, and a value out of its range
-fail with exit 1 before any data is read (``synth`` checks only the keys it
-reads).
+fail with exit 1 before any data is read; ``synth`` checks the training keys
+as ``run`` does, so it refuses what ``run`` refuses.
 Exit codes: 0 success, 1 configuration or data errors, 2 numeric divergence
 (``run`` and ``ablate`` still write the partial report, with ``"final": null``).
 """

@@ -1,12 +1,11 @@
-"""Per-view feature/adjacency autoencoders with full-batch Adam training.
+"""Per-view feature/adjacency autoencoders and their reconstruction losses.
 
 Each layer ``act(x @ W + b)`` is one autograd op that keeps only its output:
 the bias and the activation are applied in place, and the backward takes the
 activation's slope from that output. An autoencoder's input is a dense array
-or a scipy sparse matrix, which the first layer multiplies directly. A
-training step's backward walk consumes its tape, and the step releases its
-gradients once Adam has used them, so neither outlives the step. The
-adjacency autoencoder takes its graph as CSR (``adjacency_input``) and,
+or a scipy sparse matrix, which the first layer multiplies directly. The
+models are trained in ``training`` (``pretrain_view`` and the joint epochs).
+The adjacency autoencoder takes its graph as CSR (``adjacency_input``) and,
 under the default MSE loss, is scored by ``_factored_mse``: an exact
 expansion of ``mean((H W + 1 b^T - A)^2)`` over the decoder's last hidden
 layer ``H`` that costs O(n h^2 + |E| h) and never forms the n x n decode.
@@ -24,8 +23,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import sparse
 
-from .autograd import Adam, Tensor, as_tensor
-from .errors import ConfigError, DivergenceError, check_integers, check_reals
+from .autograd import Tensor, as_tensor
+from .errors import ConfigError, check_integers, check_reals
 from .filters import _row_blocks
 
 __all__ = [
@@ -35,9 +34,6 @@ __all__ = [
     "encode_t",
     "adjacency_input",
     "adjacency_loss_t",
-    "reconstruction_loss_t",
-    "train_autoencoder",
-    "pretrain_view",
 ]
 
 _ACTIVATIONS = ("tanh", "relu", "linear")
@@ -319,85 +315,13 @@ def _blocked_bce(h: Tensor, w: Tensor, b: Tensor, a) -> Tensor:
 def adjacency_loss_t(params: AutoEncoderParams, z: Tensor, a, loss: str = "mse") -> Tensor:
     """The adjacency autoencoder's reconstruction loss of the sparse ``a`` from
     its latent ``z``: the factored MSE (``_factored_mse``), or for ``"bce"``
-    the row-blocked binary cross-entropy of the decoder's logits."""
+    the row-blocked binary cross-entropy of the decoder's logits.
+
+    Raises:
+        ValueError: ``a`` is dense.
+    """
+    if not sparse.issparse(a):
+        raise ValueError("the adjacency loss scores a sparse adjacency, as adjacency_input gives it")
     *hidden, (w, b) = params.decoder_layers
     h = _hidden_forward(hidden, params.activation, z)
     return (_factored_mse if loss == "mse" else _blocked_bce)(h, w, b, a)
-
-
-def reconstruction_loss_t(params: AutoEncoderParams, data, loss: str = "mse") -> Tensor:
-    """Reconstruction loss of ``data``: ``adjacency_loss_t`` when ``data`` is
-    sparse, which neither loss decodes densely; the dense decode's MSE otherwise.
-
-    Raises:
-        ValueError: BCE of a dense ``data``.
-    """
-    z = encode_t(params, data)
-    if sparse.issparse(data):
-        return adjacency_loss_t(params, z, data, loss)
-    if loss == "bce":
-        raise ValueError("BCE scores a sparse adjacency, as adjacency_input gives it")
-    return mse_t(decode_t(params, z), data)
-
-
-def train_autoencoder(
-    params: AutoEncoderParams,
-    data: np.ndarray,
-    epochs: int,
-    learning_rate: float,
-    loss: str = "mse",
-) -> list:
-    """Full-batch Adam on one autoencoder, in place. Returns the loss history.
-
-    The forward pass runs with numpy's overflow warnings off: an overflow
-    shows as a non-finite loss, which raises DivergenceError. Each step
-    releases its gradients once Adam has used them, so the trained
-    parameters hold no ``grad``.
-    """
-    opt = Adam(params.parameters(), lr=learning_rate)
-    return [_train_step(params, opt, data, loss, epoch) for epoch in range(epochs)]
-
-
-def _train_step(params: AutoEncoderParams, opt: Adam, data, loss: str, epoch: int) -> float:
-    """One Adam step on the reconstruction loss.
-
-    The backward walk consumes the epoch's tape, freeing what each op kept as
-    its backward runs, and the gradients are released right after Adam has
-    used them, so the step leaves neither behind for the next epoch's forward.
-    """
-    with np.errstate(over="ignore", invalid="ignore"):
-        value = reconstruction_loss_t(params, data, loss=loss)
-    if not np.isfinite(value.data):
-        raise DivergenceError(f"autoencoder loss diverged at epoch {epoch}", last_epoch=epoch - 1)
-    value.backward()
-    opt.step()
-    opt.zero_grad()
-    return float(value.data)
-
-
-def pretrain_view(x: np.ndarray, a: np.ndarray, config: EncoderConfig, seed: int):
-    """Init and train one view's two autoencoders from ``seed``; returns the
-    combined history.
-
-    ``a`` is dense or sparse; it is trained on as ``adjacency_input`` gives
-    it, so under either loss no n x n array is formed. The two stacks are
-    independent, so the returned per-epoch history is the elementwise sum of
-    their reconstruction losses. ``training.pretrain`` makes one call per
-    view, concurrently: a call only reads ``x`` and ``a`` and writes nothing
-    but the parameters it creates, so its result is the same on any thread.
-    """
-    x = np.asarray(x, dtype=np.float64)
-    a = adjacency_input(a)
-    hidden = config.resolved_hidden_dim()
-    seed_x, seed_a = np.random.SeedSequence(seed).spawn(2)
-    params_x = init_autoencoder(
-        x.shape[1], config.latent_dim, hidden, np.random.default_rng(seed_x), config.activation
-    )
-    params_a = init_autoencoder(
-        a.shape[1], config.latent_dim, hidden, np.random.default_rng(seed_a), config.activation
-    )
-    hist_x = train_autoencoder(params_x, x, config.epochs, config.learning_rate)
-    hist_a = train_autoencoder(
-        params_a, a, config.epochs, config.learning_rate, loss=config.adjacency_loss
-    )
-    return params_x, params_a, [hx + ha for hx, ha in zip(hist_x, hist_a)]

@@ -13,7 +13,7 @@ A constant kernel filtering a constant signal has constant powers
 ``KrylovBasis`` that ``krylov_basis`` builds once, after which the matrix
 itself can be dropped (the SGC / SIGN precomputation). ``apply_filter_t``
 combines a basis with any filter's coefficients and runs no product; a
-dense or sparse matrix passed to it goes through the same builder first.
+dense or sparse matrix passed to it raises ``TypeError``: build its basis first.
 
 The joint aggregation kernel stays factored: ``joint_aggregation_t`` returns
 a ``JointKernel`` holding ``z_a``, ``z_x``, ``K = z_x^T z_x`` and

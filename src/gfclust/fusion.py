@@ -31,7 +31,7 @@ import numpy as np
 
 from .autograd import Tensor
 from .errors import NumericsWarning
-from .graphs import MultiViewGraph, check_one_hot, homophily_ratio
+from .graphs import MultiViewGraph, homophily_ratio
 
 __all__ = [
     "evaluate_view_t",
@@ -188,9 +188,9 @@ def fuse_views_t(embeddings: list, rho: float):
 
 
 def update_hr(g: MultiViewGraph, pseudo_one_hot: np.ndarray) -> list:
-    """Per-view homophily ratio under the current pseudo-labels, from the CSR views."""
-    pseudo = check_one_hot(pseudo_one_hot)
-    return [homophily_ratio(a, pseudo) for a in g.adjacencies]
+    """Per-view homophily ratio under the current pseudo-labels, from the CSR
+    views; ``homophily_ratio`` checks that the pseudo-labels are one-hot."""
+    return [homophily_ratio(a, pseudo_one_hot) for a in g.adjacencies]
 
 
 def soft_assignment_t(h: Tensor, centers: np.ndarray) -> Tensor:

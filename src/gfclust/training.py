@@ -23,19 +23,24 @@ the raw path builds no autoencoders, encodes nothing, computes no loss and
 takes no backward or optimizer step. ``update_hr`` reads the graph's CSR
 views. Pseudo-labels, homophily ratios and cluster centers are constants
 between refreshes. ``pretrain`` trains every view's autoencoders and nothing
-else, which is all ``gfclust spectrum`` needs. ``TrainingPipeline`` owns the
+else, which is all ``gfclust spectrum`` needs: each view runs
+``pretrain_view``, one Adam over both of its autoencoders, on the same
+``encode_t``, ``decode_t``, ``mse_t`` and ``adjacency_loss_t`` the joint
+epochs score their reconstruction terms with. ``TrainingPipeline`` owns the
 whole run: pretraining and the bootstrap clustering on construction, then
 ``fit`` runs the joint epochs with its own Adam optimizer, the refresh
 cadence, the divergence check and the epoch records, and ends with the final
 clustering. A ``DivergenceError`` from either stage carries the partial
 report so far (``"final": null``); one from the joint stage names its epoch
 and sets ``last_epoch`` to the last epoch recorded. The kernel raises it itself when the Gram matrix overflows.
-One tape is alive at a time, and its backward consumes it: each joint epoch
-runs in ``_step``, whose backward walk frees what each op kept once that
-op's backward has run, and which releases the gradients once Adam has used
-them. The bootstrap and final forwards, which nothing walks, run under
-``no_grad``, and a refresh re-clusters plain arrays (the consensus and the
-per-view embeddings), so an epoch never shares memory with an earlier tape.
+One tape is alive at a time, and its backward consumes it: a pretraining
+epoch walks its feature term before it scores its adjacency term, and each
+joint epoch runs in ``_step``, whose backward walk frees what each op kept
+once that op's backward has run, and which releases the gradients once Adam
+has used them. The bootstrap and final forwards, which nothing walks, run
+under ``no_grad``, and a refresh re-clusters plain arrays (the consensus and
+the per-view embeddings), so an epoch never shares memory with an earlier
+tape.
 The views are independent up to ``fuse_views_t``, so they run concurrently
 (``_for_each_view``): each view's pretraining, each view's part of a
 forward pass (its encoders, reconstruction terms, kernel and filter) and
@@ -71,11 +76,12 @@ from .autograd import Adam, Tensor, no_grad
 from .clustering import class_means, kmeans
 from .encoders import (
     EncoderConfig,
+    adjacency_input,
     adjacency_loss_t,
     decode_t,
     encode_t,
+    init_autoencoder,
     mse_t,
-    pretrain_view,
 )
 from .errors import ConfigError, DivergenceError, check_integers, check_reals
 from .filters import FilterConfig, apply_filter_t, joint_aggregation_t, krylov_basis
@@ -87,6 +93,7 @@ __all__ = [
     "FusionState",
     "TrainReport",
     "TrainingPipeline",
+    "pretrain_view",
     "pretrain",
     "train",
 ]
@@ -96,7 +103,13 @@ class TrainConfig:
     """Settings of one run. With ``filter.matrix_source == "raw_adjacency"``
     nothing is trained, so ``gamma_rec``, ``gamma_kl``, ``encoder`` and
     ``learning_rate`` have no effect there (the ``no_rec`` and ``no_kl``
-    ablations are identities on that path)."""
+    ablations are identities on that path).
+
+    ``detach_s`` runs the kernel and filter forward-only, so no gradient
+    reaches the encoders through the KL term: it trains exactly what
+    ``gamma_kl=0`` (the ``no_kl`` ablation) trains, with the KL value still
+    computed and logged in each epoch's ``l_kl`` and ``l_total``. Its quality
+    figures are those of ``no_kl``."""
 
     epochs: int = 200
     hr_refresh_interval: int = 5
@@ -194,6 +207,56 @@ def _for_each_view(fn, n_views: int) -> list:
     finally:
         pool.shutdown(wait=True, cancel_futures=True)
     return results
+
+
+def _walked(loss, epoch: int) -> float:
+    """Score ``loss()`` with numpy's overflow warnings off, raise DivergenceError
+    if it is not finite, and walk its backward; returns its value. An overflow
+    shows as a non-finite loss, and the walk consumes the tape."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        value = loss()
+    if not np.isfinite(value.data):
+        raise DivergenceError(f"autoencoder loss diverged at epoch {epoch}", last_epoch=epoch - 1)
+    value.backward()
+    return float(value.data)
+
+
+def pretrain_view(x: np.ndarray, a, config: EncoderConfig, seed: int) -> tuple:
+    """Init and train one view's two autoencoders from ``seed``; returns
+    ``(params_x, params_a, history)``.
+
+    One full-batch Adam runs over both autoencoders' parameters. Adam is
+    elementwise and the two parameter sets are disjoint, so its steps are
+    those of one Adam per autoencoder. Each epoch scores and walks the
+    feature term ``mse_t`` of the dense decode, then the adjacency term
+    ``adjacency_loss_t``, one tape at a time, takes one step and releases
+    the gradients, so the trained parameters hold no ``grad``; its history
+    entry is the sum of the two terms. ``a`` is dense or sparse; it is
+    trained on as ``adjacency_input`` gives it, so under either loss no
+    n x n array is formed. ``pretrain`` makes one call per view,
+    concurrently: a call only reads ``x`` and ``a`` and writes nothing but
+    the parameters it creates, so its result is the same on any thread.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    a = adjacency_input(a)
+    hidden = config.resolved_hidden_dim()
+    params_x, params_a = (
+        init_autoencoder(data.shape[1], config.latent_dim, hidden,
+                         np.random.default_rng(child), config.activation)
+        for data, child in zip((x, a), np.random.SeedSequence(seed).spawn(2))
+    )
+    opt = Adam(params_x.parameters() + params_a.parameters(), lr=config.learning_rate)
+    history = []
+    for epoch in range(config.epochs):
+        try:
+            l_x = _walked(lambda: mse_t(decode_t(params_x, encode_t(params_x, x)), x), epoch)
+            l_a = _walked(lambda: adjacency_loss_t(
+                params_a, encode_t(params_a, a), a, config.adjacency_loss), epoch)
+            opt.step()
+        finally:
+            opt.zero_grad()
+        history.append(l_x + l_a)
+    return params_x, params_a, history
 
 
 def pretrain(g: MultiViewGraph, cfg: TrainConfig) -> tuple:

@@ -7,8 +7,7 @@ import types
 import numpy as np
 
 from gfclust import MultiViewGraph
-from gfclust.autograd import Tensor, zero_grads
-from gfclust.encoders import reconstruction_loss_t
+from gfclust.autograd import Tensor
 from gfclust.fusion import fuse_views_t
 
 
@@ -59,15 +58,6 @@ def tiny_two_view(seed=0, n=24, c=3, d=5, p_in=0.5, p_out=0.05):
         size=(n, d)
     )
     return MultiViewGraph(features=features, adjacencies=adjacencies, n_clusters=c, labels=labels)
-
-
-def reconstruction_grads(params, batch, loss="mse"):
-    """Gradients of ``reconstruction_loss_t(params, batch, loss)``, one array per
-    parameter in ``params.parameters()`` order; zeros where none flows."""
-    tensors = params.parameters()
-    zero_grads(tensors)
-    reconstruction_loss_t(params, batch, loss=loss).backward()
-    return [np.zeros_like(p.data) if p.grad is None else np.array(p.grad) for p in tensors]
 
 
 def fuse(embeddings, rho):

@@ -16,10 +16,17 @@ from itertools import permutations
 import numpy as np
 from scipy import sparse
 
-from gfclust.autograd import Tensor, as_tensor
+from gfclust.autograd import Adam, Tensor, as_tensor
 from gfclust.datasets import _class_mean_matrix
-from gfclust.encoders import decode_t
-from gfclust.errors import NumericsWarning
+from gfclust.encoders import (
+    adjacency_input,
+    adjacency_loss_t,
+    decode_t,
+    encode_t,
+    init_autoencoder,
+    mse_t,
+)
+from gfclust.errors import DivergenceError, NumericsWarning
 from gfclust.fusion import _FUSE_MAX_ROUNDS, _FUSE_TOL, _LOG_FLOOR
 from gfclust.graphs import MultiViewGraph
 
@@ -536,6 +543,48 @@ class OracleAdam:
             m_hat = self.m[i] / (1.0 - b1 ** self.t)
             v_hat = self.v[i] / (1.0 - b2 ** self.t)
             p.data -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+
+
+def oracle_train_autoencoder(params, data, epochs, learning_rate, loss="mse"):
+    """Full-batch Adam on one autoencoder with an Adam of its own, in place;
+    returns the loss history. ``data`` is the dense features, scored by the
+    dense decode's MSE, or the sparse adjacency, scored by ``adjacency_loss_t``."""
+    opt = Adam(params.parameters(), lr=learning_rate)
+    history = []
+    for epoch in range(epochs):
+        with np.errstate(over="ignore", invalid="ignore"):
+            z = encode_t(params, data)
+            if sparse.issparse(data):
+                value = adjacency_loss_t(params, z, data, loss)
+            else:
+                value = mse_t(decode_t(params, z), data)
+        if not np.isfinite(value.data):
+            raise DivergenceError(f"autoencoder loss diverged at epoch {epoch}",
+                                  last_epoch=epoch - 1)
+        value.backward()
+        opt.step()
+        opt.zero_grad()
+        history.append(float(value.data))
+    return history
+
+
+def oracle_pretrain_view(x, a, config, seed):
+    """One view's pretraining as two independent Adam runs, the feature
+    autoencoder's to the end and then the adjacency autoencoder's; the
+    history is their elementwise sum. The reference for the one-Adam
+    ``gfclust.training.pretrain_view``."""
+    x = np.asarray(x, dtype=np.float64)
+    a = adjacency_input(a)
+    hidden = config.resolved_hidden_dim()
+    seed_x, seed_a = np.random.SeedSequence(seed).spawn(2)
+    params_x = init_autoencoder(x.shape[1], config.latent_dim, hidden,
+                                np.random.default_rng(seed_x), config.activation)
+    params_a = init_autoencoder(a.shape[1], config.latent_dim, hidden,
+                                np.random.default_rng(seed_a), config.activation)
+    hist_x = oracle_train_autoencoder(params_x, x, config.epochs, config.learning_rate)
+    hist_a = oracle_train_autoencoder(params_a, a, config.epochs, config.learning_rate,
+                                      loss=config.adjacency_loss)
+    return params_x, params_a, [hx + ha for hx, ha in zip(hist_x, hist_a)]
 
 
 def oracle_generate_synthetic(spec):

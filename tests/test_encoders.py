@@ -6,26 +6,23 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import sparse
 
-from gfclust import EncoderConfig, SyntheticSpec, filters, generate_synthetic, graphs
+from gfclust import EncoderConfig, SyntheticSpec, filters, generate_synthetic, graphs, training
 from gfclust.autograd import Adam, Tensor, zero_grads
 from gfclust.encoders import (
     AutoEncoderParams,
     _factored_mse,
     _layer,
-    _train_step,
     adjacency_input,
     adjacency_loss_t,
     decode_t,
     encode_t,
     init_autoencoder,
     mse_t,
-    pretrain_view,
-    reconstruction_loss_t,
-    train_autoencoder,
 )
 from gfclust.errors import ConfigError, DivergenceError
+from gfclust.training import pretrain_view
 
-from helpers import reconstruction_grads, tiny_two_view
+from helpers import tiny_two_view
 from oracles import (
     OracleTensor,
     oracle_adjacency_mse_t,
@@ -33,6 +30,7 @@ from oracles import (
     oracle_factored_mse,
     oracle_layer,
     oracle_mse_t,
+    oracle_pretrain_view,
 )
 
 RNG = np.random.default_rng(7)
@@ -109,11 +107,24 @@ class TestEncode:
         assert np.abs(encode_t(params, sparse.csr_array(x)).data - plain).max() <= 1e-12
 
 
+def feature_loss_t(params, x):
+    """The feature autoencoder's reconstruction loss as pretraining scores it:
+    the MSE of the dense decode."""
+    return mse_t(decode_t(params, encode_t(params, x)), x)
+
+
+def feature_grads(params, x):
+    """Gradients of ``feature_loss_t(params, x)``, one array per parameter in
+    ``params.parameters()`` order; zeros where none flows."""
+    return loss_and_grads(params, lambda: feature_loss_t(params, x))[1]
+
+
 def view_loss(params_x, params_a, x, a):
     """Both autoencoders' reconstruction losses, summed, on the inputs
     pretraining scores them on: the features, and the adjacency as CSR."""
-    return float(reconstruction_loss_t(params_x, x).data
-                 + reconstruction_loss_t(params_a, adjacency_input(a)).data)
+    a = adjacency_input(a)
+    return float(feature_loss_t(params_x, x).data
+                 + adjacency_loss_t(params_a, encode_t(params_a, a), a).data)
 
 
 class TestReconstructionLoss:
@@ -163,7 +174,7 @@ class TestGradient:
             decoder_layers=[layer(np.zeros((2, 2))), layer(np.zeros((2, 3)))],
             activation="linear",
         )
-        grads = reconstruction_grads(params, np.zeros((4, 3)))
+        grads = feature_grads(params, np.zeros((4, 3)))
         assert all(np.array_equal(g, np.zeros_like(g)) for g in grads)
 
     def test_scalar_linear_ae_matches_hand_derivative(self):
@@ -174,7 +185,7 @@ class TestGradient:
             decoder_layers=[layer([[w]])],
             activation="linear",
         )
-        grads = reconstruction_grads(params, x)
+        grads = feature_grads(params, x)
         # x_hat = w^2 x, loss = (w^2 x - x)^2, dL/dw = 2 (w^2 x - x) * 2 w x
         expected = 2 * (w * w * 1.3 - 1.3) * (2 * w * 1.3)
         total = grads[0][0, 0] + grads[2][0, 0]  # same w appears in both stacks
@@ -184,7 +195,7 @@ class TestGradient:
         rng = np.random.default_rng(3)
         params = init_autoencoder(4, 2, 3, rng, activation="tanh")  # < 200 parameters
         x = rng.normal(size=(6, 4))
-        grads = reconstruction_grads(params, x)
+        grads = feature_grads(params, x)
         h = 1e-5
         worst = 0.0
         for p, g in zip(params.parameters(), grads):
@@ -203,16 +214,21 @@ class TestGradient:
                 it.iternext()
         assert worst < 1e-4
 
-    def test_nonfinite_parameters_raise(self):
+    def test_nonfinite_parameters_raise(self, monkeypatch):
         # a NaN weight makes the first training step's loss NaN
-        params = init_autoencoder(3, 2, 3, RNG)
-        params.encoder_layers[0][0].data[0, 0] = np.nan
+        def with_a_nan(*args):
+            params = init_autoencoder(*args)
+            params.encoder_layers[0][0].data[0, 0] = np.nan
+            return params
+
+        monkeypatch.setattr(training, "init_autoencoder", with_a_nan)
+        cfg = EncoderConfig(latent_dim=2, hidden_dim=3, epochs=1)
         with pytest.raises(DivergenceError, match="epoch 0"):
-            train_autoencoder(params, np.ones((2, 3)), epochs=1, learning_rate=1e-3)
+            pretrain_view(np.ones((2, 3)), np.zeros((2, 2)), cfg, seed=0)
 
 
 def reconstruction_loss_value(params, x):
-    return float(reconstruction_loss_t(params, x).data)
+    return float(feature_loss_t(params, x).data)
 
 
 class TestTrainAutoencoders:
@@ -260,18 +276,30 @@ class TestTrainAutoencoders:
         assert all(p.grad is None for p in params_x.parameters() + params_a.parameters())
 
     def test_moving_average_loss_monotone(self):
-        rng = np.random.default_rng(6)
-        x = rng.normal(size=(20, 6))
-        params = init_autoencoder(6, 3, 8, rng)
-        history = np.array(train_autoencoder(params, x, epochs=80, learning_rate=1e-3))
+        x = np.random.default_rng(6).normal(size=(20, 6))
+        cfg = EncoderConfig(latent_dim=3, hidden_dim=8, epochs=80, learning_rate=1e-3)
+        history = np.array(pretrain_view(x, np.zeros((20, 20)), cfg, seed=6)[2])
         ma = np.convolve(history, np.ones(10) / 10.0, mode="valid")
         assert (np.diff(ma) <= 1e-6).all()
 
     def test_divergent_input_raises_with_epoch(self):
-        params = init_autoencoder(2, 1, 2, np.random.default_rng(0), activation="linear")
+        cfg = EncoderConfig(latent_dim=1, hidden_dim=2, activation="linear", epochs=5)
         with pytest.raises(DivergenceError) as err:
-            train_autoencoder(params, np.full((3, 2), 1e200), epochs=5, learning_rate=1e-3)
+            pretrain_view(np.full((3, 2), 1e200), np.zeros((3, 3)), cfg, seed=0)
         assert err.value.last_epoch == -1
+
+    @pytest.mark.parametrize("activation", ["tanh", "relu"])
+    @pytest.mark.parametrize("loss", ["mse", "bce"])
+    def test_one_adam_steps_as_one_adam_per_autoencoder(self, loss, activation):
+        g = tiny_two_view()
+        cfg = EncoderConfig(latent_dim=3, hidden_dim=6, epochs=25, activation=activation,
+                            adjacency_loss=loss, learning_rate=1e-2)
+        ours = pretrain_view(g.features, g.adjacencies[0], cfg, seed=5)
+        ref = oracle_pretrain_view(g.features, g.adjacencies[0], cfg, seed=5)
+        assert ours[2] == ref[2]
+        for model, oracle in zip(ours[:2], ref[:2]):
+            for p, q in zip(model.parameters(), oracle.parameters(), strict=True):
+                assert np.array_equal(p.data, q.data)
 
     def test_latent_larger_than_input_rejected(self):
         with pytest.raises(ConfigError):
@@ -373,11 +401,13 @@ class TestFactoredAdjacencyMse:
         rng = np.random.default_rng(4)
         a = random_graph(rng, 12, 2, 0.3)
         params = with_random_biases(init_autoencoder(14, 2, 5, rng), rng)
-        dense = float(reconstruction_loss_t(params, a).data)
-        factored = float(reconstruction_loss_t(params, sparse.csr_array(a)).data)
+        csr = sparse.csr_array(a)
+        factored, f_grads = loss_and_grads(
+            params, lambda: adjacency_loss_t(params, encode_t(params, csr), csr, "mse")
+        )
+        dense, d_grads = loss_and_grads(params, lambda: feature_loss_t(params, a))
         assert factored == pytest.approx(dense, rel=1e-12)
-        for g_csr, g_dense in zip(reconstruction_grads(params, sparse.csr_array(a)),
-                                  reconstruction_grads(params, a)):
+        for g_csr, g_dense in zip(f_grads, d_grads):
             assert np.allclose(g_csr, g_dense, rtol=1e-10, atol=1e-14)
 
     def test_repeated_entries_are_summed_before_scoring(self):
@@ -423,31 +453,45 @@ class TestFactoredAdjacencyMse:
             tracemalloc.stop()
         assert peak < 3 * 8 * n * n
 
-    def test_an_adjacency_step_frees_its_tape_and_its_gradients(self):
+    def test_an_adjacency_step_frees_its_tape_and_its_gradients(self, monkeypatch):
         # an AC2 view as in the benchmark's heterophilous workload, h = 64;
         # holding its whole tape until it returned, the step peaked at 7.4
         # n x h and left its 2 n x h weight gradients behind; consuming the
-        # tape, it peaks at 6.6 n x h and leaves none
+        # tape, it peaks at 6.6 n x h and leaves none (6.7 n x h for the
+        # whole pretraining epoch, with the feature term's gradients held)
         spec = SyntheticSpec(
             n_nodes=1200, n_clusters=4, n_views=1, n_features=32, mean_separation=6.0,
             p_in=0.005, p_out=0.1, noise_scale=0.5, mean_layout="paired",
             pair_separation=0.15, seed=0,
         )
-        a = adjacency_input(generate_synthetic(spec).adjacencies[0])
-        n, h = a.shape[0], 64
-        params = init_autoencoder(n, 16, h, np.random.default_rng(0))
-        opt = Adam(params.parameters(), lr=1e-3)
+        g = generate_synthetic(spec)
+        n, h = g.n_nodes, 64
+        cfg = EncoderConfig(latent_dim=16, hidden_dim=h, epochs=1)
+        # measured from the epoch's first encode, with the parameters, the
+        # optimizer and the inputs in place
+        opts, epoch_start, real_encode = [], [], training.encode_t
+
+        def first_encode_opens_the_epoch(params, data):
+            if not epoch_start:
+                epoch_start.append(tracemalloc.get_traced_memory()[0])
+                tracemalloc.reset_peak()
+            return real_encode(params, data)
+
+        def recorded_adam(*args, **kwargs):
+            opts.append(Adam(*args, **kwargs))
+            return opts[-1]
+
+        monkeypatch.setattr(training, "encode_t", first_encode_opens_the_epoch)
+        monkeypatch.setattr(training, "Adam", recorded_adam)
         tracemalloc.start()
         try:
-            before = tracemalloc.get_traced_memory()[0]
-            tracemalloc.reset_peak()
-            _train_step(params, opt, a, "mse", 0)
-            peak = tracemalloc.get_traced_memory()[1] - before
+            params_x, params_a, _ = pretrain_view(g.features, g.adjacencies[0], cfg, seed=0)
+            peak = tracemalloc.get_traced_memory()[1] - epoch_start[0]
         finally:
             tracemalloc.stop()
         assert peak < 7.0 * 8 * n * h
-        assert opt.t == 1
-        assert all(p.grad is None for p in params.parameters())
+        assert [opt.t for opt in opts] == [1]
+        assert all(p.grad is None for p in params_x.parameters() + params_a.parameters())
 
 
 class TestLayerOp:
@@ -532,7 +576,7 @@ class TestBlockedBce:
     def test_dense_data_is_rejected(self):
         params = init_autoencoder(4, 2, 3, np.random.default_rng(0))
         with pytest.raises(ValueError, match="sparse adjacency"):
-            reconstruction_loss_t(params, np.eye(4), loss="bce")
+            adjacency_loss_t(params, encode_t(params, np.eye(4)), np.eye(4), loss="bce")
 
     def test_adjacency_input_keeps_a_canonical_view(self):
         # the adjacency autoencoders and update_hr share the graph's CSR views

@@ -255,6 +255,11 @@ class TestUpdateHr:
         )
         assert update_hr(g, one_hot([0, 1, 0, 1], 2)) == [0.0]
 
+    def test_pseudo_labels_that_are_not_one_hot_are_refused(self):
+        g = tiny_two_view()
+        with pytest.raises(ValueError, match="exactly one 1 per row"):
+            update_hr(g, np.full((g.n_nodes, g.n_clusters), 1.0 / g.n_clusters))
+
 
 class TestSoftAssignment:
     def test_coincident_point_saturates(self):

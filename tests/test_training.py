@@ -223,6 +223,19 @@ class TestGradientsEndToEnd:
         # of the filter output carries gradient
         assert all(p.grad is None or np.allclose(p.grad, 0.0) for p in params)
 
+    def test_detach_s_trains_what_no_kl_trains(self):
+        # only the KL term reads the filter output, so detaching it leaves the
+        # reconstruction gradient alone: the KL value is all that differs
+        g = tiny_two_view()
+        detached = train(g, fast_config(detach_s=True)).to_dict()
+        no_kl = train(g, fast_config(gamma_kl=0.0)).to_dict()
+        assert detached["final"] == no_kl["final"]
+        assert detached["pretrain"] == no_kl["pretrain"]
+        for ours, ref in zip(detached["epochs"], no_kl["epochs"], strict=True):
+            for key in ("epoch", "l_rec", "hr", "weights"):
+                assert ours[key] == ref[key]
+            assert ref["l_kl"] == 0.0 and ours["l_kl"] > 0.0
+            assert ours["l_total"] != ref["l_total"]
 
     def test_default_keeps_kernel_gradients(self):
         g = tiny_two_view(seed=8, n=18, c=2, d=4)
@@ -277,6 +290,20 @@ def test_a_view_without_edges_is_refused_before_pretraining(monkeypatch):
     # pretraining alone, all that the spectrum needs, still runs on it
     models, _ = training.pretrain(g, fast_config())
     assert len(models) == 2 and len(pretrained) == 2
+
+
+def test_pretraining_scores_with_the_joint_epochs_ops(monkeypatch):
+    calls = {"encode_t": [], "decode_t": [], "mse_t": []}
+    for name in calls:
+        monkeypatch.setattr(training, name, counting(calls[name], getattr(training, name)))
+    g = tiny_two_view()
+    models, _ = training.pretrain(g, fast_config())
+    # per view and epoch: both encodes, the feature decode and its MSE
+    per_view = FAST_ENCODER.epochs
+    assert {name: len(seen) for name, seen in calls.items()} == {
+        "encode_t": 2 * 2 * per_view, "decode_t": 2 * per_view, "mse_t": 2 * per_view,
+    }
+    assert sum(params is models[0][0] for params in calls["encode_t"]) == per_view
 
 
 class TestRawAdjacencyBasis:
@@ -382,6 +409,27 @@ class TestDivergence:
         monkeypatch.setattr(training, "pretrain_view", second_view_diverges)
         with pytest.raises(DivergenceError, match="epoch 0") as err:
             train(g, fast_config())
+        assert err.value.report.to_dict() == {"epochs": [], "final": None, "pretrain": done[:1]}
+
+    def test_the_adjacency_term_diverging_first_names_its_epoch(self, monkeypatch):
+        g = tiny_two_view()
+        done = training.pretrain(g, fast_config())[1]
+        real, scored = training.adjacency_loss_t, []
+
+        def view_1_overflows_at_epoch_3(params, z, a, loss):
+            value = real(params, z, a, loss)
+            if np.shares_memory(a.data, g.adjacencies[1].data):
+                scored.append(value)
+                if len(scored) == 4:
+                    return float("inf") * value
+            return value
+
+        monkeypatch.setattr(training, "adjacency_loss_t", view_1_overflows_at_epoch_3)
+        with pytest.raises(DivergenceError, match="diverged at epoch 3$") as err:
+            training.pretrain(g, fast_config())
+        assert err.value.last_epoch == 2
+        # view 1 scored its adjacency term in epoch 3, after its feature term passed
+        assert len(scored) == 4
         assert err.value.report.to_dict() == {"epochs": [], "final": None, "pretrain": done[:1]}
 
     def test_partial_report_keeps_the_epochs_so_far(self):
