@@ -1,9 +1,9 @@
 """Lloyd k-means with k-means++ seeding, plus the four clustering metrics.
 
-ACC and macro-F1 are computed after an optimal cluster-to-class matching
-(Hungarian assignment on the contingency table), NMI uses arithmetic-mean
-normalization, and ARI follows the adjusted-for-chance pair-counting formula
-(negative values are legitimate).
+Every score reads one contingency table (Vinh, Epps & Bailey, JMLR 2010) of
+labels checked by ``errors.check_labels``. ACC and macro-F1 read it with its
+rows Hungarian-matched to the classes, NMI uses arithmetic-mean normalization,
+and ARI the adjusted-for-chance pair counts (negative values are legitimate).
 
 The Hungarian step is solved in this module (``_assignment``) rather than
 by ``scipy.optimize.linear_sum_assignment``: importing ``scipy.optimize``
@@ -18,6 +18,8 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
+
+from .errors import check_labels
 
 __all__ = [
     "ClusterAssignment",
@@ -154,15 +156,14 @@ def class_means(points: np.ndarray, labels: np.ndarray, c: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _contingency(pred: np.ndarray, truth: np.ndarray) -> np.ndarray:
-    pred = np.asarray(pred, dtype=np.int64)
-    truth = np.asarray(truth, dtype=np.int64)
-    if pred.shape != truth.shape or pred.ndim != 1:
-        raise ValueError("pred and truth must be 1-d arrays of equal length")
+def _contingency(pred, truth) -> np.ndarray:
+    """The k x k counts of each (predicted, true) label pair, k the largest
+    label of either plus one; both are checked by ``check_labels`` first."""
+    pred, truth = check_labels(pred, what="pred"), check_labels(truth, what="truth")
+    if pred.size != truth.size or not pred.size:
+        raise ValueError(f"pred and truth need one nonzero length, got {pred.size}, {truth.size}")
     k = int(max(pred.max(), truth.max())) + 1
-    table = np.zeros((k, k), dtype=np.int64)
-    np.add.at(table, (pred, truth), 1)
-    return table
+    return np.bincount(pred * k + truth, minlength=k * k).reshape(k, k)
 
 
 def _assignment(cost: np.ndarray) -> np.ndarray:
@@ -204,27 +205,34 @@ def _assignment(cost: np.ndarray) -> np.ndarray:
     return cols
 
 
-def match_clusters(pred: np.ndarray, truth: np.ndarray) -> np.ndarray:
-    """Relabel predicted clusters by the agreement-maximizing bijection.
-
-    Ties between equally good bijections are broken toward the one with the
+def _matched(pred, truth) -> tuple:
+    """``(mapping, table)``: each predicted cluster's class under the
+    agreement-maximizing bijection, and the contingency table with each
+    cluster's row moved to its class. Ties between such bijections go to the
     larger macro-F1 (the per-pair F1 is separable, so one assignment solves
-    the lexicographic objective); this keeps downstream scores invariant
-    under relabeling of the predicted clusters.
-    """
+    the lexicographic objective), which keeps the scores invariant under
+    relabeling of the predicted clusters."""
     table = _contingency(pred, truth)
     k = table.shape[0]
     sums = table.sum(axis=1, keepdims=True) + table.sum(axis=0, keepdims=True)
     pair_f1 = np.divide(2.0 * table, sums, out=np.zeros(table.shape), where=sums > 0)
     # the F1 sum of any bijection is below k + 1, so agreement ranks first
     mapping = _assignment(-(table.astype(np.float64) * (k + 1) + pair_f1))
+    matched = np.empty_like(table)
+    matched[mapping] = table
+    return mapping, matched
+
+
+def match_clusters(pred: np.ndarray, truth: np.ndarray) -> np.ndarray:
+    """Relabel predicted clusters by the bijection of ``_matched``."""
+    mapping, _ = _matched(pred, truth)
     return mapping[np.asarray(pred, dtype=np.int64)]
 
 
 def accuracy(pred: np.ndarray, truth: np.ndarray) -> float:
-    """Best agreement over all cluster-to-class bijections: that of ``match_clusters``."""
-    matched = match_clusters(pred, truth)
-    return float(np.count_nonzero(matched == np.asarray(truth, dtype=np.int64)) / len(pred))
+    """Best agreement over all cluster-to-class bijections: the matched table's trace / n."""
+    _, matched = _matched(pred, truth)
+    return float(np.trace(matched) / matched.sum())
 
 
 def nmi(pred: np.ndarray, truth: np.ndarray) -> float:
@@ -270,20 +278,10 @@ def ari(pred: np.ndarray, truth: np.ndarray) -> float:
 
 
 def macro_f1(pred: np.ndarray, truth: np.ndarray) -> float:
-    """Macro-averaged F1 after Hungarian matching of clusters to classes.
-
-    Averaged over the full label universe of the two inputs; classes absent
-    from the truth contribute an F1 of 0 unless also absent from the matched
-    predictions.
-    """
-    matched = match_clusters(pred, truth)
-    truth = np.asarray(truth, dtype=np.int64)
-    k = int(max(np.asarray(pred, dtype=np.int64).max(), truth.max())) + 1
-    scores = []
-    for cls in range(k):
-        tp = np.sum((matched == cls) & (truth == cls))
-        fp = np.sum((matched == cls) & (truth != cls))
-        fn = np.sum((matched != cls) & (truth == cls))
-        denom = 2 * tp + fp + fn
-        scores.append(2 * tp / denom if denom > 0 else 0.0)
+    """Macro-averaged F1 over the label universe of both inputs, the rows of the
+    matched table ``T``: class ``c`` scores ``2 T[c, c] / (row_c + col_c)``,
+    and 0 where it has no member on either side."""
+    _, matched = _matched(pred, truth)
+    denom = matched.sum(axis=1) + matched.sum(axis=0)
+    scores = np.divide(2 * np.diagonal(matched), denom, out=np.zeros(denom.size), where=denom > 0)
     return float(np.mean(scores))

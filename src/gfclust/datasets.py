@@ -4,11 +4,13 @@ Format: a JSON manifest pointing at a headerless comma-separated feature CSV,
 an optional one-label-per-line file, and one whitespace-separated 0-indexed
 undirected edge list per view ("i j" lines). Paths are relative to the
 manifest's directory. Loading parses each file with one ``np.loadtxt`` call
-and checks the parsed array as a whole. An edge list's sorted unique pairs
-become the view as the generator builds its views (``_symmetric_view``), with
-no n x n array and no copy; a repeated or reversed line is the same edge, and
-self-loop lines are dropped with a DataRepairWarning. Saving writes each
-view's edge lines a bounded chunk at a time.
+and checks the parsed array as a whole; the labels are checked where every
+graph's labels are, in ``MultiViewGraph`` (``errors.check_labels``). An edge
+list's sorted unique pairs become the view as the generator builds its views
+(``_symmetric_view``), with no n x n array and no copy; a repeated or
+reversed line is the same edge, and self-loop lines are dropped with a
+DataRepairWarning. Saving writes each view's edge lines a bounded chunk at a
+time.
 
 The synthetic generator draws each SBM view in row blocks and keeps only the
 upper-triangle hits, so it needs O(block n + |E|) memory, not O(n^2).
@@ -147,27 +149,11 @@ def load_dataset(manifest_path) -> MultiViewGraph:
             f"({manifest.n_nodes}, {manifest.n_features}) from manifest"
         )
 
-    labels = None
-    if manifest.label_file is not None:
-        raw = _load_matrix(base / manifest.label_file, "labels")
-        labels = raw.ravel()
-        if labels.size != manifest.n_nodes:
-            raise ValueError(f"labels length {labels.size} != {manifest.n_nodes} nodes")
-        if not np.array_equal(labels, labels.astype(np.int64)):
-            raise ValueError("labels must be integers")
-        labels = labels.astype(np.int64)
-
-    adjacencies = []
-    for view, graph_file in enumerate(manifest.graph_files):
-        adjacencies.append(_load_edges(base / graph_file, manifest.n_nodes, view))
-
-    return MultiViewGraph(
-        features=features,
-        adjacencies=adjacencies,
-        n_clusters=manifest.n_clusters,
-        labels=labels,
-        name=manifest.name,
-    )
+    label_file = manifest.label_file
+    labels = None if label_file is None else _load_matrix(base / label_file, "labels").ravel()
+    adjacencies = [_load_edges(base / graph_file, manifest.n_nodes, view)
+                   for view, graph_file in enumerate(manifest.graph_files)]
+    return MultiViewGraph(features, adjacencies, manifest.n_clusters, labels, name=manifest.name)
 
 
 def save_dataset(g: MultiViewGraph, out_dir, name: str | None = None) -> Path:

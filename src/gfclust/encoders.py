@@ -11,9 +11,10 @@ expansion of ``mean((H W + 1 b^T - A)^2)`` over the decoder's last hidden
 layer ``H`` that costs O(n h^2 + |E| h) and never forms the n x n decode.
 Binary cross-entropy (``adjacency_loss="bce"``) takes the same CSR view and is
 one op on row blocks of the logits ``H W + 1 b^T``, recomputed in the backward,
-so it holds O(block * n) scratch and no n x n array either;
-``adjacency_loss_t`` picks between the two. The feature autoencoder stays
-dense, since its d columns make the decode the cheaper form.
+so it holds O(block * n) scratch and no n x n array either, and reads its
+target from the view's stored entries; ``adjacency_loss_t`` picks between the
+two. The feature autoencoder stays dense, since its d columns make the
+decode the cheaper form.
 """
 
 from __future__ import annotations
@@ -262,13 +263,17 @@ _PROB_FLOOR = 1e-12
 def _bce_block(h, w, b, a, rows: slice) -> tuple:
     """Rows ``rows`` of the BCE's inputs: the mask of logits inside the clip,
     ``e = exp(-c)`` and ``q = 1 / (1 + e)`` for the clipped logits ``c`` of
-    ``H W + 1 b^T``, and the dense target rows ``a[rows]``."""
+    ``H W + 1 b^T``, and the flat positions in the block of ``a``'s stored
+    entries there, with their values."""
     logits = h[rows] @ w
     logits += b
     inside = np.abs(logits) <= _LOGIT_CLIP
     np.clip(logits, -_LOGIT_CLIP, _LOGIT_CLIP, out=logits)
     e = np.exp(np.negative(logits, out=logits), out=logits)
-    return inside, e, 1.0 / (1.0 + e), a[rows].toarray()
+    lo, hi = a.indptr[rows.start], a.indptr[rows.stop]
+    starts = np.arange(rows.stop - rows.start) * a.shape[1]
+    flat = np.repeat(starts, np.diff(a.indptr[rows.start : rows.stop + 1])) + a.indices[lo:hi]
+    return inside, e, 1.0 / (1.0 + e), flat, a.data[lo:hi]
 
 
 def _blocked_bce(h: Tensor, w: Tensor, b: Tensor, a) -> Tensor:
@@ -276,19 +281,23 @@ def _blocked_bce(h: Tensor, w: Tensor, b: Tensor, a) -> Tensor:
 
     Each term is ``t log(max(q, floor)) + (1 - t) log(max(1 - q, floor))``
     with ``q`` the sigmoid of the logit clipped to +-60 and ``floor = 1e-12``.
-    The forward keeps nothing but the scalar; the backward recomputes each
-    block and, with ``G`` the logits' gradient, accumulates ``dH[rows] = G
-    W^T``, ``dW`` and ``db``. The gradient of a term is the taped one: zero
-    outside the clip and through a floored log. ``a`` is sparse; only its rows
-    in one block are made dense at a time.
+    ``t`` is read from ``a``'s stored entries: a block's terms, and in the
+    backward their slopes, are filled with those of ``t = 0`` and then get
+    the ``t`` part at its stored entries, the dense target's values bit for
+    bit on a 0/1 view. The forward keeps only the scalar; the backward
+    recomputes each block and, with ``G`` the logits' gradient, accumulates
+    ``dH[rows] = G W^T``, ``dW`` and ``db``. The gradient of a term is the
+    taped one: zero outside the clip and through a floored log.
     """
     hd, wd, bd = h.data, w.data, b.data
     n, m = a.shape
     total = 0.0
     for rows in _row_blocks(n):
-        _, _, q, t = _bce_block(hd, wd, bd, a, rows)
-        terms = t * np.log(np.maximum(q, _PROB_FLOOR))
-        terms += (1.0 - t) * np.log(np.maximum(1.0 - q, _PROB_FLOOR))
+        _, _, q, flat, t = _bce_block(hd, wd, bd, a, rows)
+        terms = np.subtract(1.0, q)
+        np.log(np.maximum(terms, _PROB_FLOOR, out=terms), out=terms)
+        q_t, terms_t = q.reshape(-1)[flat], terms.reshape(-1)  # at the stored entries
+        terms_t[flat] = t * np.log(np.maximum(q_t, _PROB_FLOOR)) + (1.0 - t) * terms_t[flat]
         total += terms.sum()
     scale = 1.0 / (n * m)
 
@@ -297,10 +306,13 @@ def _blocked_bce(h: Tensor, w: Tensor, b: Tensor, a) -> Tensor:
         dw = np.zeros_like(wd)
         db = np.zeros_like(bd)
         for rows in _row_blocks(n):
-            inside, e, q, t = _bce_block(hd, wd, bd, a, rows)
+            inside, e, q, flat, t = _bce_block(hd, wd, bd, a, rows)
             omq = 1.0 - q
-            grad = t * (q >= _PROB_FLOOR) / np.maximum(q, _PROB_FLOOR)
-            grad -= (1.0 - t) * (omq >= _PROB_FLOOR) / np.maximum(omq, _PROB_FLOOR)
+            grad = (omq >= _PROB_FLOOR) / np.maximum(omq, _PROB_FLOOR)
+            np.subtract(0.0, grad, out=grad)  # the slope of t = 0, rounded alike
+            q_t, grad_t = q.reshape(-1)[flat], grad.reshape(-1)
+            grad_t[flat] = (t * (q_t >= _PROB_FLOOR) / np.maximum(q_t, _PROB_FLOOR)
+                            + (1.0 - t) * grad_t[flat])
             # dq/dc = e / (1 + e)^2 = (e q) q, and the loss is minus the mean
             grad *= (e * q) * q * inside
             grad *= -g * scale

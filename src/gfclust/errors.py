@@ -1,15 +1,21 @@
-"""Shared exception and warning types, and the one rule for config values.
+"""Shared exception and warning types, and one rule each for config values and labels.
 
 Each config and manifest dataclass checks its values where it is built,
 counts and seeds with ``check_integers`` and rates, weights and ratios with
 ``check_reals``, so a bad value fails with a ``ConfigError`` that names it
 before any data is read. ``from_mapping`` builds one from parsed JSON.
+
+Labels enter in ``MultiViewGraph``, ``one_hot`` and the clustering scores,
+and each checks them with ``check_labels``; integral floats, such as labels
+parsed from a CSV file, pass, while bools, fractions, NaN and negatives fail.
 """
 
 import dataclasses
 import math
 import numbers
 from collections.abc import Mapping
+
+import numpy as np
 
 
 class ConfigError(ValueError):
@@ -45,6 +51,20 @@ def check_reals(config, *names: str, low=-math.inf, high=math.inf, open_low=Fals
                 bound = (f"be {'>' if open_low else '>='} {low}" if high == math.inf
                          else f"lie in {'(' if open_low else '['}{low}, {high}]")
                 raise ConfigError(f"{name} must {bound}, got {item!r}")
+
+
+def check_labels(labels, n_classes=None, what: str = "labels") -> np.ndarray:
+    """``labels`` as a 1-d int64 array; ``ValueError`` naming ``what`` unless
+    they are 1-d, real but not bool, and finite, whole, non-negative and
+    below ``n_classes``, or without it below the int64 maximum."""
+    array = np.asarray(labels)
+    if array.ndim != 1 or array.dtype.kind not in "iuf":
+        raise ValueError(f"{what} must be a 1-d array of numbers, got {array.dtype} {array.shape}")
+    bound = np.iinfo(np.int64).max if n_classes is None else n_classes
+    if array.size and not (np.isfinite(array).all() and not (array % 1).any()
+                           and array.min() >= 0 and array.max() < bound):
+        raise ValueError(f"{what} must be finite whole numbers in the range [0, {bound})")
+    return np.asarray(array, dtype=np.int64)
 
 
 def from_mapping(cls, payload, what: str):

@@ -13,7 +13,8 @@ consumer that still makes dense n x n arrays: it raises ``ConfigError`` before
 the spectra allocate more than the process can use.
 
 Label one-hots are plain ``(n, c)`` float arrays with exactly one 1 per row;
-``one_hot`` / ``check_one_hot`` build and validate them.
+``one_hot`` / ``check_one_hot`` build and validate them. ``MultiViewGraph``
+and ``one_hot`` check integer labels with ``errors.check_labels``.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from pathlib import Path
 import numpy as np
 from scipy import sparse
 
-from .errors import ConfigError
+from .errors import ConfigError, check_integers, check_labels
 
 __all__ = [
     "MultiViewGraph",
@@ -46,7 +47,8 @@ class MultiViewGraph:
     canonical CSR (``_canonical_view``). Invariants (checked on construction):
     the features are finite; every adjacency is square, symmetric, binary
     with a zero diagonal and matches the feature row count; labels, when
-    present, are integers in ``[0, n_clusters)``.
+    present, pass ``check_labels`` with ``n_clusters`` classes and give one
+    label a node; ``n_clusters`` is an integer of at least 1 (``ConfigError``).
     """
 
     features: np.ndarray
@@ -56,6 +58,7 @@ class MultiViewGraph:
     name: str = field(default="", compare=False)
 
     def __post_init__(self):
+        check_integers(self, "n_clusters", low=1)
         features = np.asarray(self.features, dtype=np.float64)
         object.__setattr__(self, "features", features)
         if features.ndim != 2:
@@ -68,14 +71,10 @@ class MultiViewGraph:
             raise ValueError("at least one view adjacency is required")
         adjacencies = [_canonical_view(a, n, v) for v, a in enumerate(self.adjacencies)]
         object.__setattr__(self, "adjacencies", adjacencies)
-        if self.n_clusters < 1:
-            raise ValueError("n_clusters must be >= 1")
         if self.labels is not None:
-            labels = np.asarray(self.labels, dtype=np.int64)
-            if labels.shape != (n,):
-                raise ValueError(f"labels shape {labels.shape} != ({n},)")
-            if labels.min() < 0 or labels.max() >= self.n_clusters:
-                raise ValueError("labels out of range [0, n_clusters)")
+            labels = check_labels(self.labels, self.n_clusters)
+            if labels.size != n:
+                raise ValueError(f"{labels.size} labels for {n} nodes")
             object.__setattr__(self, "labels", labels)
 
     @property
@@ -149,12 +148,8 @@ def _to_canonical(a, n: int, v: int) -> tuple:
 
 
 def one_hot(labels, n_classes: int) -> np.ndarray:
-    """Encode integer labels as an ``(n, n_classes)`` 0/1 matrix."""
-    labels = np.asarray(labels, dtype=np.int64)
-    if labels.ndim != 1:
-        raise ValueError("labels must be 1-d")
-    if labels.size and (labels.min() < 0 or labels.max() >= n_classes):
-        raise ValueError(f"labels out of range [0, {n_classes})")
+    """Encode integer labels, checked by ``check_labels``, as an ``(n, n_classes)`` 0/1 matrix."""
+    labels = check_labels(labels, n_classes)
     out = np.zeros((labels.size, n_classes), dtype=np.float64)
     out[np.arange(labels.size), labels] = 1.0
     return out

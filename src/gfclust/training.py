@@ -3,10 +3,8 @@
 The per-epoch objective is assembled as one differentiable graph
 (reconstruction + KL alignment) whose gradients reach the encoder parameters
 through the joint aggregation kernel, the hybrid filter and the fusion weights.
-Each view's adjacency autoencoder reads the graph's own CSR view under either
-loss, and its reconstruction term is ``adjacency_loss_t`` on the ``z_a`` the
-epoch already encoded: the factored MSE or the row-blocked BCE, neither of
-which forms the n x n decode.
+Each view's adjacency term is ``adjacency_loss_t`` on the graph's own CSR
+view and the ``z_a`` the epoch already encoded, with no n x n decode.
 Each view's kernel and hybrid filter are one autograd op: ``joint_aggregation_t``
 returns the factored kernel and ``apply_filter_t`` evaluates the filter
 polynomial on it in tiles of the Gram matrix ``z_a (z_x^T z_x) z_a^T``,
@@ -22,17 +20,18 @@ only on ``hr``, so nothing an autoencoder learns could reach its result:
 the raw path builds no autoencoders, encodes nothing, computes no loss and
 takes no backward or optimizer step. ``update_hr`` reads the graph's CSR
 views. Pseudo-labels, homophily ratios and cluster centers are constants
-between refreshes. ``pretrain`` trains every view's autoencoders and nothing
-else, which is all ``gfclust spectrum`` needs: each view runs
-``pretrain_view``, one Adam over both of its autoencoders, on the same
-``encode_t``, ``decode_t``, ``mse_t`` and ``adjacency_loss_t`` the joint
-epochs score their reconstruction terms with. ``TrainingPipeline`` owns the
-whole run: pretraining and the bootstrap clustering on construction, then
-``fit`` runs the joint epochs with its own Adam optimizer, the refresh
-cadence, the divergence check and the epoch records, and ends with the final
-clustering. A ``DivergenceError`` from either stage carries the partial
-report so far (``"final": null``); one from the joint stage names its epoch
-and sets ``last_epoch`` to the last epoch recorded. The kernel raises it itself when the Gram matrix overflows.
+between refreshes. ``pretrain`` trains each view's two autoencoders with one
+Adam (``pretrain_view``) on the ops the joint epochs score them with, and
+nothing else, which is all ``gfclust spectrum`` needs. ``TrainingPipeline``
+owns the whole run: pretraining and the bootstrap clustering on
+construction, then ``fit`` runs the joint epochs with its own Adam
+optimizer, the refresh cadence, the divergence check and the epoch records,
+and ends with the final clustering. A ``DivergenceError`` from either stage
+carries the partial report so far (``"final": null``); one from the joint
+stage names its epoch and sets ``last_epoch`` to the last epoch recorded.
+The kernel raises it itself when the Gram matrix overflows. Both stages, and
+their view threads, run under one numerics guard (``_numerics_guard``), so
+an overflow shows only as a DivergenceError, never as a numpy warning.
 One tape is alive at a time, and its backward consumes it: a pretraining
 epoch walks its feature term before it scores its adjacency term, and each
 joint epoch runs in ``_step``, whose backward walk frees what each op kept
@@ -49,12 +48,9 @@ of the tape (the loss sums, the KL terms and the fusion) on the calling
 thread, down to each view's outputs, its two reconstruction terms and its
 filtered ``h``; each view's branch behind them (the filter's kernel
 backward and both encoders) is then walked on that view's thread, and a
-view's gradients land in its own parameters only. View 0
-runs on the calling thread and views 1.. on ``min(n_views, usable CPUs) - 1``
-worker threads, usable CPUs being the process's affinity mask. With BLAS
-pinned to one thread, the other cores are otherwise idle, and numpy and
-scipy release the GIL in their sparse and dense products and large ufuncs.
-With one usable CPU or one view everything runs inline. Fusion, the KL
+view's gradients land in its own parameters only. With BLAS pinned to one
+thread, the other cores are otherwise idle, and numpy and scipy release the
+GIL in their sparse and dense products and large ufuncs. Fusion, the KL
 terms, the top of the backward pass, Adam and k-means stay on the calling
 thread. A view's arithmetic does not depend on the thread that runs it, and
 its results are taken, and its loss terms summed, in view order, so a
@@ -72,6 +68,7 @@ from itertools import takewhile
 
 import numpy as np
 
+from . import clustering
 from .autograd import Adam, Tensor, no_grad
 from .clustering import class_means, kmeans
 from .encoders import (
@@ -209,12 +206,15 @@ def _for_each_view(fn, n_views: int) -> list:
     return results
 
 
+def _numerics_guard():
+    """numpy's overflow warnings off: training reports them as DivergenceError."""
+    return np.errstate(over="ignore", invalid="ignore")
+
+
 def _walked(loss, epoch: int) -> float:
-    """Score ``loss()`` with numpy's overflow warnings off, raise DivergenceError
-    if it is not finite, and walk its backward; returns its value. An overflow
-    shows as a non-finite loss, and the walk consumes the tape."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        value = loss()
+    """Score ``loss()``, raise DivergenceError if it is not finite, and walk
+    its backward; returns its value. The walk consumes the tape."""
+    value = loss()
     if not np.isfinite(value.data):
         raise DivergenceError(f"autoencoder loss diverged at epoch {epoch}", last_epoch=epoch - 1)
     value.backward()
@@ -247,15 +247,16 @@ def pretrain_view(x: np.ndarray, a, config: EncoderConfig, seed: int) -> tuple:
     )
     opt = Adam(params_x.parameters() + params_a.parameters(), lr=config.learning_rate)
     history = []
-    for epoch in range(config.epochs):
-        try:
-            l_x = _walked(lambda: mse_t(decode_t(params_x, encode_t(params_x, x)), x), epoch)
-            l_a = _walked(lambda: adjacency_loss_t(
-                params_a, encode_t(params_a, a), a, config.adjacency_loss), epoch)
-            opt.step()
-        finally:
-            opt.zero_grad()
-        history.append(l_x + l_a)
+    with _numerics_guard():
+        for epoch in range(config.epochs):
+            try:
+                l_x = _walked(lambda: mse_t(decode_t(params_x, encode_t(params_x, x)), x), epoch)
+                l_a = _walked(lambda: adjacency_loss_t(
+                    params_a, encode_t(params_a, a), a, config.adjacency_loss), epoch)
+                opt.step()
+            finally:
+                opt.zero_grad()
+            history.append(l_x + l_a)
     return params_x, params_a, history
 
 
@@ -332,7 +333,7 @@ class TrainingPipeline:
             lr = cfg.learning_rate if cfg.learning_rate is not None else cfg.encoder.learning_rate
             self.optimizer = Adam(self.parameters(), lr=lr)
         self.epoch_records = []
-        with self._report_on_divergence():
+        with self._report_on_divergence(), _numerics_guard():
             self.hr = [cfg.filter.hr] * g.n_views
             self._bootstrap()
 
@@ -511,7 +512,7 @@ class TrainingPipeline:
         ``last_epoch``, the last epoch recorded.
         """
         cfg = self.cfg
-        with self._report_on_divergence(), self._name_the_epoch():
+        with self._report_on_divergence(), self._name_the_epoch(), _numerics_guard():
             for epoch in range(cfg.epochs):
                 if epoch > 0 and epoch % cfg.hr_refresh_interval == 0:
                     self.refresh()
@@ -574,29 +575,16 @@ def train(g: MultiViewGraph, cfg: TrainConfig) -> TrainReport:
     pipeline = TrainingPipeline(g, cfg)
     final_fwd, labels, final_hr = pipeline.fit()
 
-    metrics = {"nmi": None, "ari": None, "acc": None, "f1": None}
-    if g.labels is not None:
-        from .clustering import accuracy, ari, macro_f1, nmi
-
-        metrics = {
-            "nmi": nmi(labels, g.labels),
-            "ari": ari(labels, g.labels),
-            "acc": accuracy(labels, g.labels),
-            "f1": macro_f1(labels, g.labels),
-        }
-    final = dict(metrics)
+    # the scores are looked up in their module when they are called
+    scores = {"nmi": clustering.nmi, "ari": clustering.ari, "acc": clustering.accuracy,
+              "f1": clustering.macro_f1}
+    final = {key: None if g.labels is None else score(labels, g.labels)
+             for key, score in scores.items()}
     final["hr"] = [float(h) for h in final_hr]
 
     state = FusionState(
-        per_view_embeddings=[h.data for h in final_fwd.h_views],
-        weights=final_fwd.weights,
-        consensus=final_fwd.h_bar.data,
-        labels_one_hot=one_hot(labels, g.n_clusters),
-        hr_per_view=[float(h) for h in final_hr],
+        per_view_embeddings=[h.data for h in final_fwd.h_views], weights=final_fwd.weights,
+        consensus=final_fwd.h_bar.data, labels_one_hot=one_hot(labels, g.n_clusters),
+        hr_per_view=list(final["hr"]),
     )
-    return TrainReport(
-        epochs=pipeline.epoch_records,
-        final=final,
-        pretrain=pipeline.pretrain_history,
-        state=state,
-    )
+    return TrainReport(pipeline.epoch_records, final, pipeline.pretrain_history, state=state)

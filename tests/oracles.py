@@ -17,6 +17,7 @@ import numpy as np
 from scipy import sparse
 
 from gfclust.autograd import Adam, Tensor, as_tensor
+from gfclust.clustering import match_clusters
 from gfclust.datasets import _class_mean_matrix
 from gfclust.encoders import (
     adjacency_input,
@@ -26,7 +27,9 @@ from gfclust.encoders import (
     init_autoencoder,
     mse_t,
 )
+from gfclust.encoders import _LOGIT_CLIP, _PROB_FLOOR
 from gfclust.errors import DivergenceError, NumericsWarning
+from gfclust.filters import _row_blocks
 from gfclust.fusion import _FUSE_MAX_ROUNDS, _FUSE_TOL, _LOG_FLOOR
 from gfclust.graphs import MultiViewGraph
 
@@ -359,6 +362,29 @@ def oracle_f1_candidates(pred, truth):
     return out
 
 
+def oracle_matched_accuracy(pred, truth):
+    """ACC as the share of ``match_clusters``'s relabeled predictions that equal
+    the truth: the formula the matched-table ``accuracy`` replaced."""
+    matched = match_clusters(pred, truth)
+    return float(np.count_nonzero(matched == np.asarray(truth, dtype=np.int64)) / len(pred))
+
+
+def oracle_matched_macro_f1(pred, truth):
+    """Macro-F1 by one mask pass per class over ``match_clusters``'s relabeled
+    predictions: the loop the matched-table ``macro_f1`` replaced."""
+    matched = match_clusters(pred, truth)
+    truth = np.asarray(truth, dtype=np.int64)
+    k = int(max(np.asarray(pred, dtype=np.int64).max(), truth.max())) + 1
+    scores = []
+    for cls in range(k):
+        tp = np.sum((matched == cls) & (truth == cls))
+        fp = np.sum((matched == cls) & (truth != cls))
+        fn = np.sum((matched != cls) & (truth == cls))
+        denom = 2 * tp + fp + fn
+        scores.append(2 * tp / denom if denom > 0 else 0.0)
+    return float(np.mean(scores))
+
+
 def oracle_joint_aggregation_t(z_a, z_x):
     """Joint aggregation kernel ``s_rw`` composed from plain taped ops.
 
@@ -445,6 +471,48 @@ def oracle_bce_t(logits, target):
     q = 1.0 / (1.0 + oracle_exp(oracle_clip(logits, -60.0, 60.0) * -1.0))
     t = OracleTensor(target)
     return (t * q.maximum(1e-12).log() + (1.0 - t) * (1.0 - q).maximum(1e-12).log()).mean() * -1.0
+
+
+def _dense_target_bce_block(h, w, b, a, rows):
+    logits = h[rows] @ w
+    logits += b
+    inside = np.abs(logits) <= _LOGIT_CLIP
+    np.clip(logits, -_LOGIT_CLIP, _LOGIT_CLIP, out=logits)
+    e = np.exp(np.negative(logits, out=logits), out=logits)
+    return inside, e, 1.0 / (1.0 + e), a[rows].toarray()
+
+
+def oracle_dense_target_bce(h, w, b, a):
+    """The row-blocked BCE op with each block's target made dense, ``a[rows]``,
+    and both log terms taken over every entry: the op that the stored-entry
+    form of ``gfclust.encoders._blocked_bce`` replaced, bit for bit."""
+    hd, wd, bd = h.data, w.data, b.data
+    n, m = a.shape
+    total = 0.0
+    for rows in _row_blocks(n):
+        _, _, q, t = _dense_target_bce_block(hd, wd, bd, a, rows)
+        terms = t * np.log(np.maximum(q, _PROB_FLOOR))
+        terms += (1.0 - t) * np.log(np.maximum(1.0 - q, _PROB_FLOOR))
+        total += terms.sum()
+    scale = 1.0 / (n * m)
+
+    def backward(g):
+        dh = np.empty_like(hd)
+        dw = np.zeros_like(wd)
+        db = np.zeros_like(bd)
+        for rows in _row_blocks(n):
+            inside, e, q, t = _dense_target_bce_block(hd, wd, bd, a, rows)
+            omq = 1.0 - q
+            grad = t * (q >= _PROB_FLOOR) / np.maximum(q, _PROB_FLOOR)
+            grad -= (1.0 - t) * (omq >= _PROB_FLOOR) / np.maximum(omq, _PROB_FLOOR)
+            grad *= (e * q) * q * inside
+            grad *= -g * scale
+            dh[rows] = grad @ wd.T
+            dw += hd[rows].T @ grad
+            db += grad.sum(axis=0)
+        return dh, dw, db
+
+    return Tensor._from_op(-(total * scale), (h, w, b), backward)
 
 
 def oracle_homophily_ratio(a, labels_one_hot):

@@ -3,11 +3,20 @@ from itertools import combinations, permutations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gfclust import accuracy, ari, kmeans, macro_f1, nmi, one_hot
-from gfclust.clustering import _assignment, class_means
+from gfclust.clustering import _assignment, _matched, class_means, match_clusters
 
-from oracles import oracle_accuracy, oracle_ari, oracle_f1_candidates, oracle_nmi
+from oracles import (
+    oracle_accuracy,
+    oracle_ari,
+    oracle_f1_candidates,
+    oracle_matched_accuracy,
+    oracle_matched_macro_f1,
+    oracle_nmi,
+)
 
 RNG = np.random.default_rng(33)
 
@@ -197,6 +206,64 @@ class TestMetricExamples:
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
             accuracy([0, 1], [0, 1, 2])
+
+
+METRICS = [accuracy, nmi, ari, macro_f1]
+
+
+class TestMetricInputs:
+    """Every score takes its labels through ``check_labels``."""
+
+    @pytest.mark.parametrize("score", METRICS)
+    @pytest.mark.parametrize("pred, truth, message", [
+        ([-1, 0, 1, 1], [0, 0, 1, 1], "pred must be"),  # -1 used to wrap to the last row
+        ([1.5, 0.2], [1, 0], "pred must be"),  # fractions used to be truncated
+        ([0, 1], [0, float("nan")], "truth must be"),
+        ([[0, 1]], [[0, 1]], "pred must be"),
+        ([True, False], [1, 0], "pred must be"),
+        ([], [], "nonzero length"),
+        ([0, 1], [0, 1, 1], "nonzero length"),
+    ], ids=["negative", "fractions", "nan", "2-d", "bool", "empty", "unequal"])
+    def test_refuses_what_is_not_a_labeling(self, score, pred, truth, message):
+        with pytest.raises(ValueError, match=message):
+            score(pred, truth)
+
+    @pytest.mark.parametrize("score", METRICS)
+    def test_integral_floats_score_as_integers(self, score):
+        pred, truth = [0, 0, 1, 2, 2, 1], [1, 1, 0, 2, 0, 0]
+        as_floats = (np.array(labels, dtype=float) for labels in (pred, truth))
+        assert score(*as_floats) == score(pred, truth)
+
+
+class TestMatchedTableScores:
+    """ACC and macro-F1 from the matched contingency table, bit for bit the
+    parent formulas over ``match_clusters``'s relabeled predictions."""
+
+    def test_random_labelings_equal_the_relabeling_formulas(self):
+        rng = np.random.default_rng(29)
+        for _ in range(1500):
+            n = int(rng.integers(1, 60))
+            # 1-6 labels a side, drawn from an offset range, so some labels go unused
+            pred = rng.integers(0, rng.integers(1, 7), size=n) + rng.integers(0, 3)
+            truth = rng.integers(0, rng.integers(1, 7), size=n)
+            assert accuracy(pred, truth) == oracle_matched_accuracy(pred, truth)
+            assert macro_f1(pred, truth) == oracle_matched_macro_f1(pred, truth)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(st.integers(0, 5), st.integers(0, 5)), min_size=1, max_size=40))
+    def test_any_labeling_equals_the_relabeling_formulas(self, pairs):
+        pred, truth = (np.array(side) for side in zip(*pairs))
+        assert accuracy(pred, truth) == oracle_matched_accuracy(pred, truth)
+        assert macro_f1(pred, truth) == oracle_matched_macro_f1(pred, truth)
+
+    def test_the_matched_table_rows_are_the_relabeled_clusters(self):
+        pred, truth = np.array([2, 2, 0, 1, 1, 1]), np.array([0, 0, 1, 2, 2, 1])
+        matched = _matched(pred, truth)[1]
+        relabeled = match_clusters(pred, truth)
+        for c in range(3):
+            assert matched[c].tolist() == [
+                np.count_nonzero((relabeled == c) & (truth == t)) for t in range(3)
+            ]
 
 
 def assignment_cost(cost, cols):

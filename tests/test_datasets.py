@@ -87,6 +87,19 @@ class TestLoadDataset:
         with pytest.raises(ValueError, match="range"):
             load_dataset(path)
 
+    @pytest.mark.parametrize("labels, message", [
+        (("0", "0.5", "1"), "labels must be finite whole numbers"),
+        (("0", "-1", "1"), "labels must be finite whole numbers"),
+        (("0", "1"), "2 labels for 3 nodes"),
+    ], ids=["fraction", "negative", "short"])
+    def test_bad_labels_are_refused_by_the_graph(self, tmp_path, labels, message):
+        with pytest.raises(ValueError, match=message):
+            load_dataset(write_tiny3(tmp_path, labels=labels))
+
+    def test_integral_float_labels_load_as_int64(self, tmp_path):
+        g = load_dataset(write_tiny3(tmp_path, labels=("0.0", "1e0", "1")))
+        assert g.labels.dtype == np.int64 and g.labels.tolist() == [0, 1, 1]
+
     def test_node_id_out_of_range(self, tmp_path):
         path = write_tiny3(tmp_path, edges=("0 7",))
         with pytest.raises(ValueError, match="out of range"):

@@ -6,7 +6,15 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import sparse
 
-from gfclust import EncoderConfig, SyntheticSpec, filters, generate_synthetic, graphs, training
+from gfclust import (
+    EncoderConfig,
+    SyntheticSpec,
+    encoders,
+    filters,
+    generate_synthetic,
+    graphs,
+    training,
+)
 from gfclust.autograd import Adam, Tensor, zero_grads
 from gfclust.encoders import (
     AutoEncoderParams,
@@ -27,6 +35,7 @@ from oracles import (
     OracleTensor,
     oracle_adjacency_mse_t,
     oracle_bce_t,
+    oracle_dense_target_bce,
     oracle_factored_mse,
     oracle_layer,
     oracle_mse_t,
@@ -332,6 +341,15 @@ def loss_and_grads(params, loss_fn):
     ]
 
 
+def op_and_grads(op, *args):
+    """``op``'s value at array inputs, and the gradients of all but the last."""
+    *tensors, a = args
+    tensors = [Tensor(x.copy(), requires_grad=True) for x in tensors]
+    out = op(*tensors, a)
+    out.backward()
+    return [out.data] + [t.grad for t in tensors]
+
+
 def assert_matches_dense_oracle(params, a, tol=1e-10):
     """Factored loss on CSR vs the dense decode, and the gradients of every
     encoder and decoder parameter, each to ``tol`` relative."""
@@ -572,6 +590,23 @@ class TestBlockedBce:
         assert (logits > 60).any() and (logits < -60).any()
         assert ((np.abs(logits) > 27.7) & (np.abs(logits) < 60)).any()
         assert_bce_matches_taped_oracle(params, a)
+
+    # n = 30: one row per block, a ragged last block, one block of all rows,
+    # and a block larger than n
+    @pytest.mark.parametrize("block", [1, 7, 30, 128])
+    def test_stored_entry_target_equals_the_dense_target_op_bit_for_bit(self, monkeypatch, block):
+        monkeypatch.setattr(filters, "_BLOCK_ROWS", block)
+        rng = np.random.default_rng(33)
+        views = [sparse.csr_array(random_graph(rng, 27, 3, 0.2)), ac1_view(30).adjacencies[0]]
+        for a in views:
+            h = np.tanh(rng.normal(size=(30, 9)))
+            w = 3.0 * rng.normal(size=(9, 30))
+            # logits that are clipped, floored in either log, and neither
+            b = rng.permutation(np.linspace(-90.0, 90.0, 30))
+            ours, oracle = (op_and_grads(op, h, w, b, a)
+                            for op in (encoders._blocked_bce, oracle_dense_target_bce))
+            for x, y in zip(ours, oracle, strict=True):
+                assert np.asarray(x).tobytes() == np.asarray(y).tobytes()
 
     def test_dense_data_is_rejected(self):
         params = init_autoencoder(4, 2, 3, np.random.default_rng(0))

@@ -1,6 +1,7 @@
 """The one value rule: ``check_integers``, ``check_reals`` and ``from_mapping``,
 and a walk over every numeric field of the configs and the manifest, so a
-field added without a check fails here."""
+field added without a check fails here; and the one label rule,
+``check_labels``."""
 
 import dataclasses
 import re
@@ -10,7 +11,7 @@ import numpy as np
 import pytest
 
 from gfclust import DatasetManifest, EncoderConfig, FilterConfig, SyntheticSpec, TrainConfig
-from gfclust.errors import ConfigError, check_integers, check_reals, from_mapping
+from gfclust.errors import ConfigError, check_integers, check_labels, check_reals, from_mapping
 
 # the smallest valid instance of each class: its required fields
 REQUIRED = {
@@ -98,6 +99,42 @@ class TestCheckReals:
         check_reals(Point(y=0.1), "y", sequences=True)
         with pytest.raises(ConfigError, match="y must lie in"):
             check_reals(Point(y=(0.1, 2.0)), "y", high=1.0, sequences=True)
+
+
+class TestCheckLabels:
+    def test_returns_int64_and_takes_integral_floats(self):
+        for labels in ([2, 0, 1], np.array([2, 0, 1], dtype=np.uint8), [2.0, 0.0, 1.0]):
+            out = check_labels(labels, 3)
+            assert out.dtype == np.int64 and out.tolist() == [2, 0, 1]
+        assert check_labels([]).shape == (0,)
+        assert check_labels([7]).tolist() == [7]  # no class count: only int64 bounds it
+
+    def test_keeps_an_int64_array_without_a_copy(self):
+        labels = np.array([0, 1, 1])
+        assert check_labels(labels, 2) is labels
+
+    @pytest.mark.parametrize("labels, message", [
+        ([[0, 1], [1, 0]], "must be a 1-d array of numbers"),
+        (np.int64(1), "must be a 1-d array of numbers"),
+        ([True, False], "must be a 1-d array of numbers"),
+        (["0", "1"], "must be a 1-d array of numbers"),
+        ([0, 1j], "must be a 1-d array of numbers"),
+        ([0.0, float("nan")], "must be finite whole numbers"),
+        ([0.0, float("inf")], "must be finite whole numbers"),
+        ([0.9, 1.7, 0.2], "must be finite whole numbers"),
+        ([-1, 0, 1], r"must be finite whole numbers in the range \[0, 3\)"),
+        ([0, 3], r"must be finite whole numbers in the range \[0, 3\)"),
+    ])
+    def test_refuses_naming_the_labels(self, labels, message):
+        with pytest.raises(ValueError, match=f"^truth {message}"):
+            check_labels(labels, 3, what="truth")
+
+    @pytest.mark.parametrize("labels", [
+        [-1, 0], [1e300, 0.0], [2.0**63], np.array([2**63], dtype=np.uint64),
+    ])
+    def test_without_a_class_count_labels_must_fit_int64(self, labels):
+        with pytest.raises(ValueError, match=r"labels must be .* \[0, 9223372036854775807\)"):
+            check_labels(labels)
 
 
 class TestFromMapping:

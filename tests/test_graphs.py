@@ -261,6 +261,32 @@ class TestMultiViewGraphValidation:
             with pytest.raises(ValueError, match="does not match"):
                 build_graph(np.zeros((3, 2)), view, n_clusters=1)
 
+    @pytest.mark.parametrize("labels", [
+        [0.9, 1.7, 0.2], [0, float("nan"), 1], [-1, 0, 1], [[0], [1], [1]], [True, False, True],
+    ], ids=["fractions", "nan", "negative", "2-d", "bool"])
+    def test_rejects_labels_that_are_not_class_ids(self, labels):
+        with pytest.raises(ValueError, match="labels must be"):
+            build_graph(np.zeros((3, 2)), path3(), n_clusters=2, labels=labels)
+
+    def test_rejects_a_label_count_that_is_not_the_node_count(self):
+        with pytest.raises(ValueError, match="2 labels for 3 nodes"):
+            build_graph(np.zeros((3, 2)), path3(), n_clusters=2, labels=[0, 1])
+
+    def test_takes_integral_float_labels_as_int64(self):
+        g = build_graph(np.zeros((3, 2)), path3(), n_clusters=2, labels=[1.0, 0.0, 1.0])
+        assert g.labels.dtype == np.int64 and g.labels.tolist() == [1, 0, 1]
+
+    @pytest.mark.parametrize("n_clusters", [2.5, True, 0, np.float64(2.0)])
+    def test_n_clusters_is_a_positive_integer(self, n_clusters):
+        with pytest.raises(ConfigError, match="n_clusters must be"):
+            build_graph(np.zeros((3, 2)), path3(), n_clusters=n_clusters)
+
+    def test_one_hot_checks_its_labels(self):
+        assert one_hot([1.0, 0.0], 2).tolist() == [[0.0, 1.0], [1.0, 0.0]]
+        for labels in ([0.5, 1.0], [-1, 0], [0, 2]):
+            with pytest.raises(ValueError, match="labels must be"):
+                one_hot(labels, 2)
+
 
 def assert_same_storage(a, b):
     assert a.format == b.format == "csr"

@@ -2,6 +2,7 @@ import json
 import os
 import threading
 import tracemalloc
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -453,6 +454,35 @@ class TestDivergence:
             train(g, fast_config(epochs=1, learning_rate=1e100))
         assert err.value.last_epoch == 0
         assert [rec["epoch"] for rec in err.value.report.to_dict()["epochs"]] == [0]
+
+
+    # without the numerics guard on the bootstrap and the joint epochs, these
+    # runs warned "overflow encountered in matmul" before they diverged
+    @pytest.mark.parametrize("learning_rate", [1e100, 1e120, 1e140, 1e160, 1e180, 1e200])
+    @pytest.mark.parametrize("activation", ["tanh", "relu", "linear"])
+    def test_joint_overflow_raises_without_a_numpy_warning(self, activation, learning_rate):
+        cfg = fast_config(learning_rate=learning_rate,
+                          encoder=replace(FAST_ENCODER, activation=activation))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(DivergenceError, match="kernel became non-finite at epoch 1"):
+                train(tiny_two_view(), cfg)
+
+
+class TestFixedMixEndpoints:
+    """``fixed_mix`` is ``alpha`` low-pass plus ``1 - alpha`` high-pass, so its
+    endpoints train exactly what the pure families train."""
+
+    @pytest.mark.parametrize("matrix_source", ["joint_aggregation", "raw_adjacency"])
+    @pytest.mark.parametrize("alpha, family", [(1.0, "low_pass"), (0.0, "high_pass")])
+    def test_reports_equal_the_pure_family(self, matrix_source, alpha, family):
+        g = tiny_two_view()
+
+        def report(**kwargs):
+            cfg = fast_config(filter=FilterConfig(order=2, matrix_source=matrix_source, **kwargs))
+            return json.dumps(train(g, cfg).to_dict())
+
+        assert report(family="fixed_mix", alpha=alpha) == report(family=family)
 
 
 needs_two_cpus = pytest.mark.skipif(
