@@ -1,5 +1,16 @@
 """Lloyd k-means with k-means++ seeding, plus the four clustering metrics.
 
+One Lloyd step is a handful of array calls on the n x d points ``P`` and the
+c x d centers ``C``: one product ``P C^T``, turned in place into the scores
+``|c|^2 - 2 p.c``; one ``argmin`` for the labels; the inertia
+``max(score + |p|^2, 0)`` of each point's lowest score; one ``bincount`` for
+the label counts; and the new centers, one product of the one-hot labels with
+``P`` over the counts. The labels are those of the per-cluster loop this
+replaced (full squared distances, one masked mean per cluster), kept as a
+test oracle, unless a point is as near to two centers as rounding can tell;
+``inertia_history``, and on some BLAS builds the centers and the final
+inertia, may differ from that loop's in their last bits.
+
 Every score reads one contingency table (Vinh, Epps & Bailey, JMLR 2010) of
 labels checked by ``errors.check_labels``. ACC and macro-F1 read it with its
 rows Hungarian-matched to the classes, NMI uses arithmetic-mean normalization,
@@ -42,21 +53,22 @@ class ClusterAssignment:
 
 
 def _sq_dists(points: np.ndarray, sq_norms: np.ndarray, centers: np.ndarray) -> np.ndarray:
-    """Squared distances of every point to every center; ``sq_norms`` is
+    """Squared distances ``max(|p|^2 - 2 p.c + |c|^2, 0)`` of every point to
+    every center, added in that order; ``sq_norms`` is
     ``(points * points).sum(axis=1)``, computed once per ``kmeans`` call."""
-    d2 = (
-        sq_norms[:, None]
-        - 2.0 * points @ centers.T
-        + (centers * centers).sum(axis=1)[None, :]
-    )
-    return np.maximum(d2, 0.0)
+    d2 = points @ np.ascontiguousarray(centers.T)
+    d2 *= -2.0
+    d2 += sq_norms[:, None]
+    d2 += (centers * centers).sum(axis=1)
+    return np.maximum(d2, 0.0, out=d2)
 
 
 def _kmeanspp_init(
     points: np.ndarray, sq_norms: np.ndarray, c: int, rng: np.random.Generator
 ) -> np.ndarray:
     """Greedy k-means++: several D^2-sampled candidates per center, keep the one
-    that lowers the total potential the most."""
+    that lowers the total potential the most, the first of them on a tie. All
+    candidates of a center are scored by one ``_sq_dists`` call."""
     n = points.shape[0]
     n_trials = 2 + int(np.log(c)) if c > 1 else 1
     centers = np.empty((c, points.shape[1]))
@@ -68,15 +80,47 @@ def _kmeanspp_init(
             candidates = rng.choice(n, size=n_trials, p=d2 / total)
         else:
             candidates = rng.integers(n, size=n_trials)
-        best_idx, best_d2, best_potential = None, None, np.inf
-        for idx in candidates:
-            trial = np.minimum(d2, _sq_dists(points, sq_norms, points[idx : idx + 1]).ravel())
-            potential = trial.sum()
-            if potential < best_potential:
-                best_idx, best_d2, best_potential = int(idx), trial, potential
-        centers[j] = points[best_idx]
-        d2 = best_d2
+        trials = np.minimum(d2[:, None], _sq_dists(points, sq_norms, points[candidates]))
+        best = int(trials.sum(axis=0).argmin())
+        centers[j] = points[candidates[best]]
+        d2 = trials[:, best]
     return centers
+
+
+def _means(points: np.ndarray, labels: np.ndarray, counts: np.ndarray, fallback) -> np.ndarray:
+    """The mean row of ``points`` per label: one product of the ``(c, n)``
+    one-hot labels with ``points``, over the label ``counts``. A label with no
+    point takes its row of ``fallback``, which broadcasts to ``(c, d)``."""
+    c = counts.size
+    sums = (labels == np.arange(c)[:, None]).astype(np.float64) @ points
+    if counts.all():  # nearly every Lloyd step: no masked copies
+        sums /= counts[:, None]
+        return sums
+    out = np.array(np.broadcast_to(fallback, sums.shape))
+    kept = counts > 0
+    out[kept] = sums[kept] / counts[kept, None]
+    return out
+
+
+def _reseed_empty(points: np.ndarray, sq_norms: np.ndarray, centers: np.ndarray) -> tuple:
+    """``(labels, closest)`` after re-seeding every empty cluster, in place in
+    ``centers``, at the point farthest from its closest center among those
+    that are not their cluster's only member; the distances are ``_sq_dists``."""
+    n, c = points.shape[0], centers.shape[0]
+    d2 = _sq_dists(points, sq_norms, centers)
+    labels = d2.argmin(axis=1)
+    closest = d2[np.arange(n), labels]
+    for j in range(c):
+        sizes = np.bincount(labels, minlength=c)
+        if sizes[j]:
+            continue
+        # the farthest point whose cluster keeps a member without it
+        farthest = int(np.where(sizes[labels] > 1, closest, -1.0).argmax())
+        centers[j] = points[farthest]
+        d2[:, j] = _sq_dists(points, sq_norms, centers[j : j + 1]).ravel()
+        labels = d2.argmin(axis=1)
+        closest = d2[np.arange(n), labels]
+    return labels, closest
 
 
 def kmeans(
@@ -88,10 +132,19 @@ def kmeans(
 ) -> ClusterAssignment:
     """Lloyd iterations until the assignment stops changing.
 
-    Seeding is k-means++ unless ``warm_centers`` is given. An empty cluster is
-    re-seeded at the point farthest from its closest center among those that
-    are not their cluster's only member, which keeps the recorded inertia
-    history non-increasing.
+    Seeding is k-means++ unless ``warm_centers`` is given. One step computes
+    ``scores = |c|^2 - 2 P C^T`` from one product, the labels
+    ``argmin(scores, axis=1)``, each point's ``max(score + |p|^2, 0)``,
+    whose sum is the step's ``inertia_history`` entry, and the label counts;
+    unless the labels did not change, each center then moves to the mean of
+    its points (``_means``). The labels match the per-cluster loop on the
+    full squared distances; ``inertia_history``, and on some BLAS builds the
+    centers and ``inertia``, may differ from it in their last bits. A step
+    that leaves a cluster empty is redone on the squared distances by
+    ``_reseed_empty``, which re-seeds each empty cluster at the point
+    farthest from its closest center among those that are not their
+    cluster's only member; that keeps the recorded inertia history
+    non-increasing. ``inertia`` is ``sum((points - centers[labels]) ** 2)``.
     """
     points = np.asarray(points, dtype=np.float64)
     if points.ndim != 2:
@@ -109,30 +162,25 @@ def kmeans(
     else:
         centers = _kmeanspp_init(points, sq_norms, c, np.random.default_rng(seed))
 
+    starts = np.arange(n) * c  # where each point's scores start in the flat scores
     labels = np.full(n, -1)
     history = []
     for _ in range(max_iter):
-        d2 = _sq_dists(points, sq_norms, centers)
-        new_labels = d2.argmin(axis=1)
-        closest = d2[np.arange(n), new_labels]
-        for j in range(c):
-            sizes = np.bincount(new_labels, minlength=c)
-            if sizes[j]:
-                continue
-            # the farthest point whose cluster keeps a member without it
-            farthest = int(np.where(sizes[new_labels] > 1, closest, -1.0).argmax())
-            centers[j] = points[farthest]
-            d2[:, j] = _sq_dists(points, sq_norms, centers[j : j + 1]).ravel()
-            new_labels = d2.argmin(axis=1)
-            closest = d2[np.arange(n), new_labels]
+        scores = points @ np.ascontiguousarray(centers.T)
+        scores *= -2.0
+        scores += (centers * centers).sum(axis=1)
+        new_labels = scores.argmin(axis=1)
+        closest = np.maximum(scores.ravel()[starts + new_labels] + sq_norms, 0.0)
+        counts = np.bincount(new_labels, minlength=c)
+        if not counts.all():
+            new_labels, closest = _reseed_empty(points, sq_norms, centers)
+            counts = np.bincount(new_labels, minlength=c)
         history.append(float(closest.sum()))
         if (new_labels == labels).all():
             break
         labels = new_labels
-        for j in range(c):
-            members = labels == j
-            if members.any():  # points that follow a re-seed can leave a cluster empty
-                centers[j] = points[members].mean(axis=0)
+        # points that follow a re-seed can leave a cluster empty; it keeps its center
+        centers = _means(points, labels, counts, centers)
 
     inertia = float(((points - centers[labels]) ** 2).sum())
     return ClusterAssignment(
@@ -141,14 +189,11 @@ def kmeans(
 
 
 def class_means(points: np.ndarray, labels: np.ndarray, c: int) -> np.ndarray:
-    """Per-class mean rows; empty classes fall back to the global mean."""
+    """Per-class mean rows (``_means``); empty classes fall back to the global
+    mean. ``labels`` are checked by ``check_labels`` against ``c``."""
     points = np.asarray(points, dtype=np.float64)
-    out = np.empty((c, points.shape[1]))
-    overall = points.mean(axis=0)
-    for j in range(c):
-        mask = labels == j
-        out[j] = points[mask].mean(axis=0) if mask.any() else overall
-    return out
+    labels = check_labels(labels, c)
+    return _means(points, labels, np.bincount(labels, minlength=c), points.mean(axis=0))
 
 
 # ---------------------------------------------------------------------------

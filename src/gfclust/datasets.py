@@ -4,8 +4,9 @@ Format: a JSON manifest pointing at a headerless comma-separated feature CSV,
 an optional one-label-per-line file, and one whitespace-separated 0-indexed
 undirected edge list per view ("i j" lines). Paths are relative to the
 manifest's directory. Loading parses each file with one ``np.loadtxt`` call
-and checks the parsed array as a whole; the labels are checked where every
-graph's labels are, in ``MultiViewGraph`` (``errors.check_labels``). An edge
+and checks the parsed array as a whole; a label file must parse as one
+column, and its values are checked where every graph's labels are, in
+``MultiViewGraph`` (``errors.check_labels``). An edge
 list's sorted unique pairs become the view as the generator builds its views
 (``_symmetric_view``), with no n x n array and no copy; a repeated or
 reversed line is the same edge, and self-loop lines are dropped with a
@@ -125,7 +126,8 @@ def load_dataset(manifest_path) -> MultiViewGraph:
     """Load and validate a dataset.
 
     Each file is parsed once by numpy; a cell that does not parse raises
-    ``ValueError`` naming the file. Each edge line adds one undirected edge;
+    ``ValueError`` naming the file, and so does a label file of more than one
+    column. Each edge line adds one undirected edge;
     self-loop lines are dropped with a DataRepairWarning rather than an error,
     and each view is built as the generator builds its views.
     """
@@ -149,8 +151,14 @@ def load_dataset(manifest_path) -> MultiViewGraph:
             f"({manifest.n_nodes}, {manifest.n_features}) from manifest"
         )
 
-    label_file = manifest.label_file
-    labels = None if label_file is None else _load_matrix(base / label_file, "labels").ravel()
+    labels = None
+    if manifest.label_file is not None:
+        label_path = base / manifest.label_file
+        labels = _load_matrix(label_path, "labels")
+        if labels.shape[1] != 1:
+            raise ValueError(f"labels file {label_path} has {labels.shape[1]} columns, "
+                             "expected one label a line")
+        labels = labels[:, 0]
     adjacencies = [_load_edges(base / graph_file, manifest.n_nodes, view)
                    for view, graph_file in enumerate(manifest.graph_files)]
     return MultiViewGraph(features, adjacencies, manifest.n_clusters, labels, name=manifest.name)

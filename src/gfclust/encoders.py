@@ -34,6 +34,7 @@ __all__ = [
     "init_autoencoder",
     "encode_t",
     "adjacency_input",
+    "adjacency_constants",
     "adjacency_loss_t",
 ]
 
@@ -207,7 +208,16 @@ def adjacency_input(a):
     return a
 
 
-def _factored_mse(h: Tensor, w: Tensor, b: Tensor, a) -> Tensor:
+def adjacency_constants(a) -> tuple:
+    """``(A^T 1, |A|^2)``, the graph constants of ``_factored_mse``, read from
+    the stored entries of ``a`` as ``adjacency_input`` gives it (a matvec on
+    the transposed view and the data's dot with itself); on a 0/1 view both
+    are exact integer sums. A view's constants are computed once and passed
+    to each of its losses."""
+    return np.asarray(a.sum(axis=0)).ravel(), float(a.data @ a.data)
+
+
+def _factored_mse(h: Tensor, w: Tensor, b: Tensor, a, constants: tuple | None = None) -> Tensor:
     """``mse_t(H W + 1 b^T, a)`` for a sparse ``a`` of shape ``(n, m)``, with
     ``H`` the decoder's last hidden layer and ``(W, b)`` its output layer,
     without the dense decode:
@@ -218,10 +228,10 @@ def _factored_mse(h: Tensor, w: Tensor, b: Tensor, a) -> Tensor:
     with ``mu`` the column mean of ``H`` and ``H_c = H - 1 mu``, so no O(1)
     terms cancel (Chan, Golub & LeVeque 1983). One op of O(n h^2 + |E| h)
     time and O(n h) memory keeps ``A W^T`` and the Gram ``H_c^T H_c``, summed
-    over row blocks. The graph constants ``A^T 1`` and ``|A|^2`` are read
-    from ``a``'s stored entries (a matvec on the transposed view and the
-    data's dot with itself), so ``a`` holds no repeated entries, as
-    ``adjacency_input`` makes it; on a 0/1 view both are exact integer sums.
+    over row blocks. The graph constants ``A^T 1`` and ``|A|^2`` are
+    ``constants``, or when it is None ``adjacency_constants(a)``; both are
+    read from ``a``'s stored entries, so ``a`` holds no repeated entries, as
+    ``adjacency_input`` makes it.
     With ``s = mu W + b`` and ``G = 2 g / (n m)``:
     ``dW = G (H_c^T H_c W + n mu^T s - H^T A)``, ``db = G (n s - A^T 1)``
     and ``dH = G (H_c W W^T + 1 s W^T - A W^T)``, to which centering adds
@@ -234,9 +244,9 @@ def _factored_mse(h: Tensor, w: Tensor, b: Tensor, a) -> Tensor:
     blocks = (hd[rows] - mu for rows in _row_blocks(n))
     gram, ww = sum(c.T @ c for c in blocks), wd @ wd.T
     aw = np.asarray(a @ wd.T)
-    col_sums = np.asarray(a.sum(axis=0)).ravel()
+    col_sums, sq_norm = adjacency_constants(a) if constants is None else constants
     total = (gram * ww).sum() + n * (shift @ shift) - 2.0 * (hd * aw).sum()
-    total += float(a.data @ a.data) - 2.0 * (b.data @ col_sums)
+    total += sq_norm - 2.0 * (b.data @ col_sums)
     scale = 1.0 / (n * m)
 
     def backward(g):
@@ -324,10 +334,14 @@ def _blocked_bce(h: Tensor, w: Tensor, b: Tensor, a) -> Tensor:
     return Tensor._from_op(-(total * scale), (h, w, b), backward)
 
 
-def adjacency_loss_t(params: AutoEncoderParams, z: Tensor, a, loss: str = "mse") -> Tensor:
+def adjacency_loss_t(
+    params: AutoEncoderParams, z: Tensor, a, loss: str = "mse", constants: tuple | None = None
+) -> Tensor:
     """The adjacency autoencoder's reconstruction loss of the sparse ``a`` from
     its latent ``z``: the factored MSE (``_factored_mse``), or for ``"bce"``
-    the row-blocked binary cross-entropy of the decoder's logits.
+    the row-blocked binary cross-entropy of the decoder's logits. The MSE
+    reads ``a``'s ``adjacency_constants`` from ``constants`` when it is given;
+    the cross-entropy needs none.
 
     Raises:
         ValueError: ``a`` is dense.
@@ -336,4 +350,6 @@ def adjacency_loss_t(params: AutoEncoderParams, z: Tensor, a, loss: str = "mse")
         raise ValueError("the adjacency loss scores a sparse adjacency, as adjacency_input gives it")
     *hidden, (w, b) = params.decoder_layers
     h = _hidden_forward(hidden, params.activation, z)
-    return (_factored_mse if loss == "mse" else _blocked_bce)(h, w, b, a)
+    if loss != "mse":
+        return _blocked_bce(h, w, b, a)
+    return _factored_mse(h, w, b, a, constants)

@@ -207,9 +207,10 @@ def homophily_ratio(a, labels_one_hot: np.ndarray) -> float:
     a = sparse.csr_array(a, dtype=np.float64)
     if a.shape[0] != a.shape[1] or a.shape[0] != p.shape[0]:
         raise ValueError("adjacency and labels disagree on the node count")
-    if is_edgeless(a):
+    diagonal = a.diagonal()  # read once, for the edgeless check and the trace
+    if a.count_nonzero() == np.count_nonzero(diagonal):
         raise ValueError("homophily ratio is undefined on an edgeless graph")
-    trace = a.diagonal().sum()
+    trace = diagonal.sum()
     return float((((a @ p) * p).sum() - trace) / (a.sum() - trace))
 
 

@@ -73,6 +73,7 @@ from .autograd import Adam, Tensor, no_grad
 from .clustering import class_means, kmeans
 from .encoders import (
     EncoderConfig,
+    adjacency_constants,
     adjacency_input,
     adjacency_loss_t,
     decode_t,
@@ -221,7 +222,8 @@ def _walked(loss, epoch: int) -> float:
     return float(value.data)
 
 
-def pretrain_view(x: np.ndarray, a, config: EncoderConfig, seed: int) -> tuple:
+def pretrain_view(x: np.ndarray, a, config: EncoderConfig, seed: int,
+                  constants: tuple | None = None) -> tuple:
     """Init and train one view's two autoencoders from ``seed``; returns
     ``(params_x, params_a, history)``.
 
@@ -233,12 +235,16 @@ def pretrain_view(x: np.ndarray, a, config: EncoderConfig, seed: int) -> tuple:
     the gradients, so the trained parameters hold no ``grad``; its history
     entry is the sum of the two terms. ``a`` is dense or sparse; it is
     trained on as ``adjacency_input`` gives it, so under either loss no
-    n x n array is formed. ``pretrain`` makes one call per view,
+    n x n array is formed. The adjacency term reads ``a``'s
+    ``adjacency_constants`` from ``constants``, or computes them once when it
+    is None, so no epoch recomputes them. ``pretrain`` makes one call per view,
     concurrently: a call only reads ``x`` and ``a`` and writes nothing but
     the parameters it creates, so its result is the same on any thread.
     """
     x = np.asarray(x, dtype=np.float64)
     a = adjacency_input(a)
+    if constants is None:
+        constants = adjacency_constants(a)
     hidden = config.resolved_hidden_dim()
     params_x, params_a = (
         init_autoencoder(data.shape[1], config.latent_dim, hidden,
@@ -252,7 +258,7 @@ def pretrain_view(x: np.ndarray, a, config: EncoderConfig, seed: int) -> tuple:
             try:
                 l_x = _walked(lambda: mse_t(decode_t(params_x, encode_t(params_x, x)), x), epoch)
                 l_a = _walked(lambda: adjacency_loss_t(
-                    params_a, encode_t(params_a, a), a, config.adjacency_loss), epoch)
+                    params_a, encode_t(params_a, a), a, config.adjacency_loss, constants), epoch)
                 opt.step()
             finally:
                 opt.zero_grad()
@@ -260,7 +266,7 @@ def pretrain_view(x: np.ndarray, a, config: EncoderConfig, seed: int) -> tuple:
     return params_x, params_a, history
 
 
-def pretrain(g: MultiViewGraph, cfg: TrainConfig) -> tuple:
+def pretrain(g: MultiViewGraph, cfg: TrainConfig, constants: list | None = None) -> tuple:
     """Pretrain every view's two autoencoders; returns (models, history).
 
     ``models`` holds one ``(params_x, params_a)`` pair per view and
@@ -268,7 +274,9 @@ def pretrain(g: MultiViewGraph, cfg: TrainConfig) -> tuple:
     from the v-th child of the first of two children of
     ``SeedSequence(cfg.seed)``; the pipeline's k-means draws from the second.
     The views train concurrently (``_for_each_view``), each through one
-    ``pretrain_view`` call; a view's result depends only on its seed, so
+    ``pretrain_view`` call, given the view's entry of ``constants`` (its
+    ``adjacency_constants``) when that list is given; a view's result depends
+    only on its seed, so
     neither the models nor the history depend on the thread count.
     A DivergenceError carries the partial report with the views before the
     first view, in view order, that diverged.
@@ -279,7 +287,8 @@ def pretrain(g: MultiViewGraph, cfg: TrainConfig) -> tuple:
 
     def one_view(view):
         params_x, params_a, l_rec = pretrain_view(
-            g.features, g.adjacencies[view], cfg.encoder, seeds[view]
+            g.features, g.adjacencies[view], cfg.encoder, seeds[view],
+            None if constants is None else constants[view],
         )
         records[view] = {"view": view, "l_rec": l_rec}
         return params_x, params_a
@@ -321,6 +330,8 @@ class TrainingPipeline:
 
         self.x_const = Tensor(g.features)
         self.raw_bases = None  # per view, the Krylov basis of its walk matrix
+        # per view, the adjacency_constants its every pretraining and joint epoch reads
+        self.adjacency_constants = None
         self.models, self.pretrain_history, self.optimizer = None, [], None
         if cfg.filter.matrix_source == "raw_adjacency":
             # each walk matrix lives only until its basis is built
@@ -329,7 +340,8 @@ class TrainingPipeline:
                 for a in g.adjacencies
             ]
         else:
-            self.models, self.pretrain_history = pretrain(g, cfg)
+            self.adjacency_constants = [adjacency_constants(a) for a in g.adjacencies]
+            self.models, self.pretrain_history = pretrain(g, cfg, self.adjacency_constants)
             lr = cfg.learning_rate if cfg.learning_rate is not None else cfg.encoder.learning_rate
             self.optimizer = Adam(self.parameters(), lr=lr)
         self.epoch_records = []
@@ -457,7 +469,8 @@ class TrainingPipeline:
             if with_losses:
                 rec = (
                     mse_t(decode_t(params_x, z_x), self.g.features),
-                    adjacency_loss_t(params_a, z_a, a, cfg.encoder.adjacency_loss),
+                    adjacency_loss_t(params_a, z_a, a, cfg.encoder.adjacency_loss,
+                                     self.adjacency_constants[view]),
                 )
             with nullcontext() if taped_filter else no_grad():
                 h = apply_filter_t(joint_aggregation_t(z_a, z_x), self.x_const, filter_cfg)

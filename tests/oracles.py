@@ -17,7 +17,7 @@ import numpy as np
 from scipy import sparse
 
 from gfclust.autograd import Adam, Tensor, as_tensor
-from gfclust.clustering import match_clusters
+from gfclust.clustering import ClusterAssignment, match_clusters
 from gfclust.datasets import _class_mean_matrix
 from gfclust.encoders import (
     adjacency_input,
@@ -383,6 +383,121 @@ def oracle_matched_macro_f1(pred, truth):
         denom = 2 * tp + fp + fn
         scores.append(2 * tp / denom if denom > 0 else 0.0)
     return float(np.mean(scores))
+
+
+def oracle_sq_dists(points: np.ndarray, sq_norms: np.ndarray, centers: np.ndarray) -> np.ndarray:
+    """Squared distances of every point to every center; ``sq_norms`` is
+    ``(points * points).sum(axis=1)``, computed once per ``kmeans`` call."""
+    d2 = (
+        sq_norms[:, None]
+        - 2.0 * points @ centers.T
+        + (centers * centers).sum(axis=1)[None, :]
+    )
+    return np.maximum(d2, 0.0)
+
+
+def oracle_kmeanspp_init(
+    points: np.ndarray, sq_norms: np.ndarray, c: int, rng: np.random.Generator
+) -> np.ndarray:
+    """Greedy k-means++: several D^2-sampled candidates per center, each scored
+    by its own ``oracle_sq_dists`` call; the first to lower the total
+    potential the most is kept."""
+    n = points.shape[0]
+    n_trials = 2 + int(np.log(c)) if c > 1 else 1
+    centers = np.empty((c, points.shape[1]))
+    centers[0] = points[rng.integers(n)]
+    d2 = oracle_sq_dists(points, sq_norms, centers[:1]).ravel()
+    for j in range(1, c):
+        total = d2.sum()
+        if total > 0:
+            candidates = rng.choice(n, size=n_trials, p=d2 / total)
+        else:
+            candidates = rng.integers(n, size=n_trials)
+        best_idx, best_d2, best_potential = None, None, np.inf
+        for idx in candidates:
+            dists = oracle_sq_dists(points, sq_norms, points[idx : idx + 1]).ravel()
+            trial = np.minimum(d2, dists)
+            potential = trial.sum()
+            if potential < best_potential:
+                best_idx, best_d2, best_potential = int(idx), trial, potential
+        centers[j] = points[best_idx]
+        d2 = best_d2
+    return centers
+
+
+def oracle_kmeans(
+    points: np.ndarray,
+    c: int,
+    seed=0,
+    warm_centers: np.ndarray | None = None,
+    max_iter: int = 300,
+) -> ClusterAssignment:
+    """Lloyd iterations until the assignment stops changing, each a loop over
+    the clusters with full squared distances and masked means: the reference
+    for the few-call steps of ``gfclust.clustering.kmeans``.
+
+    Seeding is k-means++ unless ``warm_centers`` is given. An empty cluster is
+    re-seeded at the point farthest from its closest center among those that
+    are not their cluster's only member, which keeps the recorded inertia
+    history non-increasing.
+    """
+    points = np.asarray(points, dtype=np.float64)
+    if points.ndim != 2:
+        raise ValueError("points must be 2-d")
+    if not np.isfinite(points).all():
+        raise ValueError("points contain non-finite values")
+    n = points.shape[0]
+    if not 1 <= c <= n:
+        raise ValueError(f"need n >= c >= 1, got n={n}, c={c}")
+    sq_norms = (points * points).sum(axis=1)
+    if warm_centers is not None:
+        centers = np.array(warm_centers, dtype=np.float64)
+        if centers.shape != (c, points.shape[1]):
+            raise ValueError(f"warm_centers shape {centers.shape} != ({c}, {points.shape[1]})")
+    else:
+        centers = oracle_kmeanspp_init(points, sq_norms, c, np.random.default_rng(seed))
+
+    labels = np.full(n, -1)
+    history = []
+    for _ in range(max_iter):
+        d2 = oracle_sq_dists(points, sq_norms, centers)
+        new_labels = d2.argmin(axis=1)
+        closest = d2[np.arange(n), new_labels]
+        for j in range(c):
+            sizes = np.bincount(new_labels, minlength=c)
+            if sizes[j]:
+                continue
+            # the farthest point whose cluster keeps a member without it
+            farthest = int(np.where(sizes[new_labels] > 1, closest, -1.0).argmax())
+            centers[j] = points[farthest]
+            d2[:, j] = oracle_sq_dists(points, sq_norms, centers[j : j + 1]).ravel()
+            new_labels = d2.argmin(axis=1)
+            closest = d2[np.arange(n), new_labels]
+        history.append(float(closest.sum()))
+        if (new_labels == labels).all():
+            break
+        labels = new_labels
+        for j in range(c):
+            members = labels == j
+            if members.any():  # points that follow a re-seed can leave a cluster empty
+                centers[j] = points[members].mean(axis=0)
+
+    inertia = float(((points - centers[labels]) ** 2).sum())
+    return ClusterAssignment(
+        labels=labels, centers=centers, inertia=inertia, inertia_history=tuple(history)
+    )
+
+
+def oracle_class_means(points: np.ndarray, labels: np.ndarray, c: int) -> np.ndarray:
+    """Per-class mean rows by one masked mean per class; empty classes fall
+    back to the global mean. The reference for ``gfclust.clustering.class_means``."""
+    points = np.asarray(points, dtype=np.float64)
+    out = np.empty((c, points.shape[1]))
+    overall = points.mean(axis=0)
+    for j in range(c):
+        mask = labels == j
+        out[j] = points[mask].mean(axis=0) if mask.any() else overall
+    return out
 
 
 def oracle_joint_aggregation_t(z_a, z_x):

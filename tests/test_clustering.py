@@ -7,12 +7,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gfclust import accuracy, ari, kmeans, macro_f1, nmi, one_hot
-from gfclust.clustering import _assignment, _matched, class_means, match_clusters
+from gfclust.clustering import _assignment, _kmeanspp_init, _matched, class_means, match_clusters
 
 from oracles import (
     oracle_accuracy,
     oracle_ari,
+    oracle_class_means,
     oracle_f1_candidates,
+    oracle_kmeans,
+    oracle_kmeanspp_init,
     oracle_matched_accuracy,
     oracle_matched_macro_f1,
     oracle_nmi,
@@ -141,6 +144,73 @@ class TestClassMeans:
         points = RNG.normal(size=(4, 2))
         means = class_means(points, np.zeros(4, int), 2)
         assert np.allclose(means[1], points.mean(axis=0))
+
+
+def blobs(n, d, c, seed):
+    """``n`` seeded normal points around ``c`` random centers in ``d`` dimensions."""
+    rng = np.random.default_rng(seed)
+    means = 3.0 * rng.normal(size=(c, d))
+    return means[rng.integers(c, size=n)] + rng.normal(size=(n, d))
+
+
+def assert_same_clustering(fast, loop):
+    """The labels agree exactly, the centers and the inertia to 1e-12 relative,
+    the inertia history to 1e-9."""
+    assert np.array_equal(fast.labels, loop.labels)
+    scale = np.abs(loop.centers).max()
+    np.testing.assert_allclose(fast.centers, loop.centers, rtol=1e-12, atol=1e-12 * scale)
+    assert fast.inertia == pytest.approx(loop.inertia, rel=1e-12, abs=1e-12 * loop.inertia)
+    assert fast.inertia_history == pytest.approx(loop.inertia_history, rel=1e-9)
+
+
+SHAPES = [(1, 3, 1), (9, 3, 1), (40, 3, 4), (25, 2, 25), (60, 1, 3), (200, 8, 5),
+          (500, 16, 10), (1200, 32, 4)]
+
+
+class TestKmeansAgainstTheLoop:
+    """The few-call Lloyd steps against the per-cluster loop they replaced."""
+
+    @pytest.mark.parametrize("n, d, c", SHAPES)
+    def test_kmeanspp_seeds_the_same_centers(self, n, d, c):
+        for seed in range(3):
+            points = blobs(n, d, c, seed)
+            sq_norms = (points * points).sum(axis=1)
+            fast = _kmeanspp_init(points, sq_norms, c, np.random.default_rng(seed))
+            loop = oracle_kmeanspp_init(points, sq_norms, c, np.random.default_rng(seed))
+            assert np.array_equal(fast, loop)
+
+    @pytest.mark.parametrize("n, d, c", SHAPES)
+    def test_seeded_runs_agree(self, n, d, c):
+        for seed in range(3):
+            points = blobs(n, d, c, seed)
+            assert_same_clustering(kmeans(points, c, seed=seed), oracle_kmeans(points, c, seed=seed))
+
+    @pytest.mark.parametrize("n, d, c", SHAPES)
+    def test_warm_started_runs_agree(self, n, d, c):
+        rng = np.random.default_rng(n * d * c)
+        points = blobs(n, d, c, 7)
+        warm = points[rng.choice(n, size=c, replace=False)] + 0.1 * rng.normal(size=(c, d))
+        assert_same_clustering(kmeans(points, c, warm_centers=warm),
+                               oracle_kmeans(points, c, warm_centers=warm))
+
+    @pytest.mark.parametrize("n, d, c", [(40, 3, 4), (200, 8, 5), (500, 16, 10)])
+    def test_a_forced_empty_cluster_is_reseeded_alike(self, n, d, c):
+        points = blobs(n, d, c, 11)
+        warm = points[:c].copy()
+        warm[-1] = 1e3  # no point is closest to this center at the first step
+        fast = kmeans(points, c, warm_centers=warm)
+        loop = oracle_kmeans(points, c, warm_centers=warm)
+        assert_same_clustering(fast, loop)
+        assert np.unique(fast.labels).size == c
+
+    @pytest.mark.parametrize("n, d, c", [(40, 3, 4), (200, 8, 5), (60, 1, 3)])
+    def test_class_means_agree_with_an_empty_class(self, n, d, c):
+        points = blobs(n, d, c, 5)
+        labels = np.random.default_rng(5).integers(c - 1, size=n)  # class c - 1 is empty
+        loop = oracle_class_means(points, labels, c)
+        np.testing.assert_allclose(class_means(points, labels, c), loop,
+                                   rtol=1e-12, atol=1e-12 * np.abs(loop).max())
+        assert np.array_equal(class_means(points, labels, c)[-1], points.mean(axis=0))
 
 
 class TestMetricExamples:

@@ -96,6 +96,16 @@ class TestLoadDataset:
         with pytest.raises(ValueError, match=message):
             load_dataset(write_tiny3(tmp_path, labels=labels))
 
+    @pytest.mark.parametrize("text", ["0,1\n1,0", "0,1,1,0"], ids=["two-rows", "one-row"])
+    def test_a_label_file_of_several_columns_is_refused(self, tmp_path, text):
+        # four labels in either layout, which flattening would have read as 0 1 1 0
+        g = MultiViewGraph(np.eye(4), [sparse.csr_array(np.ones((4, 4)) - np.eye(4))], 2,
+                           np.array([0, 1, 1, 0]))
+        manifest_path = save_dataset(g, tmp_path)
+        (tmp_path / "labels.csv").write_text(text)
+        with pytest.raises(ValueError, match=r"labels file .*labels\.csv has [24] columns"):
+            load_dataset(manifest_path)
+
     def test_integral_float_labels_load_as_int64(self, tmp_path):
         g = load_dataset(write_tiny3(tmp_path, labels=("0.0", "1e0", "1")))
         assert g.labels.dtype == np.int64 and g.labels.tolist() == [0, 1, 1]

@@ -15,6 +15,7 @@ from gfclust import (
     MultiViewGraph,
     SyntheticSpec,
     TrainConfig,
+    encoders,
     filters,
     generate_synthetic,
     one_hot,
@@ -28,6 +29,7 @@ from gfclust.errors import ConfigError, DivergenceError
 from gfclust.training import TrainingPipeline
 
 from helpers import reachable, taped_tensors, tiny_two_view
+from oracles import oracle_class_means, oracle_kmeans
 
 FAST_ENCODER = EncoderConfig(latent_dim=4, hidden_dim=8, epochs=10)
 
@@ -279,6 +281,27 @@ def counting(calls, fn):
     return counted
 
 
+@pytest.mark.parametrize("filter_cfg", [FilterConfig(order=2), RAW], ids=["joint", "raw"])
+def test_the_loop_kmeans_and_class_means_train_the_same_report(monkeypatch, filter_cfg):
+    g, cfg = tiny_two_view(), fast_config(filter=filter_cfg)
+    fast = train(g, cfg).to_dict()
+    monkeypatch.setattr(training, "kmeans", oracle_kmeans)
+    monkeypatch.setattr(training, "class_means", oracle_class_means)
+    assert train(g, cfg).to_dict() == fast
+
+
+def test_each_views_adjacency_constants_are_computed_once(monkeypatch):
+    per_view, per_loss = [], []
+    monkeypatch.setattr(training, "adjacency_constants",
+                        counting(per_view, training.adjacency_constants))
+    monkeypatch.setattr(encoders, "adjacency_constants",
+                        counting(per_loss, encoders.adjacency_constants))
+    g = tiny_two_view()
+    train(g, fast_config())
+    assert [id(a) for a in per_view] == [id(a) for a in g.adjacencies]
+    assert per_loss == []  # no pretraining or joint epoch computes them again
+
+
 def test_a_view_without_edges_is_refused_before_pretraining(monkeypatch):
     g = tiny_two_view()
     g = MultiViewGraph(g.features, [g.adjacencies[0], np.zeros((g.n_nodes, g.n_nodes))],
@@ -417,8 +440,8 @@ class TestDivergence:
         done = training.pretrain(g, fast_config())[1]
         real, scored = training.adjacency_loss_t, []
 
-        def view_1_overflows_at_epoch_3(params, z, a, loss):
-            value = real(params, z, a, loss)
+        def view_1_overflows_at_epoch_3(params, z, a, *loss_and_constants):
+            value = real(params, z, a, *loss_and_constants)
             if np.shares_memory(a.data, g.adjacencies[1].data):
                 scored.append(value)
                 if len(scored) == 4:
