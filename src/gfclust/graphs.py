@@ -163,8 +163,16 @@ def check_one_hot(p: np.ndarray) -> np.ndarray:
 
 
 def _loop_isolated(a) -> sparse.csr_array:
-    """A CSR copy of ``a`` with a self-loop on each node whose row sums to 0."""
-    return (a + sparse.diags_array((a.sum(axis=1) == 0).astype(np.float64))).tocsr()
+    """A CSR copy of ``a`` with a self-loop on each node whose row sums to 0.
+
+    With no such row the copy is ``a.copy()``, with no sum: on a canonical
+    ``a`` (every graph view) its bits are those the sum gives, and otherwise
+    it keeps ``a``'s storage, duplicates and stored zeros included.
+    """
+    isolated = a.sum(axis=1) == 0
+    if not isolated.any():
+        return a.copy()
+    return (a + sparse.diags_array(isolated.astype(np.float64))).tocsr()
 
 
 def random_walk_normalize(a):

@@ -18,11 +18,15 @@ construction, and keeps the basis, not the walk matrix: its forward passes
 run no walk product. Its filter reads no embedding, and its ``h`` depends
 only on ``hr``, so nothing an autoencoder learns could reach its result:
 the raw path builds no autoencoders, encodes nothing, computes no loss and
-takes no backward or optimizer step. ``update_hr`` reads the graph's CSR
-views. Pseudo-labels, homophily ratios and cluster centers are constants
-between refreshes. ``pretrain`` trains each view's two autoencoders with one
-Adam (``pretrain_view``) on the ops the joint epochs score them with, and
-nothing else, which is all ``gfclust spectrum`` needs. ``TrainingPipeline``
+takes no backward or optimizer step. Its forward is then a pure function of
+each view's filter coefficients, so a raw forward is computed once per
+coefficient state and returned again while the coefficients stay the same:
+a run filters and fuses once per refresh that moves them, not once per
+epoch. ``update_hr`` reads the graph's CSR views. Pseudo-labels, homophily
+ratios and cluster centers are constants between refreshes. ``pretrain``
+trains each view's two autoencoders with one Adam (``pretrain_view``) on
+the ops the joint epochs score them with, and nothing else, which is all
+``gfclust spectrum`` needs. ``TrainingPipeline``
 owns the whole run: pretraining and the bootstrap clustering on
 construction, then ``fit`` runs the joint epochs with its own Adam
 optimizer, the refresh cadence, the divergence check and the epoch records,
@@ -82,7 +86,13 @@ from .encoders import (
     mse_t,
 )
 from .errors import ConfigError, DivergenceError, check_integers, check_reals
-from .filters import FilterConfig, apply_filter_t, joint_aggregation_t, krylov_basis
+from .filters import (
+    FilterConfig,
+    apply_filter_t,
+    filter_coefficients,
+    joint_aggregation_t,
+    krylov_basis,
+)
 from .fusion import fuse_views_t, kl_terms_t, soft_assignment_t, target_distribution, update_hr
 from .graphs import MultiViewGraph, is_edgeless, one_hot, random_walk_normalize
 
@@ -309,8 +319,9 @@ class TrainingPipeline:
     ``fit`` runs the joint epochs. On the ``raw_adjacency`` path construction
     builds each view's Krylov basis instead, and there are no autoencoders
     (``models`` is None) and no optimizer: each joint epoch is a forward pass
-    and its record. The gradient checks drive ``epoch_forward`` directly with
-    frozen targets.
+    and its record, and a raw forward is computed once per coefficient state
+    (``_raw_forward``). The gradient checks drive ``epoch_forward`` directly
+    with frozen targets.
 
     Raises:
         ValueError: a view has no edges, so its homophily ratio is undefined;
@@ -330,6 +341,7 @@ class TrainingPipeline:
 
         self.x_const = Tensor(g.features)
         self.raw_bases = None  # per view, the Krylov basis of its walk matrix
+        self._raw_last = None, None  # (coefficient state, the raw forward computed at it)
         # per view, the adjacency_constants its every pretraining and joint epoch reads
         self.adjacency_constants = None
         self.models, self.pretrain_history, self.optimizer = None, [], None
@@ -422,9 +434,11 @@ class TrainingPipeline:
         self.pseudo = result.labels
         self.centers_bar = result.centers
         self.hr = update_hr(self.g, one_hot(result.labels, self.g.n_clusters))
-        self.centers_per_view = [
-            class_means(h, result.labels, self.g.n_clusters) for h in self._embeddings
-        ]
+        self.centers_per_view = None  # only the KL term reads them, and the raw path has none
+        if self.raw_bases is None:
+            self.centers_per_view = [
+                class_means(h, result.labels, self.g.n_clusters) for h in self._embeddings
+            ]
 
     def refresh(self) -> None:
         """Re-cluster the last consensus embedding and recompute hr per view."""
@@ -449,18 +463,20 @@ class TrainingPipeline:
         view's reconstruction terms and ``h`` come back as its backward
         branch (``_Forward.branches``). On the ``raw_adjacency`` path a view's
         part is its basis filtered at its ``hr``, and no loss is computed,
-        whatever ``with_losses`` says.
+        whatever ``with_losses`` says; that forward is computed once per
+        coefficient state, and the same ``_Forward`` is returned while the
+        per-view filter coefficients are unchanged (``_raw_forward``).
         ``targets`` freezes the sharpened targets (p per view, consensus p);
         left to None they are recomputed from the current soft assignments,
         which is what a training step uses.
         """
+        if self.raw_bases is not None:
+            return self._raw_forward()
         cfg = self.cfg
         taped_filter = cfg.gamma_kl > 0.0 and not self.detach_s  # only the KL term reads h
 
         def one_view(view):
             filter_cfg = replace(cfg.filter, hr=self.hr[view])
-            if self.raw_bases is not None:
-                return (), apply_filter_t(self.raw_bases[view], self.x_const, filter_cfg)
             params_x, params_a = self.models[view]
             a = self.g.adjacencies[view]
             z_x = encode_t(params_x, self.x_const)
@@ -481,7 +497,7 @@ class TrainingPipeline:
         h_views = [h for _, h in per_view]
         weights, h_bar = fuse_views_t(h_views, cfg.rho)
 
-        if not with_losses or self.raw_bases is not None:
+        if not with_losses:
             return _Forward(None, None, None, h_views, h_bar, weights, None, [])
 
         l_rec = rec_terms[0]
@@ -511,6 +527,29 @@ class TrainingPipeline:
             loss, float(l_rec.data), l_kl_value, h_views, h_bar, weights, targets, branches
         )
 
+    def _raw_forward(self) -> _Forward:
+        """The ``raw_adjacency`` forward: each view's basis filtered at its
+        coefficients, concurrently, then fused; it holds no tape.
+
+        The bases, ``x`` and ``rho`` are constants, so the forward is a pure
+        function of the per-view ``filter_coefficients``, which are all the
+        filter reads of ``hr``. It is computed once per coefficient state: the
+        last forward is kept with the coefficients it was filtered with, and
+        returned while they are unchanged, bit for bit. Keying on the
+        coefficients rather than on ``hr`` lets the families that ignore
+        ``hr`` fuse once a run.
+        """
+        filter_cfgs = [replace(self.cfg.filter, hr=hr) for hr in self.hr]
+        state = tuple(filter_coefficients(filter_cfg).tobytes() for filter_cfg in filter_cfgs)
+        if state != self._raw_last[0]:
+            h_views = _for_each_view(
+                lambda view: apply_filter_t(self.raw_bases[view], self.x_const, filter_cfgs[view]),
+                self.g.n_views,
+            )
+            weights, h_bar = fuse_views_t(h_views, self.cfg.rho)
+            self._raw_last = state, _Forward(None, None, None, h_views, h_bar, weights, None, [])
+        return self._raw_last[1]
+
     # -- training loop -----------------------------------------------------
 
     def fit(self) -> tuple:
@@ -520,9 +559,12 @@ class TrainingPipeline:
         ``cfg.hr_refresh_interval`` epochs from the previous epoch's forward
         pass; each epoch appends its record to ``self.epoch_records``.
         Returns the final forward pass, its k-means labels and the hr those
-        labels give. A DivergenceError raised on the way (refresh, kernel,
-        loss, final clustering) names the epoch it stopped in and carries
-        ``last_epoch``, the last epoch recorded.
+        labels give. On the ``raw_adjacency`` path a forward is computed once
+        per coefficient state: an epoch, or the final pass, whose per-view
+        filter coefficients equal the previous forward's reuses that forward.
+        A DivergenceError raised on the way (refresh, kernel, loss, final
+        clustering) names the epoch it stopped in and carries ``last_epoch``,
+        the last epoch recorded.
         """
         cfg = self.cfg
         with self._report_on_divergence(), self._name_the_epoch(), _numerics_guard():

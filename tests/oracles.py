@@ -11,6 +11,7 @@ the functions beside it; every op of an ``OracleTensor`` gives one back.
 """
 
 import warnings
+from dataclasses import replace
 from itertools import permutations
 
 import numpy as np
@@ -29,9 +30,10 @@ from gfclust.encoders import (
 )
 from gfclust.encoders import _LOGIT_CLIP, _PROB_FLOOR
 from gfclust.errors import DivergenceError, NumericsWarning
-from gfclust.filters import _row_blocks
-from gfclust.fusion import _FUSE_MAX_ROUNDS, _FUSE_TOL, _LOG_FLOOR
+from gfclust.filters import _row_blocks, apply_filter_t
+from gfclust.fusion import _FUSE_MAX_ROUNDS, _FUSE_TOL, _LOG_FLOOR, fuse_views_t
 from gfclust.graphs import MultiViewGraph
+from gfclust.training import TrainingPipeline, _Forward
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
@@ -638,6 +640,13 @@ def oracle_homophily_ratio(a, labels_one_hot):
     return float((a * (p @ p.T) * off).sum() / (a * off).sum())
 
 
+def oracle_loop_isolated(a):
+    """A CSR copy of ``a`` with a self-loop on each node whose row sums to 0,
+    always taken as the sum with a diagonal, the reference for
+    ``gfclust.graphs._loop_isolated``."""
+    return (a + sparse.diags_array((a.sum(axis=1) == 0).astype(np.float64))).tocsr()
+
+
 def oracle_random_walk_normalize(a):
     """Dense ``D^-1 A`` with one-hot self rows for isolated nodes, the reference
     for the CSR ``gfclust.graphs.random_walk_normalize``."""
@@ -832,3 +841,17 @@ def oracle_embedding_text(matrix):
     """A matrix as one joined string of "%.17g" CSV rows, the reference for the
     chunked writer ``gfclust.save_embedding``."""
     return "\n".join(",".join("%.17g" % v for v in row) for row in np.atleast_2d(matrix))
+
+
+class OracleRecomputingPipeline(TrainingPipeline):
+    """``TrainingPipeline`` whose ``raw_adjacency`` forward filters every
+    view's basis at its ``hr`` and fuses on every call, the reference for the
+    forward kept once per coefficient state."""
+
+    def _raw_forward(self):
+        h_views = [
+            apply_filter_t(basis, self.x_const, replace(self.cfg.filter, hr=hr))
+            for basis, hr in zip(self.raw_bases, self.hr)
+        ]
+        weights, h_bar = fuse_views_t(h_views, self.cfg.rho)
+        return _Forward(None, None, None, h_views, h_bar, weights, None, [])

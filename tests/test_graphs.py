@@ -20,7 +20,7 @@ from gfclust.datasets import entry_chunks
 from gfclust.errors import ConfigError
 
 from helpers import ratio_graph, two_ratio_fixture
-from oracles import oracle_homophily_ratio, oracle_random_walk_normalize
+from oracles import oracle_homophily_ratio, oracle_loop_isolated, oracle_random_walk_normalize
 
 
 def path3():
@@ -89,6 +89,73 @@ class TestRandomWalkNormalize:
             random_walk_normalize(sparse.csr_array(np.zeros((2, 3))))
         with pytest.raises(ValueError):
             random_walk_normalize(sparse.csr_array(np.array([[0.0, -1.0], [-1.0, 0.0]])))
+
+
+def with_isolated(a, n_isolated=2):
+    """``a`` with ``n_isolated`` edgeless nodes appended."""
+    n = a.shape[0] + n_isolated
+    out = np.zeros((n, n))
+    out[:a.shape[0], :a.shape[0]] = a
+    return out
+
+
+def random_graph(seed, n=40, p=0.2):
+    upper = np.triu(np.random.default_rng(seed).random((n, n)) < p, k=1)
+    return (upper | upper.T).astype(float)
+
+
+def same_storage(got, expected):
+    return all(
+        getattr(got, part).dtype == getattr(expected, part).dtype
+        and getattr(got, part).tobytes() == getattr(expected, part).tobytes()
+        for part in ("data", "indices", "indptr")
+    )
+
+
+LOOP_GRAPHS = {
+    "path": path3(),
+    "path-isolated": with_isolated(path3()),
+    "random": random_graph(5),
+    "random-isolated": with_isolated(random_graph(6), 3),
+    "self-loops": np.eye(4),
+}
+
+
+class TestLoopIsolated:
+    @pytest.mark.parametrize("name", sorted(LOOP_GRAPHS))
+    def test_the_storage_matches_the_sum_with_a_diagonal(self, name):
+        a = sparse.csr_array(LOOP_GRAPHS[name])
+        assert same_storage(graphs._loop_isolated(a), oracle_loop_isolated(a))
+
+    @pytest.mark.parametrize("dense", [True, False], ids=["dense", "csr"])
+    @pytest.mark.parametrize("name", sorted(LOOP_GRAPHS))
+    def test_the_walk_matrix_storage_is_unchanged(self, monkeypatch, name, dense):
+        a = LOOP_GRAPHS[name] if dense else sparse.csr_array(LOOP_GRAPHS[name])
+        got = random_walk_normalize(a)
+        monkeypatch.setattr(graphs, "_loop_isolated", oracle_loop_isolated)
+        assert same_storage(got, random_walk_normalize(a))
+
+    def test_a_graph_view_with_no_isolated_node_is_copied_with_no_sum(self, monkeypatch):
+        g = generate_synthetic(SyntheticSpec(n_nodes=60, n_clusters=3, n_views=2, p_in=0.5,
+                                             seed=1))
+        expected = [oracle_loop_isolated(a) for a in g.adjacencies]
+
+        def no_diagonal(*args, **kwargs):
+            raise AssertionError("no diagonal is added when no row sums to 0")
+
+        monkeypatch.setattr(sparse, "diags_array", no_diagonal)
+        for a, want in zip(g.adjacencies, expected):
+            assert (a.sum(axis=1) > 0).all()
+            got = graphs._loop_isolated(a)
+            assert got.data is not a.data and same_storage(got, want)
+
+    def test_a_row_of_stored_zeros_gets_its_loop(self):
+        # row 2 stores an explicit zero: it sums to 0, so the node is isolated
+        a = sparse.csr_array((np.array([1.0, 1.0, 0.0]), np.array([1, 0, 0]),
+                              np.array([0, 1, 2, 3])), shape=(3, 3))
+        got = graphs._loop_isolated(a)
+        assert np.array_equal(got.toarray(), [[0, 1, 0], [1, 0, 0], [0, 0, 1]])
+        assert same_storage(got, oracle_loop_isolated(a))
 
 
 class TestHomophilyRatio:

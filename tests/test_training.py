@@ -1,3 +1,4 @@
+import functools
 import json
 import os
 import threading
@@ -25,11 +26,12 @@ from gfclust import (
     update_hr,
 )
 from gfclust.autograd import Adam, Tensor, no_grad, zero_grads
+from gfclust.cli import apply_variant
 from gfclust.errors import ConfigError, DivergenceError
 from gfclust.training import TrainingPipeline
 
 from helpers import reachable, taped_tensors, tiny_two_view
-from oracles import oracle_class_means, oracle_kmeans
+from oracles import OracleRecomputingPipeline, oracle_class_means, oracle_kmeans
 
 FAST_ENCODER = EncoderConfig(latent_dim=4, hidden_dim=8, epochs=10)
 
@@ -273,6 +275,11 @@ class TestGradientsEndToEnd:
 RAW = FilterConfig(matrix_source="raw_adjacency")
 
 
+def coefficient_state(filter_cfg, hrs):
+    """The per-view filter coefficients at ``hrs``, as bytes."""
+    return tuple(filters.filter_coefficients(replace(filter_cfg, hr=hr)).tobytes() for hr in hrs)
+
+
 def counting(calls, fn):
     """``fn`` that appends its first argument to ``calls`` on every call."""
     def counted(*args, **kwargs):
@@ -350,9 +357,21 @@ class TestRawAdjacencyBasis:
                             counting(kernels, training.apply_filter_t))
         monkeypatch.setattr(filters, "krylov_basis", counting(built, filters.krylov_basis))
         monkeypatch.setattr(training, "krylov_basis", counting(built, training.krylov_basis))
+        # the bootstrap forward ran at the configured hr; then each of fit's forwards
+        states = [coefficient_state(RAW, [RAW.hr] * 2)]
+        forward = pipeline.epoch_forward
+
+        def recorded(*args, **kwargs):
+            states.append(coefficient_state(RAW, pipeline.hr))
+            return forward(*args, **kwargs)
+
+        monkeypatch.setattr(pipeline, "epoch_forward", recorded)
         pipeline.fit()
         assert built == []
-        assert len(kernels) == 2 * (fast_config().epochs + 1)
+        assert len(states) == fast_config().epochs + 2
+        new_states = sum(state != before for before, state in zip(states, states[1:]))
+        assert new_states >= 1
+        assert len(kernels) == 2 * new_states
         assert all(any(k is basis for basis in pipeline.raw_bases) for k in kernels)
 
     @pytest.mark.parametrize("filter_cfg", [RAW, FilterConfig()], ids=["raw", "joint"])
@@ -401,6 +420,61 @@ class TestRawAdjacencyBasis:
         g = tiny_two_view()
         expected = train(g, fast_config(filter=RAW)).to_dict()
         assert train(g, fast_config(filter=RAW, **change)).to_dict() == expected
+
+
+@functools.cache
+def raw_graph(n_views):
+    """A small graph whose k-means labels, and so its per-view hr, move
+    between refreshes."""
+    return generate_synthetic(SyntheticSpec(
+        n_nodes=36, n_clusters=3, n_views=n_views, p_in=0.25, p_out=0.12, n_features=5,
+        mean_separation=1.5, seed=5,
+    ))
+
+
+class TestRawForwardOncePerState:
+    @pytest.mark.parametrize("n_views", [2, 3])
+    @pytest.mark.parametrize("family", filters.FAMILIES)
+    @pytest.mark.parametrize("interval", [1, 2, 5])
+    @pytest.mark.parametrize("epochs", [0, 1, 4, 7])
+    def test_the_report_is_that_of_recomputing_every_forward(
+        self, monkeypatch, epochs, interval, family, n_views
+    ):
+        g = raw_graph(n_views)
+        cfg = fast_config(epochs=epochs, hr_refresh_interval=interval,
+                          filter=replace(RAW, family=family))
+        report = train(g, cfg)
+        monkeypatch.setattr(training, "TrainingPipeline", OracleRecomputingPipeline)
+        expected = train(g, cfg)
+        assert report.to_dict() == expected.to_dict()
+        assert np.array_equal(report.state.consensus, expected.state.consensus)
+
+    def test_a_forward_is_reused_while_the_coefficients_stay(self, monkeypatch):
+        fused = []
+        monkeypatch.setattr(training, "fuse_views_t", counting(fused, training.fuse_views_t))
+        pipeline = TrainingPipeline(raw_graph(2), fast_config(filter=RAW))
+        first = pipeline.epoch_forward()
+        assert pipeline.epoch_forward(with_losses=False) is first
+        pipeline.hr = [pipeline.hr[0], 1.0 if pipeline.hr[1] < 1.0 else 0.0]
+        assert pipeline.epoch_forward() is not first
+        assert len(fused) == 3  # the bootstrap's, then one per new state
+
+    def test_the_raw_low_pass_variant_fuses_once(self, monkeypatch):
+        fused = []
+        monkeypatch.setattr(training, "fuse_views_t", counting(fused, training.fuse_views_t))
+        report = train(raw_graph(2), apply_variant(fast_config(epochs=7, hr_refresh_interval=1),
+                                                   "raw_adjacency_low_pass"))
+        assert len(fused) == 1
+        assert len({tuple(record["hr"]) for record in report.epochs}) > 1  # hr moved
+
+    @pytest.mark.parametrize("filter_cfg", [RAW, FilterConfig()], ids=["raw", "joint"])
+    def test_only_the_kernel_path_takes_per_view_centers(self, monkeypatch, filter_cfg):
+        means = []
+        monkeypatch.setattr(training, "class_means", counting(means, training.class_means))
+        cfg = fast_config(filter=filter_cfg)
+        train(tiny_two_view(), cfg)
+        adoptions = 1 + (cfg.epochs - 1) // cfg.hr_refresh_interval  # bootstrap and refreshes
+        assert len(means) == (0 if filter_cfg is RAW else 2 * adoptions)
 
 
 class TestDivergence:
