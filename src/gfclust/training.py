@@ -44,13 +44,16 @@ has used them. The bootstrap and final forwards, which nothing walks, run
 under ``no_grad``, and a refresh re-clusters plain arrays (the consensus and
 the per-view embeddings), so an epoch never shares memory with an earlier
 tape.
-The views are independent up to ``fuse_views_t``, so they run concurrently
-(``_for_each_view``): each view's pretraining, each view's part of a
-forward pass (its encoders, reconstruction terms, kernel and filter) and
-that part's backward. A step's one ``backward`` call walks the shared top
-of the tape (the loss sums, the KL terms and the fusion) on the calling
-thread, down to each view's outputs, its two reconstruction terms and its
-filtered ``h``; each view's branch behind them (the filter's kernel
+The views are independent up to ``fuse_views_t``, so on the kernel path
+they run concurrently (``_for_each_view``): each view's pretraining, each
+view's part of a forward pass (its encoders, reconstruction terms, kernel
+and filter) and that part's backward, each O(n^2 (l + d)) work per view.
+The ``raw_adjacency`` forward filters its views on the calling thread, in
+view order: a view's part there is a few n x d adds of its basis, less work
+than starting and joining a thread. A step's one ``backward`` call walks the
+shared top of the tape (the loss sums, the KL terms and the fusion) on the
+calling thread, down to each view's outputs, its two reconstruction terms
+and its filtered ``h``; each view's branch behind them (the filter's kernel
 backward and both encoders) is then walked on that view's thread, and a
 view's gradients land in its own parameters only. With BLAS pinned to one
 thread, the other cores are otherwise idle, and numpy and scipy release the
@@ -194,9 +197,13 @@ def _usable_cpus() -> int:
 def _for_each_view(fn, n_views: int) -> list:
     """``[fn(0), ..., fn(n_views - 1)]``, the views run concurrently.
 
-    View 0 runs on the calling thread, views 1.. on ``min(n_views, usable
-    CPUs) - 1`` workers of a pool that lives for this call; with one usable
-    CPU or one view every call runs inline, in view order. Each worker task
+    The kernel path's pretraining, forward and backward branches run their
+    views through it, since each view's part there is O(n^2 (l + d)) work;
+    the ``raw_adjacency`` forward does not, since a view's part there, a few
+    n x d adds, costs less than the pool's start and join. View 0 runs on
+    the calling thread, views 1.. on ``min(n_views, usable CPUs) - 1``
+    workers of a pool that lives for this call; with one usable CPU or one
+    view every call runs inline, in view order. Each worker task
     runs in a copy of the caller's context, so the caller's ``np.errstate``
     and ``no_grad`` hold there too. The first failure in view order is raised
     once the views already started have finished; views not started by then
@@ -320,8 +327,11 @@ class TrainingPipeline:
     builds each view's Krylov basis instead, and there are no autoencoders
     (``models`` is None) and no optimizer: each joint epoch is a forward pass
     and its record, and a raw forward is computed once per coefficient state
-    (``_raw_forward``). The gradient checks drive ``epoch_forward`` directly
-    with frozen targets.
+    (``_raw_forward``). The kernel path runs its views concurrently
+    (``_for_each_view``) in pretraining, the forward and the backward
+    branches; the raw path runs every view on the calling thread, since its
+    per-view work, a few n x d adds, is less than a thread's start and join.
+    The gradient checks drive ``epoch_forward`` directly with frozen targets.
 
     Raises:
         ValueError: a view has no edges, so its homophily ratio is undefined;
@@ -410,7 +420,7 @@ class TrainingPipeline:
                 candidates.append(kmeans(points, self.g.n_clusters, seed=self._next_seed()))
             attempts += len(candidates)
             for result in candidates:
-                if np.unique(result.labels).size != self.g.n_clusters:
+                if not np.bincount(result.labels, minlength=self.g.n_clusters).all():
                     continue
                 if best is None or result.inertia < best.inertia:
                     best = result
@@ -462,10 +472,11 @@ class TrainingPipeline:
         loss does not depend on the thread count. With the losses, each
         view's reconstruction terms and ``h`` come back as its backward
         branch (``_Forward.branches``). On the ``raw_adjacency`` path a view's
-        part is its basis filtered at its ``hr``, and no loss is computed,
-        whatever ``with_losses`` says; that forward is computed once per
-        coefficient state, and the same ``_Forward`` is returned while the
-        per-view filter coefficients are unchanged (``_raw_forward``).
+        part is its basis filtered at its ``hr``, on the calling thread, and
+        no loss is computed, whatever ``with_losses`` says; that forward is
+        computed once per coefficient state, and the same ``_Forward`` is
+        returned while the per-view filter coefficients are unchanged
+        (``_raw_forward``).
         ``targets`` freezes the sharpened targets (p per view, consensus p);
         left to None they are recomputed from the current soft assignments,
         which is what a training step uses.
@@ -529,11 +540,14 @@ class TrainingPipeline:
 
     def _raw_forward(self) -> _Forward:
         """The ``raw_adjacency`` forward: each view's basis filtered at its
-        coefficients, concurrently, then fused; it holds no tape.
+        coefficients, then fused; it holds no tape.
 
-        The bases, ``x`` and ``rho`` are constants, so the forward is a pure
-        function of the per-view ``filter_coefficients``, which are all the
-        filter reads of ``hr``. It is computed once per coefficient state: the
+        The views are filtered on the calling thread, in view order: a view's
+        filter is a few n x d adds of its basis, less work than a thread's
+        start and join, so ``_for_each_view`` is not used here. The bases,
+        ``x`` and ``rho`` are constants, so the forward is a pure function of
+        the per-view ``filter_coefficients``, which are all the filter reads
+        of ``hr``. It is computed once per coefficient state: the
         last forward is kept with the coefficients it was filtered with, and
         returned while they are unchanged, bit for bit. Keying on the
         coefficients rather than on ``hr`` lets the families that ignore
@@ -542,10 +556,8 @@ class TrainingPipeline:
         filter_cfgs = [replace(self.cfg.filter, hr=hr) for hr in self.hr]
         state = tuple(filter_coefficients(filter_cfg).tobytes() for filter_cfg in filter_cfgs)
         if state != self._raw_last[0]:
-            h_views = _for_each_view(
-                lambda view: apply_filter_t(self.raw_bases[view], self.x_const, filter_cfgs[view]),
-                self.g.n_views,
-            )
+            h_views = [apply_filter_t(basis, self.x_const, filter_cfg)
+                       for basis, filter_cfg in zip(self.raw_bases, filter_cfgs)]
             weights, h_bar = fuse_views_t(h_views, self.cfg.rho)
             self._raw_last = state, _Forward(None, None, None, h_views, h_bar, weights, None, [])
         return self._raw_last[1]

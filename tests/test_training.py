@@ -27,6 +27,7 @@ from gfclust import (
 )
 from gfclust.autograd import Adam, Tensor, no_grad, zero_grads
 from gfclust.cli import apply_variant
+from gfclust.clustering import ClusterAssignment
 from gfclust.errors import ConfigError, DivergenceError
 from gfclust.training import TrainingPipeline
 
@@ -432,6 +433,10 @@ def raw_graph(n_views):
     ))
 
 
+def no_view_threads(fn, n_views):
+    raise AssertionError("the raw path ran its views through _for_each_view")
+
+
 class TestRawForwardOncePerState:
     @pytest.mark.parametrize("n_views", [2, 3])
     @pytest.mark.parametrize("family", filters.FAMILIES)
@@ -443,6 +448,8 @@ class TestRawForwardOncePerState:
         g = raw_graph(n_views)
         cfg = fast_config(epochs=epochs, hr_refresh_interval=interval,
                           filter=replace(RAW, family=family))
+        # the raw path filters its views on the calling thread
+        monkeypatch.setattr(training, "_for_each_view", no_view_threads)
         report = train(g, cfg)
         monkeypatch.setattr(training, "TrainingPipeline", OracleRecomputingPipeline)
         expected = train(g, cfg)
@@ -475,6 +482,74 @@ class TestRawForwardOncePerState:
         train(tiny_two_view(), cfg)
         adoptions = 1 + (cfg.epochs - 1) // cfg.hr_refresh_interval  # bootstrap and refreshes
         assert len(means) == (0 if filter_cfg is RAW else 2 * adoptions)
+
+
+class TestRawViewsOnTheCallingThread:
+    def test_the_raw_path_starts_no_pool(self, monkeypatch):
+        pools = []
+        real = training.ThreadPoolExecutor
+
+        def recorded(*args, **kwargs):
+            pools.append(kwargs)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(training, "ThreadPoolExecutor", recorded)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        train(raw_graph(3), fast_config(filter=RAW))
+        assert pools == []
+        train(tiny_two_view(), fast_config())  # the kernel path still starts its pools
+        assert pools
+
+    def test_the_kernel_path_runs_every_stage_through_view_threads(self, monkeypatch):
+        stages = []
+        real = training._for_each_view
+
+        def recorded(fn, n_views):
+            stages.append(fn.__qualname__.split(".<locals>")[0].split(".")[-1])
+            return real(fn, n_views)
+
+        monkeypatch.setattr(training, "_for_each_view", recorded)
+        cfg = fast_config()
+        train(tiny_two_view(), cfg)
+        # pretraining once; the bootstrap, each epoch and the final pass forward;
+        # each epoch's backward branches
+        assert stages.count("pretrain") == 1
+        assert stages.count("epoch_forward") == cfg.epochs + 2
+        assert stages.count("backward") == cfg.epochs
+        assert len(stages) == 2 * cfg.epochs + 3
+
+
+class TestClusterRounds:
+    """``_cluster`` adopts the lowest-inertia candidate that leaves no cluster empty."""
+
+    @staticmethod
+    def assignments(labelings, c=3):
+        """A stand-in for ``kmeans`` that returns the ``(labels, inertia)``
+        pairs of ``labelings`` in turn."""
+        made = iter(labelings)
+
+        def fake_kmeans(points, n_clusters, seed=None, warm_centers=None):
+            assert n_clusters == c
+            labels, inertia = next(made)
+            return ClusterAssignment(np.asarray(labels), np.zeros((c, points.shape[1])),
+                                     inertia, (inertia,))
+        return fake_kmeans
+
+    def test_candidates_with_an_empty_cluster_are_passed_over(self, monkeypatch):
+        pipeline = TrainingPipeline(tiny_two_view(), fast_config(filter=RAW, kmeans_restarts=3))
+        full, empty = [0, 1, 2, 0, 1, 2], [0, 1, 1, 0, 1, 0]
+        monkeypatch.setattr(training, "kmeans", self.assignments(
+            [(empty, 0.0), (full, 2.0), (full, 1.0), (empty, 0.5)]))
+        best = pipeline._cluster(np.zeros((6, 2)), warm=np.zeros((3, 2)))
+        assert best.inertia == 1.0
+
+    def test_five_rounds_of_empty_clusters_diverge(self, monkeypatch):
+        pipeline = TrainingPipeline(tiny_two_view(), fast_config(filter=RAW, kmeans_restarts=2))
+        empty = [2, 2, 0, 0, 2, 0]
+        # one warm run, then 2 fresh ones in each of 5 rounds
+        monkeypatch.setattr(training, "kmeans", self.assignments([(empty, 0.0)] * 11))
+        with pytest.raises(DivergenceError, match="empty cluster in all 11 runs"):
+            pipeline._cluster(np.zeros((6, 2)), warm=np.zeros((3, 2)))
 
 
 class TestDivergence:
