@@ -30,9 +30,8 @@ data; a second walk through a walked tape raises ``ValueError``. Composite
 steps that would keep many large intermediates are single ops built on
 ``Tensor._from_op`` with a hand-written backward that keeps or recomputes only
 what it needs: the encoder layer (``encoders._layer``), the reconstruction
-losses (``encoders.mse_t``, the factored adjacency MSE
-``encoders._factored_mse`` and the row-blocked BCE ``encoders._blocked_bce``),
-the kernel and filter (``filters._joint_filter_t``), the view fusion
+losses (``encoders.mse_t`` and the factored adjacency MSE
+``encoders._factored_mse``), the kernel and filter (``filters._joint_filter_t``), the view fusion
 (``fusion.fuse_views_t``), the view similarity and the alignment
 (``fusion.evaluate_view_t``, ``fusion.soft_assignment_t`` and
 ``fusion.kl_divergence_t``).

@@ -323,10 +323,13 @@ def ari(pred: np.ndarray, truth: np.ndarray) -> float:
 
 
 def macro_f1(pred: np.ndarray, truth: np.ndarray) -> float:
-    """Macro-averaged F1 over the label universe of both inputs, the rows of the
-    matched table ``T``: class ``c`` scores ``2 T[c, c] / (row_c + col_c)``,
-    and 0 where it has no member on either side."""
+    """Macro-averaged F1 over the matched pairs, the rows of the matched table
+    ``T``: pair ``c`` scores ``2 T[c, c] / (row_c + col_c)``, and 0 where it
+    has no member on either side. The sum is divided by the number of ids
+    used by the side that uses more, so the score does not depend on which
+    ids the labels use."""
     _, matched = _matched(pred, truth)
-    denom = matched.sum(axis=1) + matched.sum(axis=0)
+    rows, cols = matched.sum(axis=1), matched.sum(axis=0)
+    denom = rows + cols
     scores = np.divide(2 * np.diagonal(matched), denom, out=np.zeros(denom.size), where=denom > 0)
-    return float(np.mean(scores))
+    return float(scores.sum() / max(np.count_nonzero(rows), np.count_nonzero(cols)))

@@ -62,7 +62,7 @@ class DatasetManifest:
     label_file: str | None = None
 
     def __post_init__(self):
-        check_integers(self, "n_nodes", "n_views", "n_features", "n_clusters")
+        check_integers(self, "n_nodes", "n_views", "n_features", "n_clusters", low=1)
         for name in ("name", "feature_file", "label_file"):
             value = getattr(self, name)
             if not (isinstance(value, str) or (name == "label_file" and value is None)):

@@ -5,16 +5,11 @@ the bias and the activation are applied in place, and the backward takes the
 activation's slope from that output. An autoencoder's input is a dense array
 or a scipy sparse matrix, which the first layer multiplies directly. The
 models are trained in ``training`` (``pretrain_view`` and the joint epochs).
-The adjacency autoencoder takes its graph as CSR (``adjacency_input``) and,
-under the default MSE loss, is scored by ``_factored_mse``: an exact
-expansion of ``mean((H W + 1 b^T - A)^2)`` over the decoder's last hidden
-layer ``H`` that costs O(n h^2 + |E| h) and never forms the n x n decode.
-Binary cross-entropy (``adjacency_loss="bce"``) takes the same CSR view and is
-one op on row blocks of the logits ``H W + 1 b^T``, recomputed in the backward,
-so it holds O(block * n) scratch and no n x n array either, and reads its
-target from the view's stored entries; ``adjacency_loss_t`` picks between the
-two. The feature autoencoder stays dense, since its d columns make the
-decode the cheaper form.
+The adjacency autoencoder takes its graph as CSR (``adjacency_input``) and is
+scored by ``_factored_mse``: an exact expansion of ``mean((H W + 1 b^T - A)^2)``
+over the decoder's last hidden layer ``H`` that costs O(n h^2 + |E| h) and
+never forms the n x n decode. The feature autoencoder stays dense, since its
+d columns make the decode the cheaper form.
 """
 
 from __future__ import annotations
@@ -48,7 +43,6 @@ class EncoderConfig:
     latent_dim: int = 64
     hidden_dim: int | None = None  # None -> max(256, 4 * latent_dim)
     activation: str = "tanh"
-    adjacency_loss: str = "mse"  # "mse" or "bce"
     epochs: int = 100
     learning_rate: float = 1e-3
 
@@ -60,8 +54,6 @@ class EncoderConfig:
         check_reals(self, "learning_rate", low=0.0, open_low=True)
         if self.activation not in _ACTIVATIONS:
             raise ConfigError(f"activation must be one of {_ACTIVATIONS}")
-        if self.adjacency_loss not in ("mse", "bce"):
-            raise ConfigError("adjacency_loss must be 'mse' or 'bce'")
 
     def resolved_hidden_dim(self) -> int:
         return self.hidden_dim if self.hidden_dim is not None else max(256, 4 * self.latent_dim)
@@ -199,8 +191,8 @@ def mse_t(pred: Tensor, target: np.ndarray) -> Tensor:
 
 
 def adjacency_input(a):
-    """The adjacency in the form its autoencoder takes, under either loss: CSR
-    without repeated entries, with no copy when ``a`` is such a CSR already."""
+    """The adjacency in the form its autoencoder takes: CSR without repeated
+    entries, with no copy when ``a`` is such a CSR already."""
     a = sparse.csr_array(a, dtype=np.float64)
     if not a.has_canonical_format:
         a = a.copy()
@@ -264,84 +256,12 @@ def _factored_mse(h: Tensor, w: Tensor, b: Tensor, a, constants: tuple | None = 
     return Tensor._from_op(total * scale, (h, w, b), backward)
 
 
-# logits are clipped to +-_LOGIT_CLIP before the sigmoid, and each log is taken
-# of a probability floored at _PROB_FLOOR
-_LOGIT_CLIP = 60.0
-_PROB_FLOOR = 1e-12
-
-
-def _bce_block(h, w, b, a, rows: slice) -> tuple:
-    """Rows ``rows`` of the BCE's inputs: the mask of logits inside the clip,
-    ``e = exp(-c)`` and ``q = 1 / (1 + e)`` for the clipped logits ``c`` of
-    ``H W + 1 b^T``, and the flat positions in the block of ``a``'s stored
-    entries there, with their values."""
-    logits = h[rows] @ w
-    logits += b
-    inside = np.abs(logits) <= _LOGIT_CLIP
-    np.clip(logits, -_LOGIT_CLIP, _LOGIT_CLIP, out=logits)
-    e = np.exp(np.negative(logits, out=logits), out=logits)
-    lo, hi = a.indptr[rows.start], a.indptr[rows.stop]
-    starts = np.arange(rows.stop - rows.start) * a.shape[1]
-    flat = np.repeat(starts, np.diff(a.indptr[rows.start : rows.stop + 1])) + a.indices[lo:hi]
-    return inside, e, 1.0 / (1.0 + e), flat, a.data[lo:hi]
-
-
-def _blocked_bce(h: Tensor, w: Tensor, b: Tensor, a) -> Tensor:
-    """``mean(BCE(sigmoid(H W + 1 b^T), A))`` as one op on row blocks of the logits.
-
-    Each term is ``t log(max(q, floor)) + (1 - t) log(max(1 - q, floor))``
-    with ``q`` the sigmoid of the logit clipped to +-60 and ``floor = 1e-12``.
-    ``t`` is read from ``a``'s stored entries: a block's terms, and in the
-    backward their slopes, are filled with those of ``t = 0`` and then get
-    the ``t`` part at its stored entries, the dense target's values bit for
-    bit on a 0/1 view. The forward keeps only the scalar; the backward
-    recomputes each block and, with ``G`` the logits' gradient, accumulates
-    ``dH[rows] = G W^T``, ``dW`` and ``db``. The gradient of a term is the
-    taped one: zero outside the clip and through a floored log.
-    """
-    hd, wd, bd = h.data, w.data, b.data
-    n, m = a.shape
-    total = 0.0
-    for rows in _row_blocks(n):
-        _, _, q, flat, t = _bce_block(hd, wd, bd, a, rows)
-        terms = np.subtract(1.0, q)
-        np.log(np.maximum(terms, _PROB_FLOOR, out=terms), out=terms)
-        q_t, terms_t = q.reshape(-1)[flat], terms.reshape(-1)  # at the stored entries
-        terms_t[flat] = t * np.log(np.maximum(q_t, _PROB_FLOOR)) + (1.0 - t) * terms_t[flat]
-        total += terms.sum()
-    scale = 1.0 / (n * m)
-
-    def backward(g):
-        dh = np.empty_like(hd)
-        dw = np.zeros_like(wd)
-        db = np.zeros_like(bd)
-        for rows in _row_blocks(n):
-            inside, e, q, flat, t = _bce_block(hd, wd, bd, a, rows)
-            omq = 1.0 - q
-            grad = (omq >= _PROB_FLOOR) / np.maximum(omq, _PROB_FLOOR)
-            np.subtract(0.0, grad, out=grad)  # the slope of t = 0, rounded alike
-            q_t, grad_t = q.reshape(-1)[flat], grad.reshape(-1)
-            grad_t[flat] = (t * (q_t >= _PROB_FLOOR) / np.maximum(q_t, _PROB_FLOOR)
-                            + (1.0 - t) * grad_t[flat])
-            # dq/dc = e / (1 + e)^2 = (e q) q, and the loss is minus the mean
-            grad *= (e * q) * q * inside
-            grad *= -g * scale
-            dh[rows] = grad @ wd.T
-            dw += hd[rows].T @ grad
-            db += grad.sum(axis=0)
-        return dh, dw, db
-
-    return Tensor._from_op(-(total * scale), (h, w, b), backward)
-
-
 def adjacency_loss_t(
-    params: AutoEncoderParams, z: Tensor, a, loss: str = "mse", constants: tuple | None = None
+    params: AutoEncoderParams, z: Tensor, a, constants: tuple | None = None
 ) -> Tensor:
     """The adjacency autoencoder's reconstruction loss of the sparse ``a`` from
-    its latent ``z``: the factored MSE (``_factored_mse``), or for ``"bce"``
-    the row-blocked binary cross-entropy of the decoder's logits. The MSE
-    reads ``a``'s ``adjacency_constants`` from ``constants`` when it is given;
-    the cross-entropy needs none.
+    its latent ``z``, the factored MSE (``_factored_mse``). It reads ``a``'s
+    ``adjacency_constants`` from ``constants`` when it is given.
 
     Raises:
         ValueError: ``a`` is dense.
@@ -349,7 +269,4 @@ def adjacency_loss_t(
     if not sparse.issparse(a):
         raise ValueError("the adjacency loss scores a sparse adjacency, as adjacency_input gives it")
     *hidden, (w, b) = params.decoder_layers
-    h = _hidden_forward(hidden, params.activation, z)
-    if loss != "mse":
-        return _blocked_bce(h, w, b, a)
-    return _factored_mse(h, w, b, a, constants)
+    return _factored_mse(_hidden_forward(hidden, params.activation, z), w, b, a, constants)

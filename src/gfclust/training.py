@@ -274,8 +274,8 @@ def pretrain_view(x: np.ndarray, a, config: EncoderConfig, seed: int,
         for epoch in range(config.epochs):
             try:
                 l_x = _walked(lambda: mse_t(decode_t(params_x, encode_t(params_x, x)), x), epoch)
-                l_a = _walked(lambda: adjacency_loss_t(
-                    params_a, encode_t(params_a, a), a, config.adjacency_loss, constants), epoch)
+                l_a = _walked(
+                    lambda: adjacency_loss_t(params_a, encode_t(params_a, a), a, constants), epoch)
                 opt.step()
             finally:
                 opt.zero_grad()
@@ -496,8 +496,7 @@ class TrainingPipeline:
             if with_losses:
                 rec = (
                     mse_t(decode_t(params_x, z_x), self.g.features),
-                    adjacency_loss_t(params_a, z_a, a, cfg.encoder.adjacency_loss,
-                                     self.adjacency_constants[view]),
+                    adjacency_loss_t(params_a, z_a, a, self.adjacency_constants[view]),
                 )
             with nullcontext() if taped_filter else no_grad():
                 h = apply_filter_t(joint_aggregation_t(z_a, z_x), self.x_const, filter_cfg)

@@ -28,9 +28,8 @@ from gfclust.encoders import (
     init_autoencoder,
     mse_t,
 )
-from gfclust.encoders import _LOGIT_CLIP, _PROB_FLOOR
 from gfclust.errors import DivergenceError, NumericsWarning
-from gfclust.filters import _row_blocks, apply_filter_t
+from gfclust.filters import apply_filter_t
 from gfclust.fusion import _FUSE_MAX_ROUNDS, _FUSE_TOL, _LOG_FLOOR, fuse_views_t
 from gfclust.graphs import MultiViewGraph
 from gfclust.training import TrainingPipeline, _Forward
@@ -343,7 +342,9 @@ def oracle_accuracy(pred, truth):
 
 
 def oracle_f1_candidates(pred, truth):
-    """Macro-F1 values under every agreement-maximizing bijection.
+    """Macro-F1 values under every agreement-maximizing bijection, each the
+    sum of the classes' F1 over the number of ids the side that uses more of
+    them uses.
 
     The Hungarian step may break ties between equally good matchings either
     way, so the implementation is correct if it hits any candidate.
@@ -360,7 +361,7 @@ def oracle_f1_candidates(pred, truth):
             fn = sum(m != cls and t == cls for m, t in zip(mapped, truth))
             denom = 2 * tp + fp + fn
             scores.append(2 * tp / denom if denom > 0 else 0.0)
-        out.add(sum(scores) / len(scores))
+        out.add(sum(scores) / max(len(set(pred)), len(set(truth))))
     return out
 
 
@@ -373,7 +374,8 @@ def oracle_matched_accuracy(pred, truth):
 
 def oracle_matched_macro_f1(pred, truth):
     """Macro-F1 by one mask pass per class over ``match_clusters``'s relabeled
-    predictions: the loop the matched-table ``macro_f1`` replaced."""
+    predictions, the F1 sum over the number of ids the side that uses more of
+    them uses: the loop the matched-table ``macro_f1`` replaced."""
     matched = match_clusters(pred, truth)
     truth = np.asarray(truth, dtype=np.int64)
     k = int(max(np.asarray(pred, dtype=np.int64).max(), truth.max())) + 1
@@ -384,7 +386,7 @@ def oracle_matched_macro_f1(pred, truth):
         fn = np.sum((matched != cls) & (truth == cls))
         denom = 2 * tp + fp + fn
         scores.append(2 * tp / denom if denom > 0 else 0.0)
-    return float(np.mean(scores))
+    return float(np.sum(scores) / max(len(set(matched)), len(set(truth))))
 
 
 def oracle_sq_dists(points: np.ndarray, sq_norms: np.ndarray, centers: np.ndarray) -> np.ndarray:
@@ -580,58 +582,6 @@ def oracle_adjacency_mse_t(params, z, a):
     return oracle_mse_t(decode_t(params, z), a)
 
 
-def oracle_bce_t(logits, target):
-    """Mean binary cross-entropy of a dense decode against a dense target as
-    taped ops: the sigmoid of the logits clipped to +-60, and each log of a
-    probability floored at 1e-12. The reference for the row-blocked BCE of
-    ``gfclust.encoders.adjacency_loss_t``; ``* -1.0`` negates exactly."""
-    q = 1.0 / (1.0 + oracle_exp(oracle_clip(logits, -60.0, 60.0) * -1.0))
-    t = OracleTensor(target)
-    return (t * q.maximum(1e-12).log() + (1.0 - t) * (1.0 - q).maximum(1e-12).log()).mean() * -1.0
-
-
-def _dense_target_bce_block(h, w, b, a, rows):
-    logits = h[rows] @ w
-    logits += b
-    inside = np.abs(logits) <= _LOGIT_CLIP
-    np.clip(logits, -_LOGIT_CLIP, _LOGIT_CLIP, out=logits)
-    e = np.exp(np.negative(logits, out=logits), out=logits)
-    return inside, e, 1.0 / (1.0 + e), a[rows].toarray()
-
-
-def oracle_dense_target_bce(h, w, b, a):
-    """The row-blocked BCE op with each block's target made dense, ``a[rows]``,
-    and both log terms taken over every entry: the op that the stored-entry
-    form of ``gfclust.encoders._blocked_bce`` replaced, bit for bit."""
-    hd, wd, bd = h.data, w.data, b.data
-    n, m = a.shape
-    total = 0.0
-    for rows in _row_blocks(n):
-        _, _, q, t = _dense_target_bce_block(hd, wd, bd, a, rows)
-        terms = t * np.log(np.maximum(q, _PROB_FLOOR))
-        terms += (1.0 - t) * np.log(np.maximum(1.0 - q, _PROB_FLOOR))
-        total += terms.sum()
-    scale = 1.0 / (n * m)
-
-    def backward(g):
-        dh = np.empty_like(hd)
-        dw = np.zeros_like(wd)
-        db = np.zeros_like(bd)
-        for rows in _row_blocks(n):
-            inside, e, q, t = _dense_target_bce_block(hd, wd, bd, a, rows)
-            omq = 1.0 - q
-            grad = t * (q >= _PROB_FLOOR) / np.maximum(q, _PROB_FLOOR)
-            grad -= (1.0 - t) * (omq >= _PROB_FLOOR) / np.maximum(omq, _PROB_FLOOR)
-            grad *= (e * q) * q * inside
-            grad *= -g * scale
-            dh[rows] = grad @ wd.T
-            dw += hd[rows].T @ grad
-            db += grad.sum(axis=0)
-        return dh, dw, db
-
-    return Tensor._from_op(-(total * scale), (h, w, b), backward)
-
-
 def oracle_homophily_ratio(a, labels_one_hot):
     """Homophily ratio from the dense same-label matrix ``p p^T`` and an
     off-diagonal mask, the reference for the edge-list form."""
@@ -737,7 +687,7 @@ class OracleAdam:
             p.data -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
 
 
-def oracle_train_autoencoder(params, data, epochs, learning_rate, loss="mse"):
+def oracle_train_autoencoder(params, data, epochs, learning_rate):
     """Full-batch Adam on one autoencoder with an Adam of its own, in place;
     returns the loss history. ``data`` is the dense features, scored by the
     dense decode's MSE, or the sparse adjacency, scored by ``adjacency_loss_t``."""
@@ -747,7 +697,7 @@ def oracle_train_autoencoder(params, data, epochs, learning_rate, loss="mse"):
         with np.errstate(over="ignore", invalid="ignore"):
             z = encode_t(params, data)
             if sparse.issparse(data):
-                value = adjacency_loss_t(params, z, data, loss)
+                value = adjacency_loss_t(params, z, data)
             else:
                 value = mse_t(decode_t(params, z), data)
         if not np.isfinite(value.data):
@@ -774,8 +724,7 @@ def oracle_pretrain_view(x, a, config, seed):
     params_a = init_autoencoder(a.shape[1], config.latent_dim, hidden,
                                 np.random.default_rng(seed_a), config.activation)
     hist_x = oracle_train_autoencoder(params_x, x, config.epochs, config.learning_rate)
-    hist_a = oracle_train_autoencoder(params_a, a, config.epochs, config.learning_rate,
-                                      loss=config.adjacency_loss)
+    hist_a = oracle_train_autoencoder(params_a, a, config.epochs, config.learning_rate)
     return params_x, params_a, [hx + ha for hx, ha in zip(hist_x, hist_a)]
 
 

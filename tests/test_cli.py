@@ -132,6 +132,15 @@ class TestRun:
         assert not out.exists()
         assert "unknown config field" in capsys.readouterr().err
 
+    def test_adjacency_loss_is_an_unknown_field(self, tmp_path, capsys):
+        # the adjacency autoencoder has one loss, the factored MSE
+        config = base_config(tmp_path, encoder={"latent_dim": 4, "hidden_dim": 8,
+                                                "adjacency_loss": "mse"})
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(config), "--out", str(out)]) == 1
+        assert not out.exists()
+        assert "unknown config field 'encoder' keys: adjacency_loss" in capsys.readouterr().err
+
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
     @pytest.mark.parametrize("section, name", [
         ("encoder", "learning_rate"),

@@ -229,6 +229,10 @@ class TestMetricExamples:
         assert ari(permuted, truth) == 1.0
         assert macro_f1(permuted, truth) == 1.0
 
+    def test_macro_f1_counts_only_the_ids_the_labels_use(self):
+        assert macro_f1([0, 0, 2], [0, 0, 2]) == 1.0
+        assert macro_f1([2, 1], [0, 1]) == 1.0
+
     def test_three_quarters_accuracy(self):
         assert accuracy([0, 0, 1, 1], [0, 1, 1, 1]) == 0.75
 

@@ -134,12 +134,19 @@ class TestLoadDataset:
         ("graph_files", "g0.txt", "graph_files must be a list of strings"),
         ("graph_files", ["g0.txt", 1], "graph_files must be a list of strings"),
         ("weights", 1.0, "unknown manifest keys: weights"),
+        ("n_nodes", -2, "n_nodes must be >= 1, got -2"),
+        ("n_views", 0, "n_views must be >= 1, got 0"),
+        ("n_features", 0, "n_features must be >= 1, got 0"),
+        ("n_clusters", 0, "n_clusters must be >= 1, got 0"),
     ])
     def test_bad_manifest_value_is_a_config_error(self, tmp_path, key, value, message):
         path = write_tiny3(tmp_path)
         payload = json.loads(path.read_text())
         payload[key] = value
         path.write_text(json.dumps(payload))
+        for data_file in tmp_path.glob("*.*"):
+            if data_file != path:
+                data_file.unlink()  # refused before any data file is read
         with pytest.raises(ConfigError, match=message):
             load_dataset(path)
 

@@ -9,7 +9,6 @@ from scipy import sparse
 from gfclust import (
     EncoderConfig,
     SyntheticSpec,
-    encoders,
     filters,
     generate_synthetic,
     graphs,
@@ -20,6 +19,7 @@ from gfclust.encoders import (
     AutoEncoderParams,
     _factored_mse,
     _layer,
+    adjacency_constants,
     adjacency_input,
     adjacency_loss_t,
     decode_t,
@@ -34,8 +34,6 @@ from helpers import tiny_two_view
 from oracles import (
     OracleTensor,
     oracle_adjacency_mse_t,
-    oracle_bce_t,
-    oracle_dense_target_bce,
     oracle_factored_mse,
     oracle_layer,
     oracle_mse_t,
@@ -298,11 +296,10 @@ class TestTrainAutoencoders:
         assert err.value.last_epoch == -1
 
     @pytest.mark.parametrize("activation", ["tanh", "relu"])
-    @pytest.mark.parametrize("loss", ["mse", "bce"])
-    def test_one_adam_steps_as_one_adam_per_autoencoder(self, loss, activation):
+    def test_one_adam_steps_as_one_adam_per_autoencoder(self, activation):
         g = tiny_two_view()
         cfg = EncoderConfig(latent_dim=3, hidden_dim=6, epochs=25, activation=activation,
-                            adjacency_loss=loss, learning_rate=1e-2)
+                            learning_rate=1e-2)
         ours = pretrain_view(g.features, g.adjacencies[0], cfg, seed=5)
         ref = oracle_pretrain_view(g.features, g.adjacencies[0], cfg, seed=5)
         assert ours[2] == ref[2]
@@ -325,6 +322,15 @@ def random_graph(rng, n_linked, n_isolated, p):
     return (upper | upper.T).astype(float)
 
 
+def ac1_view(n):
+    """View 0 of the seed-0 AC1 graph of the benchmark's homophilous workload."""
+    spec = SyntheticSpec(
+        n_nodes=n, n_clusters=4, n_views=1, n_features=32, mean_separation=6.0,
+        p_in=0.1, p_out=0.005, noise_scale=1.0, seed=0,
+    )
+    return generate_synthetic(spec)
+
+
 def with_random_biases(params, rng):
     # Glorot init leaves the biases at 0, which would hide the bias terms
     for _, b in params.encoder_layers + params.decoder_layers:
@@ -341,21 +347,12 @@ def loss_and_grads(params, loss_fn):
     ]
 
 
-def op_and_grads(op, *args):
-    """``op``'s value at array inputs, and the gradients of all but the last."""
-    *tensors, a = args
-    tensors = [Tensor(x.copy(), requires_grad=True) for x in tensors]
-    out = op(*tensors, a)
-    out.backward()
-    return [out.data] + [t.grad for t in tensors]
-
-
 def assert_matches_dense_oracle(params, a, tol=1e-10):
     """Factored loss on CSR vs the dense decode, and the gradients of every
     encoder and decoder parameter, each to ``tol`` relative."""
     csr = sparse.csr_array(a)
     factored, f_grads = loss_and_grads(
-        params, lambda: adjacency_loss_t(params, encode_t(params, csr), csr, "mse")
+        params, lambda: adjacency_loss_t(params, encode_t(params, csr), csr)
     )
     dense, d_grads = loss_and_grads(
         params, lambda: oracle_adjacency_mse_t(params, encode_t(params, Tensor(a)), a)
@@ -368,24 +365,6 @@ def assert_matches_dense_oracle(params, a, tol=1e-10):
         assert np.abs(f - d).max() <= tol * scale
 
 
-def assert_bce_matches_taped_oracle(params, a, tol=1e-10):
-    """Row-blocked BCE on CSR vs the taped dense decode and target, and the
-    gradients of every encoder and decoder parameter, each to ``tol`` relative."""
-    csr = sparse.csr_array(a)
-    blocked, b_grads = loss_and_grads(
-        params, lambda: adjacency_loss_t(params, encode_t(params, csr), csr, "bce")
-    )
-    dense, d_grads = loss_and_grads(
-        params, lambda: oracle_bce_t(decode_t(params, encode_t(params, Tensor(a))), a)
-    )
-    assert abs(blocked - dense) <= tol * abs(dense)
-    for f, d in zip(b_grads, d_grads):
-        scale = np.abs(d).max() if np.abs(d).max() > 0 else abs(dense)
-        assert np.abs(f - d).max() <= tol * scale
-        # exact zeros, such as a bias whose column is clipped in every row, stay exact
-        assert (f[d == 0] == 0).all()
-
-
 class TestFactoredAdjacencyMse:
     @pytest.mark.parametrize("activation", ["tanh", "relu", "linear"])
     def test_loss_and_gradients_match_dense_oracle(self, activation):
@@ -393,6 +372,31 @@ class TestFactoredAdjacencyMse:
         a = random_graph(rng, 27, 3, 0.2)
         params = with_random_biases(init_autoencoder(30, 4, 9, rng, activation), rng)
         assert_matches_dense_oracle(params, a)
+
+    # n = 30: one row per block, a ragged last block, one block of all rows,
+    # and a block larger than n
+    @pytest.mark.parametrize("block", [1, 7, 30, 128])
+    @pytest.mark.parametrize("activation", ["tanh", "relu", "linear"])
+    def test_row_blocked_gram_matches_dense_oracle(self, monkeypatch, activation, block):
+        monkeypatch.setattr(filters, "_BLOCK_ROWS", block)
+        rng = np.random.default_rng(31)
+        a = random_graph(rng, 27, 3, 0.2)
+        params = with_random_biases(init_autoencoder(30, 4, 9, rng, activation), rng)
+        assert_matches_dense_oracle(params, a)
+
+    def test_given_constants_equal_the_computed_ones_bit_for_bit(self):
+        # pretrain_view computes a view's constants once and passes them on
+        rng = np.random.default_rng(9)
+        csr = adjacency_input(random_graph(rng, 18, 2, 0.3))
+        params = with_random_biases(init_autoencoder(20, 3, 6, rng), rng)
+        (computed, c_grads), (given, g_grads) = (
+            loss_and_grads(params, lambda c=c: adjacency_loss_t(
+                params, encode_t(params, csr), csr, c))
+            for c in (None, adjacency_constants(csr))
+        )
+        assert computed == given
+        for x, y in zip(c_grads, g_grads, strict=True):
+            assert x.tobytes() == y.tobytes()
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -421,7 +425,7 @@ class TestFactoredAdjacencyMse:
         params = with_random_biases(init_autoencoder(14, 2, 5, rng), rng)
         csr = sparse.csr_array(a)
         factored, f_grads = loss_and_grads(
-            params, lambda: adjacency_loss_t(params, encode_t(params, csr), csr, "mse")
+            params, lambda: adjacency_loss_t(params, encode_t(params, csr), csr)
         )
         dense, d_grads = loss_and_grads(params, lambda: feature_loss_t(params, a))
         assert factored == pytest.approx(dense, rel=1e-12)
@@ -446,7 +450,7 @@ class TestFactoredAdjacencyMse:
         assert np.array_equal(repeated.indices, before)
         assert target.has_canonical_format and np.array_equal(target.toarray(), a)
         params = with_random_biases(init_autoencoder(a.shape[0], 2, 5, rng), rng)
-        factored = adjacency_loss_t(params, encode_t(params, target), target, "mse")
+        factored = adjacency_loss_t(params, encode_t(params, target), target)
         oracle = oracle_adjacency_mse_t(params, encode_t(params, Tensor(a)), a)
         assert float(factored.data) == pytest.approx(float(oracle.data), rel=1e-12)
 
@@ -470,6 +474,26 @@ class TestFactoredAdjacencyMse:
         finally:
             tracemalloc.stop()
         assert peak < 3 * 8 * n * n
+
+    def test_dense_data_is_rejected(self):
+        params = init_autoencoder(4, 2, 3, np.random.default_rng(0))
+        with pytest.raises(ValueError, match="sparse adjacency"):
+            adjacency_loss_t(params, encode_t(params, np.eye(4)), np.eye(4))
+
+    def test_adjacency_input_keeps_a_canonical_view(self):
+        # the adjacency autoencoders and update_hr share the graph's CSR views
+        for view in tiny_two_view().adjacencies:
+            a = adjacency_input(view)
+            assert np.shares_memory(a.data, view.data)
+            assert np.shares_memory(a.indices, view.indices)
+
+    def test_pretraining_runs_under_a_one_megabyte_budget(self, monkeypatch):
+        # one dense 300 x 300 array is 0.72 MB
+        monkeypatch.setattr(graphs, "_available_bytes", lambda: 10**6)
+        g = ac1_view(300)
+        cfg = EncoderConfig(latent_dim=4, hidden_dim=8, epochs=2)
+        *_, history = pretrain_view(g.features, g.adjacencies[0], cfg, seed=0)
+        assert np.isfinite(history).all()
 
     def test_an_adjacency_step_frees_its_tape_and_its_gradients(self, monkeypatch):
         # an AC2 view as in the benchmark's heterophilous workload, h = 64;
@@ -553,95 +577,6 @@ class TestLayerOp:
             tracemalloc.stop()
         # the taped composition keeps the product, the pre-activation and a mask as well
         assert kept < 1.5 * out.data.nbytes
-
-
-def ac1_view(n):
-    """View 0 of the seed-0 AC1 graph of the benchmark's homophilous workload."""
-    spec = SyntheticSpec(
-        n_nodes=n, n_clusters=4, n_views=1, n_features=32, mean_separation=6.0,
-        p_in=0.1, p_out=0.005, noise_scale=1.0, seed=0,
-    )
-    return generate_synthetic(spec)
-
-
-class TestBlockedBce:
-    """The row-blocked BCE against the taped dense composition it replaced."""
-
-    # n = 30: one row per block, a ragged last block, one block of all rows,
-    # and a block larger than n
-    @pytest.mark.parametrize("block", [1, 7, 30, 128])
-    @pytest.mark.parametrize("activation", ["tanh", "relu", "linear"])
-    def test_loss_and_gradients_match_taped_oracle(self, monkeypatch, activation, block):
-        monkeypatch.setattr(filters, "_BLOCK_ROWS", block)
-        rng = np.random.default_rng(31)
-        a = random_graph(rng, 27, 3, 0.2)
-        params = with_random_biases(init_autoencoder(30, 4, 9, rng, activation), rng)
-        assert_bce_matches_taped_oracle(params, a)
-
-    def test_clipped_and_floored_logits_match_taped_oracle(self, monkeypatch):
-        monkeypatch.setattr(filters, "_BLOCK_ROWS", 7)
-        rng = np.random.default_rng(32)
-        a = random_graph(rng, 20, 2, 0.3)
-        params = with_random_biases(init_autoencoder(22, 3, 6, rng, "tanh"), rng)
-        # spread the output biases over +-90: some logits are clipped (|c| > 60),
-        # more have a probability floored at 1e-12 (|c| > 27.6)
-        params.decoder_layers[-1][1].data[:] = np.linspace(-90.0, 90.0, 22)
-        logits = decode_t(params, encode_t(params, a)).data
-        assert (logits > 60).any() and (logits < -60).any()
-        assert ((np.abs(logits) > 27.7) & (np.abs(logits) < 60)).any()
-        assert_bce_matches_taped_oracle(params, a)
-
-    # n = 30: one row per block, a ragged last block, one block of all rows,
-    # and a block larger than n
-    @pytest.mark.parametrize("block", [1, 7, 30, 128])
-    def test_stored_entry_target_equals_the_dense_target_op_bit_for_bit(self, monkeypatch, block):
-        monkeypatch.setattr(filters, "_BLOCK_ROWS", block)
-        rng = np.random.default_rng(33)
-        views = [sparse.csr_array(random_graph(rng, 27, 3, 0.2)), ac1_view(30).adjacencies[0]]
-        for a in views:
-            h = np.tanh(rng.normal(size=(30, 9)))
-            w = 3.0 * rng.normal(size=(9, 30))
-            # logits that are clipped, floored in either log, and neither
-            b = rng.permutation(np.linspace(-90.0, 90.0, 30))
-            ours, oracle = (op_and_grads(op, h, w, b, a)
-                            for op in (encoders._blocked_bce, oracle_dense_target_bce))
-            for x, y in zip(ours, oracle, strict=True):
-                assert np.asarray(x).tobytes() == np.asarray(y).tobytes()
-
-    def test_dense_data_is_rejected(self):
-        params = init_autoencoder(4, 2, 3, np.random.default_rng(0))
-        with pytest.raises(ValueError, match="sparse adjacency"):
-            adjacency_loss_t(params, encode_t(params, np.eye(4)), np.eye(4), loss="bce")
-
-    def test_adjacency_input_keeps_a_canonical_view(self):
-        # the adjacency autoencoders and update_hr share the graph's CSR views
-        for view in tiny_two_view().adjacencies:
-            a = adjacency_input(view)
-            assert np.shares_memory(a.data, view.data)
-            assert np.shares_memory(a.indices, view.indices)
-
-    def test_pretraining_runs_under_a_one_megabyte_budget(self, monkeypatch):
-        # one dense 300 x 300 array is 0.72 MB
-        monkeypatch.setattr(graphs, "_available_bytes", lambda: 10**6)
-        g = ac1_view(300)
-        cfg = EncoderConfig(latent_dim=4, hidden_dim=8, epochs=2, adjacency_loss="bce")
-        *_, history = pretrain_view(g.features, g.adjacencies[0], cfg, seed=0)
-        assert np.isfinite(history).all()
-
-    def test_pretraining_forms_no_dense_decode(self):
-        # the dense decode and target peaked at 21 n x n arrays here
-        g = ac1_view(1200)
-        cfg = EncoderConfig(latent_dim=16, hidden_dim=64, epochs=4, adjacency_loss="bce")
-        n = g.n_nodes
-        tracemalloc.start()
-        try:
-            before = tracemalloc.get_traced_memory()[0]
-            tracemalloc.reset_peak()
-            pretrain_view(g.features, g.adjacencies[0], cfg, seed=0)
-            peak = tracemalloc.get_traced_memory()[1] - before
-        finally:
-            tracemalloc.stop()
-        assert peak < 2 * 8 * n * n
 
 
 class TestLossOps:

@@ -7,13 +7,18 @@ Opportunities*, ACM Computing Surveys 51(1), 2018):
 
 - a row-stochastic kernel maps the all-ones signal to ``(sum_p c_p) 1``;
 - a filter on a fixed kernel is linear in its signal;
-- permuting the nodes permutes the filtered signal;
-- swapping the views swaps the fusion weights and keeps the consensus;
-- permuting the cluster ids keeps every score and the homophily ratios.
+- permuting the nodes permutes the filtered signal, and permuting them
+  through one ``TrainingPipeline.epoch_forward`` permutes ``h``, the
+  consensus and the targets and keeps the loss and the fusion weights;
+- swapping the views swaps the fusion weights and keeps the consensus, also
+  through one ``epoch_forward``, whose loss it keeps too;
+- permuting the cluster ids keeps every score and the homophily ratios,
+  also when the labels leave some ids unused.
 
-Each filter check runs on both matrix sources: the ``JointKernel`` op of an
-embedding pair and the ``KrylovBasis`` of a random-walk adjacency. The
-shapes reach past one Gram tile, so the mirrored tiles are walked too.
+Each filter and ``epoch_forward`` check runs on both matrix sources: the
+``JointKernel`` op of an embedding pair and the ``KrylovBasis`` of a
+random-walk adjacency. The shapes reach past one Gram tile, so the mirrored
+tiles are walked too.
 """
 
 import numpy as np
@@ -21,8 +26,20 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import sparse
 
-from gfclust import FilterConfig, MultiViewGraph, clustering, one_hot, random_walk_normalize
+from gfclust import (
+    EncoderConfig,
+    FilterConfig,
+    MultiViewGraph,
+    SyntheticSpec,
+    TrainConfig,
+    TrainingPipeline,
+    clustering,
+    generate_synthetic,
+    one_hot,
+    random_walk_normalize,
+)
 from gfclust.autograd import Tensor
+from gfclust.encoders import AutoEncoderParams
 from gfclust.filters import (
     _BLOCK_ROWS,
     FAMILIES,
@@ -119,6 +136,50 @@ class TestLinearity:
         assert_close(kernel.filter(alpha * x + beta * y, cfg), alpha * hx + beta * hy, scale)
 
 
+def small_graph(n, n_views, seed):
+    """A 3-class SBM on ``n >= 30`` nodes whose every view has edges."""
+    spec = SyntheticSpec(n_nodes=n, n_clusters=3, n_views=n_views, n_features=4,
+                         p_in=0.3, p_out=0.05, seed=seed)
+    return generate_synthetic(spec)
+
+
+def pipeline(g, source):
+    """A pipeline on ``g`` that pretrains its encoders for two epochs."""
+    cfg = TrainConfig(epochs=1, filter=FilterConfig(order=2, matrix_source=source),
+                      encoder=EncoderConfig(latent_dim=3, hidden_dim=6, epochs=2))
+    return TrainingPipeline(g, cfg)
+
+
+def moved_pipeline(pipe, g, models, hr, centers_per_view):
+    """A pipeline on the moved graph ``g`` that forwards with ``models``,
+    ``hr``, ``centers_per_view`` and ``pipe``'s consensus centers, in place
+    of what its own construction trained and clustered."""
+    moved = TrainingPipeline(g, pipe.cfg)
+    moved.models, moved.hr = models, hr
+    moved.centers_per_view, moved.centers_bar = centers_per_view, pipe.centers_bar
+    return moved
+
+
+def node_permuted(params, perm):
+    """The adjacency autoencoder ``params`` on the nodes taken in the order
+    ``perm``: its first layer's rows and its last layer's columns and bias."""
+    (w_in, b_in), *encoder = params.encoder_layers
+    *decoder, (w_out, b_out) = params.decoder_layers
+    w_in, w_out, b_out = (Tensor(x, requires_grad=True)
+                          for x in (w_in.data[perm], w_out.data[:, perm], b_out.data[perm]))
+    return AutoEncoderParams([(w_in, b_in), *encoder], [*decoder, (w_out, b_out)],
+                             params.activation)
+
+
+def assert_same_loss(moved, fwd):
+    """Both forwards computed no loss, or equal losses to ``TOL`` relative."""
+    if fwd.loss is None:
+        assert moved.loss is None
+    else:
+        loss = float(fwd.loss.data)
+        assert abs(float(moved.loss.data) - loss) <= TOL * abs(loss)
+
+
 class TestNodePermutation:
     @settings(max_examples=40, deadline=None)
     @given(st.sampled_from(MATRIX_SOURCES), sizes, st.integers(1, 6), st.integers(1, 4),
@@ -131,6 +192,35 @@ class TestNodePermutation:
         x, perm = rng.normal(size=(n, width)), rng.permutation(n)
         h = kernel.filter(x, cfg)
         assert_close(kernel.filter(x[perm], cfg, perm=perm), h[perm], np.abs(h).max())
+
+    @settings(max_examples=10, deadline=None)
+    @given(st.sampled_from(MATRIX_SOURCES), st.integers(30, 2 * _BLOCK_ROWS + 20), seeds)
+    @example("joint_aggregation", 2 * _BLOCK_ROWS + 3, 3)
+    @example("raw_adjacency", 2 * _BLOCK_ROWS + 3, 3)
+    def test_an_epoch_forward_permutes_h_the_consensus_and_the_targets(self, source, n, seed):
+        g = small_graph(n, 2, seed)
+        perm = np.random.default_rng(seed).permutation(n)
+        moved_g = MultiViewGraph(features=g.features[perm], n_clusters=g.n_clusters,
+                                 adjacencies=[a[perm][:, perm] for a in g.adjacencies])
+        pipe = pipeline(g, source)
+        models = None if pipe.models is None else [
+            (params_x, node_permuted(params_a, perm)) for params_x, params_a in pipe.models
+        ]
+        moved = moved_pipeline(pipe, moved_g, models, list(pipe.hr), pipe.centers_per_view)
+        fwd = pipe.epoch_forward()
+        targets = None  # the raw path computes none
+        if fwd.targets is not None:
+            p_views, p_bar = fwd.targets
+            targets = [p[perm] for p in p_views], p_bar[perm]
+            own_views, own_bar = moved.epoch_forward().targets
+            for own, target in zip([*own_views, own_bar], [*targets[0], targets[1]], strict=True):
+                assert_close(own, target)
+        frozen = moved.epoch_forward(targets=targets)
+        for h_moved, h in zip(frozen.h_views, fwd.h_views, strict=True):
+            assert_close(h_moved.data, h.data[perm], np.abs(h.data).max())
+        assert_close(frozen.h_bar.data, fwd.h_bar.data[perm], np.abs(fwd.h_bar.data).max())
+        assert_close(frozen.weights, fwd.weights)
+        assert_same_loss(frozen, fwd)
 
 
 class TestViewOrder:
@@ -151,23 +241,56 @@ class TestViewOrder:
         assert_close(swapped_weights, weights[order])
         assert_close(swapped_bar.data, h_bar.data, np.abs(h_bar.data).max())
 
+    @settings(max_examples=10, deadline=None)
+    @given(st.sampled_from(MATRIX_SOURCES), st.integers(30, 80), st.integers(2, 3), seeds)
+    def test_an_epoch_forward_swaps_the_weights_and_keeps_the_consensus_and_loss(
+        self, source, n, n_views, seed
+    ):
+        g = small_graph(n, n_views, seed)
+        order = np.roll(np.arange(n_views), 1)
+        moved_g = MultiViewGraph(features=g.features, n_clusters=g.n_clusters,
+                                 adjacencies=[g.adjacencies[v] for v in order])
+        pipe = pipeline(g, source)
 
-def relabeled_pair(n, c, seed):
-    """Predicted and true labels on ``n >= c`` nodes, each using every id in
-    ``[0, c)``, as a k-means result with no empty cluster and a ground truth
-    do, and a permutation of the ``c`` ids."""
+        def swapped(per_view):
+            return None if per_view is None else [per_view[v] for v in order]
+
+        moved = moved_pipeline(pipe, moved_g, swapped(pipe.models), swapped(pipe.hr),
+                               swapped(pipe.centers_per_view))
+        fwd = pipe.epoch_forward()
+        targets = None  # the raw path computes none
+        if fwd.targets is not None:
+            p_views, p_bar = fwd.targets
+            targets = swapped(p_views), p_bar
+        frozen = moved.epoch_forward(targets=targets)
+        for v, h in zip(order, frozen.h_views, strict=True):
+            assert_close(h.data, fwd.h_views[v].data, np.abs(fwd.h_views[v].data).max())
+        assert_close(frozen.weights, fwd.weights[order])
+        assert_close(frozen.h_bar.data, fwd.h_bar.data, np.abs(fwd.h_bar.data).max())
+        assert_same_loss(frozen, fwd)
+
+
+def relabeled_pair(n, c, seed, spare=0):
+    """Predicted and true labels on ``n >= c`` nodes, each using ``c`` of the
+    ids ``[0, c + spare)``, and a permutation of those ``c + spare`` ids. With
+    ``spare`` at 0 both use every id in ``[0, c)``, as a k-means result with
+    no empty cluster and a ground truth do."""
     rng = np.random.default_rng(seed)
-    pred, truth = rng.integers(c, size=n), rng.integers(c, size=n)
-    pred[:c] = rng.permutation(c)
-    truth[:c] = rng.permutation(c)
-    return pred, truth, rng.permutation(c)
+
+    def labels():
+        used = rng.choice(c + spare, size=c, replace=False)
+        out = used[rng.integers(c, size=n)]
+        out[:c] = rng.permutation(used)
+        return out
+
+    return labels(), labels(), rng.permutation(c + spare)
 
 
 class TestRelabeling:
     @settings(max_examples=60, deadline=None)
-    @given(st.integers(0, 80), st.integers(2, 7), seeds)
-    def test_the_scores_do_not_see_the_cluster_ids(self, extra, c, seed):
-        pred, truth, perm = relabeled_pair(c + extra, c, seed)
+    @given(st.integers(0, 80), st.integers(2, 7), st.integers(0, 3), seeds)
+    def test_the_scores_do_not_see_the_cluster_ids(self, extra, c, spare, seed):
+        pred, truth, perm = relabeled_pair(c + extra, c, seed, spare)
         for relabeled in ((perm[pred], truth), (pred, perm[truth])):
             assert clustering.accuracy(*relabeled) == clustering.accuracy(pred, truth)
             for score in (clustering.nmi, clustering.ari, clustering.macro_f1):

@@ -127,14 +127,6 @@ class TestTrainReportShape:
         second = train(g, fast_config()).to_dict()
         assert first == second
 
-    def test_bce_adjacency_loss_same_seed_identical(self):
-        g = tiny_two_view()
-        cfg = fast_config(encoder=replace(FAST_ENCODER, adjacency_loss="bce"))
-        first = train(g, cfg).to_dict()
-        assert first == train(g, cfg).to_dict()
-        assert first != train(g, fast_config()).to_dict()
-        assert all(np.isfinite(rec["l_total"]) for rec in first["epochs"])
-
     def test_different_seeds_differ(self):
         g = tiny_two_view()
         a = train(g, fast_config(seed=1)).to_dict()
@@ -589,8 +581,8 @@ class TestDivergence:
         done = training.pretrain(g, fast_config())[1]
         real, scored = training.adjacency_loss_t, []
 
-        def view_1_overflows_at_epoch_3(params, z, a, *loss_and_constants):
-            value = real(params, z, a, *loss_and_constants)
+        def view_1_overflows_at_epoch_3(params, z, a, constants):
+            value = real(params, z, a, constants)
             if np.shares_memory(a.data, g.adjacencies[1].data):
                 scored.append(value)
                 if len(scored) == 4:
